@@ -8,7 +8,7 @@ so every judgement is re-runnable from the artifacts alone.
 """
 
 import argparse
-import concurrent.futures
+import itertools
 import math
 import os
 import sys
@@ -43,6 +43,7 @@ from .runconfig import (
 )
 from .solver import (
     Field,
+    MassLedger,
     PlanarGrid,
     RadialGrid,
     StepperConfig,
@@ -50,6 +51,7 @@ from .solver import (
     evolve_planar,
     evolve_radial,
     kernel_probe,
+    mass_balance_residual,
 )
 from .svgplot import line_plot_svg
 
@@ -69,72 +71,52 @@ def _verdict(name: str, passed: bool, detail: str) -> bool:
 
 # ----------------------------------------------------------------- evolve
 
-def _radial_run(cfg: RunConfig, out_dir: str, tag: str = ""):
-    """One radial evolution; emits CSVs and returns paths plus snapshots."""
-    a = cfg.hole.radius
-    n_r = int(math.ceil((cfg.r_out - a) / cfg.h - 1e-9))
-    grid = RadialGrid(a=a, r_out=a + n_r * cfg.h, n_r=n_r, dim=cfg.dim)
-    domain = ExteriorDomain(cfg.dim, cfg.hole, grid.r_out)
+def _run(cfg: RunConfig, out_dir: str, tag: str = ""):
+    """One evolution, radial (dim 3) or planar (dim 2); emits CSVs and
+    returns (files, snapshots, m)."""
     theta = cfg.theta_boundary()
-    u0 = make_radial_datum(cfg.preset, grid, theta)
     stepper = StepperConfig(dt=cfg.dt, snapshot_times=cfg.snapshot_times)
-    snaps, ledger = evolve_radial(domain, theta, u0, stepper)
-    profile = profile_radial_closed_form(cfg.dim, a, theta)
-    m = asymptotic_mass(u0, profile)
+    if cfg.dim == 3:
+        a = cfg.hole.radius
+        n_r = int(math.ceil((cfg.r_out - a) / cfg.h - 1e-9))
+        grid = RadialGrid(a=a, r_out=a + n_r * cfg.h, n_r=n_r, dim=cfg.dim)
+        u0 = make_radial_datum(cfg.preset, grid, theta)
+        domain = ExteriorDomain(cfg.dim, cfg.hole, grid.r_out)
+        snaps, ledger = evolve_radial(domain, theta, u0, stepper)
+        profile = profile_radial_closed_form(cfg.dim, a, theta)
+        m = asymptotic_mass(u0, profile)
+        columns, coords, keep = ["t", "r", "u"], [grid.nodes()], slice(None)
+    else:
+        n = int(math.ceil(2.0 * cfg.r_out / cfg.h - 1e-9))
+        n += n % 2
+        grid = PlanarGrid(half_width=n * cfg.h / 2.0, n=n, hole=cfg.hole)
+        preset = cfg.preset if cfg.preset != "explicit-remark" else "gaussian-bump:3,0,1.5"
+        u0 = make_planar_datum(preset, grid)
+        domain = ExteriorDomain(2, cfg.hole, grid.half_width)
+        snaps, ledger = evolve_planar(domain, theta, u0, stepper)
+        profile = profile_radial_closed_form(2, cfg.hole.circumscribed_radius, theta)
+        m = u0.integral() if theta.is_neumann else 0.0
+        keep = ~grid.hole_mask()
+        columns, coords = ["t", "x", "y", "u"], [c[keep] for c in grid.meshgrid()]
     rates = asym.RateSeries.from_snapshots(snaps, m, profile, ledger)
 
     prefix = os.path.join(out_dir, tag)
-    files = {}
-    r = grid.nodes()
-    snap_rows = [(s.time, float(rv), float(uv))
-                 for s in snaps for rv, uv in zip(r, s.values)]
-    files["snapshots"] = write_csv(prefix + "snapshots.csv", ["t", "r", "u"], snap_rows)
-    t_l, m_l, f_l = ledger.as_arrays()
+    snap_rows = (row for s in snaps
+                 for row in zip(itertools.repeat(s.time), *coords, s.values[keep]))
+    files = {"snapshots": write_csv(prefix + "snapshots.csv", columns, snap_rows)}
     files["ledger"] = write_csv(prefix + "ledger.csv", ["t", "mass", "flux"],
-                                zip(t_l, m_l, f_l))
+                                zip(*ledger.as_arrays()))
     files["rates"] = write_csv(
         prefix + "rates.csv",
         ["t", "p", "raw_norm", "scaled_norm", "mass", "mass_gap"], rates.rows())
-    series = [(rates.times, rates.scaled[p], f"p={'inf' if math.isinf(p) else '%g' % p}")
-              for p in (1.0, 2.0, math.inf)]
-    files["svg"] = line_plot_svg(prefix + "scaled_errors.svg", series,
-                                 xlabel="t", ylabel="scaled error norm",
-                                 title="scaled error norms", logx=True, logy=True)
-    return files, snaps, ledger, m
-
-
-def _planar_run(cfg: RunConfig, out_dir: str, tag: str = ""):
-    n = int(math.ceil(2.0 * cfg.r_out / cfg.h - 1e-9))
-    if n % 2:
-        n += 1
-    grid = PlanarGrid(half_width=n * cfg.h / 2.0, n=n, hole=cfg.hole)
-    domain = ExteriorDomain(2, cfg.hole, grid.half_width)
-    theta = cfg.theta_boundary()
-    preset = cfg.preset if cfg.preset != "explicit-remark" else "gaussian-bump:3,0,1.5"
-    u0 = make_planar_datum(preset, grid)
-    stepper = StepperConfig(dt=cfg.dt, snapshot_times=cfg.snapshot_times)
-    snaps, ledger = evolve_planar(domain, theta, u0, stepper)
-    profile = profile_radial_closed_form(2, cfg.hole.circumscribed_radius, theta)
-    m = u0.integral() if theta.is_neumann else 0.0
-    rates = asym.RateSeries.from_snapshots(snaps, m, profile, ledger)
-
-    prefix = os.path.join(out_dir, tag)
-    files = {}
-    X, Y = grid.meshgrid()
-    keep = ~grid.hole_mask()
-    snap_rows = []
-    for s in snaps:
-        snap_rows.extend(zip([s.time] * int(keep.sum()), X[keep], Y[keep],
-                             s.values[keep]))
-    files["snapshots"] = write_csv(prefix + "snapshots.csv", ["t", "x", "y", "u"],
-                                   snap_rows)
-    t_l, m_l, f_l = ledger.as_arrays()
-    files["ledger"] = write_csv(prefix + "ledger.csv", ["t", "mass", "flux"],
-                                zip(t_l, m_l, f_l))
-    files["rates"] = write_csv(
-        prefix + "rates.csv",
-        ["t", "p", "raw_norm", "scaled_norm", "mass", "mass_gap"], rates.rows())
-    return files, snaps, ledger, m
+    if cfg.dim == 3:
+        series = [(rates.times, rates.scaled[p],
+                   f"p={'inf' if math.isinf(p) else '%g' % p}")
+                  for p in (1.0, 2.0, math.inf)]
+        files["svg"] = line_plot_svg(prefix + "scaled_errors.svg", series,
+                                     xlabel="t", ylabel="scaled error norm",
+                                     title="scaled error norms", logx=True, logy=True)
+    return files, snaps, m
 
 
 def _load_rates(path: str):
@@ -150,10 +132,9 @@ def _load_rates(path: str):
 def _study_verdicts(study: str, files: dict, m: float) -> list:
     """Judge a study from its emitted CSVs; returns [(name, passed, detail)]."""
     rates = _load_rates(files["rates"])
-    _, ledger_rows = read_csv(files["ledger"])
-    t_l = np.array([float(r[0]) for r in ledger_rows])
-    m_l = np.array([float(r[1]) for r in ledger_rows])
-    f_l = np.array([float(r[2]) for r in ledger_rows])
+    columns = zip(*read_csv(files["ledger"])[1])
+    ledger = MassLedger(*([float(v) for v in col] for col in columns))
+    m_l = np.asarray(ledger.masses)
     out = []
 
     def decade_pair(series):
@@ -199,9 +180,7 @@ def _study_verdicts(study: str, files: dict, m: float) -> list:
                     inc <= 1e-4 * max(abs(m_l[0]), 1e-300),
                     f"max increase {inc:.3e}, final gap {gaps[-1]:.4e}"))
     elif study == "balance":
-        dm = np.diff(m_l)
-        int_f = 0.5 * (f_l[1:] + f_l[:-1]) * np.diff(t_l)
-        res = float(np.max(np.abs(dm - int_f)) / max(abs(m_l[0]), 1e-300))
+        res = mass_balance_residual(ledger)
         out.append(("mass balance residual <= 2e-3", res <= 2e-3,
                     f"residual {res:.4e}"))
     return out
@@ -222,8 +201,7 @@ def cmd_evolve(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     write_csv(os.path.join(out_dir, "config.csv"), ["key", "value"], cfg.echo_rows())
 
-    runner = _radial_run if cfg.dim == 3 else _planar_run
-    files, _, _, m = runner(cfg, out_dir, tag="")
+    files, _, m = _run(cfg, out_dir)
     verdicts = _study_verdicts(cfg.study, files, m)
     all_ok = True
     verdict_rows = []
@@ -233,7 +211,7 @@ def cmd_evolve(args) -> int:
 
     if cfg.audit:
         audit_cfg = replace(cfg, r_out=2.0 * cfg.r_out).resolved()
-        audit_files, _, _, m2 = runner(audit_cfg, out_dir, tag="audit-")
+        audit_files, _, m2 = _run(audit_cfg, out_dir, tag="audit-")
         audit_verdicts = _study_verdicts(cfg.study, audit_files, m2)
         for (name, ok, _), (_, ok2, detail2) in zip(verdicts, audit_verdicts):
             flipped = ok != ok2
@@ -441,8 +419,7 @@ def _sweep_one(base_cfg: RunConfig, value: float, root: str):
     cfg = replace(base_cfg, theta=value).resolved()
     out_dir = os.path.join(root, cfg.run_id())
     os.makedirs(out_dir, exist_ok=True)
-    runner = _radial_run if cfg.dim == 3 else _planar_run
-    files, snaps, ledger, m = runner(cfg, out_dir, tag="")
+    files, snaps, m = _run(cfg, out_dir)
     verdicts = _study_verdicts(cfg.study, files, m)
     return value, cfg.run_id(), files, snaps, verdicts
 
@@ -463,13 +440,7 @@ def cmd_sweep(args) -> int:
     }
     base = runconfig_from_mapping(mapping, overrides)
     root = _out_root(args)
-    results = []
-    with concurrent.futures.ThreadPoolExecutor(
-            max_workers=min(len(values), os.cpu_count() or 2)) as pool:
-        futures = [pool.submit(_sweep_one, base, v, root) for v in values]
-        for fut in futures:
-            results.append(fut.result())
-    results.sort(key=lambda item: item[0])
+    results = [_sweep_one(base, v, root) for v in values]
     all_ok = True
     manifest = []
     for value, run_id, files, _, verdicts in results:
@@ -555,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_kernel)
 
-    p = sub.add_parser("sweep", help="concurrent parameter sweep")
+    p = sub.add_parser("sweep", help="parameter sweep")
     p.add_argument("--param", default="theta")
     p.add_argument("--values", default="0,0.5,1")
     p.add_argument("--check", choices=("monotone", "none"), default="none")

@@ -11,7 +11,8 @@ which satisfies the boundary condition exactly (with du/dn = -du/dr at
 r = a) and tends to 1 at infinity. In dim 2 the profile degenerates: it
 is identically 0 unless the condition is Neumann (then identically 1).
 The elliptic route solves the truncated problems phi_R = 1 on |x| = R and
-extrapolates R -> infinity; for the radial case the boundary influence is
+extrapolates R -> infinity (in dim 2 on the masked 5-point stencil of the
+shared assembler `solver.grids.masked_laplacian`); for the radial case the boundary influence is
 exactly proportional to 1/(R - q) with offset q = a^2 b / (1 + a b)
 (q = a for Dirichlet), which the two-point extrapolation uses.
 """
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import solve_banded
 from scipy.sparse.linalg import spsolve
 
@@ -32,7 +32,15 @@ from .domain import (
     ThetaBoundary,
 )
 from .errors import GeometryError, NumericalError, PreconditionError
-from .solver.grids import AxisymGrid, Field, PlanarGrid, RadialGrid
+from .solver.grids import (
+    FIVE_POINT,
+    AxisymGrid,
+    Field,
+    PlanarGrid,
+    RadialGrid,
+    hole_ghost,
+    masked_laplacian,
+)
 
 
 @dataclass(frozen=True)
@@ -212,49 +220,14 @@ def _planar_truncated_solve(hole: HoleSpec, theta: ThetaBoundary, R: float,
     inside = X ** 2 + Y ** 2 < R ** 2 - 1e-12
     hole_mask = grid.hole_mask()
     active = inside & ~hole_mask
-    idx = -np.ones(active.shape, dtype=np.int64)
-    idx[active] = np.arange(int(active.sum()))
-    n_unknown = int(active.sum())
-    if n_unknown == 0:
+    if not np.any(active):
         raise GeometryError("truncation radius leaves no active nodes")
-
-    if theta.is_dirichlet:
-        mode = "dirichlet"
-    elif theta.is_neumann:
-        mode = "neumann"
-    else:
-        b = theta.robin_b
-        alpha = (1.0 - 0.5 * b * h) / (1.0 + 0.5 * b * h)
-        mode = "robin"
-
-    I, J = np.where(active)
-    me = idx[I, J]
-    rows, cols, vals = [], [], []
-    diag = np.zeros(n_unknown)
-    rhs = np.zeros(n_unknown)
-    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        In, Jn = I + di, J + dj
-        nb_idx = idx[In, Jn]
-        nb_hole = hole_mask[In, Jn]
-        nb_active = nb_idx >= 0
-        rows.extend(me[nb_active])
-        cols.extend(nb_idx[nb_active])
-        vals.extend(np.ones(int(nb_active.sum())))
-        diag[nb_active] -= 1.0
-        nb_far = ~nb_active & ~nb_hole  # outside the circle: phi = 1
-        diag[nb_far] -= 1.0
-        rhs[nb_far] -= 1.0
-        if np.any(nb_hole):
-            if mode == "dirichlet":
-                diag[nb_hole] -= 1.0
-            elif mode == "robin":
-                diag[nb_hole] -= 1.0 - alpha
-    rows.extend(me)
-    cols.extend(me)
-    vals.extend(diag)
-    A = sp.csr_matrix((np.asarray(vals), (np.asarray(rows), np.asarray(cols))),
-                      shape=(n_unknown, n_unknown)).tocsc()
-    phi_vec = spsolve(A, rhs)
+    # unit links; the far nodes outside the circle carry phi = 1, which
+    # moves to the right-hand side
+    L, _, _, far_coef = masked_laplacian(
+        active, hole_mask, [(True, 1.0, di, dj) for di, dj in FIVE_POINT],
+        hole_ghost(theta, h))
+    phi_vec = spsolve(L.tocsc(), -far_coef)
     if not np.all(np.isfinite(phi_vec)):
         raise NumericalError("planar harmonic solve produced non-finite values")
     full = np.ones((grid.n + 1, grid.n + 1))

@@ -3,90 +3,44 @@
 Cylindrical Laplacian u_rhorho + u_rho/rho + u_zz with the parity row
 4 (u_1 - u_0)/h^2 on the axis. The ball hole is a masked staircase with
 Dirichlet nodes; only Dirichlet hole conditions are supported here (a
-staircase Robin condition would degrade to first order). Used for
-off-axis sources: kernel probes and domain-comparison checks.
+staircase Robin condition would degrade to first order). The operator
+comes from the shared masked-stencil assembler `grids.masked_laplacian`
+and the time loop is the shared `march`. Used for off-axis sources:
+kernel probes and domain-comparison checks.
 """
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from ..domain import BallHole, ExteriorDomain, ThetaBoundary
-from ..errors import (
-    GeometryError,
-    NumericalError,
-    PreconditionError,
-    UnsupportedFeatureError,
-)
+from ..errors import GeometryError, PreconditionError, UnsupportedFeatureError
 from .config import StepperConfig
-from .grids import AxisymGrid, Field
-from .ledger import MassLedger
+from .grids import AxisymGrid, Field, masked_laplacian
+from .march import march_masked
 
 
 def axisym_operator(grid: AxisymGrid):
     """Sparse cylindrical Laplacian over active nodes (hole is Dirichlet).
 
-    Returns (L, flux_rows, flux_weights): the discrete mass rate through
-    hole faces is sum(flux_weights * u[flux_rows]), matching the volume
-    weights used for the mass so that dM/dt = hole flux + far-edge flux
-    holds exactly at the discrete level.
+    Returns (L, hole_w): the discrete mass rate through hole faces is
+    hole_w . u, matching the volume weights used for the mass so that
+    dM/dt = hole flux + far-edge flux holds exactly at the discrete level.
     """
     hr, hz = grid.h_rho, grid.h_z
-    rho = grid.rho_nodes()
     active = grid.active_mask()
-    hole = grid.hole_mask()
-    idx = -np.ones(active.shape, dtype=np.int64)
-    idx[active] = np.arange(int(active.sum()))
-    w_vol = grid.volume_weights()
-
-    I, J = np.where(active)
-    rows_my = idx[I, J]
-    on_axis = I == 0
-    rho_I = rho[I]
-
-    rows, cols, vals = [], [], []
-    diag = np.zeros(rows_my.size)
-    flux_rows, flux_w = [], []
-
-    def add_links(applies, coef, nb_i, nb_j):
-        nb_idx = idx[nb_i[applies], nb_j[applies]]
-        nb_hole = hole[nb_i[applies], nb_j[applies]]
-        me = rows_my[applies]
-        c = coef[applies]
-        nb_active = nb_idx >= 0
-        rows.extend(me[nb_active])
-        cols.extend(nb_idx[nb_active])
-        vals.extend(c[nb_active])
-        diag[applies] -= c
-        if np.any(nb_hole):
-            flux_rows.append(me[nb_hole])
-            flux_w.append(-(w_vol[I[applies], J[applies]][nb_hole]) * c[nb_hole])
-
-    everywhere = np.ones(I.size, dtype=bool)
-    off_axis = ~on_axis
-    # z neighbours
-    for dj in (1, -1):
-        add_links(everywhere, np.full(I.size, 1.0 / hz ** 2), I, J + dj)
-    # outward rho neighbour: parity row on the axis, centred stencil off it
-    c_out = np.empty(I.size)
-    c_out[on_axis] = 4.0 / hr ** 2
-    c_out[off_axis] = 1.0 / hr ** 2 + 1.0 / (2.0 * rho_I[off_axis] * hr)
-    add_links(everywhere, c_out, I + 1, J)
+    I, _ = np.where(active)
+    off_axis = I > 0
+    rho = grid.rho_nodes()[I[off_axis]]
+    # outward rho neighbour: parity row on the axis, centred stencil off it;
     # inward rho neighbour: off-axis nodes only
+    c_out = np.full(I.size, 4.0 / hr ** 2)
+    c_out[off_axis] = 1.0 / hr ** 2 + 1.0 / (2.0 * rho * hr)
     c_in = np.zeros(I.size)
-    c_in[off_axis] = 1.0 / hr ** 2 - 1.0 / (2.0 * rho_I[off_axis] * hr)
-    add_links(off_axis, c_in, I - 1, J)
-
-    rows.extend(rows_my)
-    cols.extend(rows_my)
-    vals.extend(diag)
-    n = rows_my.size
-    L = sp.csr_matrix(
-        (np.asarray(vals), (np.asarray(rows), np.asarray(cols))), shape=(n, n)
-    )
-    if flux_rows:
-        return L, np.concatenate(flux_rows), np.concatenate(flux_w)
-    return L, np.zeros(0, dtype=np.int64), np.zeros(0)
+    c_in[off_axis] = 1.0 / hr ** 2 - 1.0 / (2.0 * rho * hr)
+    links = [(True, 1.0 / hz ** 2, 0, 1), (True, 1.0 / hz ** 2, 0, -1),
+             (True, c_out, 1, 0), (off_axis, c_in, -1, 0)]
+    L, _, hole_coef, _ = masked_laplacian(active, grid.hole_mask(), links, 0.0)
+    return L, -grid.volume_weights()[active] * hole_coef
 
 
 def evolve_axisym(domain: ExteriorDomain, theta: ThetaBoundary, u0: Field,
@@ -122,49 +76,5 @@ def _axisym_run(grid: AxisymGrid, u0: Field, cfg: StepperConfig):
     values[grid.hole_mask()] = 0.0
     values[grid.edge_mask()] = 0.0
 
-    L, flux_rows, flux_w = axisym_operator(grid)
-    active = grid.active_mask()
-    n = int(active.sum())
-    dt = cfg.dt
-    A = (sp.identity(n, format="csr") - 0.5 * dt * L).tocsc()
-    B = (sp.identity(n, format="csr") + 0.5 * dt * L).tocsr()
-    try:
-        lu = splu(A)
-    except RuntimeError as exc:
-        raise NumericalError(f"sparse factorisation failed: {exc}")
-
-    w_vec = grid.volume_weights()[active]
-
-    def mass(u_vec):
-        return float(np.sum(w_vec * u_vec))
-
-    def flux(u_vec):
-        if flux_rows.size == 0:
-            return 0.0
-        return float(np.sum(flux_w * u_vec[flux_rows]))
-
-    u = values[active]
-    ledger = MassLedger()
-    ledger.append(0.0, mass(u), flux(u))
-    snaps = []
-    snap_steps = cfg.snapshot_steps()
-
-    def to_field(u_vec, t):
-        full = np.zeros_like(values)
-        full[active] = u_vec
-        return Field(grid, full, t).lock()
-
-    if 0 in snap_steps:
-        snaps.append(to_field(u, 0.0))
-    n_steps = cfg.n_steps
-    for k in range(1, n_steps + 1):
-        u = lu.solve(B @ u)
-        if k % cfg.check_every == 0 and not np.all(np.isfinite(u)):
-            raise NumericalError("non-finite values in axisymmetric evolution", step=k)
-        if k % cfg.ledger_stride == 0 or k == n_steps or k in snap_steps:
-            ledger.append(k * dt, mass(u), flux(u))
-        if k in snap_steps:
-            snaps.append(to_field(u, k * dt))
-    if not np.all(np.isfinite(u)):
-        raise NumericalError("non-finite values in axisymmetric evolution", step=n_steps)
-    return snaps, ledger
+    L, hole_w = axisym_operator(grid)
+    return march_masked(grid, values, L, hole_w, cfg, splu, "axisymmetric")

@@ -5,6 +5,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..domain import BallHole, HoleSpec, RectHole, sphere_surface_area
 from ..errors import GeometryError
@@ -185,6 +186,69 @@ class AxisymGrid:
         w[0, -1] *= 0.5
         w[self.hole_mask()] = 0.0
         return w
+
+
+FIVE_POINT = ((1, 0), (-1, 0), (0, 1), (0, -1))  # neighbour offsets (di, dj)
+
+
+def hole_ghost(theta, h: float) -> float:
+    """Factor g of the ghost value g * u that a hole neighbour takes.
+
+    0 for Dirichlet, 1 for Neumann, and for Robin the second-order face
+    ghost (1 - b h/2) / (1 + b h/2), b = cot(pi theta/2).
+    """
+    if theta.is_dirichlet:
+        return 0.0
+    if theta.is_neumann:
+        return 1.0
+    b = theta.robin_b
+    return (1.0 - 0.5 * b * h) / (1.0 + 0.5 * b * h)
+
+
+def masked_laplacian(active, hole, links, hole_ghost):
+    """Stencil matrix over the active nodes of a masked 2d node array.
+
+    links lists (applies, coef, di, dj): each active node where `applies`
+    holds is linked to its (di, dj) neighbour with coefficient coef (both
+    given over the active nodes in np.where order, or as scalars). An
+    active neighbour gives an off-diagonal entry. A hole neighbour stands
+    for the ghost value hole_ghost * u: 0 for Dirichlet, the Robin face
+    factor, 1 for Neumann (the link drops out). Any other neighbour lies
+    on the outer edge, whose value is zero or moves to a right-hand side.
+
+    Returns (L, idx, hole_coef, edge_coef): L acts on the vector of active
+    values, idx maps node positions to vector indices (-1 off the active
+    set), and hole_coef / edge_coef sum each node's link coefficients into
+    the hole and to the outer edge.
+    """
+    n = int(active.sum())
+    idx = -np.ones(active.shape, dtype=np.int64)
+    me = np.arange(n)
+    idx[active] = me
+    I, J = np.where(active)
+    rows, cols, vals = [], [], []
+    diag = np.zeros(n)
+    hole_coef = np.zeros(n)
+    edge_coef = np.zeros(n)
+    for applies, coef, di, dj in links:
+        sel = np.broadcast_to(applies, (n,))
+        c = np.broadcast_to(np.asarray(coef, dtype=float), (n,))[sel]
+        nb_i, nb_j = I[sel] + di, J[sel] + dj
+        nb_idx = idx[nb_i, nb_j]
+        nb_hole = hole[nb_i, nb_j]
+        nb_active = nb_idx >= 0
+        rows.append(me[sel][nb_active])
+        cols.append(nb_idx[nb_active])
+        vals.append(c[nb_active])
+        diag[sel] -= np.where(nb_hole, (1.0 - hole_ghost) * c, c)
+        hole_coef[sel] += np.where(nb_hole, c, 0.0)
+        edge_coef[sel] += np.where(nb_active | nb_hole, 0.0, c)
+    L = sp.csr_matrix(
+        (np.concatenate(vals + [diag]),
+         (np.concatenate(rows + [me]), np.concatenate(cols + [me]))),
+        shape=(n, n),
+    )
+    return L, idx, hole_coef, edge_coef
 
 
 @dataclass

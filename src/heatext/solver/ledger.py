@@ -7,6 +7,8 @@ import numpy as np
 
 from ..errors import PreconditionError
 
+TIME_MATCH_TOL = 0.05  # a lookup at time t accepts entries within this x max(1, t)
+
 
 @dataclass
 class MassLedger:
@@ -37,8 +39,12 @@ class MassLedger:
         )
 
     def mass_at(self, t: float) -> float:
+        """Mass of the row nearest t; KeyError when it lies further than
+        TIME_MATCH_TOL x max(1, t) from t."""
         times, masses, _ = self.as_arrays()
         i = int(np.argmin(np.abs(times - t)))
+        if abs(times[i] - t) > TIME_MATCH_TOL * max(1.0, t):
+            raise KeyError(f"no ledger row near t = {t} (closest: {times[i]})")
         return float(masses[i])
 
 

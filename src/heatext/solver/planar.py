@@ -3,94 +3,35 @@
 The hole enters through the node mask: Dirichlet pins masked nodes to
 zero, Neumann drops the links crossing the hole boundary, and Robin
 replaces the masked neighbour by the second-order face ghost
-u_ghost = u (1 - b h/2) / (1 + b h/2). Crank-Nicolson uses one sparse
-LU factorisation per run (full solve, no operator splitting).
+u_ghost = u (1 - b h/2) / (1 + b h/2). The operator comes from the shared
+masked-stencil assembler `grids.masked_laplacian`; the time loop is the
+shared `march`, with one sparse LU factorisation per run (full solve, no
+operator splitting).
 """
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from ..domain import ExteriorDomain, ThetaBoundary
-from ..errors import GeometryError, NumericalError, PreconditionError
+from ..errors import GeometryError, PreconditionError
 from .config import StepperConfig
-from .grids import Field, PlanarGrid
-from .ledger import MassLedger
+from .grids import FIVE_POINT, Field, PlanarGrid, hole_ghost, masked_laplacian
+from .march import march_masked
 
 
 def planar_operator(grid: PlanarGrid, theta: ThetaBoundary):
-    """Sparse Laplacian over active nodes plus the hole-flux extractor.
+    """Sparse Laplacian over active nodes plus its hole-flux weights.
 
-    Returns (L, index_map, hole_face_rows): L acts on the vector of active
-    node values; hole_face_rows lists (active_row, count) pairs for nodes
-    with links into the hole, used for the discrete boundary flux.
+    Returns (L, hole_w): L acts on the vector of active node values, and
+    hole_w . u is the hole part of the discrete mass rate h^2 sum(L u),
+    which the ledger records as the flux through the hole.
     """
-    h = grid.h
+    inv_h2 = 1.0 / grid.h ** 2
+    g = hole_ghost(theta, grid.h)
     active = grid.active_mask()
-    hole = grid.hole_mask()
-    idx = -np.ones(active.shape, dtype=np.int64)
-    idx[active] = np.arange(int(active.sum()))
-
-    if theta.is_dirichlet or grid.hole is None:
-        ghost = 0.0      # masked neighbour value is 0
-        drop = False
-    elif theta.is_neumann:
-        ghost = None     # link dropped entirely
-        drop = True
-    else:
-        b = theta.robin_b
-        alpha = (1.0 - 0.5 * b * h) / (1.0 + 0.5 * b * h)
-        ghost = alpha    # u_nb = alpha * u
-        drop = False
-
-    I, J = np.where(active)
-    rows_my = idx[I, J]
-    rows, cols, vals = [], [], []
-    diag = np.zeros(rows_my.size)
-    hole_rows, hole_counts = [], []
-    inv_h2 = 1.0 / h ** 2
-    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        In, Jn = I + di, J + dj
-        nb_idx = idx[In, Jn]
-        nb_hole = hole[In, Jn]
-        nb_active = nb_idx >= 0
-        # active neighbour: standard coupling
-        rows.extend(rows_my[nb_active])
-        cols.extend(nb_idx[nb_active])
-        vals.extend(np.full(int(nb_active.sum()), inv_h2))
-        diag[nb_active] -= inv_h2
-        # outer edge neighbour: Dirichlet zero (value drops out, diagonal stays)
-        nb_edge = ~nb_active & ~nb_hole
-        diag[nb_edge] -= inv_h2
-        # hole neighbour: depends on the boundary condition
-        if np.any(nb_hole):
-            if drop:
-                pass
-            else:
-                diag[nb_hole] -= (1.0 - ghost) * inv_h2
-            hole_rows.append(rows_my[nb_hole])
-    rows.extend(rows_my)
-    cols.extend(rows_my)
-    vals.extend(diag)
-    n = rows_my.size
-    L = sp.csr_matrix(
-        (np.asarray(vals), (np.asarray(rows), np.asarray(cols))), shape=(n, n)
-    )
-    hole_face = np.concatenate(hole_rows) if hole_rows else np.zeros(0, dtype=np.int64)
-    return L, idx, hole_face
-
-
-def _hole_flux(u_vec, hole_face, grid, theta):
-    """Discrete flux through the hole: the exact hole part of h^2 sum(L u)."""
-    if hole_face.size == 0 or grid.hole is None:
-        return 0.0
-    if theta.is_neumann:
-        return 0.0
-    if theta.is_dirichlet:
-        return float(-np.sum(u_vec[hole_face]))
-    b = theta.robin_b
-    alpha = (1.0 - 0.5 * b * grid.h) / (1.0 + 0.5 * b * grid.h)
-    return float(-(1.0 - alpha) * np.sum(u_vec[hole_face]))
+    L, _, hole_coef, _ = masked_laplacian(
+        active, grid.hole_mask(), [(True, inv_h2, di, dj) for di, dj in FIVE_POINT], g)
+    return L, (g - 1.0) * grid.volume_weights()[active] * hole_coef
 
 
 def evolve_planar(domain: ExteriorDomain, theta: ThetaBoundary, u0: Field,
@@ -124,45 +65,5 @@ def evolve_planar(domain: ExteriorDomain, theta: ThetaBoundary, u0: Field,
     values[hole] = 0.0
     values[grid.edge_mask()] = 0.0
 
-    L, idx, hole_face = planar_operator(grid, theta)
-    active = grid.active_mask()
-    n = int(active.sum())
-    dt = cfg.dt
-    A = (sp.identity(n, format="csr") - 0.5 * dt * L).tocsc()
-    B = (sp.identity(n, format="csr") + 0.5 * dt * L).tocsr()
-    try:
-        lu = splu(A)
-    except RuntimeError as exc:  # singular factorisation
-        raise NumericalError(f"sparse factorisation failed: {exc}")
-
-    w = grid.volume_weights()
-    w_vec = w[active]
-
-    def mass(u_vec):
-        return float(np.sum(w_vec * u_vec))
-
-    u = values[active]
-    ledger = MassLedger()
-    ledger.append(0.0, mass(u), _hole_flux(u, hole_face, grid, theta))
-    snaps = []
-    snap_steps = cfg.snapshot_steps()
-
-    def to_field(u_vec, t):
-        full = np.zeros_like(values)
-        full[active] = u_vec
-        return Field(grid, full, t).lock()
-
-    if 0 in snap_steps:
-        snaps.append(to_field(u, 0.0))
-    n_steps = cfg.n_steps
-    for k in range(1, n_steps + 1):
-        u = lu.solve(B @ u)
-        if k % cfg.check_every == 0 and not np.all(np.isfinite(u)):
-            raise NumericalError("non-finite values in planar evolution", step=k)
-        if k % cfg.ledger_stride == 0 or k == n_steps or k in snap_steps:
-            ledger.append(k * dt, mass(u), _hole_flux(u, hole_face, grid, theta))
-        if k in snap_steps:
-            snaps.append(to_field(u, k * dt))
-    if not np.all(np.isfinite(u)):
-        raise NumericalError("non-finite values in planar evolution", step=n_steps)
-    return snaps, ledger
+    L, hole_w = planar_operator(grid, theta)
+    return march_masked(grid, values, L, hole_w, cfg, splu, "planar")

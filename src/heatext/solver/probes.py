@@ -26,7 +26,7 @@ from ..errors import PreconditionError, UnsupportedFeatureError
 from .axisym import _axisym_run
 from .config import StepperConfig
 from .grids import AxisymGrid, Field, RadialGrid
-from .ledger import MassLedger
+from .ledger import TIME_MATCH_TOL, MassLedger
 from .radial import _crank_nicolson_run
 
 WARMUP_SPAN_WIDTHS = 8.0   # warmup covers 8 w^2 time units
@@ -54,7 +54,7 @@ class ProbeResult:
 
     def snapshot_at(self, t: float) -> Field:
         best = min(self.snapshots, key=lambda s: abs(s.time - t))
-        if abs(best.time - t) > 0.05 * max(1.0, t):
+        if abs(best.time - t) > TIME_MATCH_TOL * max(1.0, t):
             raise KeyError(f"no snapshot near t = {t} (closest: {best.time})")
         return best
 

@@ -5,6 +5,7 @@ Neumann fold u_r(a) = b u(a) into the first stencil row at second order
 (b = cot(pi theta/2); the sign follows from du/dn = -du/dr at the hole).
 a = 0 switches to the smooth-origin parity row used for ball domains and
 whole-space probes. The truncation boundary is homogeneous Dirichlet.
+Each step re-solves the banded system; the time loop is the shared `march`.
 """
 
 import numpy as np
@@ -16,10 +17,10 @@ from ..domain import (
     ThetaBoundary,
     sphere_surface_area,
 )
-from ..errors import GeometryError, NumericalError, PreconditionError
+from ..errors import GeometryError, PreconditionError
 from .config import StepperConfig
 from .grids import Field, RadialGrid
-from .ledger import MassLedger
+from .march import march
 
 BC_TOL = 1e-9  # relative tolerance for Dirichlet compatibility of the datum
 
@@ -84,28 +85,14 @@ def _crank_nicolson_run(grid, theta, u0_values, cfg, omega):
         # Robin/Neumann: the condition itself gives du/dn = -b u(a) exactly
         return -omega * a_pow * theta.robin_b * u[0]
 
-    u = u0_values.copy()
-    ledger = MassLedger()
-    ledger.append(0.0, mass(u), flux(u))
-    snaps = []
-    snap_steps = cfg.snapshot_steps()
-    if 0 in snap_steps:
-        snaps.append(Field(grid, u.copy(), 0.0).lock())
-    n_steps = cfg.n_steps
-    for k in range(1, n_steps + 1):
+    def step(u):
         rhs = b_di * u
         rhs[:-1] += b_up[:-1] * u[1:]
         rhs[1:] += b_lo[1:] * u[:-1]
-        u = solve_banded((1, 1), ab, rhs)
-        if k % cfg.check_every == 0 and not np.all(np.isfinite(u)):
-            raise NumericalError("non-finite values in radial evolution", step=k)
-        if k % cfg.ledger_stride == 0 or k == n_steps or k in snap_steps:
-            ledger.append(k * dt, mass(u), flux(u))
-        if k in snap_steps:
-            snaps.append(Field(grid, u.copy(), k * dt).lock())
-    if not np.all(np.isfinite(u)):
-        raise NumericalError("non-finite values in radial evolution", step=n_steps)
-    return snaps, ledger
+        return solve_banded((1, 1), ab, rhs)
+
+    return march(u0_values.copy(), cfg, step, mass, flux,
+                 lambda u, t: Field(grid, u, t).lock(), "radial")
 
 
 def _check_datum(grid, theta, values):

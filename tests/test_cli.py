@@ -122,6 +122,14 @@ def test_evolve_balance_study(tmp_path):
             "scaled_errors.svg"} <= files
 
 
+def test_evolve_balance_needs_three_ledger_rows(tmp_path):
+    # one step leaves two ledger rows, too few for the balance residual
+    rc = _run(["evolve", "--study", "balance", "--t-max", "0.0625",
+               "--h", "0.0625", "--dt", "0.0625", "--r-out", "6",
+               "--snapshots", "0.0625", "--out", str(tmp_path)])
+    assert rc == 3
+
+
 def test_evolve_deterministic_output(tmp_path):
     args = ["evolve", "--study", "mass", "--t-max", "2", "--h", "0.0625",
             "--dt", "0.03125", "--snapshots", "1,2"]

@@ -129,6 +129,19 @@ def test_balance_residual_needs_three_rows():
         mass_balance_residual(ledger)
 
 
+def test_mass_at_rejects_times_without_a_row():
+    from heatext.solver import MassLedger
+    ledger = MassLedger()
+    for t, m in ((0.0, 1.0), (1.0, 0.9), (10.0, 0.5)):
+        ledger.append(t, m, 0.0)
+    assert ledger.mass_at(10.0) == 0.5
+    assert ledger.mass_at(1.04) == 0.9  # within 0.05 max(1, t)
+    with pytest.raises(KeyError):
+        ledger.mass_at(5.0)
+    with pytest.raises(KeyError):
+        ledger.mass_at(11.0)
+
+
 def test_zero_datum_short_circuits():
     grid, domain = _setup(1.0)
     cfg = StepperConfig(dt=1.0 / 32.0, snapshot_times=(0.5, 1.0))
