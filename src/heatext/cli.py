@@ -8,7 +8,6 @@ so every judgement is re-runnable from the artifacts alone.
 """
 
 import argparse
-import itertools
 import math
 import os
 import sys
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import asymptotics as asym
 from . import constructions as cons
-from .csvio import read_csv, write_csv
+from .csvio import read_csv, write_csv, write_table
 from .domain import BallHole, ExteriorDomain, ThetaBoundary
 from .errors import (
     ConfigError,
@@ -101,11 +100,10 @@ def _run(cfg: RunConfig, out_dir: str, tag: str = ""):
     rates = asym.RateSeries.from_snapshots(snaps, m, profile, ledger)
 
     prefix = os.path.join(out_dir, tag)
-    snap_rows = (row for s in snaps
-                 for row in zip(itertools.repeat(s.time), *coords, s.values[keep]))
-    files = {"snapshots": write_csv(prefix + "snapshots.csv", columns, snap_rows)}
-    files["ledger"] = write_csv(prefix + "ledger.csv", ["t", "mass", "flux"],
-                                zip(*ledger.as_arrays()))
+    files = {"snapshots": write_table(prefix + "snapshots.csv", columns,
+                                      ((s.time, *coords, s.values[keep]) for s in snaps))}
+    files["ledger"] = write_table(prefix + "ledger.csv", ["t", "mass", "flux"],
+                                  [ledger.as_arrays()])
     files["rates"] = write_csv(
         prefix + "rates.csv",
         ["t", "p", "raw_norm", "scaled_norm", "mass", "mass_gap"], rates.rows())
@@ -275,9 +273,8 @@ def cmd_profile(args) -> int:
             for R, f in table.planar_fields.items():
                 X, Y = f.grid.meshgrid()
                 keep = ~f.grid.hole_mask()
-                write_csv(os.path.join(out_dir, f"profile_R{R:g}.csv"),
-                          ["x", "y", "phi"],
-                          zip(X[keep], Y[keep], f.values[keep]))
+                write_table(os.path.join(out_dir, f"profile_R{R:g}.csv"),
+                            ["x", "y", "phi"], [(X[keep], Y[keep], f.values[keep])])
         viol = table.elliptic_monotone_violations(tol=1e-12)
         all_ok &= _verdict("phi_R pointwise nonincreasing in R", viol == 0,
                            f"{viol} violations")
@@ -385,19 +382,15 @@ def cmd_kernel(args) -> int:
     grid = probe.snapshots[0].grid
     R, Z = grid.meshgrid()
     keep = ~grid.hole_mask()
-    snap_rows = []
     for t in times:
         rep = asym.kernel_l1_gap(probe, t, profile0)
         rows.append((t, rep.gap, rep.bound, rep.profile_term, rep.hole_term))
         all_ok &= _verdict(f"kernel L1 gap <= bound at t={t:g}", rep.passed,
                            f"gap {rep.gap:.4f} vs bound {rep.bound:.4f}")
-        s = probe.snapshot_at(t)
-        snap_rows.extend(zip([t] * int(keep.sum()), R[keep], Z[keep],
-                             s.values[keep]))
     write_csv(os.path.join(out_dir, "gaps.csv"),
               ["t", "gap", "bound", "profile_term", "hole_term"], rows)
-    write_csv(os.path.join(out_dir, "snapshots.csv"), ["t", "rho", "z", "u"],
-              snap_rows)
+    write_table(os.path.join(out_dir, "snapshots.csv"), ["t", "rho", "z", "u"],
+                ((t, R[keep], Z[keep], probe.snapshot_at(t).values[keep]) for t in times))
     if args.audit_smearing:
         # halving the width must not move the gap by more than 10% of the
         # bound, the decision scale of the gap <= bound verdict

@@ -5,18 +5,35 @@ Cylindrical Laplacian u_rhorho + u_rho/rho + u_zz with the parity row
 Dirichlet nodes; only Dirichlet hole conditions are supported here (a
 staircase Robin condition would degrade to first order). The operator
 comes from the shared masked-stencil assembler `grids.masked_laplacian`
-and the time loop is the shared `march`. Used for off-axis sources:
-kernel probes and domain-comparison checks.
+and the time loop is the shared `march`. Each step is a direct solve by
+`fastsolve.MaskedCNSolve`: a sine transform in z, one stacked tridiagonal
+solve in rho and a capacitance correction on the hole staircase. Used for
+off-axis sources: kernel probes and domain-comparison checks.
 """
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
 from ..domain import BallHole, ExteriorDomain, ThetaBoundary
 from ..errors import GeometryError, PreconditionError, UnsupportedFeatureError
 from .config import StepperConfig
+from .fastsolve import MaskedCNSolve
 from .grids import AxisymGrid, Field, masked_laplacian
 from .march import march_masked
+
+
+def _rho_links(grid: AxisymGrid):
+    """Inward and outward rho link coefficients of the rows 0 .. n_rho - 1.
+
+    The axis row is the parity row 4 (u_1 - u_0)/h^2 (no inward link);
+    off the axis the centred stencil of u_rhorho + u_rho/rho.
+    """
+    hr = grid.h_rho
+    rho = grid.rho_nodes()[1:grid.n_rho]
+    c_in = np.zeros(grid.n_rho)
+    c_out = np.full(grid.n_rho, 4.0 / hr ** 2)
+    c_in[1:] = 1.0 / hr ** 2 - 1.0 / (2.0 * rho * hr)
+    c_out[1:] = 1.0 / hr ** 2 + 1.0 / (2.0 * rho * hr)
+    return c_in, c_out
 
 
 def axisym_operator(grid: AxisymGrid):
@@ -26,21 +43,21 @@ def axisym_operator(grid: AxisymGrid):
     hole_w . u, matching the volume weights used for the mass so that
     dM/dt = hole flux + far-edge flux holds exactly at the discrete level.
     """
-    hr, hz = grid.h_rho, grid.h_z
     active = grid.active_mask()
     I, _ = np.where(active)
-    off_axis = I > 0
-    rho = grid.rho_nodes()[I[off_axis]]
-    # outward rho neighbour: parity row on the axis, centred stencil off it;
-    # inward rho neighbour: off-axis nodes only
-    c_out = np.full(I.size, 4.0 / hr ** 2)
-    c_out[off_axis] = 1.0 / hr ** 2 + 1.0 / (2.0 * rho * hr)
-    c_in = np.zeros(I.size)
-    c_in[off_axis] = 1.0 / hr ** 2 - 1.0 / (2.0 * rho * hr)
-    links = [(True, 1.0 / hz ** 2, 0, 1), (True, 1.0 / hz ** 2, 0, -1),
-             (True, c_out, 1, 0), (off_axis, c_in, -1, 0)]
+    c_in, c_out = _rho_links(grid)
+    cz = 1.0 / grid.h_z ** 2
+    links = [(True, cz, 0, 1), (True, cz, 0, -1),
+             (True, c_out[I], 1, 0), (I > 0, c_in[I], -1, 0)]
     L, _, hole_coef, _ = masked_laplacian(active, grid.hole_mask(), links, 0.0)
     return L, -grid.volume_weights()[active] * hole_coef
+
+
+def axisym_solver(grid: AxisymGrid, dt: float) -> MaskedCNSolve:
+    """Solver of I - dt/2 L for the axisym_operator L over the active nodes."""
+    c_in, c_out = _rho_links(grid)
+    return MaskedCNSolve(grid.active_mask(), grid.hole_mask(), slice(0, grid.n_rho),
+                         c_in, -(c_in + c_out), c_out, 1.0 / grid.h_z ** 2, 0.0, dt)
 
 
 def evolve_axisym(domain: ExteriorDomain, theta: ThetaBoundary, u0: Field,
@@ -76,5 +93,6 @@ def _axisym_run(grid: AxisymGrid, u0: Field, cfg: StepperConfig):
     values[grid.hole_mask()] = 0.0
     values[grid.edge_mask()] = 0.0
 
-    L, hole_w = axisym_operator(grid)
-    return march_masked(grid, values, L, hole_w, cfg, splu, "axisymmetric")
+    _, hole_w = axisym_operator(grid)
+    return march_masked(grid, values, hole_w, cfg, axisym_solver(grid, cfg.dt),
+                        "axisymmetric")

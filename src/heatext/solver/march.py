@@ -1,22 +1,23 @@
 """The Crank-Nicolson march shared by the radial, planar and axisymmetric solvers.
 
-A solver supplies one step u -> u+ of the scheme (its operator and its
-factorisation live in the solver module), the mass and hole-flux
+A solver supplies solve(b) = (I - dt/2 L)^{-1} b for its operator L (the
+factorisation lives in the solver module), the mass and hole-flux
 functionals of its ledger, and the map from the unknown vector to a
-snapshot Field. `march` owns everything else: the ledger rows, the
-snapshot steps and the finiteness checks.
+snapshot Field. `march` owns everything else: the step, the ledger rows,
+the snapshot steps and the finiteness checks. With A = I - dt/2 L the
+right-hand side matrix is B = I + dt/2 L = 2I - A, so the step
+u+ = A^{-1} B u is u+ = 2 solve(u) - u and needs no matvec with L.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import NumericalError
 from .grids import Field
 from .ledger import MassLedger
 
 
-def march(u, cfg, step, mass, flux, to_field, what):
-    """Advance u through cfg.n_steps calls of step; returns (snapshots, ledger).
+def march(u, cfg, solve, mass, flux, to_field, what):
+    """Advance u through cfg.n_steps Crank-Nicolson steps; returns (snapshots, ledger).
 
     Ledger rows (t, mass(u), flux(u)) are written at t = 0, every
     ledger_stride-th step, the last step and every snapshot step;
@@ -31,7 +32,7 @@ def march(u, cfg, step, mass, flux, to_field, what):
     ledger.append(0.0, mass(u), flux(u))
     snaps = [to_field(u, 0.0)] if 0 in snap_steps else []
     for k in range(1, n_steps + 1):
-        u = step(u)
+        u = 2.0 * solve(u) - u
         if k % cfg.check_every == 0 and not np.all(np.isfinite(u)):
             raise NumericalError(f"non-finite values in {what} evolution", step=k)
         if k % cfg.ledger_stride == 0 or k == n_steps or k in snap_steps:
@@ -43,24 +44,16 @@ def march(u, cfg, step, mass, flux, to_field, what):
     return snaps, ledger
 
 
-def march_masked(grid, values, L, hole_w, cfg, factor, what):
-    """march on the active nodes of a masked grid with a sparse operator L.
+def march_masked(grid, values, hole_w, cfg, solve, what):
+    """march on the active nodes of a masked grid.
 
     values is the full node array, zero off the active nodes; hole_w are
     the operator's hole-flux weights, so the ledger flux is hole_w . u.
-    factor is the sparse LU routine, passed in by the solver module; the
-    matrix I - dt/2 L is factored once and reused by every step. The mass
-    is the volume-weighted sum over the active nodes.
+    solve is the once-built solver of I - dt/2 L over the active nodes
+    (`fastsolve.MaskedCNSolve`). The mass is the volume-weighted sum over
+    the active nodes.
     """
     active = grid.active_mask()
-    n = L.shape[0]
-    dt = cfg.dt
-    A = (sp.identity(n, format="csr") - 0.5 * dt * L).tocsc()
-    B = (sp.identity(n, format="csr") + 0.5 * dt * L).tocsr()
-    try:
-        lu = factor(A)
-    except RuntimeError as exc:  # singular factorisation
-        raise NumericalError(f"sparse factorisation failed: {exc}")
     w_vec = grid.volume_weights()[active]
 
     def to_field(u_vec, t):
@@ -68,6 +61,6 @@ def march_masked(grid, values, L, hole_w, cfg, factor, what):
         full[active] = u_vec
         return Field(grid, full, t).lock()
 
-    return march(values[active], cfg, lambda u: lu.solve(B @ u),
+    return march(values[active], cfg, solve,
                  lambda u: float(np.sum(w_vec * u)),
                  lambda u: float(hole_w @ u), to_field, what)

@@ -5,16 +5,18 @@ zero, Neumann drops the links crossing the hole boundary, and Robin
 replaces the masked neighbour by the second-order face ghost
 u_ghost = u (1 - b h/2) / (1 + b h/2). The operator comes from the shared
 masked-stencil assembler `grids.masked_laplacian`; the time loop is the
-shared `march`, with one sparse LU factorisation per run (full solve, no
-operator splitting).
+shared `march`. Each step is a full direct solve (no operator splitting)
+by `fastsolve.MaskedCNSolve`, built once per run: a sine transform in y,
+one stacked tridiagonal solve in x and a capacitance correction for the
+hole.
 """
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
 from ..domain import ExteriorDomain, ThetaBoundary
 from ..errors import GeometryError, PreconditionError
 from .config import StepperConfig
+from .fastsolve import MaskedCNSolve
 from .grids import FIVE_POINT, Field, PlanarGrid, hole_ghost, masked_laplacian
 from .march import march_masked
 
@@ -32,6 +34,13 @@ def planar_operator(grid: PlanarGrid, theta: ThetaBoundary):
     L, _, hole_coef, _ = masked_laplacian(
         active, grid.hole_mask(), [(True, inv_h2, di, dj) for di, dj in FIVE_POINT], g)
     return L, (g - 1.0) * grid.volume_weights()[active] * hole_coef
+
+
+def planar_solver(grid: PlanarGrid, theta: ThetaBoundary, dt: float) -> MaskedCNSolve:
+    """Solver of I - dt/2 L for the planar_operator L over the active nodes."""
+    c = np.full(grid.n - 1, 1.0 / grid.h ** 2)
+    return MaskedCNSolve(grid.active_mask(), grid.hole_mask(), slice(1, grid.n),
+                         c, -2.0 * c, c, c[0], hole_ghost(theta, grid.h), dt)
 
 
 def evolve_planar(domain: ExteriorDomain, theta: ThetaBoundary, u0: Field,
@@ -65,5 +74,6 @@ def evolve_planar(domain: ExteriorDomain, theta: ThetaBoundary, u0: Field,
     values[hole] = 0.0
     values[grid.edge_mask()] = 0.0
 
-    L, hole_w = planar_operator(grid, theta)
-    return march_masked(grid, values, L, hole_w, cfg, splu, "planar")
+    _, hole_w = planar_operator(grid, theta)
+    return march_masked(grid, values, hole_w, cfg, planar_solver(grid, theta, cfg.dt),
+                        "planar")

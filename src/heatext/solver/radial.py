@@ -5,11 +5,12 @@ Neumann fold u_r(a) = b u(a) into the first stencil row at second order
 (b = cot(pi theta/2); the sign follows from du/dn = -du/dr at the hole).
 a = 0 switches to the smooth-origin parity row used for ball domains and
 whole-space probes. The truncation boundary is homogeneous Dirichlet.
-Each step re-solves the banded system; the time loop is the shared `march`.
+The tridiagonal matrix I - dt/2 L is factored once per run (LAPACK dgttrf)
+and each step is one dgttrs solve; the time loop is the shared `march`.
 """
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from ..domain import (
     BallHole,
@@ -17,7 +18,7 @@ from ..domain import (
     ThetaBoundary,
     sphere_surface_area,
 )
-from ..errors import GeometryError, PreconditionError
+from ..errors import GeometryError, NumericalError, PreconditionError
 from .config import StepperConfig
 from .grids import Field, RadialGrid
 from .march import march
@@ -59,14 +60,10 @@ def radial_operator(grid: RadialGrid, theta: ThetaBoundary):
 
 def _crank_nicolson_run(grid, theta, u0_values, cfg, omega):
     lo, di, up = radial_operator(grid, theta)
-    n = u0_values.size
-    dt = cfg.dt
-    # A u+ = B u with A = I - dt/2 L, B = I + dt/2 L
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -0.5 * dt * up[:-1]
-    ab[1, :] = 1.0 - 0.5 * dt * di
-    ab[2, :-1] = -0.5 * dt * lo[1:]
-    b_lo, b_di, b_up = 0.5 * dt * lo, 1.0 + 0.5 * dt * di, 0.5 * dt * up
+    half = 0.5 * cfg.dt
+    *tri, info = dgttrf(-half * lo[1:], 1.0 - half * di, -half * up[:-1])
+    if info != 0:
+        raise NumericalError(f"radial tridiagonal factorisation failed (info {info})")
 
     r = grid.nodes()
     w = grid.volume_weights()
@@ -85,13 +82,7 @@ def _crank_nicolson_run(grid, theta, u0_values, cfg, omega):
         # Robin/Neumann: the condition itself gives du/dn = -b u(a) exactly
         return -omega * a_pow * theta.robin_b * u[0]
 
-    def step(u):
-        rhs = b_di * u
-        rhs[:-1] += b_up[:-1] * u[1:]
-        rhs[1:] += b_lo[1:] * u[:-1]
-        return solve_banded((1, 1), ab, rhs)
-
-    return march(u0_values.copy(), cfg, step, mass, flux,
+    return march(u0_values.copy(), cfg, lambda u: dgttrs(*tri, u)[0], mass, flux,
                  lambda u, t: Field(grid, u, t).lock(), "radial")
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from heatext.cli import main
-from heatext.csvio import read_csv, write_csv
+from heatext.csvio import format_value, read_csv, write_csv, write_table
 from heatext.runconfig import (
     RunConfig,
     parse_config_file,
@@ -31,6 +31,21 @@ def test_csv_round_trip(tmp_path):
         data = fh.read()
     assert b"\r" not in data  # LF endings
     assert data.count(b"e") >= 2  # %.12e floats
+
+
+def test_write_table_matches_format_value(tmp_path):
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(9000) * 10.0 ** rng.integers(-300, 300, 9000)
+    x[:8] = [0.0, -0.0, 1e-300, -1e-300, np.inf, -np.inf, np.nan, 5e-324]
+    y = rng.random(9000)
+    path = str(tmp_path / "t.csv")
+    # two blocks, the first longer than one formatting block
+    write_table(path, ["t", "x", "y"], [(0.25, x, y), (1.5, y[:7], x[:7])])
+    rows = [(0.25, a, b) for a, b in zip(x, y)] + [(1.5, a, b) for a, b in zip(y[:7], x[:7])]
+    want = "t,x,y\n" + "".join(",".join(format_value(float(v)) for v in row) + "\n"
+                               for row in rows)
+    with open(path, "rb") as fh:
+        assert fh.read() == want.encode()
 
 
 # ------------------------------------------------------------- config

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from heatext.constructions import (
     BALL_EIGENVALUE,
@@ -19,6 +20,7 @@ from heatext.solver import (
     evolve_radial,
     mass_balance_residual,
 )
+from heatext.solver.radial import radial_operator
 
 DIRICHLET = ThetaBoundary(0.0)
 NEUMANN = ThetaBoundary(1.0)
@@ -305,3 +307,54 @@ def test_domain_monotonicity_ball_inside_exterior():
     sel = np.abs(r - r0) <= 0.9 * R
     interp = np.interp(np.abs(r[sel] - r0), s, ball_vals)
     assert np.all(interp <= snaps[0].values[sel] + 5e-4)
+
+
+def _banded_reference(grid, theta, values, cfg):
+    """Crank-Nicolson stepped as u+ = solve_banded(A, B u): (masses, snapshots)."""
+    lo, di, up = radial_operator(grid, theta)
+    half = 0.5 * cfg.dt
+    ab = np.zeros((3, values.size))
+    ab[0, 1:] = -half * up[:-1]
+    ab[1, :] = 1.0 - half * di
+    ab[2, :-1] = -half * lo[1:]
+    w = grid.volume_weights()
+    u = values.copy()
+    masses, snaps = [float(w @ u)], []
+    for k in range(1, cfg.n_steps + 1):
+        rhs = (1.0 + half * di) * u
+        rhs[:-1] += half * up[:-1] * u[1:]
+        rhs[1:] += half * lo[1:] * u[:-1]
+        u = solve_banded((1, 1), ab, rhs)
+        masses.append(float(w @ u))
+        if k in cfg.snapshot_steps():
+            snaps.append(u)
+    return np.array(masses), snaps
+
+
+def _check_banded(grid, theta, values, cfg, snaps, ledger):
+    masses, want = _banded_reference(grid, theta, values, cfg)
+    _, m, _ = ledger.as_arrays()
+    assert np.max(np.abs(m - masses)) <= 1e-12 * np.max(np.abs(masses))
+    assert len(snaps) == len(want)
+    for s, u in zip(snaps, want):
+        assert np.max(np.abs(s.values - u)) <= 1e-12 * np.max(np.abs(u))
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+def test_factored_step_matches_banded_reference(theta):
+    grid, domain = _setup(2.0, h=1.0 / 16.0)
+    r = grid.nodes()
+    vals = np.where(np.abs(r - 3.0) < 1.0, (1.0 - (r - 3.0) ** 2) ** 2, 0.0)
+    cfg = StepperConfig(dt=1.0 / 32.0, snapshot_times=(0.5, 2.0))
+    tb = ThetaBoundary(theta)
+    snaps, ledger = evolve_radial(domain, tb, Field(grid, vals), cfg)
+    _check_banded(grid, tb, vals, cfg, snaps, ledger)
+
+
+def test_factored_ball_step_matches_banded_reference():
+    grid = RadialGrid(a=0.0, r_out=1.0, n_r=128, dim=3)
+    vals = ball_eigenfunction(grid.nodes())
+    vals[-1] = 0.0
+    cfg = StepperConfig(dt=1.0 / 256.0, snapshot_times=(0.05, 0.2))
+    snaps, ledger = evolve_ball(1.0, Field(grid, vals), cfg)
+    _check_banded(grid, ThetaBoundary(1.0), vals, cfg, snaps, ledger)
