@@ -11,10 +11,14 @@ which satisfies the boundary condition exactly (with du/dn = -du/dr at
 r = a) and tends to 1 at infinity. In dim 2 the profile degenerates: it
 is identically 0 unless the condition is Neumann (then identically 1).
 The elliptic route solves the truncated problems phi_R = 1 on |x| = R and
-extrapolates R -> infinity (in dim 2 on the masked 5-point stencil of the
-shared assembler `solver.grids.masked_laplacian`); for the radial case the boundary influence is
-exactly proportional to 1/(R - q) with offset q = a^2 b / (1 + a b)
-(q = a for Dirichlet), which the two-point extrapolation uses.
+extrapolates R -> infinity. In dim 2 it uses the masked 5-point stencil of
+the shared assembler `solver.grids.masked_laplacian`, on the quadrant
+x, y >= 0 only: the hole and the disc are centred, so phi_R is even in x
+and in y, and the folded problem (axis links doubled) has exactly the
+restriction of the full solution as its solution; it is unfolded into the
+full field. For the radial case the boundary influence is exactly
+proportional to 1/(R - q) with offset q = a^2 b / (1 + a b) (q = a for
+Dirichlet), which the two-point extrapolation uses.
 """
 
 import math
@@ -33,12 +37,12 @@ from .domain import (
 )
 from .errors import GeometryError, NumericalError, PreconditionError
 from .solver.grids import (
-    FIVE_POINT,
     AxisymGrid,
     Field,
     PlanarGrid,
     RadialGrid,
     hole_ghost,
+    hole_nodes,
     masked_laplacian,
 )
 
@@ -213,27 +217,39 @@ def _planar_truncated_solve(hole: HoleSpec, theta: ThetaBoundary, R: float,
 
     All radii share one global lattice (spacing h, centred at the origin)
     so the discrete problems nest and the R-monotonicity is exact.
+
+    The hole and the disc are centred at the origin, so the problem is
+    mirror-symmetric in x and in y and phi is even in both. It is solved
+    on the quadrant x, y >= 0 alone: a link across an axis reaches the
+    mirror image of the node behind it, so on the axis row the outward
+    link counts twice and the inward one drops out. A solution of this
+    system unfolds to a solution of the full problem, and the full
+    solution, being unique and even, restricts to a solution of this
+    system; so the fold is exact, not an approximation. The quadrant masks
+    use the quadrant's own coordinates i h, which makes the returned field
+    mirror-symmetric by construction.
     """
     m = int(math.ceil(R / h)) + 1
     grid = PlanarGrid(half_width=m * h, n=2 * m, hole=hole)
-    X, Y = grid.meshgrid()
-    inside = X ** 2 + Y ** 2 < R ** 2 - 1e-12
-    hole_mask = grid.hole_mask()
-    active = inside & ~hole_mask
+    X, Y = np.meshgrid(np.arange(m + 1) * h, np.arange(m + 1) * h, indexing="ij")
+    hole_mask = hole_nodes(hole, X, Y, 1e-12 * grid.half_width)
+    active = (X ** 2 + Y ** 2 < R ** 2 - 1e-12) & ~hole_mask
     if not np.any(active):
         raise GeometryError("truncation radius leaves no active nodes")
     # unit links; the far nodes outside the circle carry phi = 1, which
     # moves to the right-hand side
-    L, _, _, far_coef = masked_laplacian(
-        active, hole_mask, [(True, 1.0, di, dj) for di, dj in FIVE_POINT],
-        hole_ghost(theta, h))
-    phi_vec = spsolve(L.tocsc(), -far_coef)
+    I, J = np.where(active)
+    links = [(True, np.where(I == 0, 2.0, 1.0), 1, 0), (I > 0, 1.0, -1, 0),
+             (True, np.where(J == 0, 2.0, 1.0), 0, 1), (J > 0, 1.0, 0, -1)]
+    L, far_coef = masked_laplacian(active, hole_mask, links, hole_ghost(theta, h))
+    phi_vec = spsolve(L.tocsc(), -far_coef, permc_spec="MMD_AT_PLUS_A")
     if not np.all(np.isfinite(phi_vec)):
         raise NumericalError("planar harmonic solve produced non-finite values")
-    full = np.ones((grid.n + 1, grid.n + 1))
-    full[hole_mask] = 0.0
-    full[active] = phi_vec
-    return Field(grid, full, 0.0).lock()
+    quad = np.ones((m + 1, m + 1))
+    quad[hole_mask] = 0.0
+    quad[active] = phi_vec
+    half = np.concatenate([quad[:0:-1], quad])
+    return Field(grid, np.concatenate([half[:, :0:-1], half], axis=1), 0.0).lock()
 
 
 def profile_elliptic(domain: ExteriorDomain, theta: ThetaBoundary,

@@ -4,7 +4,8 @@ Cylindrical Laplacian u_rhorho + u_rho/rho + u_zz with the parity row
 4 (u_1 - u_0)/h^2 on the axis. The ball hole is a masked staircase with
 Dirichlet nodes; only Dirichlet hole conditions are supported here (a
 staircase Robin condition would degrade to first order). The operator
-comes from the shared masked-stencil assembler `grids.masked_laplacian`
+comes from the shared masked-stencil assembler `grids.masked_laplacian`,
+the ledger's hole-flux weights from the masks alone (`grids.hole_link_sums`),
 and the time loop is the shared `march`. Each step is a direct solve by
 `fastsolve.MaskedCNSolve`: a sine transform in z, one stacked tridiagonal
 solve in rho and a capacitance correction on the hole staircase. Used for
@@ -17,7 +18,7 @@ from ..domain import BallHole, ExteriorDomain, ThetaBoundary
 from ..errors import GeometryError, PreconditionError, UnsupportedFeatureError
 from .config import StepperConfig
 from .fastsolve import MaskedCNSolve
-from .grids import AxisymGrid, Field, masked_laplacian
+from .grids import AxisymGrid, Field, hole_link_sums, masked_laplacian
 from .march import march_masked
 
 
@@ -36,21 +37,34 @@ def _rho_links(grid: AxisymGrid):
     return c_in, c_out
 
 
-def axisym_operator(grid: AxisymGrid):
-    """Sparse cylindrical Laplacian over active nodes (hole is Dirichlet).
-
-    Returns (L, hole_w): the discrete mass rate through hole faces is
-    hole_w . u, matching the volume weights used for the mass so that
-    dM/dt = hole flux + far-edge flux holds exactly at the discrete level.
-    """
-    active = grid.active_mask()
+def _links(grid: AxisymGrid, active):
     I, _ = np.where(active)
     c_in, c_out = _rho_links(grid)
     cz = 1.0 / grid.h_z ** 2
-    links = [(True, cz, 0, 1), (True, cz, 0, -1),
-             (True, c_out[I], 1, 0), (I > 0, c_in[I], -1, 0)]
-    L, _, hole_coef, _ = masked_laplacian(active, grid.hole_mask(), links, 0.0)
-    return L, -grid.volume_weights()[active] * hole_coef
+    return [(True, cz, 0, 1), (True, cz, 0, -1),
+            (True, c_out[I], 1, 0), (I > 0, c_in[I], -1, 0)]
+
+
+def axisym_hole_w(grid: AxisymGrid) -> np.ndarray:
+    """Hole-flux weights over the active nodes, read off the masks.
+
+    The discrete mass rate through hole faces is hole_w . u, matching the
+    volume weights used for the mass so that dM/dt = hole flux + far-edge
+    flux holds exactly at the discrete level.
+    """
+    active = grid.active_mask()
+    return -grid.volume_weights()[active] * hole_link_sums(
+        active, grid.hole_mask(), _links(grid, active))
+
+
+def axisym_operator(grid: AxisymGrid):
+    """Sparse cylindrical Laplacian over active nodes (hole is Dirichlet).
+
+    Returns (L, hole_w) with hole_w = axisym_hole_w(grid).
+    """
+    active = grid.active_mask()
+    L, _ = masked_laplacian(active, grid.hole_mask(), _links(grid, active), 0.0)
+    return L, axisym_hole_w(grid)
 
 
 def axisym_solver(grid: AxisymGrid, dt: float) -> MaskedCNSolve:
@@ -93,6 +107,5 @@ def _axisym_run(grid: AxisymGrid, u0: Field, cfg: StepperConfig):
     values[grid.hole_mask()] = 0.0
     values[grid.edge_mask()] = 0.0
 
-    _, hole_w = axisym_operator(grid)
-    return march_masked(grid, values, hole_w, cfg, axisym_solver(grid, cfg.dt),
-                        "axisymmetric")
+    return march_masked(grid, values, axisym_hole_w(grid), cfg,
+                        axisym_solver(grid, cfg.dt), "axisymmetric")

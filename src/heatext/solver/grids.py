@@ -49,6 +49,17 @@ class RadialGrid:
         return sphere_surface_area(self.dim) * w * r ** (self.dim - 1) * self.h
 
 
+def hole_nodes(hole: HoleSpec, X, Y, eps: float) -> np.ndarray:
+    """True on the nodes (X, Y) inside or on the boundary of a centred hole."""
+    if isinstance(hole, BallHole):
+        return X ** 2 + Y ** 2 <= hole.radius ** 2 + eps
+    if isinstance(hole, RectHole):
+        return (np.abs(X) <= hole.half_width_x + eps) & (
+            np.abs(Y) <= hole.half_width_y + eps
+        )
+    raise GeometryError(f"unsupported hole {hole!r}")
+
+
 @dataclass(frozen=True)
 class PlanarGrid:
     """Uniform node-centred grid on the square [-half_width, half_width]^2.
@@ -84,16 +95,9 @@ class PlanarGrid:
     def hole_mask(self) -> np.ndarray:
         """True on nodes inside (or on) the hole boundary."""
         X, Y = self.meshgrid()
-        eps = 1e-12 * self.half_width
         if self.hole is None:
             return np.zeros_like(X, dtype=bool)
-        if isinstance(self.hole, BallHole):
-            return X ** 2 + Y ** 2 <= self.hole.radius ** 2 + eps
-        if isinstance(self.hole, RectHole):
-            return (np.abs(X) <= self.hole.half_width_x + eps) & (
-                np.abs(Y) <= self.hole.half_width_y + eps
-            )
-        raise GeometryError(f"unsupported hole {self.hole!r}")
+        return hole_nodes(self.hole, X, Y, 1e-12 * self.half_width)
 
     def edge_mask(self) -> np.ndarray:
         m = np.zeros((self.n + 1, self.n + 1), dtype=bool)
@@ -205,6 +209,29 @@ def hole_ghost(theta, h: float) -> float:
     return (1.0 - 0.5 * b * h) / (1.0 + 0.5 * b * h)
 
 
+def _link_neighbours(active, links):
+    """Per link: the active nodes it applies at, their coefficients and the
+    (di, dj) neighbours' positions, with nodes in np.where order."""
+    I, J = np.where(active)
+    n = I.size
+    for applies, coef, di, dj in links:
+        sel = np.broadcast_to(applies, (n,))
+        c = np.broadcast_to(np.asarray(coef, dtype=float), (n,))[sel]
+        yield sel, c, I[sel] + di, J[sel] + dj
+
+
+def hole_link_sums(active, hole, links):
+    """Sum of each active node's link coefficients into the hole.
+
+    Same links and node order as `masked_laplacian`; the hole-flux weights
+    of the planar and axisymmetric ledgers are built from these sums.
+    """
+    out = np.zeros(int(active.sum()))
+    for sel, c, nb_i, nb_j in _link_neighbours(active, links):
+        out[sel] += np.where(hole[nb_i, nb_j], c, 0.0)
+    return out
+
+
 def masked_laplacian(active, hole, links, hole_ghost):
     """Stencil matrix over the active nodes of a masked 2d node array.
 
@@ -216,24 +243,17 @@ def masked_laplacian(active, hole, links, hole_ghost):
     factor, 1 for Neumann (the link drops out). Any other neighbour lies
     on the outer edge, whose value is zero or moves to a right-hand side.
 
-    Returns (L, idx, hole_coef, edge_coef): L acts on the vector of active
-    values, idx maps node positions to vector indices (-1 off the active
-    set), and hole_coef / edge_coef sum each node's link coefficients into
-    the hole and to the outer edge.
+    Returns (L, edge_coef): L acts on the vector of active values, and
+    edge_coef sums each node's link coefficients to the outer edge.
     """
     n = int(active.sum())
     idx = -np.ones(active.shape, dtype=np.int64)
     me = np.arange(n)
     idx[active] = me
-    I, J = np.where(active)
     rows, cols, vals = [], [], []
     diag = np.zeros(n)
-    hole_coef = np.zeros(n)
     edge_coef = np.zeros(n)
-    for applies, coef, di, dj in links:
-        sel = np.broadcast_to(applies, (n,))
-        c = np.broadcast_to(np.asarray(coef, dtype=float), (n,))[sel]
-        nb_i, nb_j = I[sel] + di, J[sel] + dj
+    for sel, c, nb_i, nb_j in _link_neighbours(active, links):
         nb_idx = idx[nb_i, nb_j]
         nb_hole = hole[nb_i, nb_j]
         nb_active = nb_idx >= 0
@@ -241,14 +261,13 @@ def masked_laplacian(active, hole, links, hole_ghost):
         cols.append(nb_idx[nb_active])
         vals.append(c[nb_active])
         diag[sel] -= np.where(nb_hole, (1.0 - hole_ghost) * c, c)
-        hole_coef[sel] += np.where(nb_hole, c, 0.0)
         edge_coef[sel] += np.where(nb_active | nb_hole, 0.0, c)
     L = sp.csr_matrix(
         (np.concatenate(vals + [diag]),
          (np.concatenate(rows + [me]), np.concatenate(cols + [me]))),
         shape=(n, n),
     )
-    return L, idx, hole_coef, edge_coef
+    return L, edge_coef
 
 
 @dataclass

@@ -92,8 +92,7 @@ def test_singular_capacitance_matrix_raises():
     with pytest.raises(NumericalError, match="capacitance"):
         MaskedCNSolve(active, hole, slice(1, 11), c, -2.0 * c, c, 4.0, 1.25, 0.5)
     # the same links assembled sparsely: the row is exactly zero
-    L, _, _, _ = masked_laplacian(active, hole, [(True, 4.0, di, dj) for di, dj in FIVE_POINT],
-                                  1.25)
+    L, _ = masked_laplacian(active, hole, [(True, 4.0, di, dj) for di, dj in FIVE_POINT], 1.25)
     A, _ = _cn_matrices(L, 0.5)
     assert np.min(np.abs(A).sum(axis=1)) == 0.0
 

@@ -12,8 +12,9 @@ import pytest
 
 from heatext.domain import BallHole, RectHole, ThetaBoundary
 from heatext.solver import AxisymGrid, PlanarGrid
-from heatext.solver.axisym import axisym_operator
-from heatext.solver.planar import planar_operator
+from heatext.solver.axisym import _rho_links, axisym_hole_w, axisym_operator
+from heatext.solver.grids import hole_ghost
+from heatext.solver.planar import planar_hole_w, planar_operator
 
 
 def _next_to_edge(grid):
@@ -62,3 +63,44 @@ def test_axisym_hole_flux_is_hole_part_of_mass_rate():
     grid = AxisymGrid(rho_max=6.0, z_half=6.0, n_rho=48, n_z=96, hole_radius=1.0)
     L, hole_w = axisym_operator(grid)
     _check_flux_tie(grid, L, hole_w)
+
+
+# ---------------------------------------- hole-flux weights from the masks
+
+def _hole_sums_by_link(grid, links):
+    """Per-link accumulation of the hole-link coefficients on the full node
+    array, in link order: the sums the sparse assembly used to return."""
+    hole = grid.hole_mask()
+    acc = np.zeros(hole.shape)
+    for applies, coef, di, dj in links:
+        nb_hole = np.roll(hole, (-di, -dj), axis=(0, 1))
+        acc += np.where(applies & nb_hole, coef, 0.0)
+    return acc[grid.active_mask()]
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+def test_planar_hole_w_is_bit_identical_on_the_benchmark_grid(theta):
+    grid = PlanarGrid(half_width=61.5, n=246, hole=RectHole(1.0, 1.0))
+    tb = ThetaBoundary(theta)
+    inv_h2 = 1.0 / grid.h ** 2
+    sums = _hole_sums_by_link(grid, [(True, inv_h2, 1, 0), (True, inv_h2, -1, 0),
+                                     (True, inv_h2, 0, 1), (True, inv_h2, 0, -1)])
+    want = (hole_ghost(tb, grid.h) - 1.0) * grid.volume_weights()[grid.active_mask()] * sums
+    assert np.array_equal(planar_hole_w(grid, tb), want)
+    assert np.array_equal(planar_operator(grid, tb)[1], want)
+
+
+def test_axisym_hole_w_is_bit_identical_on_the_kernel_probe_grid():
+    grid = AxisymGrid(rho_max=25.3, z_half=28.0, n_rho=96, n_z=192, hole_radius=1.0)
+    c_in, c_out = _rho_links(grid)
+    cz = 1.0 / grid.h_z ** 2
+    rows = np.arange(grid.n_rho + 1)[:, None]
+    c_in_full = np.append(c_in, 0.0)[:, None]
+    c_out_full = np.append(c_out, 0.0)[:, None]
+    sums = _hole_sums_by_link(grid, [(True, cz, 0, 1), (True, cz, 0, -1),
+                                     (True, c_out_full, 1, 0),
+                                     (rows > 0, c_in_full, -1, 0)])
+    want = -grid.volume_weights()[grid.active_mask()] * sums
+    assert np.any(want != 0.0)
+    assert np.array_equal(axisym_hole_w(grid), want)
+    assert np.array_equal(axisym_operator(grid)[1], want)

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import spsolve
 
-from heatext.domain import BallHole, ExteriorDomain, ThetaBoundary
+from heatext.domain import BallHole, ExteriorDomain, RectHole, ThetaBoundary
 from heatext.errors import PreconditionError
 from heatext.profiles import (
+    _planar_truncated_solve,
     asymptotic_mass,
     profile_coefficient,
     profile_decay_check,
@@ -13,7 +17,14 @@ from heatext.profiles import (
     profile_radial_closed_form,
     psi_from_profile,
 )
-from heatext.solver.grids import Field, RadialGrid
+from heatext.solver.grids import (
+    FIVE_POINT,
+    Field,
+    PlanarGrid,
+    RadialGrid,
+    hole_ghost,
+    masked_laplacian,
+)
 
 DIRICHLET = ThetaBoundary(0.0)
 NEUMANN = ThetaBoundary(1.0)
@@ -136,6 +147,74 @@ def test_elliptic_rejects_bad_radius_list():
         profile_elliptic(dom, DIRICHLET, (8.0,))
     with pytest.raises(PreconditionError):
         profile_elliptic(dom, DIRICHLET, (1.5, 8.0))
+
+
+# ------------------------------------------------------------ planar fold
+
+def _full_grid_solve(hole, theta, R, h):
+    """Oracle: the truncated problem on the whole disc, one spsolve.
+
+    Returns (phi, symmetric): phi on the full node array, and whether the
+    full-grid masks are mirror-symmetric in x and in y.
+    """
+    m = int(math.ceil(R / h)) + 1
+    grid = PlanarGrid(half_width=m * h, n=2 * m, hole=hole)
+    X, Y = grid.meshgrid()
+    hole_mask = grid.hole_mask()
+    active = (X ** 2 + Y ** 2 < R ** 2 - 1e-12) & ~hole_mask
+    L, far = masked_laplacian(active, hole_mask,
+                              [(True, 1.0, di, dj) for di, dj in FIVE_POINT],
+                              hole_ghost(theta, h))
+    phi = np.ones(active.shape)
+    phi[hole_mask] = 0.0
+    phi[active] = spsolve(L.tocsc(), -far)
+    symmetric = all(np.array_equal(a, a[::-1]) and np.array_equal(a, a[:, ::-1])
+                    for a in (active, hole_mask))
+    return phi, symmetric
+
+
+@pytest.mark.parametrize("R", [8.0, 16.0])
+@pytest.mark.parametrize("theta", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("hole", [BallHole(1.0), RectHole(1.0, 0.5)])
+def test_planar_quadrant_fold_matches_full_grid(hole, theta, R):
+    tb = ThetaBoundary(theta)
+    want, symmetric = _full_grid_solve(hole, tb, R, 0.25)
+    assert symmetric
+    got = _planar_truncated_solve(hole, tb, R, 0.25)
+    assert got.values.shape == want.shape
+    assert float(np.max(np.abs(got.values - want))) <= 1e-12
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("hole", [BallHole(1.0), RectHole(1.0, 0.5)])
+def test_planar_fold_keeps_monotone_in_radius(hole, theta):
+    dom = ExteriorDomain(2, hole, 40.0)
+    table = profile_elliptic(dom, ThetaBoundary(theta), (8.0, 16.0), h=0.25)
+    assert table.elliptic_monotone_violations(tol=1e-12) == 0
+
+
+def test_planar_profile_is_mirror_symmetric():
+    # at h = 1/3 the full lattice -half_width + i h rounds, and a node at
+    # |x| = R = 64 used to fall inside the disc on one side only
+    f = _planar_truncated_solve(BallHole(1.0), DIRICHLET, 64.0, 1.0 / 3.0)
+    assert np.array_equal(f.values, f.values[::-1, :])
+    assert np.array_equal(f.values, f.values[:, ::-1])
+
+
+@settings(max_examples=20, deadline=None)
+@given(ball=st.booleans(), size=st.floats(0.3, 2.0), aspect=st.floats(0.3, 1.0),
+       theta=st.floats(0.0, 1.0, allow_subnormal=False), h=st.sampled_from([0.25, 0.5]),
+       R_extra=st.floats(0.5, 6.0))
+def test_planar_fold_property(ball, size, aspect, theta, h, R_extra):
+    hole = BallHole(size) if ball else RectHole(size, size * aspect)
+    R = min(12.0, max(2.0 * hole.circumscribed_radius, 8.0 * h) + R_extra)
+    tb = ThetaBoundary(theta)
+    got = _planar_truncated_solve(hole, tb, R, h).values
+    # [0, 1] up to round-off: the Neumann solve returns 1 to within 1e-15
+    assert np.all(got >= -1e-13) and np.all(got <= 1.0 + 1e-13)
+    want, symmetric = _full_grid_solve(hole, tb, R, h)
+    if symmetric:
+        assert float(np.max(np.abs(got - want))) <= 1e-12
 
 
 # ------------------------------------------------------------ mass
