@@ -78,6 +78,10 @@ class ThetaBoundary:
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
             raise GeometryError(f"theta must lie in [0, 1], got {self.theta}")
+        if not self.is_dirichlet and not math.isfinite(self.robin_b):
+            raise GeometryError(
+                f"theta = {self.theta!r} is too small: cot(pi theta/2) is not finite"
+            )
 
     @property
     def is_dirichlet(self) -> bool:

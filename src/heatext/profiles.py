@@ -236,12 +236,12 @@ def _planar_truncated_solve(hole: HoleSpec, theta: ThetaBoundary, R: float,
     active = (X ** 2 + Y ** 2 < R ** 2 - 1e-12) & ~hole_mask
     if not np.any(active):
         raise GeometryError("truncation radius leaves no active nodes")
-    # unit links; the far nodes outside the circle carry phi = 1, which
-    # moves to the right-hand side
-    I, J = np.where(active)
-    links = [(True, np.where(I == 0, 2.0, 1.0), 1, 0), (I > 0, 1.0, -1, 0),
-             (True, np.where(J == 0, 2.0, 1.0), 0, 1), (J > 0, 1.0, 0, -1)]
-    L, far_coef = masked_laplacian(active, hole_mask, links, hole_ghost(theta, h))
+    # unit links, the axis row's inward link folded onto its outward one;
+    # the far nodes outside the circle carry phi = 1, which moves to the
+    # right-hand side
+    lo, up = np.ones(m + 1), np.ones(m + 1)
+    lo[0], up[0] = 0.0, 2.0
+    L, far_coef = masked_laplacian(active, hole_mask, (lo, up, lo, up), hole_ghost(theta, h))
     phi_vec = spsolve(L.tocsc(), -far_coef, permc_spec="MMD_AT_PLUS_A")
     if not np.all(np.isfinite(phi_vec)):
         raise NumericalError("planar harmonic solve produced non-finite values")

@@ -54,9 +54,7 @@ class RunConfig:
     dt: Optional[float] = None         # time step (defaults to h/2)
     r_out: Optional[float] = None      # defaults to the sizing rule
     snapshot_times: Optional[Tuple[float, ...]] = None
-    delta: float = 1.0                 # near/far split knob
     audit: bool = False                # rerun at 2 r_out and compare verdicts
-    out_dir: Optional[str] = None
 
     def resolved(self) -> "RunConfig":
         """Fill derived defaults and validate against the geometry rules."""
@@ -82,9 +80,6 @@ class RunConfig:
         if max(snaps) > self.t_max + 1e-12:
             raise ConfigError("snapshot times must not exceed t_max")
         return replace(self, h=h, dt=dt, r_out=r_out, snapshot_times=tuple(snaps))
-
-    def domain(self) -> ExteriorDomain:
-        return ExteriorDomain(self.dim, self.hole, self.r_out)
 
     def theta_boundary(self) -> ThetaBoundary:
         return ThetaBoundary(self.theta)
@@ -146,9 +141,7 @@ _PARSERS = {
     "dt": float,
     "r_out": float,
     "snapshot_times": lambda s: tuple(float(x) for x in s.replace(";", ",").split(",") if x),
-    "delta": float,
     "audit": lambda s: s.lower() in ("1", "true", "yes", "on"),
-    "out_dir": str,
 }
 
 

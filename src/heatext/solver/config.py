@@ -20,7 +20,6 @@ class StepperConfig:
     dt: float
     snapshot_times: Tuple[float, ...]
     ledger_stride: int = 1
-    check_every: int = 200
 
     def __post_init__(self):
         if self.dt <= 0:

@@ -1,13 +1,14 @@
 """Fast direct solve of the Crank-Nicolson matrix I - dt/2 L on a masked grid.
 
-On the box of non-edge nodes the planar and axisymmetric operators are the
-Kronecker sum of a tridiagonal operator T0 along axis 0 (x, or rho with its
-parity row) and the constant stencil c1 (1, -2, 1) along axis 1 (y or z)
-with Dirichlet end columns. The orthonormal DST-I diagonalises the axis-1
-part, so the box matrix A0 = I - dt/2 (T0 + c1 T1) splits into one
-tridiagonal system per sine mode. The modes are stacked into one
-tridiagonal matrix, factored once (dgttrf) and solved once per step
-(dgttrs).
+The operator is read off the grid's stencil (lo0, up0, lo1, up1). On the
+box of non-edge nodes it is the Kronecker sum of a tridiagonal operator T0
+along axis 0 (x, or rho with its parity row: off-diagonals lo0 and up0,
+diagonal -(lo0 + up0)) and the constant stencil c1 (1, -2, 1) along axis 1
+(y or z, c1 = lo1 = up1) with Dirichlet end columns. The orthonormal DST-I
+diagonalises the axis-1 part, so the box matrix A0 = I - dt/2 (T0 + c1 T1)
+splits into one tridiagonal system per sine mode. The modes are stacked
+into one tridiagonal matrix, factored once (dgttrf) and solved once per
+step (dgttrs).
 
 The hole enters by the capacitance matrix method (Buzbee, Dorr, George &
 Golub, SIAM J. Numer. Anal. 8 (1971) 722; Proskurowski & Widlund, Math.
@@ -40,21 +41,26 @@ def _neighbours(mask):
 class MaskedCNSolve:
     """solve(b) = (I - dt/2 L)^{-1} b over the active nodes of a masked grid.
 
-    active and hole are node masks. The box is the node rows `rows` (a
-    slice) without the first and last columns; every box node is active
-    or in the hole, and every node outside it is on the outer edge, where
-    the value is zero. lo, di, up give the axis-0 operator over the box
-    rows (lo[i] links row i to row i - 1, up[i] to row i + 1), c1 the
-    axis-1 link coefficient and ghost the hole ghost factor of
-    `grids.hole_ghost`. L is then the operator that `grids.masked_laplacian`
-    assembles from the same links: the box operator on the active nodes,
-    plus ghost times each node's hole-link coefficients on the diagonal.
-    `rank` is the size of the capacitance system.
+    active and hole are node masks, stencil the grid's link coefficients
+    (lo0, up0, lo1, up1) and ghost the hole ghost factor of
+    `grids.hole_ghost`; L is the operator that `grids.masked_laplacian`
+    assembles from them. The box is the node rows from the first to the
+    last that hold an active node, without the first and last columns;
+    every box node must be active or in the hole, and every node outside
+    it lies on the outer edge, where the value is zero. The DST-I needs
+    the axis-1 coefficients to be one constant, c1 = up1[0]. `rank` is the
+    size of the capacitance system.
     """
 
-    def __init__(self, active, hole, rows, lo, di, up, c1, ghost, dt):
+    def __init__(self, active, hole, stencil, ghost, dt):
         from scipy.fft import dst  # imported here: heatext.cli does not load scipy.fft
 
+        lo0, up0, _, up1 = stencil
+        c1 = up1[0]
+        filled = np.flatnonzero(active.any(axis=1))
+        rows = slice(filled[0], filled[-1] + 1)
+        lo, up = lo0[rows], up0[rows]
+        di = -(lo + up)
         act = active[rows, 1:-1]
         in_hole = hole[rows, 1:-1]
         n0, n1 = act.shape

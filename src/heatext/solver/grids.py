@@ -1,4 +1,11 @@
-"""Grid descriptors and the Field container shared by all solvers."""
+"""Grid descriptors, the masked 5-point stencil and the Field container.
+
+`PlanarGrid.stencil()` and `AxisymGrid.stencil()` are the only places
+where the planar and axisymmetric link coefficients are written. The
+assembler `masked_laplacian`, the hole-link sums behind the ledger's
+hole-flux weights (`hole_weights`) and the fast solver
+`fastsolve.MaskedCNSolve` all read that one tuple.
+"""
 
 import math
 from dataclasses import dataclass, field as dc_field
@@ -112,6 +119,11 @@ class PlanarGrid:
         w[self.hole_mask()] = 0.0
         return w
 
+    def stencil(self):
+        """Link coefficients (lo0, up0, lo1, up1) of the 5-point Laplacian."""
+        c = np.full(self.n + 1, 1.0 / self.h ** 2)
+        return c, c, c, c
+
 
 @dataclass(frozen=True)
 class AxisymGrid:
@@ -191,8 +203,20 @@ class AxisymGrid:
         w[self.hole_mask()] = 0.0
         return w
 
+    def stencil(self):
+        """Link coefficients (lo0, up0, lo1, up1) of u_rhorho + u_rho/rho + u_zz.
 
-FIVE_POINT = ((1, 0), (-1, 0), (0, 1), (0, -1))  # neighbour offsets (di, dj)
+        Off the axis the centred stencil; the axis row is the parity row
+        4 (u_1 - u_0)/h^2, which has no inward link.
+        """
+        hr = self.h_rho
+        rho = self.rho_nodes()[1:]
+        lo0 = np.zeros(self.n_rho + 1)
+        up0 = np.full(self.n_rho + 1, 4.0 / hr ** 2)
+        lo0[1:] = 1.0 / hr ** 2 - 1.0 / (2.0 * rho * hr)
+        up0[1:] = 1.0 / hr ** 2 + 1.0 / (2.0 * rho * hr)
+        cz = np.full(self.n_z + 1, 1.0 / self.h_z ** 2)
+        return lo0, up0, cz, cz
 
 
 def hole_ghost(theta, h: float) -> float:
@@ -209,39 +233,51 @@ def hole_ghost(theta, h: float) -> float:
     return (1.0 - 0.5 * b * h) / (1.0 + 0.5 * b * h)
 
 
-def _link_neighbours(active, links):
-    """Per link: the active nodes it applies at, their coefficients and the
-    (di, dj) neighbours' positions, with nodes in np.where order."""
+def _link_neighbours(active, stencil):
+    """Per link: the active nodes it applies at (nonzero coefficient), their
+    coefficients and the neighbours' positions, with nodes in np.where order."""
+    lo0, up0, lo1, up1 = stencil
     I, J = np.where(active)
-    n = I.size
-    for applies, coef, di, dj in links:
-        sel = np.broadcast_to(applies, (n,))
-        c = np.broadcast_to(np.asarray(coef, dtype=float), (n,))[sel]
-        yield sel, c, I[sel] + di, J[sel] + dj
+    for c, di, dj in ((up0[I], 1, 0), (lo0[I], -1, 0), (up1[J], 0, 1), (lo1[J], 0, -1)):
+        sel = c != 0.0
+        yield sel, c[sel], I[sel] + di, J[sel] + dj
 
 
-def hole_link_sums(active, hole, links):
+def hole_link_sums(active, hole, stencil):
     """Sum of each active node's link coefficients into the hole.
 
-    Same links and node order as `masked_laplacian`; the hole-flux weights
-    of the planar and axisymmetric ledgers are built from these sums.
+    Same links and node order as `masked_laplacian`.
     """
     out = np.zeros(int(active.sum()))
-    for sel, c, nb_i, nb_j in _link_neighbours(active, links):
+    for sel, c, nb_i, nb_j in _link_neighbours(active, stencil):
         out[sel] += np.where(hole[nb_i, nb_j], c, 0.0)
     return out
 
 
-def masked_laplacian(active, hole, links, hole_ghost):
+def hole_weights(grid, ghost: float) -> np.ndarray:
+    """Hole-flux weights over the active nodes of a PlanarGrid or AxisymGrid.
+
+    hole_w . u is the hole part of the discrete mass rate w^T L u (w the
+    volume weights, L the `masked_laplacian` of grid.stencil() with hole
+    ghost factor `ghost`), which the ledger records as the flux through
+    the hole; the rest of w^T L u is the far-edge leakage.
+    """
+    active = grid.active_mask()
+    return ((ghost - 1.0) * grid.volume_weights()[active]
+            * hole_link_sums(active, grid.hole_mask(), grid.stencil()))
+
+
+def masked_laplacian(active, hole, stencil, hole_ghost):
     """Stencil matrix over the active nodes of a masked 2d node array.
 
-    links lists (applies, coef, di, dj): each active node where `applies`
-    holds is linked to its (di, dj) neighbour with coefficient coef (both
-    given over the active nodes in np.where order, or as scalars). An
-    active neighbour gives an off-diagonal entry. A hole neighbour stands
-    for the ghost value hole_ghost * u: 0 for Dirichlet, the Robin face
-    factor, 1 for Neumann (the link drops out). Any other neighbour lies
-    on the outer edge, whose value is zero or moves to a right-hand side.
+    stencil is (lo0, up0, lo1, up1): node (i, j) links to (i - 1, j) and
+    (i + 1, j) with coefficients lo0[i] and up0[i], and to (i, j - 1) and
+    (i, j + 1) with lo1[j] and up1[j]; a link applies where its
+    coefficient is nonzero. An active neighbour gives an off-diagonal
+    entry. A hole neighbour stands for the ghost value hole_ghost * u: 0
+    for Dirichlet, the Robin face factor, 1 for Neumann (the link drops
+    out). Any other neighbour lies on the outer edge, whose value is zero
+    or moves to a right-hand side.
 
     Returns (L, edge_coef): L acts on the vector of active values, and
     edge_coef sums each node's link coefficients to the outer edge.
@@ -253,7 +289,7 @@ def masked_laplacian(active, hole, links, hole_ghost):
     rows, cols, vals = [], [], []
     diag = np.zeros(n)
     edge_coef = np.zeros(n)
-    for sel, c, nb_i, nb_j in _link_neighbours(active, links):
+    for sel, c, nb_i, nb_j in _link_neighbours(active, stencil):
         nb_idx = idx[nb_i, nb_j]
         nb_hole = hole[nb_i, nb_j]
         nb_active = nb_idx >= 0
@@ -294,11 +330,3 @@ class Field:
 
     def integral(self) -> float:
         return float(np.sum(self.weights() * self.values))
-
-    def lp_norm(self, p: float) -> float:
-        w = self.weights()
-        if math.isinf(p):
-            return float(np.max(np.abs(self.values[w > 0]))) if np.any(w > 0) else float(
-                np.max(np.abs(self.values))
-            )
-        return float(np.sum(w * np.abs(self.values) ** p) ** (1.0 / p))

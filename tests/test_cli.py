@@ -74,8 +74,9 @@ def test_config_file_parsing(tmp_path):
 
 
 def test_config_rejects_unknown_key(tmp_path):
-    with pytest.raises(ConfigError):
-        runconfig_from_mapping({"volume": "11"})
+    for key in ("volume", "delta", "out_dir"):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            runconfig_from_mapping({key: "11"})
 
 
 def test_config_validates_geometry():
@@ -168,6 +169,15 @@ def test_evolve_config_error_exit_code(tmp_path):
                "--snapshots", "1,2,5", "--h", "0.0625", "--dt", "0.03125",
                "--out", str(tmp_path)])
     assert rc == 3  # no factor-10 window for the linf verdict
+
+
+def test_theta_with_infinite_robin_b_exit_code(tmp_path):
+    # cot(pi theta/2) overflows for this theta: a bad input (3), not a
+    # numerical failure (4)
+    out = str(tmp_path)
+    assert _run(["evolve", "--dim", "3", "--theta", "2.2e-313", "--out", out]) == 3
+    assert _run(["profile", "--dim", "2", "--method", "elliptic",
+                 "--theta", "2.2e-313", "--out", out]) == 3
 
 
 def test_evolve_dim2_mass_study(tmp_path):

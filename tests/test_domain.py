@@ -51,6 +51,15 @@ def test_theta_boundary_flags_and_b():
         ThetaBoundary(-0.1)
 
 
+def test_theta_boundary_rejects_a_theta_whose_robin_b_overflows():
+    # cot(pi theta/2) overflows to inf for a subnormal theta, and the Robin
+    # ghost factor (1 - b h/2) / (1 + b h/2) would be nan
+    for theta in (2.2e-313, 5e-324):
+        with pytest.raises(GeometryError, match="not finite"):
+            ThetaBoundary(theta)
+    assert math.isfinite(ThetaBoundary(1e-300).robin_b)
+
+
 def test_outward_normal_sign():
     assert outward_normal_sign_at_hole() == -1
     # Dirichlet profile in dim 3: Phi = 1 - 1/r, so dPhi/dn = -Phi'(1) = -1

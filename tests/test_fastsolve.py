@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from heatext.domain import BallHole, ExteriorDomain, RectHole, ThetaBoundary
-from heatext.errors import NumericalError
+from heatext.errors import NumericalError, PreconditionError
 from heatext.presets import make_planar_datum
 from heatext.solver import (
     AxisymGrid,
@@ -18,12 +18,24 @@ from heatext.solver import (
     evolve_planar,
     mollifier_bump,
 )
-from heatext.solver.axisym import axisym_operator, axisym_solver
 from heatext.solver.fastsolve import MaskedCNSolve
-from heatext.solver.grids import FIVE_POINT, masked_laplacian
-from heatext.solver.planar import planar_operator, planar_solver
+from heatext.solver.grids import hole_ghost, hole_weights, masked_laplacian
 
 TOL = 1e-12
+
+
+def _operator(grid, ghost):
+    """(L, hole_w) of a masked grid: its stencil assembled, its hole-flux weights."""
+    L, _ = masked_laplacian(grid.active_mask(), grid.hole_mask(), grid.stencil(), ghost)
+    return L, hole_weights(grid, ghost)
+
+
+def _solver(grid, ghost, dt):
+    return MaskedCNSolve(grid.active_mask(), grid.hole_mask(), grid.stencil(), ghost, dt)
+
+
+def _planar_ghost(grid, theta):
+    return hole_ghost(ThetaBoundary(theta), grid.h)
 
 
 def _cn_matrices(L, dt):
@@ -46,8 +58,8 @@ def _check_against_splu(L, solver, dt):
 @pytest.mark.parametrize("hole", [RectHole(1.0, 1.0), BallHole(1.3), RectHole(2.1, 1.3)])
 def test_planar_solve_matches_splu(theta, hole):
     grid = PlanarGrid(half_width=6.0, n=48, hole=hole)
-    L, _ = planar_operator(grid, ThetaBoundary(theta))
-    _check_against_splu(L, planar_solver(grid, ThetaBoundary(theta), 0.2), 0.2)
+    L, _ = _operator(grid, _planar_ghost(grid, theta))
+    _check_against_splu(L, _solver(grid, _planar_ghost(grid, theta), 0.2), 0.2)
 
 
 def test_capacitance_nodes_skip_the_hole_interior():
@@ -57,25 +69,25 @@ def test_capacitance_nodes_skip_the_hole_interior():
     touching = hole & (np.roll(~hole, 1, 0) | np.roll(~hole, -1, 0)
                        | np.roll(~hole, 1, 1) | np.roll(~hole, -1, 1))
     assert touching.sum() < hole.sum()
-    assert planar_solver(grid, ThetaBoundary(0.0), 0.2).rank == touching.sum()
+    assert _solver(grid, _planar_ghost(grid, 0.0), 0.2).rank == touching.sum()
     # Robin adds the active nodes next to the hole
     near = ~hole & (np.roll(hole, 1, 0) | np.roll(hole, -1, 0)
                     | np.roll(hole, 1, 1) | np.roll(hole, -1, 1))
-    assert planar_solver(grid, ThetaBoundary(0.5), 0.2).rank == touching.sum() + near.sum()
+    assert _solver(grid, _planar_ghost(grid, 0.5), 0.2).rank == touching.sum() + near.sum()
 
 
 def test_planar_hole_benchmark_grid_ranks():
     grid = PlanarGrid(half_width=61.5, n=246, hole=RectHole(1.0, 1.0))
     assert int(grid.active_mask().sum()) == 60000
-    assert planar_solver(grid, ThetaBoundary(0.0), 0.25).rank == 16
-    assert planar_solver(grid, ThetaBoundary(0.5), 0.25).rank == 36
+    assert _solver(grid, _planar_ghost(grid, 0.0), 0.25).rank == 16
+    assert _solver(grid, _planar_ghost(grid, 0.5), 0.25).rank == 36
 
 
 @pytest.mark.parametrize("hole_radius", [1.0, 0.0])
 def test_axisym_solve_matches_splu(hole_radius):
     grid = AxisymGrid(rho_max=6.0, z_half=7.0, n_rho=40, n_z=96, hole_radius=hole_radius)
-    L, _ = axisym_operator(grid)
-    solver = axisym_solver(grid, 0.1)
+    L, _ = _operator(grid, 0.0)
+    solver = _solver(grid, 0.0, 0.1)
     assert (solver.rank == 0) == (hole_radius == 0.0)
     _check_against_splu(L, solver, 0.1)
 
@@ -88,11 +100,11 @@ def test_singular_capacitance_matrix_raises():
     hole = np.zeros_like(active)
     for i, j in ((5, 6), (7, 6), (6, 5), (6, 7)):
         hole[i, j], active[i, j] = True, False
-    c = np.full(10, 4.0)  # h = 0.5
+    c = np.full(12, 4.0)  # h = 0.5
     with pytest.raises(NumericalError, match="capacitance"):
-        MaskedCNSolve(active, hole, slice(1, 11), c, -2.0 * c, c, 4.0, 1.25, 0.5)
+        MaskedCNSolve(active, hole, (c, c, c, c), 1.25, 0.5)
     # the same links assembled sparsely: the row is exactly zero
-    L, _ = masked_laplacian(active, hole, [(True, 4.0, di, dj) for di, dj in FIVE_POINT], 1.25)
+    L, _ = masked_laplacian(active, hole, (c, c, c, c), 1.25)
     A, _ = _cn_matrices(L, 0.5)
     assert np.min(np.abs(A).sum(axis=1)) == 0.0
 
@@ -135,7 +147,7 @@ def test_planar_march_matches_splu_reference(theta, hole):
     u0 = make_planar_datum("gaussian-bump:2.5,0.5,1", grid)
     cfg = StepperConfig(dt=0.125, snapshot_times=(0.5, 2.0))
     snaps, ledger = evolve_planar(ExteriorDomain(2, hole, 6.0), tb, u0, cfg)
-    L, hole_w = planar_operator(grid, tb)
+    L, hole_w = _operator(grid, hole_ghost(tb, grid.h))
     active = grid.active_mask()
     rows, want = _reference_march(u0.values[active], L, hole_w,
                                   grid.volume_weights()[active], cfg)
@@ -150,8 +162,36 @@ def test_axisym_march_matches_splu_reference():
     cfg = StepperConfig(dt=0.1, snapshot_times=(0.5, 2.0))
     snaps, ledger = evolve_axisym(ExteriorDomain(3, BallHole(1.0), 6.0),
                                   ThetaBoundary(0.0), Field(grid, u0), cfg)
-    L, hole_w = axisym_operator(grid)
+    L, hole_w = _operator(grid, 0.0)
     active = grid.active_mask()
     rows, want = _reference_march(u0[active], L, hole_w,
                                   grid.volume_weights()[active], cfg)
     _check_march(grid, snaps, ledger, rows, want)
+
+
+def _masked_run(kind):
+    """A grid and its evolve call, for the planar and the axisymmetric runs."""
+    if kind == "planar":
+        grid = PlanarGrid(half_width=6.0, n=48, hole=RectHole(1.0, 1.0))
+        domain = ExteriorDomain(2, grid.hole, 6.0)
+        return grid, lambda u0, cfg: evolve_planar(domain, ThetaBoundary(0.5), u0, cfg)
+    grid = AxisymGrid(rho_max=6.0, z_half=7.0, n_rho=40, n_z=96, hole_radius=1.0)
+    domain = ExteriorDomain(3, BallHole(1.0), 6.0)
+    return grid, lambda u0, cfg: evolve_axisym(domain, ThetaBoundary(0.0), u0, cfg)
+
+
+@pytest.mark.parametrize("defect, message", [("shape", "shape"),
+                                             ("non-finite", "non-finite"),
+                                             ("hole", "vanish on hole nodes")])
+@pytest.mark.parametrize("kind", ["planar", "axisym"])
+def test_masked_runs_check_the_datum(kind, defect, message):
+    grid, run = _masked_run(kind)
+    values = np.where(grid.active_mask(), 1.0, 0.0)
+    if defect == "shape":
+        values = values[:-1]
+    elif defect == "non-finite":
+        values[1, 1] = np.nan
+    else:
+        values[grid.hole_mask()] = 1e-3
+    with pytest.raises(PreconditionError, match=message):
+        run(Field(grid, values), StepperConfig(dt=0.1, snapshot_times=(0.2,)))

@@ -1,7 +1,7 @@
 """The masked operators and their ledger flux.
 
 For Crank-Nicolson the discrete mass rate is w^T L u (w the volume
-weights). The hole-flux weights of planar_operator and axisym_operator
+weights). The hole-flux weights of the planar and axisymmetric grids
 must be exactly the hole part of it: w^T L - hole_w is then nonzero only
 on nodes linked to the outer edge, where the remainder is the far-edge
 leakage.
@@ -12,9 +12,13 @@ import pytest
 
 from heatext.domain import BallHole, RectHole, ThetaBoundary
 from heatext.solver import AxisymGrid, PlanarGrid
-from heatext.solver.axisym import _rho_links, axisym_hole_w, axisym_operator
-from heatext.solver.grids import hole_ghost
-from heatext.solver.planar import planar_hole_w, planar_operator
+from heatext.solver.grids import hole_ghost, hole_weights, masked_laplacian
+
+
+def _operator(grid, ghost):
+    """(L, hole_w) of a masked grid: its stencil assembled, its hole-flux weights."""
+    L, _ = masked_laplacian(grid.active_mask(), grid.hole_mask(), grid.stencil(), ghost)
+    return L, hole_weights(grid, ghost)
 
 
 def _next_to_edge(grid):
@@ -46,13 +50,13 @@ def _check_flux_tie(grid, L, hole_w):
 @pytest.mark.parametrize("hole", [RectHole(1.0, 1.0), BallHole(1.3)])
 def test_planar_hole_flux_is_hole_part_of_mass_rate(theta, hole):
     grid = PlanarGrid(half_width=6.0, n=48, hole=hole)
-    L, hole_w = planar_operator(grid, ThetaBoundary(theta))
+    L, hole_w = _operator(grid, hole_ghost(ThetaBoundary(theta), grid.h))
     _check_flux_tie(grid, L, hole_w)
 
 
 def test_planar_neumann_has_no_hole_flux():
     grid = PlanarGrid(half_width=6.0, n=48, hole=RectHole(1.0, 1.0))
-    L, hole_w = planar_operator(grid, ThetaBoundary(1.0))
+    L, hole_w = _operator(grid, hole_ghost(ThetaBoundary(1.0), grid.h))
     assert np.all(hole_w == 0.0)
     w = grid.volume_weights()[grid.active_mask()]
     rest = L.T @ w
@@ -61,7 +65,7 @@ def test_planar_neumann_has_no_hole_flux():
 
 def test_axisym_hole_flux_is_hole_part_of_mass_rate():
     grid = AxisymGrid(rho_max=6.0, z_half=6.0, n_rho=48, n_z=96, hole_radius=1.0)
-    L, hole_w = axisym_operator(grid)
+    L, hole_w = _operator(grid, 0.0)
     _check_flux_tie(grid, L, hole_w)
 
 
@@ -86,13 +90,13 @@ def test_planar_hole_w_is_bit_identical_on_the_benchmark_grid(theta):
     sums = _hole_sums_by_link(grid, [(True, inv_h2, 1, 0), (True, inv_h2, -1, 0),
                                      (True, inv_h2, 0, 1), (True, inv_h2, 0, -1)])
     want = (hole_ghost(tb, grid.h) - 1.0) * grid.volume_weights()[grid.active_mask()] * sums
-    assert np.array_equal(planar_hole_w(grid, tb), want)
-    assert np.array_equal(planar_operator(grid, tb)[1], want)
+    assert np.array_equal(hole_weights(grid, hole_ghost(tb, grid.h)), want)
+    assert np.array_equal(_operator(grid, hole_ghost(tb, grid.h))[1], want)
 
 
 def test_axisym_hole_w_is_bit_identical_on_the_kernel_probe_grid():
     grid = AxisymGrid(rho_max=25.3, z_half=28.0, n_rho=96, n_z=192, hole_radius=1.0)
-    c_in, c_out = _rho_links(grid)
+    c_in, c_out = (c[:-1] for c in grid.stencil()[:2])  # rows 0 .. n_rho - 1
     cz = 1.0 / grid.h_z ** 2
     rows = np.arange(grid.n_rho + 1)[:, None]
     c_in_full = np.append(c_in, 0.0)[:, None]
@@ -102,5 +106,5 @@ def test_axisym_hole_w_is_bit_identical_on_the_kernel_probe_grid():
                                      (rows > 0, c_in_full, -1, 0)])
     want = -grid.volume_weights()[grid.active_mask()] * sums
     assert np.any(want != 0.0)
-    assert np.array_equal(axisym_hole_w(grid), want)
-    assert np.array_equal(axisym_operator(grid)[1], want)
+    assert np.array_equal(hole_weights(grid, 0.0), want)
+    assert np.array_equal(_operator(grid, 0.0)[1], want)

@@ -18,7 +18,6 @@ from heatext.profiles import (
     psi_from_profile,
 )
 from heatext.solver.grids import (
-    FIVE_POINT,
     Field,
     PlanarGrid,
     RadialGrid,
@@ -162,8 +161,8 @@ def _full_grid_solve(hole, theta, R, h):
     X, Y = grid.meshgrid()
     hole_mask = grid.hole_mask()
     active = (X ** 2 + Y ** 2 < R ** 2 - 1e-12) & ~hole_mask
-    L, far = masked_laplacian(active, hole_mask,
-                              [(True, 1.0, di, dj) for di, dj in FIVE_POINT],
+    unit = np.ones(2 * m + 1)
+    L, far = masked_laplacian(active, hole_mask, (unit, unit, unit, unit),
                               hole_ghost(theta, h))
     phi = np.ones(active.shape)
     phi[hole_mask] = 0.0
