@@ -68,8 +68,11 @@ def profile_coefficient(dim: int, a: float, theta: ThetaBoundary) -> float:
         raise GeometryError("closed-form coefficient requires dim >= 3")
     if theta.is_dirichlet:
         return 1.0
-    b = theta.robin_b
-    return a * b / (a * b + dim - 2)
+    ab = a * theta.robin_b
+    if not math.isfinite(ab):
+        raise GeometryError(f"theta = {theta.theta!r} is too small for a hole of radius "
+                            f"{a:g}: a cot(pi theta/2) is not finite")
+    return ab / (ab + dim - 2)
 
 
 @dataclass

@@ -7,10 +7,11 @@ step, the ledger rows, the snapshot steps and the finiteness checks. With
 A = I - dt/2 L the right-hand side matrix is B = I + dt/2 L = 2I - A, so
 the step u+ = A^{-1} B u is u+ = 2 solve(u) - u and needs no matvec with L.
 
-The radial solver builds its own banded solve. The planar and
-axisymmetric solvers share `march_masked`, which does all of a masked-grid
-run from the grid's stencil: the datum checks, the hole-flux weights, the
-`fastsolve.MaskedCNSolve` build and the march.
+The radial solver builds its own symmetric tridiagonal solve
+(`fastsolve.symmetric_factor`) and marches in a scaled variable. The
+planar and axisymmetric solvers share `march_masked`, which does all of a
+masked-grid run from the grid's stencil: the datum checks, the hole-flux
+weights, the `fastsolve.MaskedCNSolve` build and the march.
 """
 
 import numpy as np

@@ -5,12 +5,22 @@ Neumann fold u_r(a) = b u(a) into the first stencil row at second order
 (b = cot(pi theta/2); the sign follows from du/dn = -du/dr at the hole).
 a = 0 switches to the smooth-origin parity row used for ball domains and
 whole-space probes. The truncation boundary is homogeneous Dirichlet.
-The tridiagonal matrix I - dt/2 L is factored once per run (LAPACK dgttrf)
-and each step is one dgttrs solve; the time loop is the shared `march`.
+
+The stencil is symmetric with respect to the volume weights, so a
+diagonal D makes I - dt/2 L symmetric positive definite. A run factors
+that form once (`fastsolve.symmetric_factor`, LAPACK dpttrf) on the
+coupled nodes and each step is one dpttrs solve. The far node, whose
+value stays zero, is left out; node 0 is back-substituted from its row
+when it is the Dirichlet hole node or, for a = 0 in dim 3, when node 1
+has no link to it. The march runs in the scaled variable v = D u, so no
+step pays for the scaling: the mass weights are w / D, and the hole flux
+and the snapshots read u = v / D. The time loop is the shared `march`.
 """
 
+import math
+
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrs
 
 from ..domain import (
     BallHole,
@@ -20,6 +30,7 @@ from ..domain import (
 )
 from ..errors import GeometryError, NumericalError, PreconditionError
 from .config import StepperConfig
+from .fastsolve import symmetric_factor
 from .grids import Field, RadialGrid
 from .march import march
 
@@ -55,35 +66,59 @@ def radial_operator(grid: RadialGrid, theta: ThetaBoundary):
         b = theta.robin_b
         di[0] = -2.0 * (1.0 + h * b) / h ** 2 + (dim - 1) * b / r[0]
         up[0] = 2.0 / h ** 2
+        if not math.isfinite(di[0]):
+            raise GeometryError(f"theta = {theta.theta!r} is too small: the Robin row "
+                                f"with b = cot(pi theta/2) = {b:.3e} is not finite")
     return lo, di, up
 
 
 def _crank_nicolson_run(grid, theta, u0_values, cfg, omega):
     lo, di, up = radial_operator(grid, theta)
     half = 0.5 * cfg.dt
-    *tri, info = dgttrf(-half * lo[1:], 1.0 - half * di, -half * up[:-1])
-    if info != 0:
-        raise NumericalError(f"radial tridiagonal factorisation failed (info {info})")
+    n = grid.n_r  # unknowns: every node but the far one
+    first = 0 if up[0] != 0.0 and lo[1] != 0.0 else 1  # first node of the coupled block
+    try:
+        block, d, e = symmetric_factor(-half * lo[first:n], 1.0 - half * di[first:n],
+                                       -half * up[first:n])
+    except NumericalError as exc:
+        # only a Robin row can do this: its diagonal turns positive for
+        # h > 2 a / (N - 1), and L gets an eigenvalue >= 2 / dt, which the
+        # Crank-Nicolson step amplifies
+        raise NumericalError(f"{exc}; the Robin row makes the radial operator grow "
+                             f"on this grid: h = {grid.h:g} is too coarse for the hole "
+                             f"(a = {grid.a:g}, theta = {theta.theta:g})") from exc
+    scale = np.ones(n)
+    scale[first:] = block
+    a00, a01 = 1.0 - half * di[0], -half * up[0]  # row 0; D = 1 on nodes 0 and first
 
-    r = grid.nodes()
-    w = grid.volume_weights()
-    a_pow = r[0] ** (grid.dim - 1)
+    def solve(v):
+        x = v.copy()
+        x[first:] = dpttrs(d, e, x[first:], overwrite_b=True)[0]  # no-op copy when in place
+        if first:
+            x[0] = (x[0] - a01 * x[1]) / a00
+        return x
+
+    w = grid.volume_weights()[:n] / scale
+    a_pow = grid.a ** (grid.dim - 1)
     dirichlet_hole = grid.a > 0.0 and theta.is_dirichlet
 
-    def mass(u):
-        return float(np.sum(w * u))
-
-    def flux(u):
+    def flux(v):
         if grid.a == 0.0:
             return 0.0
+        u = v[:3] / scale[:3]
         if dirichlet_hole:
             u_r = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * grid.h)
             return omega * a_pow * (-u_r)
         # Robin/Neumann: the condition itself gives du/dn = -b u(a) exactly
         return -omega * a_pow * theta.robin_b * u[0]
 
-    return march(u0_values.copy(), cfg, lambda u: dgttrs(*tri, u)[0], mass, flux,
-                 lambda u, t: Field(grid, u, t).lock(), "radial")
+    def to_field(v, t):
+        u = np.zeros(n + 1)
+        u[:n] = v / scale
+        return Field(grid, u, t).lock()
+
+    return march(u0_values[:n] * scale, cfg, solve, lambda v: float(w @ v), flux,
+                 to_field, "radial")
 
 
 def _check_datum(grid, theta, values):

@@ -180,6 +180,17 @@ def test_theta_with_infinite_robin_b_exit_code(tmp_path):
                  "--theta", "2.2e-313", "--out", out]) == 3
 
 
+def test_theta_whose_robin_row_overflows_exit_code(tmp_path, capsys):
+    # b = cot(pi theta/2) = 6.4e307 is finite, but the radial Robin row and,
+    # for a hole of radius 4, a b overflow
+    out = str(tmp_path)
+    assert _run(["evolve", "--dim", "3", "--hole", "ball:1", "--theta", "1e-308",
+                 "--t-max", "10", "--study", "balance", "--out", out]) == 3
+    assert _run(["profile", "--dim", "3", "--hole", "ball:4", "--theta", "1e-308",
+                 "--method", "closed-form", "--out", out]) == 3
+    assert capsys.readouterr().err.count("theta = 1e-308") == 2
+
+
 def test_evolve_dim2_mass_study(tmp_path):
     rc = _run(["evolve", "--dim", "2", "--hole", "rect:1x1", "--theta", "0",
                "--preset", "gaussian-bump:3,0,1.5", "--study", "mass",

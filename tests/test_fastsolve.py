@@ -1,9 +1,11 @@
-"""The DST + capacitance solver against sparse LU, and the masked marches
-it drives against a reference march stepped by splu and B @ u."""
+"""The DST + capacitance solver against sparse LU, the masked marches it
+drives against a reference march stepped by splu and B @ u, and the
+symmetric tridiagonal factor they share with the radial march."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpttrs
 from scipy.sparse.linalg import splu
 
 from heatext.domain import BallHole, ExteriorDomain, RectHole, ThetaBoundary
@@ -18,7 +20,7 @@ from heatext.solver import (
     evolve_planar,
     mollifier_bump,
 )
-from heatext.solver.fastsolve import MaskedCNSolve
+from heatext.solver.fastsolve import MaskedCNSolve, symmetric_factor
 from heatext.solver.grids import hole_ghost, hole_weights, masked_laplacian
 
 TOL = 1e-12
@@ -90,6 +92,64 @@ def test_axisym_solve_matches_splu(hole_radius):
     solver = _solver(grid, 0.0, 0.1)
     assert (solver.rank == 0) == (hole_radius == 0.0)
     _check_against_splu(L, solver, 0.1)
+
+
+def _random_tridiagonal(rng, n, blocks):
+    """Off-diagonals of one sign and diagonally dominant rows, so that the
+    symmetrised matrices are positive definite."""
+    lo, up = -rng.uniform(0.1, 2.0, n), -rng.uniform(0.1, 2.0, n)
+    di = rng.uniform(1.0, 3.0, (blocks, n)) + np.abs(lo) + np.abs(up)
+    return lo, di, up
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_symmetric_factor_solves_the_tridiagonal(blocks):
+    rng = np.random.default_rng(7)
+    n = 40
+    lo, di, up = _random_tridiagonal(rng, n, blocks)
+    scale, d, e = symmetric_factor(lo, di if blocks > 1 else di[0], up)
+    b = rng.standard_normal((blocks, n))
+    x, info = dpttrs(d, e, (scale * b).ravel())
+    assert info == 0
+    x = x.reshape(blocks, n) / scale
+    for k in range(blocks):
+        A = np.diag(di[k]) + np.diag(lo[1:], -1) + np.diag(up[:-1], 1)
+        want = np.linalg.solve(A, b[k])
+        assert np.max(np.abs(x[k] - want)) <= TOL * np.max(np.abs(want))
+
+
+@pytest.mark.filterwarnings("error")  # fails before a sqrt of a negative number
+@pytest.mark.parametrize("defect, message", [("zero", "coupling product"),
+                                             ("sign", "coupling product"),
+                                             ("nan", "coupling product"),
+                                             ("inf", "coupling product"),
+                                             ("indefinite", "positive definite")])
+def test_symmetric_factor_fails_loudly(defect, message):
+    lo, di, up = _random_tridiagonal(np.random.default_rng(8), 12, 1)
+    if defect == "zero":
+        lo[5] = 0.0
+    elif defect == "sign":
+        lo[5] = 0.5
+    elif defect == "nan":
+        up[4] = np.nan
+    elif defect == "inf":
+        up[4] = -np.inf
+    else:
+        di[0, 6] = -1.0
+    with pytest.raises(NumericalError, match=message):
+        symmetric_factor(lo, di, up)
+
+
+@pytest.mark.parametrize("ghost", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("seed", [21, 22, 23])
+def test_axisym_solve_matches_splu_at_random_radii(seed, ghost):
+    # the rho stencil is not symmetric, so the stacked solve is scaled
+    # (D != 1); ghost != 0 adds the active capacitance nodes next to the hole
+    rng = np.random.default_rng(seed)
+    radius, dt = rng.uniform(0.4, 3.5), rng.uniform(0.02, 0.3)
+    grid = AxisymGrid(rho_max=6.0, z_half=7.0, n_rho=40, n_z=96, hole_radius=radius)
+    L, _ = _operator(grid, ghost)
+    _check_against_splu(L, _solver(grid, ghost, dt), dt)
 
 
 def test_singular_capacitance_matrix_raises():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
 from heatext.domain import BallHole, ExteriorDomain, RectHole, ThetaBoundary
-from heatext.errors import PreconditionError
+from heatext.errors import GeometryError, PreconditionError
 from heatext.profiles import (
     _planar_truncated_solve,
     asymptotic_mass,
@@ -73,6 +73,14 @@ def test_profile_bounds_and_theta_monotonicity():
         prev_c = c
     assert profile_coefficient(3, 1.0, DIRICHLET) == 1.0
     assert profile_coefficient(3, 1.0, NEUMANN) == 0.0
+
+
+def test_profile_coefficient_rejects_an_overflowing_theta():
+    # b = cot(pi theta/2) = 6.4e307 is finite, a b is not for a = 4
+    tiny = ThetaBoundary(1e-308)
+    assert profile_coefficient(3, 1.0, tiny) == 1.0
+    with pytest.raises(GeometryError, match="theta = 1e-308"):
+        profile_coefficient(3, 4.0, tiny)
 
 
 def test_dim2_degenerate_profiles():

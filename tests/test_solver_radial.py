@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from heatext.constructions import (
@@ -11,7 +13,7 @@ from heatext.constructions import (
     explicit_solution_mass,
 )
 from heatext.domain import BallHole, ExteriorDomain, ThetaBoundary
-from heatext.errors import GeometryError, PreconditionError
+from heatext.errors import GeometryError, NumericalError, PreconditionError
 from heatext.solver import (
     Field,
     RadialGrid,
@@ -358,3 +360,72 @@ def test_factored_ball_step_matches_banded_reference():
     cfg = StepperConfig(dt=1.0 / 256.0, snapshot_times=(0.05, 0.2))
     snaps, ledger = evolve_ball(1.0, Field(grid, vals), cfg)
     _check_banded(grid, ThetaBoundary(1.0), vals, cfg, snaps, ledger)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from([2, 3]),
+       a=st.one_of(st.just(0.0), st.floats(0.25, 3.0)),
+       theta=st.floats(0.0, 1.0, allow_subnormal=False),
+       n_r=st.integers(64, 160),
+       h=st.floats(1.0 / 64.0, 1.0 / 8.0),
+       dt_over_h=st.floats(0.05, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(dim=3, a=0.0, theta=1.0, n_r=64, h=1.0 / 64.0, dt_over_h=1.0, seed=0)
+@example(dim=2, a=0.0, theta=1.0, n_r=64, h=1.0 / 8.0, dt_over_h=1.0, seed=1)
+@example(dim=3, a=1.0, theta=0.0, n_r=64, h=1.0 / 16.0, dt_over_h=0.5, seed=2)
+@example(dim=2, a=0.25, theta=1.0, n_r=64, h=1.0 / 8.0, dt_over_h=1.0, seed=3)
+@example(dim=3, a=3.0, theta=1e-300, n_r=64, h=1.0 / 64.0, dt_over_h=1.0, seed=4)
+def test_symmetric_step_matches_banded_reference(dim, a, theta, n_r, h, dt_over_h, seed):
+    # Dirichlet, Robin and Neumann hole rows, the parity row (a = 0) and the
+    # decoupled node 0 of a = 0 in dim 3
+    n_r = max(n_r, int(math.ceil(3.0 * a / h)) + 1)  # r_out >= 4 a
+    grid = RadialGrid(a=a, r_out=a + n_r * h, n_r=n_r, dim=dim)
+    tb = ThetaBoundary(theta)
+    values = np.random.default_rng(seed).random(n_r + 1)
+    values[-1] = 0.0
+    if a > 0.0 and tb.is_dirichlet:
+        values[0] = 0.0
+    dt = dt_over_h * h
+    cfg = StepperConfig(dt=dt, snapshot_times=(dt,))
+    domain = ExteriorDomain(dim, BallHole(a), grid.r_out) if a > 0.0 else None
+
+    def run():
+        if domain is None:
+            return evolve_ball(grid.r_out, Field(grid, values), cfg)
+        return evolve_radial(domain, tb, Field(grid, values), cfg)
+
+    try:
+        radial_operator(grid, tb)
+    except GeometryError:
+        # only a theta whose Robin row overflows
+        assert a > 0.0 and theta < 1e-290
+        with pytest.raises(GeometryError, match="theta"):
+            run()
+        return
+    snaps, ledger = run()
+    _check_banded(grid, tb, values, cfg, snaps, ledger)
+
+
+def test_robin_row_overflow_is_a_geometry_error():
+    # b = cot(pi theta/2) = 6.4e307 is finite, the Robin row is not
+    grid, _ = _setup(1.0)
+    with pytest.raises(GeometryError, match="theta = 1e-308"):
+        radial_operator(grid, ThetaBoundary(1e-308))
+    lo, di, up = radial_operator(grid, ThetaBoundary(1e-300))
+    assert np.all(np.isfinite(di))
+
+
+def test_coarse_robin_grid_that_crank_nicolson_would_amplify_fails_loudly():
+    # h = 0.5 > 2 a / (N - 1) = 0.1: the Robin row's diagonal is positive and
+    # L has an eigenvalue above 2 / dt, whose Crank-Nicolson factor is < -1
+    a, h, dt = 0.1, 0.5, 0.5
+    grid = RadialGrid(a=a, r_out=a + 64 * h, n_r=64, dim=3)
+    tb = ThetaBoundary(0.001)
+    lo, di, up = radial_operator(grid, tb)
+    L = np.diag(di) + np.diag(lo[1:], -1) + np.diag(up[:-1], 1)
+    assert np.max(np.linalg.eigvals(L).real) > 2.0 / dt
+    r = grid.nodes()
+    u0 = Field(grid, np.where(np.abs(r - 3.0) < 1.0, 1.0 - (r - 3.0) ** 2, 0.0))
+    with pytest.raises(NumericalError, match="too coarse for the hole"):
+        evolve_radial(ExteriorDomain(3, BallHole(a), grid.r_out), tb, u0,
+                      StepperConfig(dt=dt, snapshot_times=(1.0,)))
