@@ -16,7 +16,8 @@ the shared assembler `solver.grids.masked_laplacian`, on the quadrant
 x, y >= 0 only: the hole and the disc are centred, so phi_R is even in x
 and in y, and the folded problem (axis links doubled) has exactly the
 restriction of the full solution as its solution; it is unfolded into the
-full field. For the radial case the boundary influence is exactly
+full field. In dim 3 it solves the evolution's rows (`radial_operator`),
+on which 1/r is exactly discrete-harmonic; the boundary influence is
 proportional to 1/(R - q) with offset q = a^2 b / (1 + a b) (q = a for
 Dirichlet), which the two-point extrapolation uses.
 """
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dpttrs
 from scipy.sparse.linalg import spsolve
 
 from .domain import (
@@ -36,6 +37,7 @@ from .domain import (
     ThetaBoundary,
 )
 from .errors import GeometryError, NumericalError, PreconditionError
+from .solver.fastsolve import symmetric_factor
 from .solver.grids import (
     AxisymGrid,
     Field,
@@ -45,6 +47,7 @@ from .solver.grids import (
     hole_nodes,
     masked_laplacian,
 )
+from .solver.radial import radial_operator
 
 
 @dataclass(frozen=True)
@@ -180,38 +183,27 @@ def profile_radial_closed_form(dim: int, a: float, theta: ThetaBoundary,
 
 def _radial_truncated_solve(dim: int, a: float, theta: ThetaBoundary,
                             R: float, h: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Solve the conservative radial Laplace problem on [a, R], phi(R) = 1."""
-    n = int(round((R - a) / h)) + 1
-    r = a + np.arange(n) * h
-    lo = np.zeros(n)
-    di = np.zeros(n)
-    up = np.zeros(n)
-    rhs = np.zeros(n)
-    i = np.arange(1, n - 1)
-    rp = (r[i] + 0.5 * h) ** (dim - 1)
-    rm = (r[i] - 0.5 * h) ** (dim - 1)
-    lo[i] = rm
-    di[i] = -(rp + rm)
-    up[i] = rp
-    if theta.is_dirichlet:
-        di[0] = 1.0
+    """Radial Laplace solve on [a, R], phi(R) = 1, on `radial_operator`'s rows.
+
+    Solves -L psi = -L 1 for psi = 1 - phi with the march's symmetric factor:
+    psi(R) = 0 and the right-hand side sits on the hole row only (zero for
+    Neumann, so phi is exactly 1).
+    """
+    n = int(round((R - a) / h))
+    grid = RadialGrid(a, a + n * h, n, dim)
+    lo, di, up = radial_operator(grid, theta)
+    psi = np.zeros(n + 1)
+    first = int(theta.is_dirichlet)
+    if first:
+        psi[:2] = 1.0, lo[1]  # psi(a) = 1, moved to row 1
     else:
-        b = theta.robin_b
-        rp0 = (r[0] + 0.5 * h) ** (dim - 1)
-        rm0 = (r[0] - 0.5 * h) ** (dim - 1)
-        # ghost u_{-1} = u_1 - 2 h b u_0 keeps the row second order
-        di[0] = -(rp0 + rm0) - 2.0 * h * b * rm0
-        up[0] = rp0 + rm0
-    di[-1] = 1.0
-    rhs[-1] = 1.0
-    ab = np.zeros((3, n))
-    ab[0, 1:] = up[:-1]
-    ab[1, :] = di
-    ab[2, :-1] = lo[1:]
-    phi = solve_banded((1, 1), ab, rhs)
+        psi[0] = -(di[0] + up[0])
+    scale, d, e = symmetric_factor(-lo[first:n], -di[first:n], -up[first:n])
+    psi[first:n] = dpttrs(d, e, scale * psi[first:n])[0] / scale
+    phi = 1.0 - psi
     if not np.all(np.isfinite(phi)):
         raise NumericalError("radial harmonic solve produced non-finite values")
-    return r, phi
+    return grid.nodes(), phi
 
 
 def _planar_truncated_solve(hole: HoleSpec, theta: ThetaBoundary, R: float,
@@ -259,7 +251,8 @@ def profile_elliptic(domain: ExteriorDomain, theta: ThetaBoundary,
                      R_list, h: Optional[float] = None) -> ProfileTable:
     """Profile by truncated harmonic solves at each R in R_list.
 
-    dim 3 (ball hole): radial second-order solves; the limit table is the
+    dim 3 (ball hole): radial second-order solves (RadialGrid rejects an h
+    with < 64 cells below min(R), exit 3); the limit table is the
     two-point extrapolation in 1/(R - q) of the two largest radii.
     dim 2: masked 5-point solves on a shared lattice; no extrapolation
     (the limit is the constant 0 or 1) but per-R tables demonstrate the

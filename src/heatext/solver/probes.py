@@ -123,8 +123,7 @@ def kernel_probe(domain: Optional[ExteriorDomain], y_dist: float,
         u0 /= m0
 
         def run_fn(values, cfg):
-            return _crank_nicolson_run(grid, ThetaBoundary(1.0), values, cfg,
-                                       omega=4.0 * math.pi)
+            return _crank_nicolson_run(grid, ThetaBoundary(1.0), values, cfg)
 
         dt_cap = min(0.05, grid.h)
         snaps, ledger = _two_phase_run(run_fn, u0, times, mollifier_width,

@@ -15,6 +15,7 @@ when it is the Dirichlet hole node or, for a = 0 in dim 3, when node 1
 has no link to it. The march runs in the scaled variable v = D u, so no
 step pays for the scaling: the mass weights are w / D, and the hole flux
 and the snapshots read u = v / D. The time loop is the shared `march`.
+The dim-3 elliptic profile solves these rows with the same factor.
 """
 
 import math
@@ -72,7 +73,7 @@ def radial_operator(grid: RadialGrid, theta: ThetaBoundary):
     return lo, di, up
 
 
-def _crank_nicolson_run(grid, theta, u0_values, cfg, omega):
+def _crank_nicolson_run(grid, theta, u0_values, cfg):
     lo, di, up = radial_operator(grid, theta)
     half = 0.5 * cfg.dt
     n = grid.n_r  # unknowns: every node but the far one
@@ -100,6 +101,7 @@ def _crank_nicolson_run(grid, theta, u0_values, cfg, omega):
 
     w = grid.volume_weights()[:n] / scale
     a_pow = grid.a ** (grid.dim - 1)
+    omega = sphere_surface_area(grid.dim)
     dirichlet_hole = grid.a > 0.0 and theta.is_dirichlet
 
     def flux(v):
@@ -163,8 +165,7 @@ def evolve_radial(domain: ExteriorDomain, theta: ThetaBoundary, u0: Field,
     if theta.is_dirichlet:
         values[0] = 0.0
     values[-1] = 0.0
-    omega = sphere_surface_area(domain.dim)
-    return _crank_nicolson_run(grid, theta, values, cfg, omega)
+    return _crank_nicolson_run(grid, theta, values, cfg)
 
 
 def evolve_ball(radius: float, u0: Field, cfg: StepperConfig):
@@ -182,8 +183,6 @@ def evolve_ball(radius: float, u0: Field, cfg: StepperConfig):
     if cfg.dt > grid.h * (1.0 + 1e-12):
         raise PreconditionError("accuracy guard: dt exceeds grid spacing")
     values = np.array(u0.values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise PreconditionError("initial datum contains non-finite values")
+    _check_datum(grid, ThetaBoundary(1.0), values)
     values[-1] = 0.0
-    omega = sphere_surface_area(grid.dim)
-    return _crank_nicolson_run(grid, ThetaBoundary(1.0), values, cfg, omega)
+    return _crank_nicolson_run(grid, ThetaBoundary(1.0), values, cfg)

@@ -181,14 +181,17 @@ def test_theta_with_infinite_robin_b_exit_code(tmp_path):
 
 
 def test_theta_whose_robin_row_overflows_exit_code(tmp_path, capsys):
-    # b = cot(pi theta/2) = 6.4e307 is finite, but the radial Robin row and,
-    # for a hole of radius 4, a b overflow
+    # b = cot(pi theta/2) = 6.4e307 is finite, but the radial Robin row
+    # (which the evolution and the dim-3 elliptic profile share) and, for a
+    # hole of radius 4, a b overflow
     out = str(tmp_path)
     assert _run(["evolve", "--dim", "3", "--hole", "ball:1", "--theta", "1e-308",
                  "--t-max", "10", "--study", "balance", "--out", out]) == 3
     assert _run(["profile", "--dim", "3", "--hole", "ball:4", "--theta", "1e-308",
                  "--method", "closed-form", "--out", out]) == 3
-    assert capsys.readouterr().err.count("theta = 1e-308") == 2
+    assert _run(["profile", "--dim", "3", "--hole", "ball:1", "--theta", "1e-308",
+                 "--method", "elliptic", "--R", "8,16", "--out", out]) == 3
+    assert capsys.readouterr().err.count("theta = 1e-308") == 3
 
 
 def test_evolve_dim2_mass_study(tmp_path):

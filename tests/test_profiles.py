@@ -10,6 +10,7 @@ from heatext.domain import BallHole, ExteriorDomain, RectHole, ThetaBoundary
 from heatext.errors import GeometryError, PreconditionError
 from heatext.profiles import (
     _planar_truncated_solve,
+    _radial_truncated_solve,
     asymptotic_mass,
     profile_coefficient,
     profile_decay_check,
@@ -113,7 +114,20 @@ def test_elliptic_radial_neumann_is_exactly_one():
     dom = ExteriorDomain(3, BallHole(1.0), 64.0)
     table = profile_elliptic(dom, NEUMANN, (8.0, 16.0))
     for vals in table.per_radius.values():
-        assert np.allclose(vals, 1.0, atol=1e-12)
+        assert np.allclose(vals, 1.0, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("a", [1.0, 2.0])
+@pytest.mark.parametrize("cells", [256, 64])
+@pytest.mark.parametrize("ratio", [8.0, 16.0, 32.0])
+def test_truncated_dirichlet_solve_is_discrete_harmonic_exact(a, cells, ratio):
+    # 1/r is discrete-harmonic on the radial stencil in dim 3, so the
+    # truncated solve is (1 - a/r)/(1 - a/R) up to round-off
+    R = ratio * a
+    r, phi = _radial_truncated_solve(3, a, DIRICHLET, R, a / cells)
+    assert r[0] == a and r[-1] == pytest.approx(R, rel=1e-14)
+    exact = (1.0 - a / r) / (1.0 - a / R)
+    assert float(np.max(np.abs(phi - exact))) <= 1e-9
 
 
 def test_elliptic_monotone_in_truncation_radius():

@@ -211,6 +211,19 @@ def test_nonfinite_datum_rejected():
         evolve_radial(domain, DIRICHLET, Field(grid, vals), cfg)
 
 
+@pytest.mark.parametrize("size", [70, 61, 65])
+def test_ball_datum_is_checked(size):
+    # a 65-node ball grid: a datum of the wrong length, or a non-finite
+    # one, is rejected before the march
+    grid = RadialGrid(a=0.0, r_out=1.0, n_r=64, dim=3)
+    cfg = StepperConfig(dt=1.0 / 64.0, snapshot_times=(0.25,))
+    vals = np.zeros(size)
+    if size == grid.n_r + 1:
+        vals[5] = np.inf
+    with pytest.raises(PreconditionError):
+        evolve_ball(1.0, Field(grid, vals), cfg)
+
+
 @pytest.fixture(scope="module")
 def long_coarse_run():
     # asymptotic-regime fits need late windows: the closed form's
