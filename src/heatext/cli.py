@@ -541,10 +541,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
-    except (GeometryError, PreconditionError, UnsupportedFeatureError) as exc:
+    except (ConfigError, GeometryError, PreconditionError, UnsupportedFeatureError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:

@@ -37,15 +37,17 @@ def evolve_axisym(domain: ExteriorDomain, theta: ThetaBoundary, u0: Field,
         raise GeometryError("evolve_axisym requires a dim-3 ball-hole domain")
     if abs(grid.hole_radius - domain.hole.radius) > 1e-12:
         raise GeometryError("grid hole radius does not match the domain")
-    return _axisym_run(grid, u0, cfg)
+    return _axisym_run(grid, u0, cfg.stops(), cfg.ledger_stride)
 
 
-def _axisym_run(grid: AxisymGrid, u0: Field, cfg: StepperConfig):
-    """Dirichlet run on the grid's own hole, without the domain checks.
+def _axisym_run(grid: AxisymGrid, u0: Field, stops, ledger_stride=1):
+    """Dirichlet run through the `march` stops on the grid's own hole,
+    without the domain checks.
 
     The kernel probes call it directly, on the grid they build around the
     ball hole.
     """
-    if cfg.dt > max(grid.h_rho, grid.h_z) * (1.0 + 1e-12):
+    cap = max((c for _, c in stops), default=0.0)
+    if cap > max(grid.h_rho, grid.h_z) * (1.0 + 1e-12):
         raise PreconditionError("accuracy guard: dt exceeds grid spacing")
-    return march_masked(grid, u0, 0.0, cfg, "axisymmetric")
+    return march_masked(grid, u0, 0.0, stops, ledger_stride, "axisymmetric")

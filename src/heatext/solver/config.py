@@ -1,5 +1,6 @@
 """Time-stepping configuration (scheme fixed: Crank-Nicolson, far Dirichlet)."""
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -8,13 +9,15 @@ from ..errors import PreconditionError
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """dt, snapshot times, and ledger density for one evolution.
+    """Step cap, snapshot times, and ledger density for one evolution.
 
     The scheme is Crank-Nicolson with homogeneous Dirichlet at the
-    truncation boundary. dt must not exceed the grid spacing (accuracy
-    guard; the scheme itself is unconditionally stable). ledger_stride
-    is the step interval between mass/flux rows; 1 keeps the trapezoid
-    time-integration error of the balance check at the dt scale.
+    truncation boundary. dt caps every step and must not exceed the grid
+    spacing (accuracy guard; the scheme itself is unconditionally
+    stable). Each snapshot time is a `march.march` stop, reached exactly,
+    never rounded. ledger_stride is the step interval between mass/flux
+    rows; 1 keeps the trapezoid time-integration error of the balance
+    check at the dt scale.
     """
 
     dt: float
@@ -25,20 +28,14 @@ class StepperConfig:
         if self.dt <= 0:
             raise PreconditionError(f"dt must be positive, got {self.dt}")
         times = tuple(float(t) for t in self.snapshot_times)
-        if any(t < 0 for t in times):
-            raise PreconditionError("snapshot times must be nonnegative")
+        if not all(0.0 <= t < math.inf for t in times):
+            raise PreconditionError("snapshot times must be finite and nonnegative")
         if list(times) != sorted(times):
             raise PreconditionError("snapshot times must be increasing")
         if self.ledger_stride < 1:
             raise PreconditionError("ledger_stride must be >= 1")
         object.__setattr__(self, "snapshot_times", times)
 
-    @property
-    def n_steps(self) -> int:
-        if not self.snapshot_times:
-            return 0
-        return int(round(self.snapshot_times[-1] / self.dt))
-
-    def snapshot_steps(self) -> dict:
-        """Map step index -> requested time for every snapshot."""
-        return {int(round(t / self.dt)): t for t in self.snapshot_times}
+    def stops(self) -> Tuple[Tuple[float, float], ...]:
+        """(time, step cap) for each distinct snapshot time, the march's stops."""
+        return tuple((t, self.dt) for t in dict.fromkeys(self.snapshot_times))

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..domain import BallHole, HoleSpec, RectHole, sphere_surface_area
-from ..errors import GeometryError
+from ..errors import GeometryError, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,10 @@ class RadialGrid:
     @property
     def h(self) -> float:
         return (self.r_out - self.a) / self.n_r
+
+    @property
+    def shape(self):
+        return (self.n_r + 1,)
 
     def nodes(self) -> np.ndarray:
         return self.a + np.arange(self.n_r + 1) * self.h
@@ -92,6 +96,10 @@ class PlanarGrid:
     def h(self) -> float:
         return 2.0 * self.half_width / self.n
 
+    @property
+    def shape(self):
+        return (self.n + 1, self.n + 1)
+
     def coords(self) -> np.ndarray:
         return -self.half_width + np.arange(self.n + 1) * self.h
 
@@ -107,7 +115,7 @@ class PlanarGrid:
         return hole_nodes(self.hole, X, Y, 1e-12 * self.half_width)
 
     def edge_mask(self) -> np.ndarray:
-        m = np.zeros((self.n + 1, self.n + 1), dtype=bool)
+        m = np.zeros(self.shape, dtype=bool)
         m[0, :] = m[-1, :] = m[:, 0] = m[:, -1] = True
         return m
 
@@ -158,6 +166,10 @@ class AxisymGrid:
     def h_z(self) -> float:
         return 2.0 * self.z_half / self.n_z
 
+    @property
+    def shape(self):
+        return (self.n_rho + 1, self.n_z + 1)
+
     def rho_nodes(self) -> np.ndarray:
         return np.arange(self.n_rho + 1) * self.h_rho
 
@@ -174,7 +186,7 @@ class AxisymGrid:
         return R ** 2 + Z ** 2 <= self.hole_radius ** 2 + 1e-12
 
     def edge_mask(self) -> np.ndarray:
-        m = np.zeros((self.n_rho + 1, self.n_z + 1), dtype=bool)
+        m = np.zeros(self.shape, dtype=bool)
         m[-1, :] = True                 # rho = rho_max
         m[:, 0] = m[:, -1] = True       # z = +- z_half
         return m
@@ -308,7 +320,7 @@ def masked_laplacian(active, hole, stencil, hole_ghost):
 
 @dataclass
 class Field:
-    """A discrete field u(., t): values on a grid plus its time stamp."""
+    """A discrete field u(., t): values on a grid's nodes plus its time stamp."""
 
     grid: object
     values: np.ndarray
@@ -317,6 +329,9 @@ class Field:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
+        if self.values.shape != self.grid.shape:
+            raise PreconditionError(f"field values of shape {self.values.shape} do not "
+                                    f"match the grid's node shape {self.grid.shape}")
 
     def lock(self) -> "Field":
         """Mark the values read-only; emitted snapshots are immutable."""

@@ -1,4 +1,5 @@
-"""Mass ledger: time series of total mass and hole-boundary flux."""
+"""Mass ledger: time series of total mass and hole-boundary flux, with
+rows at the exact times of a march's steps and stops."""
 
 from dataclasses import dataclass, field
 from typing import List
@@ -6,8 +7,6 @@ from typing import List
 import numpy as np
 
 from ..errors import PreconditionError
-
-TIME_MATCH_TOL = 0.05  # a lookup at time t accepts entries within this x max(1, t)
 
 
 @dataclass
@@ -39,13 +38,11 @@ class MassLedger:
         )
 
     def mass_at(self, t: float) -> float:
-        """Mass of the row nearest t; KeyError when it lies further than
-        TIME_MATCH_TOL x max(1, t) from t."""
-        times, masses, _ = self.as_arrays()
-        i = int(np.argmin(np.abs(times - t)))
-        if abs(times[i] - t) > TIME_MATCH_TOL * max(1.0, t):
-            raise KeyError(f"no ledger row near t = {t} (closest: {times[i]})")
-        return float(masses[i])
+        """Mass of the row at exactly time t; KeyError when there is none."""
+        try:
+            return self.masses[self.times.index(t)]
+        except ValueError:
+            raise KeyError(f"no ledger row at t = {t}") from None
 
 
 def mass_balance_residual(ledger: MassLedger) -> float:

@@ -1,9 +1,12 @@
 """The Crank-Nicolson march shared by the radial, planar and axisymmetric solvers.
 
-A solver supplies solve(b) = (I - dt/2 L)^{-1} b for its operator L, the
-mass and hole-flux functionals of its ledger, and the map from the
-unknown vector to a snapshot Field. `march` owns everything else: the
-step, the ledger rows, the snapshot steps and the finiteness checks. With
+A run is a list of stops (time, step cap). The march covers the interval
+before each stop in `step_count` equal steps and lands on its time
+exactly. A solver supplies factor(dt), returning solve(b) =
+(I - dt/2 L)^{-1} b for its operator L (called once per distinct step
+size), the mass and hole-flux functionals of its ledger, and the map from
+the unknown vector to a snapshot Field. `march` owns everything else: the
+step, the ledger rows, the snapshots and the finiteness checks. With
 A = I - dt/2 L the right-hand side matrix is B = I + dt/2 L = 2I - A, so
 the step u+ = A^{-1} B u is u+ = 2 solve(u) - u and needs no matvec with L.
 
@@ -11,8 +14,10 @@ The radial solver builds its own symmetric tridiagonal solve
 (`fastsolve.symmetric_factor`) and marches in a scaled variable. The
 planar and axisymmetric solvers share `march_masked`, which does all of a
 masked-grid run from the grid's stencil: the datum checks, the hole-flux
-weights, the `fastsolve.MaskedCNSolve` build and the march.
+weights, the `fastsolve.MaskedCNSolve` builds and the march.
 """
+
+import math
 
 import numpy as np
 
@@ -24,47 +29,58 @@ from .ledger import MassLedger
 CHECK_EVERY = 200  # steps between finiteness checks of the march
 
 
-def march(u, cfg, solve, mass, flux, to_field, what):
-    """Advance u through cfg.n_steps Crank-Nicolson steps; returns (snapshots, ledger).
+def step_count(span: float, cap: float) -> int:
+    """Fewest equal steps no larger than cap that cover span (0 for span 0);
+    a span within round-off (1e-9 relative) of n caps takes n steps."""
+    return math.ceil(span / cap * (1.0 - 1e-9))
 
-    Ledger rows (t, mass(u), flux(u)) are written at t = 0, every
-    ledger_stride-th step, the last step and every snapshot step;
-    to_field(u, t) builds each locked snapshot. Values are checked for
+
+def march(u, stops, factor, mass, flux, to_field, what, ledger_stride=1):
+    """Advance u from t = 0 through the stops; returns (snapshots, ledger).
+
+    stops are (time, cap) pairs with increasing times. to_field(u, t)
+    builds the locked snapshot taken at every stop. Ledger rows
+    (t, mass(u), flux(u)) are written at t = 0, every ledger_stride-th
+    step and at every stop that a step reaches. Values are checked for
     finiteness every CHECK_EVERY steps and at the end; `what` names the
     evolution in the error.
     """
-    dt = cfg.dt
-    n_steps = cfg.n_steps
-    snap_steps = cfg.snapshot_steps()
+    solvers = {}
     ledger = MassLedger()
     ledger.append(0.0, mass(u), flux(u))
-    snaps = [to_field(u, 0.0)] if 0 in snap_steps else []
-    for k in range(1, n_steps + 1):
-        u = 2.0 * solve(u) - u
-        if k % CHECK_EVERY == 0 and not np.all(np.isfinite(u)):
-            raise NumericalError(f"non-finite values in {what} evolution", step=k)
-        if k % cfg.ledger_stride == 0 or k == n_steps or k in snap_steps:
-            ledger.append(k * dt, mass(u), flux(u))
-        if k in snap_steps:
-            snaps.append(to_field(u, k * dt))
+    snaps = []
+    t_prev, k = 0.0, 0
+    for t_stop, cap in stops:
+        n = step_count(t_stop - t_prev, cap)
+        if n:
+            dt = (t_stop - t_prev) / n
+            if dt not in solvers:
+                solvers[dt] = factor(dt)
+        for j in range(1, n + 1):
+            u = 2.0 * solvers[dt](u) - u
+            k += 1
+            if k % CHECK_EVERY == 0 and not np.all(np.isfinite(u)):
+                raise NumericalError(f"non-finite values in {what} evolution", step=k)
+            if j == n or k % ledger_stride == 0:
+                ledger.append(t_stop if j == n else t_prev + j * dt, mass(u), flux(u))
+        snaps.append(to_field(u, t_stop))
+        t_prev = t_stop
     if not np.all(np.isfinite(u)):
-        raise NumericalError(f"non-finite values in {what} evolution", step=n_steps)
+        raise NumericalError(f"non-finite values in {what} evolution", step=k)
     return snaps, ledger
 
 
-def march_masked(grid, u0, ghost, cfg, what):
+def march_masked(grid, u0, ghost, stops, ledger_stride, what):
     """march a datum on a PlanarGrid or AxisymGrid; returns (snapshots, ledger).
 
-    The datum must have the grid's node shape, be finite and vanish on the
-    hole nodes; only its active-node values enter. ghost is the hole ghost
-    factor of `grids.hole_ghost`. The mass is the volume-weighted sum over
-    the active nodes and the ledger flux is the hole flux
+    The datum must be finite and vanish on the hole nodes; only its
+    active-node values enter. ghost is the hole ghost factor of
+    `grids.hole_ghost`. The mass is the volume-weighted sum over the
+    active nodes and the ledger flux is the hole flux
     `grids.hole_weights` . u.
     """
     active, hole = grid.active_mask(), grid.hole_mask()
     values = np.asarray(u0.values, dtype=float)
-    if values.shape != active.shape:
-        raise PreconditionError("datum shape does not match the grid")
     if not np.all(np.isfinite(values)):
         raise PreconditionError("initial datum contains non-finite values")
     scale = max(1.0, float(np.max(np.abs(values))))
@@ -72,13 +88,15 @@ def march_masked(grid, u0, ghost, cfg, what):
         raise PreconditionError("datum must vanish on hole nodes")
     w_vec = grid.volume_weights()[active]
     hole_w = hole_weights(grid, ghost)
-    solve = MaskedCNSolve(active, hole, grid.stencil(), ghost, cfg.dt)
+
+    def factor(dt):
+        return MaskedCNSolve(active, hole, grid.stencil(), ghost, dt)
 
     def to_field(u_vec, t):
         full = np.zeros(active.shape)
         full[active] = u_vec
         return Field(grid, full, t).lock()
 
-    return march(values[active], cfg, solve,
+    return march(values[active], stops, factor,
                  lambda u: float(np.sum(w_vec * u)),
-                 lambda u: float(hole_w @ u), to_field, what)
+                 lambda u: float(hole_w @ u), to_field, what, ledger_stride)

@@ -7,8 +7,8 @@ u_ghost = u (1 - b h/2) / (1 + b h/2). The stencil is
 `PlanarGrid.stencil()`; the run itself is the masked-grid run
 `march.march_masked` shared with the axisymmetric solver. Each step is a
 full direct solve (no operator splitting) by `fastsolve.MaskedCNSolve`,
-built once per run: a sine transform in y, one stacked tridiagonal solve
-in x and a capacitance correction for the hole.
+built once per step size: a sine transform in y, one stacked tridiagonal
+solve in x and a capacitance correction for the hole.
 """
 
 from ..domain import ExteriorDomain, ThetaBoundary
@@ -37,4 +37,5 @@ def evolve_planar(domain: ExteriorDomain, theta: ThetaBoundary, u0: Field,
         raise GeometryError("grid half_width does not match domain.far_radius")
     if cfg.dt > grid.h * (1.0 + 1e-12):
         raise PreconditionError("accuracy guard: dt exceeds grid spacing h")
-    return march_masked(grid, u0, hole_ghost(theta, grid.h), cfg, "planar")
+    return march_masked(grid, u0, hole_ghost(theta, grid.h), cfg.stops(),
+                        cfg.ledger_stride, "planar")

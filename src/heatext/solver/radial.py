@@ -7,15 +7,16 @@ a = 0 switches to the smooth-origin parity row used for ball domains and
 whole-space probes. The truncation boundary is homogeneous Dirichlet.
 
 The stencil is symmetric with respect to the volume weights, so a
-diagonal D makes I - dt/2 L symmetric positive definite. A run factors
-that form once (`fastsolve.symmetric_factor`, LAPACK dpttrf) on the
-coupled nodes and each step is one dpttrs solve. The far node, whose
-value stays zero, is left out; node 0 is back-substituted from its row
-when it is the Dirichlet hole node or, for a = 0 in dim 3, when node 1
-has no link to it. The march runs in the scaled variable v = D u, so no
-step pays for the scaling: the mass weights are w / D, and the hole flux
-and the snapshots read u = v / D. The time loop is the shared `march`.
-The dim-3 elliptic profile solves these rows with the same factor.
+diagonal D makes I - dt/2 L symmetric positive definite; D depends on
+the stencil only, not on dt. A run factors that form once per step size
+(`fastsolve.symmetric_factor`, LAPACK dpttrf) on the coupled nodes and
+each step is one dpttrs solve. The far node, whose value stays zero, is
+left out; node 0 is back-substituted from its row when it is the
+Dirichlet hole node or, for a = 0 in dim 3, when node 1 has no link to
+it. The march runs in the scaled variable v = D u, so no step pays for
+the scaling: the mass weights are w / D, and the hole flux and the
+snapshots read u = v / D. The time loop is the shared `march`. The dim-3
+elliptic profile solves these rows with the same factor.
 """
 
 import math
@@ -73,32 +74,37 @@ def radial_operator(grid: RadialGrid, theta: ThetaBoundary):
     return lo, di, up
 
 
-def _crank_nicolson_run(grid, theta, u0_values, cfg):
+def _crank_nicolson_run(grid, theta, u0_values, stops, ledger_stride=1):
     lo, di, up = radial_operator(grid, theta)
-    half = 0.5 * cfg.dt
     n = grid.n_r  # unknowns: every node but the far one
     first = 0 if up[0] != 0.0 and lo[1] != 0.0 else 1  # first node of the coupled block
-    try:
-        block, d, e = symmetric_factor(-half * lo[first:n], 1.0 - half * di[first:n],
+
+    def factor(dt):
+        half = 0.5 * dt
+        try:
+            _, d, e = symmetric_factor(-half * lo[first:n], 1.0 - half * di[first:n],
                                        -half * up[first:n])
-    except NumericalError as exc:
-        # only a Robin row can do this: its diagonal turns positive for
-        # h > 2 a / (N - 1), and L gets an eigenvalue >= 2 / dt, which the
-        # Crank-Nicolson step amplifies
-        raise NumericalError(f"{exc}; the Robin row makes the radial operator grow "
-                             f"on this grid: h = {grid.h:g} is too coarse for the hole "
-                             f"(a = {grid.a:g}, theta = {theta.theta:g})") from exc
+        except NumericalError as exc:
+            # only a Robin row can do this: its diagonal turns positive for
+            # h > 2 a / (N - 1), and L gets an eigenvalue >= 2 / dt, which the
+            # Crank-Nicolson step amplifies
+            raise NumericalError(f"{exc}; the Robin row makes the radial operator grow "
+                                 f"on this grid: h = {grid.h:g} is too coarse for the hole "
+                                 f"(a = {grid.a:g}, theta = {theta.theta:g})") from exc
+        a00, a01 = 1.0 - half * di[0], -half * up[0]  # row 0; D = 1 on nodes 0 and first
+
+        def solve(v):
+            x = v.copy()
+            x[first:] = dpttrs(d, e, x[first:], overwrite_b=True)[0]  # no-op copy when in place
+            if first:
+                x[0] = (x[0] - a01 * x[1]) / a00
+            return x
+
+        return solve
+
+    # symmetric_factor's D, the same for every dt: it reads only the ratios up / lo
     scale = np.ones(n)
-    scale[first:] = block
-    a00, a01 = 1.0 - half * di[0], -half * up[0]  # row 0; D = 1 on nodes 0 and first
-
-    def solve(v):
-        x = v.copy()
-        x[first:] = dpttrs(d, e, x[first:], overwrite_b=True)[0]  # no-op copy when in place
-        if first:
-            x[0] = (x[0] - a01 * x[1]) / a00
-        return x
-
+    scale[first + 1:] = np.cumprod(np.sqrt(up[first:n - 1] / lo[first + 1:n]))
     w = grid.volume_weights()[:n] / scale
     a_pow = grid.a ** (grid.dim - 1)
     omega = sphere_surface_area(grid.dim)
@@ -119,15 +125,11 @@ def _crank_nicolson_run(grid, theta, u0_values, cfg):
         u[:n] = v / scale
         return Field(grid, u, t).lock()
 
-    return march(u0_values[:n] * scale, cfg, solve, lambda v: float(w @ v), flux,
-                 to_field, "radial")
+    return march(u0_values[:n] * scale, stops, factor, lambda v: float(w @ v), flux,
+                 to_field, "radial", ledger_stride)
 
 
 def _check_datum(grid, theta, values):
-    if values.shape != (grid.n_r + 1,):
-        raise PreconditionError(
-            f"datum shape {values.shape} does not match grid ({grid.n_r + 1},)"
-        )
     if not np.all(np.isfinite(values)):
         raise PreconditionError("initial datum contains non-finite values")
     scale = max(1.0, float(np.max(np.abs(values))))
@@ -165,7 +167,7 @@ def evolve_radial(domain: ExteriorDomain, theta: ThetaBoundary, u0: Field,
     if theta.is_dirichlet:
         values[0] = 0.0
     values[-1] = 0.0
-    return _crank_nicolson_run(grid, theta, values, cfg)
+    return _crank_nicolson_run(grid, theta, values, cfg.stops(), cfg.ledger_stride)
 
 
 def evolve_ball(radius: float, u0: Field, cfg: StepperConfig):
@@ -185,4 +187,5 @@ def evolve_ball(radius: float, u0: Field, cfg: StepperConfig):
     values = np.array(u0.values, dtype=float)
     _check_datum(grid, ThetaBoundary(1.0), values)
     values[-1] = 0.0
-    return _crank_nicolson_run(grid, ThetaBoundary(1.0), values, cfg)
+    return _crank_nicolson_run(grid, ThetaBoundary(1.0), values, cfg.stops(),
+                               cfg.ledger_stride)

@@ -22,6 +22,7 @@ from heatext.solver import (
 )
 from heatext.solver.fastsolve import MaskedCNSolve, symmetric_factor
 from heatext.solver.grids import hole_ghost, hole_weights, masked_laplacian
+from heatext.solver.march import step_count
 
 TOL = 1e-12
 
@@ -170,18 +171,21 @@ def test_singular_capacitance_matrix_raises():
 
 
 def _reference_march(values, L, hole_w, weights, cfg):
-    """Crank-Nicolson stepped as u+ = splu(A).solve(B @ u)."""
-    A, B = _cn_matrices(L, cfg.dt)
-    lu = splu(A)
+    """Crank-Nicolson stepped as u+ = splu(A).solve(B @ u) through cfg's stops."""
     u = values.copy()
     rows = [(0.0, weights @ u, hole_w @ u)]
     snaps = []
-    snap_steps = cfg.snapshot_steps()
-    for k in range(1, cfg.n_steps + 1):
-        u = lu.solve(B @ u)
-        rows.append((k * cfg.dt, weights @ u, hole_w @ u))
-        if k in snap_steps:
-            snaps.append(u.copy())
+    t_prev = 0.0
+    for t_stop, cap in cfg.stops():
+        n = step_count(t_stop - t_prev, cap)
+        dt = (t_stop - t_prev) / max(n, 1)
+        A, B = _cn_matrices(L, dt)
+        lu = splu(A)
+        for j in range(1, n + 1):
+            u = lu.solve(B @ u)
+            rows.append((t_stop if j == n else t_prev + j * dt, weights @ u, hole_w @ u))
+        snaps.append(u.copy())
+        t_prev = t_stop
     return np.array(rows), snaps
 
 

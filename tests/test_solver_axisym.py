@@ -60,7 +60,7 @@ def test_probe_z_symmetry_without_hole():
     u0 = mollifier_bump(np.sqrt(R ** 2 + Z ** 2), 0.5)
     cfg = StepperConfig(dt=0.05, snapshot_times=(1.0,))
     from heatext.solver.axisym import _axisym_run
-    snaps, _ = _axisym_run(grid, Field(grid, u0), cfg)
+    snaps, _ = _axisym_run(grid, Field(grid, u0), cfg.stops())
     v = snaps[-1].values
     assert float(np.max(np.abs(v - v[:, ::-1]))) <= 1e-12
 
@@ -79,9 +79,20 @@ def test_probe_reflected_source():
         u0 = mollifier_bump(np.sqrt(R ** 2 + (Z - z0) ** 2), 0.5)
         u0[grid.hole_mask()] = 0.0
         u0 /= float(np.sum(w * u0))
-        snaps, _ = _axisym_run(grid, Field(grid, u0), cfg)
+        snaps, _ = _axisym_run(grid, Field(grid, u0), cfg.stops())
         outs[z0] = snaps[-1].values
     assert float(np.max(np.abs(outs[-3.0] - outs[3.0][:, ::-1]))) <= 1e-10
+
+
+def test_probe_answers_at_the_requested_times():
+    # 0.73 is not a whole number of main-phase steps after the warm-up;
+    # the probe still stops there, and its ledger has a row at that time
+    probe = kernel_probe(_domain(10.0), 3.0, 0.5, (0.73, 10.0), n_rho=64, n_z=128)
+    assert probe.snapshot_at(0.73).time == 0.73
+    assert [s.time for s in probe.snapshots] == [0.73, 10.0]
+    assert 0.73 in probe.ledger.times and probe.ledger.times[-1] == 10.0
+    with pytest.raises(KeyError):
+        probe.snapshot_at(0.7)
 
 
 def test_probe_smearing_audit():

@@ -22,6 +22,7 @@ from heatext.solver import (
     evolve_radial,
     mass_balance_residual,
 )
+from heatext.solver.march import step_count
 from heatext.solver.radial import radial_operator
 
 DIRICHLET = ThetaBoundary(0.0)
@@ -139,11 +140,53 @@ def test_mass_at_rejects_times_without_a_row():
     for t, m in ((0.0, 1.0), (1.0, 0.9), (10.0, 0.5)):
         ledger.append(t, m, 0.0)
     assert ledger.mass_at(10.0) == 0.5
-    assert ledger.mass_at(1.04) == 0.9  # within 0.05 max(1, t)
-    with pytest.raises(KeyError):
-        ledger.mass_at(5.0)
+    assert ledger.mass_at(1.0) == 0.9
+    for t in (1.04, 5.0):
+        with pytest.raises(KeyError):
+            ledger.mass_at(t)
     with pytest.raises(KeyError):
         ledger.mass_at(11.0)
+
+
+def test_field_rejects_values_off_the_grid_nodes():
+    with pytest.raises(PreconditionError, match="shape"):
+        Field(RadialGrid(1.0, 9.0, 64, 3), np.ones(70))
+
+
+def _bump_run(cfg, h=0.25):
+    """A Dirichlet run of a bump datum on a 64-cell grid of spacing h."""
+    grid = RadialGrid(a=1.0, r_out=1.0 + 64 * h, n_r=64, dim=3)
+    r = grid.nodes()
+    vals = np.where(np.abs(r - 4.0) < 2.0, (1.0 - ((r - 4.0) / 2.0) ** 2) ** 2, 0.0)
+    domain = ExteriorDomain(3, BallHole(1.0), grid.r_out)
+    return evolve_radial(domain, DIRICHLET, Field(grid, vals), cfg)
+
+
+def test_snapshot_time_off_the_step_grid_is_reached_exactly():
+    # 1.0 is not a multiple of dt = 0.3: four equal steps of 0.25
+    snaps, ledger = _bump_run(StepperConfig(dt=0.3, snapshot_times=(1.0,)), h=0.3)
+    assert snaps[-1].time == 1.0
+    assert ledger.times == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(cap=st.floats(0.02, 0.25),
+       spans=st.lists(st.tuples(st.integers(0, 5),
+                                st.one_of(st.just(0.0), st.floats(0.05, 0.95))),
+                      min_size=1, max_size=4))
+@example(cap=0.25, spans=[(0, 0.5), (3, 0.0), (1, 0.37)])
+def test_march_stops_at_every_requested_time(cap, spans):
+    # each span between snapshots is k caps plus a fraction f of one; the
+    # march takes exactly k steps (f = 0) or k + 1 equal smaller ones
+    spans = [(k, f) for k, f in spans if k or f] or [(1, 0.0)]
+    times = tuple(np.cumsum([(k + f) * cap for k, f in spans]))
+    cfg = StepperConfig(dt=cap, snapshot_times=times)
+    snaps, ledger = _bump_run(cfg)
+    assert [s.time for s in snaps] == list(times)
+    assert all(t in ledger.times for t in times)
+    steps = np.diff(ledger.times)
+    assert np.all(steps <= cap * (1.0 + 1e-9) + 4.0 * np.spacing(times[-1]))
+    assert len(steps) == sum(k + (f > 0.0) for k, f in spans)
 
 
 def test_zero_datum_short_circuits():
@@ -325,24 +368,28 @@ def test_domain_monotonicity_ball_inside_exterior():
 
 
 def _banded_reference(grid, theta, values, cfg):
-    """Crank-Nicolson stepped as u+ = solve_banded(A, B u): (masses, snapshots)."""
+    """Crank-Nicolson stepped as u+ = solve_banded(A, B u) through cfg's stops:
+    (masses, snapshots)."""
     lo, di, up = radial_operator(grid, theta)
-    half = 0.5 * cfg.dt
-    ab = np.zeros((3, values.size))
-    ab[0, 1:] = -half * up[:-1]
-    ab[1, :] = 1.0 - half * di
-    ab[2, :-1] = -half * lo[1:]
     w = grid.volume_weights()
     u = values.copy()
     masses, snaps = [float(w @ u)], []
-    for k in range(1, cfg.n_steps + 1):
-        rhs = (1.0 + half * di) * u
-        rhs[:-1] += half * up[:-1] * u[1:]
-        rhs[1:] += half * lo[1:] * u[:-1]
-        u = solve_banded((1, 1), ab, rhs)
-        masses.append(float(w @ u))
-        if k in cfg.snapshot_steps():
-            snaps.append(u)
+    t_prev = 0.0
+    for t_stop, cap in cfg.stops():
+        n = step_count(t_stop - t_prev, cap)
+        half = 0.5 * (t_stop - t_prev) / max(n, 1)
+        ab = np.zeros((3, values.size))
+        ab[0, 1:] = -half * up[:-1]
+        ab[1, :] = 1.0 - half * di
+        ab[2, :-1] = -half * lo[1:]
+        for _ in range(n):
+            rhs = (1.0 + half * di) * u
+            rhs[:-1] += half * up[:-1] * u[1:]
+            rhs[1:] += half * lo[1:] * u[:-1]
+            u = solve_banded((1, 1), ab, rhs)
+            masses.append(float(w @ u))
+        snaps.append(u)
+        t_prev = t_stop
     return np.array(masses), snaps
 
 
