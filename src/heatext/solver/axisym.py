@@ -5,11 +5,12 @@ Cylindrical Laplacian u_rhorho + u_rho/rho + u_zz with the parity row
 The ball hole is a masked staircase with Dirichlet nodes; only Dirichlet
 hole conditions are supported here (a staircase Robin condition would
 degrade to first order). The run itself is the masked-grid run
-`march.march_masked` shared with the planar solver. Each step is a direct
-solve by `fastsolve.MaskedCNSolve`: a sine transform in z, one stacked
-tridiagonal solve in rho and a capacitance correction on the hole
-staircase. Used for off-axis sources: kernel probes and domain-comparison
-checks.
+`march.march_masked` shared with the planar solver, on the sine modes in
+z of the scaled values: the datum is transformed once and the values are
+read back only at the stops. Each step is a direct solve by
+`fastsolve.MaskedCNSolve`: one stacked tridiagonal solve in rho and a
+capacitance correction on the hole staircase, with no sine transform.
+Used for off-axis sources: kernel probes and domain-comparison checks.
 """
 
 from ..domain import BallHole, ExteriorDomain, ThetaBoundary

@@ -5,13 +5,20 @@ box of non-edge nodes it is the Kronecker sum of a tridiagonal operator T0
 along axis 0 (x, or rho with its parity row: off-diagonals lo0 and up0,
 diagonal -(lo0 + up0)) and the constant stencil c1 (1, -2, 1) along axis 1
 (y or z, c1 = lo1 = up1) with Dirichlet end columns. The orthonormal DST-I
-diagonalises the axis-1 part, so the box matrix A0 = I - dt/2 (T0 + c1 T1)
+S diagonalises the axis-1 part, so the box matrix A0 = I - dt/2 (T0 + c1 T1)
 splits into one tridiagonal system per sine mode. The modes are stacked
-into one tridiagonal matrix, factored once and solved once per step in
+into one tridiagonal matrix, factored once per step size and solved in
 the symmetric form of `symmetric_factor` (dpttrf, dpttrs). The scaling D
-acts on axis 0 only, so it commutes with the DST along axis 1: it is
-folded into the scatter and the gather of the active nodes, and the box
-arrays between them hold D times the unscaled box values.
+acts on axis 0 only, reads only the stencil's up / lo ratios and commutes
+with S along axis 1.
+
+A run therefore marches the mode vector U = S (D u) of the box
+(`SineModes`): the datum is scattered, scaled and transformed once, and
+the values are read back (`from_modes`) only where a snapshot is taken.
+Linear functionals a . u become dot products with S (a / D). A step
+(`MaskedCNSolve.solve_modes`) is one stacked tridiagonal solve, a dense
+solve of the capacitance rank and one pass over stored columns: no DST,
+no scatter and no gather.
 
 The hole enters by the capacitance matrix method (Buzbee, Dorr, George &
 Golub, SIAM J. Numer. Anal. 8 (1971) 722; Proskurowski & Widlund, Math.
@@ -20,17 +27,27 @@ chosen so that the box solution vanishes there, which cuts the links into
 the hole. When the hole ghost factor g is nonzero, sources on the active
 nodes next to the hole add back their diagonal shift g * (hole-link
 coefficients) (a Woodbury correction). Setup stores, for each box row that
-holds a capacitance node, that column of every mode's tridiagonal inverse.
-A step then costs one DST pair, one stacked tridiagonal solve, a dense
-solve of the capacitance rank and one pass over the stored columns: the
-sources are found from the spectral solution at their nodes, and their
-response is added in spectral space before the inverse DST.
+holds a capacitance node, that column of every mode's tridiagonal inverse:
+the sources are found from the spectral solution at their nodes, and their
+response is added in spectral space. Every active row of the box system
+touches only active nodes and capacitance hole nodes, where the solution
+is forced to zero, so the active values never depend on what the box
+holds at hole nodes. Those entries start at zero, since the datum
+vanishes on the hole, and then evolve by a stable Crank-Nicolson step
+with zero boundary values, so they stay at round-off.
 """
 
 import numpy as np
 from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dpttrf, dpttrs
 
 from ..errors import NumericalError
+
+
+def tridiagonal_scale(lo, up):
+    """D[0] = 1, D[i + 1] / D[i] = sqrt(up[i] / lo[i + 1]): the diagonal that
+    makes a tridiagonal with these off-diagonals symmetric. It reads only
+    their ratios, so I - dt/2 L takes the same D for every dt."""
+    return np.concatenate(([1.0], np.cumprod(np.sqrt(up[:-1] / lo[1:]))))
 
 
 def symmetric_factor(lo, di, up):
@@ -50,7 +67,7 @@ def symmetric_factor(lo, di, up):
     if not np.all((prod > 0.0) & np.isfinite(prod)):
         raise NumericalError("tridiagonal is not symmetrisable: a coupling product "
                              "lo[i + 1] up[i] is not positive and finite")
-    scale = np.concatenate(([1.0], np.cumprod(np.sqrt(up[:-1] / lo[1:]))))
+    scale = tridiagonal_scale(lo, up)
     di = np.atleast_2d(di)
     e = np.tile(np.append(np.copysign(np.sqrt(prod), up[:-1]), 0.0), di.shape[0])[:-1]
     d, e, info = dpttrf(di.ravel(), e)
@@ -67,45 +84,83 @@ def _neighbours(mask):
     return pad[2:, 1:-1], pad[:-2, 1:-1], pad[1:-1, 2:], pad[1:-1, :-2]
 
 
-class MaskedCNSolve:
+class SineModes:
+    """The sine-mode space of a masked grid's box.
+
+    The box is the node rows from the first to the last that hold an
+    active node (`rows`), without the first and last columns; every node
+    outside it lies on the outer edge, where the value is zero. A mode
+    vector is U = S (D u), flattened from shape `shape` (mode-major: axis
+    1 first): the active-node values u, scaled by the stencil's D along
+    axis 0 (`scale`, `tridiagonal_scale` of the axis-0 links) and
+    scattered into the box with zeros elsewhere, then transformed by the
+    orthonormal DST-I S along axis 1. S is symmetric and orthogonal, so
+    a . u = functional(a) . U for any active-node weights a.
+    """
+
+    def __init__(self, active, stencil):
+        from scipy.fft import dst  # imported here: heatext.cli does not load scipy.fft
+
+        lo0, up0 = stencil[:2]
+        filled = np.flatnonzero(active.any(axis=1))
+        self.rows = slice(filled[0], filled[-1] + 1)
+        self._act = active[self.rows, 1:-1]
+        n0, n1 = self._act.shape
+        self.shape = (n1, n0)
+        self.scale = tridiagonal_scale(lo0[self.rows], up0[self.rows])
+        # D at each active node, or None where the stencil is symmetric (D = 1)
+        self._node_scale = (None if np.all(self.scale == 1.0)
+                            else self.scale[np.nonzero(self._act)[0]])
+        self._dst = dst
+
+    def _transform(self, values):
+        box = np.zeros(self.shape)
+        box.T[self._act] = values
+        return self._dst(box, type=1, axis=0, norm="ortho", overwrite_x=True).ravel()
+
+    def to_modes(self, u):
+        """U = S (D u) of the active-node values u."""
+        return self._transform(u if self._node_scale is None else u * self._node_scale)
+
+    def functional(self, a):
+        """The mode vector S (a / D), whose dot product with to_modes(u) is a . u."""
+        return self._transform(a if self._node_scale is None else a / self._node_scale)
+
+    def from_modes(self, modes):
+        """The active-node values u of the mode vector U = S (D u)."""
+        x = self._dst(modes.reshape(self.shape), type=1, axis=0, norm="ortho").T[self._act]
+        return x if self._node_scale is None else x / self._node_scale
+
+
+class MaskedCNSolve(SineModes):
     """solve(b) = (I - dt/2 L)^{-1} b over the active nodes of a masked grid.
 
     active and hole are node masks, stencil the grid's link coefficients
     (lo0, up0, lo1, up1) and ghost the hole ghost factor of
     `grids.hole_ghost`; L is the operator that `grids.masked_laplacian`
-    assembles from them. The box is the node rows from the first to the
-    last that hold an active node, without the first and last columns;
-    every box node must be active or in the hole, and every node outside
-    it lies on the outer edge, where the value is zero. The DST-I needs
-    the axis-1 coefficients to be one constant, c1 = up1[0]. `rank` is the
-    size of the capacitance system.
+    assembles from them. Every box node (see `SineModes`) must be active
+    or in the hole. The DST-I needs the axis-1 coefficients to be one
+    constant, c1 = up1[0]. `solve_modes` is the solve on mode vectors,
+    the one a march calls each step; calling the solver on active-node
+    values is from_modes(solve_modes(to_modes(b))). `rank` is the size of
+    the capacitance system.
     """
 
     def __init__(self, active, hole, stencil, ghost, dt):
-        from scipy.fft import dst  # imported here: heatext.cli does not load scipy.fft
-
+        super().__init__(active, stencil)
         lo0, up0, _, up1 = stencil
         c1 = up1[0]
-        filled = np.flatnonzero(active.any(axis=1))
-        rows = slice(filled[0], filled[-1] + 1)
-        lo, up = lo0[rows], up0[rows]
+        lo, up = lo0[self.rows], up0[self.rows]
         di = -(lo + up)
-        act = active[rows, 1:-1]
-        in_hole = hole[rows, 1:-1]
-        n0, n1 = act.shape
-        self._dst = dst
-        self._shape = (n1, n0)  # box arrays are mode-major: axis 1 first
+        act, in_hole = self._act, hole[self.rows, 1:-1]
+        n1, n0 = self.shape
+        scale = self.scale
 
         half = 0.5 * dt
         k = np.arange(1, n1 + 1)
         lam = -4.0 * c1 * np.sin(0.5 * np.pi * k / (n1 + 1)) ** 2
-        scale, *self._tri = symmetric_factor(
+        _, *self._tri = symmetric_factor(
             -half * lo, 1.0 - half * (di[None, :] + lam[:, None]), -half * up)
-
-        pos = np.arange(n0 * n1).reshape(n1, n0).T  # box node (i, j) -> position
-        self._pos = pos[act]
-        # D at each active node; None where the stencil is symmetric (D = 1)
-        self._scale = None if np.all(scale == 1.0) else scale[np.nonzero(act)[0]]
 
         up_h, lo_h, right_h, left_h = _neighbours(in_hole)
         src = in_hole & np.logical_or.reduce(_neighbours(act))
@@ -122,20 +177,20 @@ class MaskedCNSolve:
 
         # Each mode's tridiagonal inverse, column by column for the box rows
         # that hold a capacitance node, times D: a unit source at node (i, j)
-        # has the scaled spectral response phi_k(j) * rows_inv[row of i, k].
-        i_src, j_src = np.nonzero(src)  # sorted by row
-        src_rows, self._row_start, row_of = np.unique(
-            i_src, return_index=True, return_inverse=True)
-        unit = np.zeros((n1, n0, src_rows.size))
-        unit[:, src_rows, np.arange(src_rows.size)] = scale[src_rows]
-        rows_inv, _ = dpttrs(*self._tri, unit.reshape(n0 * n1, -1))
-        self._rows_inv = rows_inv.T.reshape(src_rows.size, n1, n0)
+        # has the scaled spectral response phi_k(j) * rows_inv[k, row of i].
+        i_src, j_src = np.nonzero(src)
+        src_rows, row_of = np.unique(i_src, return_inverse=True)
+        unit = np.zeros((src_rows.size, n1, n0))  # solved in place, column by column
+        unit[np.arange(src_rows.size), :, src_rows] = scale[src_rows, None]
+        rows_inv, _ = dpttrs(*self._tri, unit.reshape(src_rows.size, -1).T, overwrite_b=True)
+        self._rows_inv = np.ascontiguousarray(rows_inv.T.reshape(-1, n1, n0).transpose(1, 0, 2))
+        self._in_row = np.eye(src_rows.size)[row_of]  # [a, r]: node a lies in source row r
         # orthonormal DST-I basis at the columns of the capacitance nodes
         self._phi = np.sqrt(2.0 / (n1 + 1)) * np.sin(np.pi * np.outer(k, j_src + 1) / (n1 + 1))
         self._i_src = i_src
         # unscaled box solution at capacitance node a for a unit source at node b
-        q = self._rows_inv[:, :, i_src][row_of]  # q[b, k, a]
-        resp = np.einsum("ka,bka,kb->ab", self._phi, q, self._phi) / scale[i_src, None]
+        q = self._rows_inv[:, :, i_src][:, row_of]  # q[k, b, a]
+        resp = np.einsum("ka,kba,kb->ab", self._phi, q, self._phi) / scale[i_src, None]
         # hole nodes: the solution z vanishes; active nodes: s + weight z = 0,
         # which adds their diagonal shift weight = -dt/2 ghost (hole links)
         cap = weight[:, None] * resp
@@ -149,20 +204,21 @@ class MaskedCNSolve:
         # off the scaled box solution
         self._weight = -weight / scale[i_src]
 
-    def __call__(self, b):
-        n1, n0 = self._shape
-        box = np.zeros(n1 * n0)
-        box[self._pos] = b if self._scale is None else b * self._scale
-        spec = self._dst(box.reshape(n1, n0), type=1, axis=0, norm="ortho", overwrite_x=True)
-        w, _ = dpttrs(*self._tri, spec.reshape(-1), overwrite_b=True)
-        w = w.reshape(n1, n0)
+    def solve_modes(self, modes):
+        """to_modes((I - dt/2 L)^{-1} u) for modes = to_modes(u), to round-off.
+
+        The active part of the result does not depend on the hole entries
+        of modes, and the hole entries of the result are round-off; modes
+        is not changed.
+        """
+        w, _ = dpttrs(*self._tri, modes)
         if self.rank:
+            w = w.reshape(self.shape)
             y_src = np.einsum("ka,ka->a", self._phi, w[:, self._i_src])
             s, _ = dgetrs(*self._cap, self._weight * y_src)
-            amp = np.add.reduceat(self._phi * s, self._row_start, axis=1)
-            w += np.einsum("kr,rkn->kn", amp, self._rows_inv)
-        x = self._dst(w, type=1, axis=0, norm="ortho", overwrite_x=True)
-        x = x.ravel()[self._pos]
-        if self._scale is not None:
-            x /= self._scale
-        return x
+            amp = self._phi @ (s[:, None] * self._in_row)  # [k, r]: the sources of row r
+            w += (amp[:, None, :] @ self._rows_inv).reshape(self.shape)
+        return w.ravel()
+
+    def __call__(self, b):
+        return self.from_modes(self.solve_modes(self.to_modes(b)))

@@ -14,7 +14,9 @@ The radial solver builds its own symmetric tridiagonal solve
 (`fastsolve.symmetric_factor`) and marches in a scaled variable. The
 planar and axisymmetric solvers share `march_masked`, which does all of a
 masked-grid run from the grid's stencil: the datum checks, the hole-flux
-weights, the `fastsolve.MaskedCNSolve` builds and the march.
+weights, the `fastsolve.MaskedCNSolve` builds and the march, which runs
+on sine modes: a step does no sine transform, and the values are read
+back only at the stops.
 """
 
 import math
@@ -22,7 +24,7 @@ import math
 import numpy as np
 
 from ..errors import NumericalError, PreconditionError
-from .fastsolve import MaskedCNSolve
+from .fastsolve import MaskedCNSolve, SineModes
 from .grids import Field, hole_weights
 from .ledger import MassLedger
 
@@ -77,7 +79,9 @@ def march_masked(grid, u0, ghost, stops, ledger_stride, what):
     active-node values enter. ghost is the hole ghost factor of
     `grids.hole_ghost`. The mass is the volume-weighted sum over the
     active nodes and the ledger flux is the hole flux
-    `grids.hole_weights` . u.
+    `grids.hole_weights` . u. The march runs on the mode vectors of
+    `fastsolve.SineModes`: both functionals are dot products with their
+    mode vectors, and values are read back only at the stops.
     """
     active, hole = grid.active_mask(), grid.hole_mask()
     values = np.asarray(u0.values, dtype=float)
@@ -86,17 +90,19 @@ def march_masked(grid, u0, ghost, stops, ledger_stride, what):
     scale = max(1.0, float(np.max(np.abs(values))))
     if np.any(np.abs(values[hole]) > 1e-9 * scale):
         raise PreconditionError("datum must vanish on hole nodes")
-    w_vec = grid.volume_weights()[active]
-    hole_w = hole_weights(grid, ghost)
+    stencil = grid.stencil()
+    modes = SineModes(active, stencil)
+    mass_w = modes.functional(grid.volume_weights()[active])
+    flux_w = modes.functional(hole_weights(grid, ghost))
 
     def factor(dt):
-        return MaskedCNSolve(active, hole, grid.stencil(), ghost, dt)
+        return MaskedCNSolve(active, hole, stencil, ghost, dt).solve_modes
 
-    def to_field(u_vec, t):
+    def to_field(u_modes, t):
         full = np.zeros(active.shape)
-        full[active] = u_vec
+        full[active] = modes.from_modes(u_modes)
         return Field(grid, full, t).lock()
 
-    return march(values[active], stops, factor,
-                 lambda u: float(np.sum(w_vec * u)),
-                 lambda u: float(hole_w @ u), to_field, what, ledger_stride)
+    return march(modes.to_modes(values[active]), stops, factor,
+                 lambda u: float(mass_w @ u), lambda u: float(flux_w @ u),
+                 to_field, what, ledger_stride)

@@ -5,10 +5,12 @@ zero, Neumann drops the links crossing the hole boundary, and Robin
 replaces the masked neighbour by the second-order face ghost
 u_ghost = u (1 - b h/2) / (1 + b h/2). The stencil is
 `PlanarGrid.stencil()`; the run itself is the masked-grid run
-`march.march_masked` shared with the axisymmetric solver. Each step is a
-full direct solve (no operator splitting) by `fastsolve.MaskedCNSolve`,
-built once per step size: a sine transform in y, one stacked tridiagonal
-solve in x and a capacitance correction for the hole.
+`march.march_masked` shared with the axisymmetric solver. It marches the
+sine modes in y of the values: the datum is transformed once and the
+values are read back only at the snapshot times. Each step is a full
+direct solve (no operator splitting) by `fastsolve.MaskedCNSolve`, built
+once per step size: one stacked tridiagonal solve in x and a capacitance
+correction for the hole, with no sine transform.
 """
 
 from ..domain import ExteriorDomain, ThetaBoundary

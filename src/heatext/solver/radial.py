@@ -32,7 +32,7 @@ from ..domain import (
 )
 from ..errors import GeometryError, NumericalError, PreconditionError
 from .config import StepperConfig
-from .fastsolve import symmetric_factor
+from .fastsolve import symmetric_factor, tridiagonal_scale
 from .grids import Field, RadialGrid
 from .march import march
 
@@ -102,9 +102,8 @@ def _crank_nicolson_run(grid, theta, u0_values, stops, ledger_stride=1):
 
         return solve
 
-    # symmetric_factor's D, the same for every dt: it reads only the ratios up / lo
-    scale = np.ones(n)
-    scale[first + 1:] = np.cumprod(np.sqrt(up[first:n - 1] / lo[first + 1:n]))
+    scale = np.ones(n)  # symmetric_factor's D, the same for every dt
+    scale[first:] = tridiagonal_scale(lo[first:n], up[first:n])
     w = grid.volume_weights()[:n] / scale
     a_pow = grid.a ** (grid.dim - 1)
     omega = sphere_surface_area(grid.dim)

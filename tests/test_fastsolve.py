@@ -1,10 +1,14 @@
 """The DST + capacitance solver against sparse LU, the masked marches it
-drives against a reference march stepped by splu and B @ u, and the
-symmetric tridiagonal factor they share with the radial march."""
+drives against reference marches stepped by splu and B @ u and by the
+node-space solve, the mode-space march's independence of the hole
+entries and its set-up counts, and the symmetric tridiagonal factor the
+solver shares with the radial march."""
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.sparse as sp
+from scipy.fft import dst
 from scipy.linalg.lapack import dpttrs
 from scipy.sparse.linalg import splu
 
@@ -20,9 +24,10 @@ from heatext.solver import (
     evolve_planar,
     mollifier_bump,
 )
-from heatext.solver.fastsolve import MaskedCNSolve, symmetric_factor
+from heatext.solver import march as march_module
+from heatext.solver.fastsolve import MaskedCNSolve, SineModes, symmetric_factor
 from heatext.solver.grids import hole_ghost, hole_weights, masked_laplacian
-from heatext.solver.march import step_count
+from heatext.solver.march import march, march_masked, step_count
 
 TOL = 1e-12
 
@@ -170,19 +175,39 @@ def test_singular_capacitance_matrix_raises():
     assert np.min(np.abs(A).sum(axis=1)) == 0.0
 
 
-def _reference_march(values, L, hole_w, weights, cfg):
-    """Crank-Nicolson stepped as u+ = splu(A).solve(B @ u) through cfg's stops."""
+def _splu_steps(L):
+    """step(dt): u -> splu(A).solve(B @ u), Crank-Nicolson stepped by sparse LU."""
+    def step(dt):
+        A, B = _cn_matrices(L, dt)
+        lu = splu(A)
+        return lambda u: lu.solve(B @ u)
+    return step
+
+
+def _node_steps(grid, ghost):
+    """step(dt): u -> 2 solve(u) - u with the node-space MaskedCNSolve call."""
+    def step(dt):
+        solve = _solver(grid, ghost, dt)
+        return lambda u: 2.0 * solve(u) - u
+    return step
+
+
+def _reference_march(values, hole_w, weights, stops, step):
+    """Crank-Nicolson stepped by step(dt) through the stops; one step per
+    distinct step size is built, and none for an interval without steps."""
     u = values.copy()
     rows = [(0.0, weights @ u, hole_w @ u)]
     snaps = []
+    steps = {}
     t_prev = 0.0
-    for t_stop, cap in cfg.stops():
+    for t_stop, cap in stops:
         n = step_count(t_stop - t_prev, cap)
-        dt = (t_stop - t_prev) / max(n, 1)
-        A, B = _cn_matrices(L, dt)
-        lu = splu(A)
+        if n:
+            dt = (t_stop - t_prev) / n
+            if dt not in steps:
+                steps[dt] = step(dt)
         for j in range(1, n + 1):
-            u = lu.solve(B @ u)
+            u = steps[dt](u)
             rows.append((t_stop if j == n else t_prev + j * dt, weights @ u, hole_w @ u))
         snaps.append(u.copy())
         t_prev = t_stop
@@ -213,8 +238,8 @@ def test_planar_march_matches_splu_reference(theta, hole):
     snaps, ledger = evolve_planar(ExteriorDomain(2, hole, 6.0), tb, u0, cfg)
     L, hole_w = _operator(grid, hole_ghost(tb, grid.h))
     active = grid.active_mask()
-    rows, want = _reference_march(u0.values[active], L, hole_w,
-                                  grid.volume_weights()[active], cfg)
+    rows, want = _reference_march(u0.values[active], hole_w, grid.volume_weights()[active],
+                                  cfg.stops(), _splu_steps(L))
     _check_march(grid, snaps, ledger, rows, want)
 
 
@@ -228,8 +253,8 @@ def test_axisym_march_matches_splu_reference():
                                   ThetaBoundary(0.0), Field(grid, u0), cfg)
     L, hole_w = _operator(grid, 0.0)
     active = grid.active_mask()
-    rows, want = _reference_march(u0[active], L, hole_w,
-                                  grid.volume_weights()[active], cfg)
+    rows, want = _reference_march(u0[active], hole_w, grid.volume_weights()[active],
+                                  cfg.stops(), _splu_steps(L))
     _check_march(grid, snaps, ledger, rows, want)
 
 
@@ -259,3 +284,140 @@ def test_masked_runs_check_the_datum(kind, defect, message):
         values[grid.hole_mask()] = 1e-3
     with pytest.raises(PreconditionError, match=message):
         run(Field(grid, values), StepperConfig(dt=0.1, snapshot_times=(0.2,)))
+
+
+# ------------------------------------------------------------ mode-space march
+
+# a warm-up cap, then a main cap, as a kernel probe takes them
+TWO_CAP_STOPS = ((0.25, 0.25 / 16), (1.0, 0.125), (2.0, 0.125))
+
+
+def _masked_case(kind):
+    """(grid, ghost, datum values) of the mode-space march checks."""
+    if kind == "axisym":
+        grid = AxisymGrid(rho_max=6.0, z_half=7.0, n_rho=40, n_z=96, hole_radius=1.0)
+        R, Z = grid.meshgrid()
+        u0 = mollifier_bump(np.sqrt(R ** 2 + (Z - 2.5) ** 2), 1.0)
+        u0[grid.hole_mask() | grid.edge_mask()] = 0.0
+        return grid, 0.0, u0
+    grid = PlanarGrid(half_width=6.0, n=48, hole=RectHole(1.0, 1.0))
+    theta = {"dirichlet": 0.0, "robin": 0.5, "neumann": 1.0}[kind]
+    u0 = make_planar_datum("gaussian-bump:2.5,0.5,1", grid).values
+    return grid, _planar_ghost(grid, theta), u0
+
+
+CASES = ["dirichlet", "robin", "neumann", "axisym"]
+
+
+@pytest.mark.parametrize("kind", CASES)
+def test_mode_march_matches_node_space_steps(kind):
+    grid, ghost, u0 = _masked_case(kind)
+    assert (ghost != 0.0) == (kind in ("robin", "neumann"))
+    snaps, ledger = march_masked(grid, Field(grid, u0), ghost, TWO_CAP_STOPS, 1, kind)
+    active = grid.active_mask()
+    rows, want = _reference_march(u0[active], hole_weights(grid, ghost),
+                                  grid.volume_weights()[active], TWO_CAP_STOPS,
+                                  _node_steps(grid, ghost))
+    _check_march(grid, snaps, ledger, rows, want)
+
+
+def _box_values(solver, modes):
+    """u on every box node (hole nodes included): the unrestricted inverse DST."""
+    box = dst(modes.reshape(solver.shape), type=1, axis=0, norm="ortho").T
+    return box / solver.scale[:, None]
+
+
+@pytest.mark.parametrize("kind", CASES)
+def test_solve_modes_ignores_the_hole_entries(kind):
+    grid, ghost, _ = _masked_case(kind)
+    solver = _solver(grid, ghost, 0.125)
+    assert solver.rank > 0
+    box_hole = grid.hole_mask()[solver.rows, 1:-1]
+    rng = np.random.default_rng(31)
+    for _ in range(3):
+        modes = rng.standard_normal(solver.shape[0] * solver.shape[1])
+        bump = np.zeros(solver.shape)  # values on the hole nodes only
+        bump.T[box_hole] = 10.0 * rng.standard_normal(int(box_hole.sum()))
+        moved = modes + dst(bump, type=1, axis=0, norm="ortho").ravel()
+        assert np.max(np.abs(moved - modes)) > 0.1
+        want = solver.from_modes(solver.solve_modes(modes))
+        got = solver.from_modes(solver.solve_modes(moved))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind", CASES)
+def test_hole_entries_of_the_marched_modes_stay_at_round_off(kind):
+    grid, ghost, u0 = _masked_case(kind)
+    active, hole = grid.active_mask(), grid.hole_mask()
+    modes = SineModes(active, grid.stencil())
+
+    def factor(dt):
+        return MaskedCNSolve(active, hole, grid.stencil(), ghost, dt).solve_modes
+
+    stops = TWO_CAP_STOPS + ((8.0, 0.125),)
+    states, _ = march(modes.to_modes(u0[active]), stops, factor, lambda u: 0.0,
+                      lambda u: 0.0, lambda u, t: u.copy(), kind)
+    # measured against the datum: the run decays, the round-off does not
+    box_hole = hole[modes.rows, 1:-1]
+    for state in states:
+        box = _box_values(modes, state)
+        assert np.max(np.abs(box[box_hole])) <= 1e-12 * np.max(np.abs(u0))
+
+
+def _counted_builds(monkeypatch):
+    """The dt of every MaskedCNSolve that march_masked builds, in order."""
+    built = []
+
+    class Counted(MaskedCNSolve):
+        def __init__(self, active, hole, stencil, ghost, dt):
+            built.append(dt)
+            super().__init__(active, hole, stencil, ghost, dt)
+
+    monkeypatch.setattr(march_module, "MaskedCNSolve", Counted)
+    return built
+
+
+@pytest.mark.parametrize("times, builds", [((0.0,), []),
+                                           ((0.0, 0.5), [0.125]),
+                                           ((0.0, 0.5, 0.5, 1.0), [0.125])])
+def test_masked_run_builds_no_solver_for_steps_never_taken(monkeypatch, times, builds):
+    grid, ghost, u0 = _masked_case("robin")
+    built = _counted_builds(monkeypatch)
+    cfg = StepperConfig(dt=0.125, snapshot_times=times)
+    snaps, ledger = evolve_planar(ExteriorDomain(2, grid.hole, 6.0), ThetaBoundary(0.5),
+                                  Field(grid, u0), cfg)
+    assert built == builds
+    assert [s.time for s in snaps] == list(dict.fromkeys(times))
+    assert np.max(np.abs(snaps[0].values - u0)) <= 1e-14 * np.max(np.abs(u0))
+    t, m, _ = ledger.as_arrays()
+    assert t[0] == 0.0 and len(t) == 1 + round(times[-1] / 0.125)
+    weights = grid.volume_weights()
+    assert abs(m[0] - np.sum(weights * u0)) <= 1e-14 * np.sum(weights * u0)
+
+
+def test_masked_run_builds_one_solver_per_step_size(monkeypatch):
+    grid, ghost, u0 = _masked_case("axisym")
+    built = _counted_builds(monkeypatch)
+    stops = TWO_CAP_STOPS + ((2.5, 0.125), (2.5 + 0.25 / 16, 0.25 / 16))
+    march_masked(grid, Field(grid, u0), ghost, stops, 1, "axisymmetric")
+    assert built == [0.25 / 16, 0.125]
+
+
+@pytest.mark.parametrize("cap", [0.125, 0.125 / 4])
+def test_masked_run_transforms_once_per_stop(monkeypatch, cap):
+    # the datum and the two ledger functionals, then one inverse per stop,
+    # however many steps the run takes
+    calls = []
+    real = scipy.fft.dst
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "dst", counted)
+    for kind in ("robin", "axisym"):
+        calls.clear()
+        grid, ghost, u0 = _masked_case(kind)
+        stops = ((0.5, cap), (1.0, cap), (2.0, cap))
+        march_masked(grid, Field(grid, u0), ghost, stops, 1, kind)
+        assert len(calls) == 3 + len(stops)

@@ -377,11 +377,12 @@ def _banded_reference(grid, theta, values, cfg):
     t_prev = 0.0
     for t_stop, cap in cfg.stops():
         n = step_count(t_stop - t_prev, cap)
-        half = 0.5 * (t_stop - t_prev) / max(n, 1)
-        ab = np.zeros((3, values.size))
-        ab[0, 1:] = -half * up[:-1]
-        ab[1, :] = 1.0 - half * di
-        ab[2, :-1] = -half * lo[1:]
+        if n:  # no band for an interval without steps
+            half = 0.5 * (t_stop - t_prev) / n
+            ab = np.zeros((3, values.size))
+            ab[0, 1:] = -half * up[:-1]
+            ab[1, :] = 1.0 - half * di
+            ab[2, :-1] = -half * lo[1:]
         for _ in range(n):
             rhs = (1.0 + half * di) * u
             rhs[:-1] += half * up[:-1] * u[1:]
