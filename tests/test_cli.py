@@ -1,3 +1,4 @@
+import csv
 import os
 
 import numpy as np
@@ -18,6 +19,20 @@ def _run(argv):
     return main(argv)
 
 
+@pytest.fixture(autouse=True)
+def emitted_csvs_parse_to_header_width(tmp_path):
+    """After each test, every CSV under its tmp_path (all the CLI runs
+    here write there) parses with csv.reader into rows of the header's
+    width."""
+    yield
+    for dirpath, _, names in os.walk(tmp_path):
+        for name in names:
+            if name.endswith(".csv"):
+                with open(os.path.join(dirpath, name), newline="") as fh:
+                    header, *rows = csv.reader(fh)
+                assert [len(row) for row in rows] == [len(header)] * len(rows), name
+
+
 # ------------------------------------------------------------- csv plumbing
 
 def test_csv_round_trip(tmp_path):
@@ -31,6 +46,23 @@ def test_csv_round_trip(tmp_path):
         data = fh.read()
     assert b"\r" not in data  # LF endings
     assert data.count(b"e") >= 2  # %.12e floats
+
+
+def test_csv_quotes_text_fields(tmp_path):
+    path = str(tmp_path / "q.csv")
+    text = ['max increase 1e-3, final gap 2', 'say "hi"', "two\nlines", "plain"]
+    write_csv(path, ["n", "text"], enumerate(text))
+    with open(path, "rb") as fh:
+        assert fh.read() == ('n,text\n0,"max increase 1e-3, final gap 2"\n'
+                             '1,"say ""hi"""\n2,"two\nlines"\n3,plain\n').encode()
+    header, rows = read_csv(path)
+    assert header == ["n", "text"]
+    assert rows == [[str(i), t] for i, t in enumerate(text)]
+
+
+def test_format_value_numpy_bools():
+    assert format_value(np.bool_(True)) == format_value(True) == "true"
+    assert format_value(np.float64(0.5) > 1.0) == format_value(False) == "false"
 
 
 def test_write_table_matches_format_value(tmp_path):
@@ -162,6 +194,21 @@ def test_evolve_deterministic_output(tmp_path):
         assert b1 == b2  # bit-identical reruns
 
 
+def test_mass_study_verdicts_csv(tmp_path):
+    # the mass verdict's detail holds a comma and its passed flag comes
+    # from numpy; both must survive the round trip
+    rc = _run(["evolve", "--dim", "2", "--hole", "ball:1", "--theta", "0.6",
+               "--study", "mass", "--t-max", "2", "--h", "0.25", "--dt", "0.125",
+               "--r-out", "8", "--snapshots", "1,2", "--out", str(tmp_path)])
+    assert rc == 0
+    run_dir = os.path.join(str(tmp_path), os.listdir(str(tmp_path))[0])
+    header, rows = read_csv(os.path.join(run_dir, "verdicts.csv"))
+    assert header == ["verdict", "passed", "detail"]
+    ((name, passed, detail),) = rows
+    assert passed == "true"
+    assert detail.startswith("max increase ") and ", final gap " in detail
+
+
 def test_evolve_config_error_exit_code(tmp_path):
     rc = _run(["evolve", "--theta", "3", "--out", str(tmp_path)])
     assert rc == 3
@@ -232,7 +279,9 @@ def test_sweep_monotone(tmp_path):
                "--study", "mass", "--t-max", "2", "--h", "0.0625",
                "--dt", "0.03125", "--snapshots", "1,2", "--out", str(tmp_path)])
     assert rc == 0
-    assert os.path.exists(os.path.join(str(tmp_path), "sweep-manifest.csv"))
+    header, rows = read_csv(os.path.join(str(tmp_path), "sweep-manifest.csv"))
+    assert header[-1] == "passed"
+    assert [row[-1] for row in rows] == ["true"] * 4
 
 
 def test_kernel_cmd_coarse(tmp_path):
