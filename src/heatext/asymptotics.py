@@ -24,7 +24,7 @@ from .constructions import (
 from .errors import PreconditionError
 from .gaussian import GaussianParams, gaussian_ball_integral, gaussian_value
 from .profiles import ProfileTable
-from .solver.grids import AxisymGrid, Field, PlanarGrid, RadialGrid
+from .solver.grids import Field
 from .solver.ledger import MassLedger
 from .solver.probes import ProbeResult
 
@@ -48,18 +48,6 @@ def scaling_exponent(dim: int, p: float) -> float:
     return (dim / 2.0) * (1.0 - 1.0 / p)
 
 
-def _grid_radii(grid) -> np.ndarray:
-    if isinstance(grid, RadialGrid):
-        return grid.nodes()
-    if isinstance(grid, PlanarGrid):
-        X, Y = grid.meshgrid()
-        return np.sqrt(X ** 2 + Y ** 2)
-    if isinstance(grid, AxisymGrid):
-        R, Z = grid.meshgrid()
-        return np.sqrt(R ** 2 + Z ** 2)
-    raise PreconditionError(f"unsupported grid type {type(grid).__name__}")
-
-
 def error_norms(snapshot: Field, m: float, profile: ProfileTable,
                 p_list: Sequence[float] = P_DEFAULT,
                 region: Optional[RegionSpec] = None,
@@ -75,19 +63,15 @@ def error_norms(snapshot: Field, m: float, profile: ProfileTable,
     if t <= 0:
         raise PreconditionError("error norms require snapshot.time > 0")
     grid = snapshot.grid
-    dim = 2 if isinstance(grid, PlanarGrid) else 3
-    if isinstance(grid, RadialGrid):
-        dim = grid.dim
-    radii = _grid_radii(grid)
-    phi = profile.evaluate(np.maximum(radii, profile.hole.circumscribed_radius)) \
-        if not isinstance(grid, PlanarGrid) else _planar_profile(profile, grid)
+    dim = grid.dim
+    if profile.dim != dim:
+        raise PreconditionError("profile dimension does not match the field grid")
+    radii = grid.radii()
+    phi = profile.evaluate(np.maximum(radii, profile.hole.circumscribed_radius))
     g = gaussian_value(radii, GaussianParams(dim, t))
     err = snapshot.values - m * phi * g
     w = snapshot.weights()
-    if isinstance(grid, (PlanarGrid, AxisymGrid)):
-        include = ~grid.hole_mask()
-    else:
-        include = np.ones_like(err, dtype=bool)
+    include = ~grid.hole_mask()
     if region is not None:
         if side == "near":
             include = include & (radii ** 2 <= region.delta * t)
@@ -104,14 +88,6 @@ def error_norms(snapshot: Field, m: float, profile: ProfileTable,
             raw = float(np.sum((w * abs_err ** p)[include]) ** (1.0 / p))
         out[p] = (raw, t ** scaling_exponent(dim, p) * raw)
     return out
-
-
-def _planar_profile(profile: ProfileTable, grid: PlanarGrid) -> np.ndarray:
-    if profile.conserved:
-        return np.ones((grid.n + 1, grid.n + 1))
-    if profile.all_mass_lost:
-        return np.zeros((grid.n + 1, grid.n + 1))
-    raise PreconditionError("planar error norms support the degenerate dim-2 profiles")
 
 
 @dataclass

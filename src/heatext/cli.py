@@ -18,7 +18,7 @@ import numpy as np
 from . import asymptotics as asym
 from . import constructions as cons
 from .csvio import read_csv, write_csv, write_table
-from .domain import BallHole, ExteriorDomain, ThetaBoundary
+from .domain import BallHole, ExteriorDomain, ThetaBoundary, required_far_radius
 from .errors import (
     ConfigError,
     GeometryError,
@@ -369,9 +369,7 @@ def cmd_kernel(args) -> int:
     hole = parse_hole(args.hole)
     if not isinstance(hole, BallHole):
         raise ConfigError("kernel probes need a ball hole")
-    t_max = max(times)
-    domain = ExteriorDomain(3, hole, max(hole.radius + 6.0 * math.sqrt(4.0 * t_max),
-                                         4.0 * hole.radius))
+    domain = ExteriorDomain(3, hole, required_far_radius(hole, max(times)))
     probe = kernel_probe(domain, y, args.width, times,
                          n_rho=int(n_rho), n_z=int(n_z))
     profile0 = profile_radial_closed_form(3, hole.radius, ThetaBoundary(0.0))

@@ -39,7 +39,6 @@ from .domain import (
 from .errors import GeometryError, NumericalError, PreconditionError
 from .solver.fastsolve import symmetric_factor
 from .solver.grids import (
-    AxisymGrid,
     Field,
     PlanarGrid,
     RadialGrid,
@@ -319,26 +318,16 @@ def profile_elliptic(domain: ExteriorDomain, theta: ThetaBoundary,
 def asymptotic_mass(u0: Field, profile: ProfileTable) -> float:
     """Mass retained as t -> infinity: integral of Phi * u0 over the domain."""
     grid = u0.grid
+    if grid.dim != profile.dim:
+        raise PreconditionError("profile dimension does not match the field grid")
+    if grid.hole != profile.hole:
+        raise PreconditionError("profile hole does not match the field grid")
     if profile.conserved:
         return u0.integral()
     if profile.all_mass_lost:
         return 0.0
-    if isinstance(grid, RadialGrid):
-        if abs(grid.a - profile.hole.circumscribed_radius) > 1e-12:
-            raise PreconditionError("profile hole does not match the field grid")
-        if grid.dim != profile.dim:
-            raise PreconditionError("profile dimension does not match the field grid")
-        phi = profile.evaluate(grid.nodes())
-        return float(np.sum(grid.volume_weights() * phi * u0.values))
-    if isinstance(grid, AxisymGrid):
-        if profile.dim != 3:
-            raise PreconditionError("axisymmetric fields require a dim-3 profile")
-        R, Z = grid.meshgrid()
-        radii = np.sqrt(R ** 2 + Z ** 2)
-        phi = profile.evaluate(np.maximum(radii, profile.hole.circumscribed_radius))
-        phi[grid.hole_mask()] = 0.0
-        return float(np.sum(grid.volume_weights() * phi * u0.values))
-    raise PreconditionError(f"unsupported grid type {type(grid).__name__}")
+    phi = profile.evaluate(np.maximum(grid.radii(), profile.hole.circumscribed_radius))
+    return float(np.sum(grid.volume_weights() * phi * u0.values))
 
 
 @dataclass

@@ -13,7 +13,7 @@ capacitance correction on the hole staircase, with no sine transform.
 Used for off-axis sources: kernel probes and domain-comparison checks.
 """
 
-from ..domain import BallHole, ExteriorDomain, ThetaBoundary
+from ..domain import ExteriorDomain, ThetaBoundary
 from ..errors import GeometryError, PreconditionError, UnsupportedFeatureError
 from .config import StepperConfig
 from .grids import AxisymGrid, Field
@@ -34,10 +34,10 @@ def evolve_axisym(domain: ExteriorDomain, theta: ThetaBoundary, u0: Field,
     grid = u0.grid
     if not isinstance(grid, AxisymGrid):
         raise PreconditionError("evolve_axisym requires a Field on an AxisymGrid")
-    if domain.dim != 3 or not isinstance(domain.hole, BallHole):
-        raise GeometryError("evolve_axisym requires a dim-3 ball-hole domain")
-    if abs(grid.hole_radius - domain.hole.radius) > 1e-12:
-        raise GeometryError("grid hole radius does not match the domain")
+    if domain.dim != 3:
+        raise GeometryError("evolve_axisym requires a dim-3 domain")
+    if grid.hole != domain.hole:
+        raise GeometryError("grid hole does not match the domain hole")
     return _axisym_run(grid, u0, cfg.stops(), cfg.ledger_stride)
 
 
@@ -49,6 +49,6 @@ def _axisym_run(grid: AxisymGrid, u0: Field, stops, ledger_stride=1):
     ball hole.
     """
     cap = max((c for _, c in stops), default=0.0)
-    if cap > max(grid.h_rho, grid.h_z) * (1.0 + 1e-12):
-        raise PreconditionError("accuracy guard: dt exceeds grid spacing")
+    if cap > min(grid.h_rho, grid.h_z) * (1.0 + 1e-12):
+        raise PreconditionError("accuracy guard: dt exceeds the finer grid spacing")
     return march_masked(grid, u0, 0.0, stops, ledger_stride, "axisymmetric")

@@ -108,9 +108,7 @@ class SineModes:
         n0, n1 = self._act.shape
         self.shape = (n1, n0)
         self.scale = tridiagonal_scale(lo0[self.rows], up0[self.rows])
-        # D at each active node, or None where the stencil is symmetric (D = 1)
-        self._node_scale = (None if np.all(self.scale == 1.0)
-                            else self.scale[np.nonzero(self._act)[0]])
+        self._node_scale = self.scale[np.nonzero(self._act)[0]]  # D at each active node
         self._dst = dst
 
     def _transform(self, values):
@@ -120,16 +118,16 @@ class SineModes:
 
     def to_modes(self, u):
         """U = S (D u) of the active-node values u."""
-        return self._transform(u if self._node_scale is None else u * self._node_scale)
+        return self._transform(u * self._node_scale)
 
     def functional(self, a):
         """The mode vector S (a / D), whose dot product with to_modes(u) is a . u."""
-        return self._transform(a if self._node_scale is None else a / self._node_scale)
+        return self._transform(a / self._node_scale)
 
     def from_modes(self, modes):
         """The active-node values u of the mode vector U = S (D u)."""
         x = self._dst(modes.reshape(self.shape), type=1, axis=0, norm="ortho").T[self._act]
-        return x if self._node_scale is None else x / self._node_scale
+        return x / self._node_scale
 
 
 class MaskedCNSolve(SineModes):

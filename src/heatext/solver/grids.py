@@ -1,5 +1,12 @@
 """Grid descriptors, the masked 5-point stencil and the Field container.
 
+Every grid owns its geometry through the same members: `dim`, the space
+dimension of the fields it carries; `hole`, its HoleSpec or None;
+`radii()`, each node's distance from the origin; and `hole_mask()`, True
+on the nodes inside the hole. Code that judges a field against the
+profile (`asymptotics.error_norms`, `profiles.asymptotic_mass`) reads
+only these, whatever the grid.
+
 `PlanarGrid.stencil()` and `AxisymGrid.stencil()` are the only places
 where the planar and axisymmetric link coefficients are written. The
 assembler `masked_laplacian`, the hole-link sums behind the ledger's
@@ -23,7 +30,7 @@ class RadialGrid:
     """Uniform radial grid on [a, r_out]; a = 0 switches to ball/whole-space mode.
 
     Nodes r_i = a + i h with h = (r_out - a) / n_r, so r_0 = a and
-    r_{n_r} = r_out.
+    r_{n_r} = r_out. The hole is the ball of radius a (None for a = 0).
     """
 
     a: float
@@ -49,8 +56,19 @@ class RadialGrid:
     def shape(self):
         return (self.n_r + 1,)
 
+    @property
+    def hole(self) -> Optional[BallHole]:
+        return BallHole(self.a) if self.a > 0 else None
+
     def nodes(self) -> np.ndarray:
         return self.a + np.arange(self.n_r + 1) * self.h
+
+    def radii(self) -> np.ndarray:
+        return self.nodes()
+
+    def hole_mask(self) -> np.ndarray:
+        """All False: node 0 at r = a is an unknown, not a hole node."""
+        return np.zeros(self.shape, dtype=bool)
 
     def volume_weights(self) -> np.ndarray:
         """Trapezoid weights including the surface measure omega r^(N-1) h."""
@@ -82,6 +100,7 @@ class PlanarGrid:
     half_width: float
     n: int
     hole: Optional[HoleSpec] = None
+    dim = 2
 
     def __post_init__(self):
         if self.half_width <= 0:
@@ -106,6 +125,10 @@ class PlanarGrid:
     def meshgrid(self):
         c = self.coords()
         return np.meshgrid(c, c, indexing="ij")
+
+    def radii(self) -> np.ndarray:
+        X, Y = self.meshgrid()
+        return np.sqrt(X ** 2 + Y ** 2)
 
     def hole_mask(self) -> np.ndarray:
         """True on nodes inside (or on) the hole boundary."""
@@ -138,24 +161,28 @@ class AxisymGrid:
     """Cylindrical (rho, z) grid for axisymmetric 3d fields about the z-axis.
 
     rho in [0, rho_max] with n_rho cells, z in [-z_half, z_half] with n_z
-    cells. hole_radius > 0 masks the ball rho^2 + z^2 <= hole_radius^2.
+    cells. The fields are dim 3, and radii() is the distance
+    sqrt(rho^2 + z^2) from the origin. hole is a centred BallHole, whose
+    nodes rho^2 + z^2 <= radius^2 hole_mask() marks with the planar
+    grid's `hole_nodes`, or None for no hole.
     """
 
     rho_max: float
     z_half: float
     n_rho: int
     n_z: int
-    hole_radius: float = 0.0
+    hole: Optional[BallHole] = None
+    dim = 3
 
     def __post_init__(self):
         if self.rho_max <= 0 or self.z_half <= 0:
             raise GeometryError("rho_max and z_half must be positive")
         if self.n_rho < 16 or self.n_z < 16:
             raise GeometryError("n_rho and n_z must be at least 16")
-        if self.hole_radius < 0:
-            raise GeometryError("hole_radius must be >= 0")
-        if self.hole_radius >= min(self.rho_max, self.z_half):
-            if self.hole_radius > 0:
+        if self.hole is not None:
+            if not isinstance(self.hole, BallHole):
+                raise GeometryError(f"axisymmetric grids take a ball hole, got {self.hole!r}")
+            if self.hole.radius >= min(self.rho_max, self.z_half):
                 raise GeometryError("hole must lie strictly inside the grid")
 
     @property
@@ -179,11 +206,15 @@ class AxisymGrid:
     def meshgrid(self):
         return np.meshgrid(self.rho_nodes(), self.z_nodes(), indexing="ij")
 
+    def radii(self) -> np.ndarray:
+        R, Z = self.meshgrid()
+        return np.sqrt(R ** 2 + Z ** 2)
+
     def hole_mask(self) -> np.ndarray:
         R, Z = self.meshgrid()
-        if self.hole_radius == 0.0:
+        if self.hole is None:
             return np.zeros_like(R, dtype=bool)
-        return R ** 2 + Z ** 2 <= self.hole_radius ** 2 + 1e-12
+        return hole_nodes(self.hole, R, Z, 1e-12)
 
     def edge_mask(self) -> np.ndarray:
         m = np.zeros(self.shape, dtype=bool)

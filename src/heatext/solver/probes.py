@@ -22,8 +22,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..domain import BallHole, ExteriorDomain, ThetaBoundary, DIRICHLET
-from ..errors import PreconditionError, UnsupportedFeatureError
+from ..domain import BallHole, ExteriorDomain, ThetaBoundary
+from ..errors import PreconditionError
 from .axisym import _axisym_run
 from .grids import AxisymGrid, Field, RadialGrid
 from .ledger import MassLedger
@@ -66,14 +66,13 @@ class ProbeResult:
 
 def kernel_probe(domain: Optional[ExteriorDomain], y_dist: float,
                  mollifier_width: float, times: Tuple[float, ...], *,
-                 theta: ThetaBoundary = DIRICHLET,
                  n_rho: int = 256, n_z: int = 512, n_r: int = 2048,
                  pad: Optional[float] = None) -> ProbeResult:
     """Evolve a unit-mass mollifier at distance y_dist from the origin.
 
     domain None runs the whole-space radial path (the hole disabled);
-    otherwise the domain must have a Dirichlet ball hole and the source
-    must satisfy dist(y, hole) > 2 * mollifier_width.
+    otherwise the domain must have a ball hole, which the probe treats as
+    Dirichlet, and the source must satisfy dist(y, hole) > 2 * mollifier_width.
     """
     if mollifier_width <= 0:
         raise PreconditionError("mollifier_width must be positive")
@@ -90,8 +89,6 @@ def kernel_probe(domain: Optional[ExteriorDomain], y_dist: float,
         u0 = mollifier_bump(grid.nodes(), mollifier_width)
         dt_cap = min(0.05, grid.h)
     else:
-        if not theta.is_dirichlet:
-            raise UnsupportedFeatureError("kernel probes support Dirichlet holes only")
         if not isinstance(domain.hole, BallHole) or domain.dim != 3:
             raise PreconditionError("kernel probes need a dim-3 ball-hole domain")
         a = domain.hole.radius
@@ -101,7 +98,7 @@ def kernel_probe(domain: Optional[ExteriorDomain], y_dist: float,
                 f"need > {2.0 * mollifier_width}"
             )
         grid = AxisymGrid(rho_max=pad, z_half=y_dist + pad, n_rho=n_rho, n_z=n_z,
-                          hole_radius=a)
+                          hole=domain.hole)
         R, Z = grid.meshgrid()
         u0 = mollifier_bump(np.sqrt(R ** 2 + (Z - y_dist) ** 2), mollifier_width)
         u0[grid.hole_mask()] = 0.0

@@ -32,7 +32,14 @@ from heatext.gaussian import (
     gaussian_value,
 )
 from heatext.profiles import profile_radial_closed_form
-from heatext.solver import Field, MassLedger, RadialGrid, StepperConfig, evolve_radial
+from heatext.solver import (
+    Field,
+    MassLedger,
+    PlanarGrid,
+    RadialGrid,
+    StepperConfig,
+    evolve_radial,
+)
 
 DIRICHLET = ThetaBoundary(0.0)
 M_ASYM = EXPLICIT_ASYMPTOTIC_MASS
@@ -98,6 +105,14 @@ def test_region_requires_valid_side():
     f = _field_from_closed_form(25.0)
     with pytest.raises(PreconditionError):
         error_norms(f, M_ASYM, _profile(), region=RegionSpec(1.0), side="middle")
+
+
+def test_error_norms_reject_a_profile_of_another_dimension():
+    grid = PlanarGrid(half_width=8.0, n=32, hole=BallHole(1.0))
+    f = Field(grid, np.zeros(grid.shape), 1.0)
+    error_norms(f, 0.0, profile_radial_closed_form(2, 1.0, DIRICHLET))
+    with pytest.raises(PreconditionError, match="dimension"):
+        error_norms(f, 0.0, _profile())
 
 
 def test_neumann_l1_error_bounded_by_time_shift():

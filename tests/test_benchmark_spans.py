@@ -11,7 +11,7 @@ import os
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
 
-# targets of routines the solvers no longer call; ROADMAP item 0 lists
+# targets of routines the solvers no longer call; ROADMAP item 1 lists
 # their retargeting for the next change to the benchmark
 STALE = {"radial.solve", "planar.factor", "planar.assemble", "axisym.factor",
          "axisym.assemble"}

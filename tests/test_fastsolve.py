@@ -91,12 +91,13 @@ def test_planar_hole_benchmark_grid_ranks():
     assert _solver(grid, _planar_ghost(grid, 0.5), 0.25).rank == 36
 
 
-@pytest.mark.parametrize("hole_radius", [1.0, 0.0])
-def test_axisym_solve_matches_splu(hole_radius):
-    grid = AxisymGrid(rho_max=6.0, z_half=7.0, n_rho=40, n_z=96, hole_radius=hole_radius)
+@pytest.mark.parametrize("radius", [1.0, 0.0])
+def test_axisym_solve_matches_splu(radius):
+    grid = AxisymGrid(rho_max=6.0, z_half=7.0, n_rho=40, n_z=96,
+                      hole=BallHole(radius) if radius else None)
     L, _ = _operator(grid, 0.0)
     solver = _solver(grid, 0.0, 0.1)
-    assert (solver.rank == 0) == (hole_radius == 0.0)
+    assert (solver.rank == 0) == (grid.hole is None)
     _check_against_splu(L, solver, 0.1)
 
 
@@ -153,7 +154,7 @@ def test_axisym_solve_matches_splu_at_random_radii(seed, ghost):
     # (D != 1); ghost != 0 adds the active capacitance nodes next to the hole
     rng = np.random.default_rng(seed)
     radius, dt = rng.uniform(0.4, 3.5), rng.uniform(0.02, 0.3)
-    grid = AxisymGrid(rho_max=6.0, z_half=7.0, n_rho=40, n_z=96, hole_radius=radius)
+    grid = AxisymGrid(rho_max=6.0, z_half=7.0, n_rho=40, n_z=96, hole=BallHole(radius))
     L, _ = _operator(grid, ghost)
     _check_against_splu(L, _solver(grid, ghost, dt), dt)
 
@@ -244,7 +245,7 @@ def test_planar_march_matches_splu_reference(theta, hole):
 
 
 def test_axisym_march_matches_splu_reference():
-    grid = AxisymGrid(rho_max=6.0, z_half=7.0, n_rho=40, n_z=96, hole_radius=1.0)
+    grid = AxisymGrid(rho_max=6.0, z_half=7.0, n_rho=40, n_z=96, hole=BallHole(1.0))
     R, Z = grid.meshgrid()
     u0 = mollifier_bump(np.sqrt(R ** 2 + (Z - 2.5) ** 2), 1.0)
     u0[grid.hole_mask() | grid.edge_mask()] = 0.0
@@ -264,7 +265,7 @@ def _masked_run(kind):
         grid = PlanarGrid(half_width=6.0, n=48, hole=RectHole(1.0, 1.0))
         domain = ExteriorDomain(2, grid.hole, 6.0)
         return grid, lambda u0, cfg: evolve_planar(domain, ThetaBoundary(0.5), u0, cfg)
-    grid = AxisymGrid(rho_max=6.0, z_half=7.0, n_rho=40, n_z=96, hole_radius=1.0)
+    grid = AxisymGrid(rho_max=6.0, z_half=7.0, n_rho=40, n_z=96, hole=BallHole(1.0))
     domain = ExteriorDomain(3, BallHole(1.0), 6.0)
     return grid, lambda u0, cfg: evolve_axisym(domain, ThetaBoundary(0.0), u0, cfg)
 
@@ -295,7 +296,7 @@ TWO_CAP_STOPS = ((0.25, 0.25 / 16), (1.0, 0.125), (2.0, 0.125))
 def _masked_case(kind):
     """(grid, ghost, datum values) of the mode-space march checks."""
     if kind == "axisym":
-        grid = AxisymGrid(rho_max=6.0, z_half=7.0, n_rho=40, n_z=96, hole_radius=1.0)
+        grid = AxisymGrid(rho_max=6.0, z_half=7.0, n_rho=40, n_z=96, hole=BallHole(1.0))
         R, Z = grid.meshgrid()
         u0 = mollifier_bump(np.sqrt(R ** 2 + (Z - 2.5) ** 2), 1.0)
         u0[grid.hole_mask() | grid.edge_mask()] = 0.0

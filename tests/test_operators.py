@@ -64,7 +64,7 @@ def test_planar_neumann_has_no_hole_flux():
 
 
 def test_axisym_hole_flux_is_hole_part_of_mass_rate():
-    grid = AxisymGrid(rho_max=6.0, z_half=6.0, n_rho=48, n_z=96, hole_radius=1.0)
+    grid = AxisymGrid(rho_max=6.0, z_half=6.0, n_rho=48, n_z=96, hole=BallHole(1.0))
     L, hole_w = _operator(grid, 0.0)
     _check_flux_tie(grid, L, hole_w)
 
@@ -95,7 +95,7 @@ def test_planar_hole_w_is_bit_identical_on_the_benchmark_grid(theta):
 
 
 def test_axisym_hole_w_is_bit_identical_on_the_kernel_probe_grid():
-    grid = AxisymGrid(rho_max=25.3, z_half=28.0, n_rho=96, n_z=192, hole_radius=1.0)
+    grid = AxisymGrid(rho_max=25.3, z_half=28.0, n_rho=96, n_z=192, hole=BallHole(1.0))
     c_in, c_out = (c[:-1] for c in grid.stencil()[:2])  # rows 0 .. n_rho - 1
     cz = 1.0 / grid.h_z ** 2
     rows = np.arange(grid.n_rho + 1)[:, None]

@@ -19,6 +19,7 @@ from heatext.profiles import (
     psi_from_profile,
 )
 from heatext.solver.grids import (
+    AxisymGrid,
     Field,
     PlanarGrid,
     RadialGrid,
@@ -284,6 +285,16 @@ def test_asymptotic_mass_grid_mismatch():
     profile = profile_radial_closed_form(3, 2.0, DIRICHLET)  # wrong hole
     with pytest.raises(PreconditionError):
         asymptotic_mass(u0, profile)
+
+
+def test_asymptotic_mass_axisym_hole_mismatch():
+    grid = AxisymGrid(rho_max=8.0, z_half=8.0, n_rho=32, n_z=64, hole=BallHole(1.0))
+    R, Z = grid.meshgrid()
+    u0 = Field(grid, np.where(grid.hole_mask(), 0.0, np.exp(-R ** 2 - (Z - 3.0) ** 2)))
+    m = asymptotic_mass(u0, profile_radial_closed_form(3, 1.0, DIRICHLET))
+    assert 0.0 < m < u0.integral()
+    with pytest.raises(PreconditionError, match="hole"):
+        asymptotic_mass(u0, profile_radial_closed_form(3, 2.0, DIRICHLET))  # wrong hole
 
 
 # ------------------------------------------------------------ decay fits

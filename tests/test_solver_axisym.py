@@ -55,7 +55,7 @@ def test_probe_dominated_by_free_space_kernel():
 
 def test_probe_z_symmetry_without_hole():
     # source on the symmetry plane of a hole-free axisymmetric grid
-    grid = AxisymGrid(rho_max=8.0, z_half=8.0, n_rho=96, n_z=192, hole_radius=0.0)
+    grid = AxisymGrid(rho_max=8.0, z_half=8.0, n_rho=96, n_z=192, hole=None)
     R, Z = grid.meshgrid()
     u0 = mollifier_bump(np.sqrt(R ** 2 + Z ** 2), 0.5)
     cfg = StepperConfig(dt=0.05, snapshot_times=(1.0,))
@@ -69,7 +69,7 @@ def test_probe_reflected_source():
     # sources at +z0 and -z0 give mirror-image solutions (the hole is
     # centred, so the discrete operator commutes with z -> -z)
     grid = AxisymGrid(rho_max=10.0, z_half=10.0, n_rho=96, n_z=192,
-                      hole_radius=1.0)
+                      hole=BallHole(1.0))
     R, Z = grid.meshgrid()
     w = grid.volume_weights()
     cfg = StepperConfig(dt=0.05, snapshot_times=(2.0,))
@@ -121,10 +121,7 @@ def test_gap_at_early_time_is_smearing_scale():
 
 
 def test_non_dirichlet_rejected():
-    dom = _domain()
-    with pytest.raises(UnsupportedFeatureError):
-        kernel_probe(dom, 3.0, 0.5, (1.0,), theta=ThetaBoundary(0.5))
-    grid = AxisymGrid(rho_max=8.0, z_half=8.0, n_rho=32, n_z=64, hole_radius=1.0)
+    grid = AxisymGrid(rho_max=8.0, z_half=8.0, n_rho=32, n_z=64, hole=BallHole(1.0))
     u0 = Field(grid, np.zeros((33, 65)))
     with pytest.raises(UnsupportedFeatureError):
         evolve_axisym(ExteriorDomain(3, BallHole(1.0), 8.0), ThetaBoundary(1.0),
@@ -139,7 +136,7 @@ def test_source_too_close_rejected():
 def test_evolve_axisym_mass_decreases():
     dom = _domain(2.0)
     grid = AxisymGrid(rho_max=10.0, z_half=10.0, n_rho=128, n_z=256,
-                      hole_radius=1.0)
+                      hole=BallHole(1.0))
     R, Z = grid.meshgrid()
     u0 = mollifier_bump(np.sqrt(R ** 2 + (Z - 3.0) ** 2), 0.8)
     cfg = StepperConfig(dt=0.05, snapshot_times=(2.0,))
@@ -152,5 +149,17 @@ def test_evolve_axisym_mass_decreases():
 
 
 def dom_for_grid(grid):
-    return ExteriorDomain(3, BallHole(grid.hole_radius),
-                          max(grid.rho_max, 4.0 * grid.hole_radius))
+    return ExteriorDomain(3, grid.hole, max(grid.rho_max, 4.0 * grid.hole.radius))
+
+
+@pytest.mark.parametrize("cap, ok", [(0.125, True), (0.2, False)])
+def test_axisym_step_cap_must_not_exceed_the_finer_spacing(cap, ok):
+    # h_z = 0.125 < cap = 0.2 < h_rho = 0.25: the cap exceeds one spacing
+    grid = AxisymGrid(rho_max=8.0, z_half=8.0, n_rho=32, n_z=128, hole=BallHole(1.0))
+    u0 = Field(grid, np.zeros(grid.shape))
+    cfg = StepperConfig(dt=cap, snapshot_times=(cap,))
+    if ok:
+        evolve_axisym(dom_for_grid(grid), DIRICHLET, u0, cfg)
+    else:
+        with pytest.raises(PreconditionError, match="accuracy guard"):
+            evolve_axisym(dom_for_grid(grid), DIRICHLET, u0, cfg)
