@@ -31,6 +31,7 @@ from .profiles import (
     asymptotic_mass,
     profile_decay_check,
     profile_elliptic,
+    profile_planar,
     profile_radial_closed_form,
     psi_from_profile,
 )

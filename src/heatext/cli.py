@@ -31,6 +31,7 @@ from .profiles import (
     asymptotic_mass,
     profile_decay_check,
     profile_elliptic,
+    profile_planar,
     profile_radial_closed_form,
 )
 from .runconfig import (
@@ -83,7 +84,6 @@ def _run(cfg: RunConfig, out_dir: str, tag: str = ""):
         domain = ExteriorDomain(cfg.dim, cfg.hole, grid.r_out)
         snaps, ledger = evolve_radial(domain, theta, u0, stepper)
         profile = profile_radial_closed_form(cfg.dim, a, theta)
-        m = asymptotic_mass(u0, profile)
         columns, coords, keep = ["t", "r", "u"], [grid.nodes()], slice(None)
     else:
         n = int(math.ceil(2.0 * cfg.r_out / cfg.h - 1e-9))
@@ -93,10 +93,10 @@ def _run(cfg: RunConfig, out_dir: str, tag: str = ""):
         u0 = make_planar_datum(preset, grid)
         domain = ExteriorDomain(2, cfg.hole, grid.half_width)
         snaps, ledger = evolve_planar(domain, theta, u0, stepper)
-        profile = profile_radial_closed_form(2, cfg.hole.circumscribed_radius, theta)
-        m = u0.integral() if theta.is_neumann else 0.0
+        profile = profile_planar(cfg.hole, theta)
         keep = ~grid.hole_mask()
         columns, coords = ["t", "x", "y", "u"], [c[keep] for c in grid.meshgrid()]
+    m = asymptotic_mass(u0, profile)
     rates = asym.RateSeries.from_snapshots(snaps, m, profile, ledger)
 
     prefix = os.path.join(out_dir, tag)
@@ -242,7 +242,7 @@ def cmd_profile(args) -> int:
     closed = None
     if args.method in ("closed-form", "both"):
         if args.dim == 2:
-            closed = profile_radial_closed_form(2, hole.circumscribed_radius, theta)
+            closed = profile_planar(hole, theta)
         else:
             if not isinstance(hole, BallHole):
                 raise ConfigError("closed-form profiles require a ball hole")

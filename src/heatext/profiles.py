@@ -158,26 +158,37 @@ def profile_radial_closed_form(dim: int, a: float, theta: ThetaBoundary,
                                n_samples: int = 512) -> ProfileTable:
     """Closed-form radial profile for a ball hole.
 
-    dim 2 degenerates: Neumann gives the constant-1 table, anything else
-    the constant-0 table flagged all_mass_lost.
+    dim 2 degenerates to `profile_planar` of the ball.
     """
     if a <= 0:
         raise GeometryError("hole radius must be positive")
     hole = BallHole(a)
+    if dim == 2:
+        return profile_planar(hole, theta, r_max, n_samples)
     if r_max is None:
         r_max = 64.0 * a
     r = np.linspace(a, r_max, n_samples)
-    if dim == 2:
-        if theta.is_neumann:
-            return ProfileTable(dim, hole, theta, ClosedFormRadial(0.0), r,
-                                np.ones_like(r), conserved=True)
-        return ProfileTable(dim, hole, theta, ClosedFormRadial(0.0), r,
-                            np.zeros_like(r), all_mass_lost=True)
     c = profile_coefficient(dim, a, theta)
     table = ProfileTable(dim, hole, theta, ClosedFormRadial(c), r,
                          1.0 - c * (a / r) ** (dim - 2),
                          conserved=theta.is_neumann)
     return table
+
+
+def profile_planar(hole: HoleSpec, theta: ThetaBoundary, r_max: Optional[float] = None,
+                   n_samples: int = 512) -> ProfileTable:
+    """The dim-2 profile of any hole, which degenerates: Neumann gives the
+    constant-1 table flagged conserved, anything else the constant-0 table
+    flagged all_mass_lost. Sampled on [R, r_max] (default 64 R), R the
+    hole's circumscribed radius.
+    """
+    rc = hole.circumscribed_radius
+    r = np.linspace(rc, 64.0 * rc if r_max is None else r_max, n_samples)
+    if theta.is_neumann:
+        return ProfileTable(2, hole, theta, ClosedFormRadial(0.0), r,
+                            np.ones_like(r), conserved=True)
+    return ProfileTable(2, hole, theta, ClosedFormRadial(0.0), r,
+                        np.zeros_like(r), all_mass_lost=True)
 
 
 def _radial_truncated_solve(dim: int, a: float, theta: ThetaBoundary,

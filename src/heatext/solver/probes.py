@@ -10,10 +10,19 @@ halving the width and comparing. Two code paths:
   - exterior domain (Dirichlet ball hole): the source sits on the z-axis
     at distance y from the origin and the evolution is axisymmetric.
 
-A probe is one `march` run. Its first stop, the warm-up end
-t0 = min(8 w^2, t_min / 2) with step cap w^2/64 (at least 8 steps),
-resolves the sharp initial transient (Crank-Nicolson time error scales
-with (dt / w^2)^2 there); the requested times follow at the regular cap.
+A probe is one `march` run. Its first stop is the warm-up end
+t0 = min(8 w^2, t_min / 2); the requested times follow at the regular cap.
+The warm-up damps the stiff modes of the sharp datum, which Crank-Nicolson
+barely damps: for lam dt >> 1 its amplification is about
+-(1 - 4 / (lam dt)), so N equal steps over [0, t0] leave a mode of
+eigenvalue lam with a factor of about exp(-4 N^2 / (lam t0)). With lam_bar
+the Gershgorin bound on the spectrum of -L on the probe's own grid,
+`warmup_steps` takes N = max(8, ceil(sqrt(ln(1/eps) lam_bar t0 / 4))),
+which makes that factor at most eps = WARMUP_DAMPING, a tenth of the
+tightest probe gate, for every eigenvalue from ln(1/eps) / t0 up to
+lam_bar; the regular cap may add steps. The
+warm-up's cost thus follows the grid's stiffness. Under-damped stiff
+modes are what make the whole-space peak miss its 1e-3 gate.
 """
 
 import math
@@ -27,11 +36,18 @@ from ..errors import PreconditionError
 from .axisym import _axisym_run
 from .grids import AxisymGrid, Field, RadialGrid
 from .ledger import MassLedger
-from .radial import _crank_nicolson_run
+from .radial import _crank_nicolson_run, radial_operator
 
 WARMUP_SPAN_WIDTHS = 8.0   # the warm-up covers 8 w^2 time units
-WARMUP_STEPS = 512         # in steps of 8 w^2 / 512 = w^2 / 64
+WARMUP_DAMPING = 1e-4      # the warm-up damps every mode of the grid at least this much
 LEDGER_STRIDE = 4          # steps per ledger row: a row costs about a tenth of a step
+
+
+def warmup_steps(lam_bar: float, t0: float) -> int:
+    """Equal Crank-Nicolson steps over [0, t0] (at least 8) that damp every
+    mode of -L with eigenvalue from ln(1/WARMUP_DAMPING) / t0 up to lam_bar
+    by a factor of at most WARMUP_DAMPING."""
+    return max(8, math.ceil(math.sqrt(math.log(1.0 / WARMUP_DAMPING) * lam_bar * t0 / 4.0)))
 
 
 def mollifier_bump(dist, width: float):
@@ -52,6 +68,7 @@ class ProbeResult:
     mollifier_width: float
     whole_space: bool
     initial_mass: float  # discrete mass before normalisation to 1
+    warmup: Tuple[float, float]  # the warm-up stop (t0, step cap) of the march
 
     def snapshot_at(self, t: float) -> Field:
         """The snapshot taken at exactly time t; KeyError when there is none."""
@@ -88,6 +105,9 @@ def kernel_probe(domain: Optional[ExteriorDomain], y_dist: float,
         grid = RadialGrid(a=0.0, r_out=mollifier_width + pad, n_r=n_r, dim=3)
         u0 = mollifier_bump(grid.nodes(), mollifier_width)
         dt_cap = min(0.05, grid.h)
+        # Gershgorin: the largest absolute row sum of the tridiagonal rows
+        lo, di, up = radial_operator(grid, ThetaBoundary(1.0))
+        lam_bar = float(np.max(np.abs(lo) + np.abs(di) + np.abs(up)))
     else:
         if not isinstance(domain.hole, BallHole) or domain.dim != 3:
             raise PreconditionError("kernel probes need a dim-3 ball-hole domain")
@@ -103,19 +123,23 @@ def kernel_probe(domain: Optional[ExteriorDomain], y_dist: float,
         u0 = mollifier_bump(np.sqrt(R ** 2 + (Z - y_dist) ** 2), mollifier_width)
         u0[grid.hole_mask()] = 0.0
         dt_cap = min(0.05, grid.h_rho, grid.h_z)
+        # Gershgorin: a row's diagonal is minus the sum of its four links
+        lo0, up0, lo1, up1 = grid.stencil()
+        lam_bar = 2.0 * (float(np.max(lo0 + up0)) + float(np.max(lo1 + up1)))
     m0 = float(np.sum(grid.volume_weights() * u0))
     u0 /= m0
 
     t0 = min(WARMUP_SPAN_WIDTHS * mollifier_width ** 2, 0.5 * times[0])
-    warm_cap = min(WARMUP_SPAN_WIDTHS * mollifier_width ** 2 / WARMUP_STEPS, t0 / 8.0)
-    stops = ((t0, warm_cap),) + tuple((t, dt_cap) for t in times)
+    warmup = (t0, min(t0 / warmup_steps(lam_bar, t0), dt_cap))
+    stops = (warmup,) + tuple((t, dt_cap) for t in times)
     if domain is None:
         snaps, ledger = _crank_nicolson_run(grid, ThetaBoundary(1.0), u0, stops,
                                             LEDGER_STRIDE)
     else:
         snaps, ledger = _axisym_run(grid, Field(grid, u0), stops, LEDGER_STRIDE)
     # snaps[0] is the warm-up end, not a requested time
-    return ProbeResult(snaps[1:], ledger, y_dist, mollifier_width, domain is None, m0)
+    return ProbeResult(snaps[1:], ledger, y_dist, mollifier_width, domain is None, m0,
+                       warmup)
 
 
 def probe_smearing_estimate(domain: Optional[ExteriorDomain], y_dist: float,

@@ -25,7 +25,6 @@ import numpy as np
 from scipy.linalg.lapack import dpttrs
 
 from ..domain import (
-    BallHole,
     ExteriorDomain,
     ThetaBoundary,
     sphere_surface_area,
@@ -149,10 +148,8 @@ def evolve_radial(domain: ExteriorDomain, theta: ThetaBoundary, u0: Field,
     grid = u0.grid
     if not isinstance(grid, RadialGrid):
         raise PreconditionError("evolve_radial requires a Field on a RadialGrid")
-    if not isinstance(domain.hole, BallHole):
-        raise GeometryError("radial evolution requires a ball hole")
-    if abs(grid.a - domain.hole.radius) > 1e-12:
-        raise GeometryError("grid inner radius does not match the hole radius")
+    if grid.hole != domain.hole:
+        raise GeometryError("grid hole does not match the domain hole")
     if abs(grid.r_out - domain.far_radius) > 1e-9 * domain.far_radius:
         raise GeometryError("grid outer radius does not match domain.far_radius")
     if grid.dim != domain.dim:

@@ -24,14 +24,14 @@ from heatext.constructions import (
     optimal_datum_plan,
     parse_g_spec,
 )
-from heatext.domain import BallHole, ExteriorDomain, ThetaBoundary
+from heatext.domain import BallHole, ExteriorDomain, RectHole, ThetaBoundary
 from heatext.errors import PreconditionError
 from heatext.gaussian import (
     GaussianParams,
     gaussian_l1_time_shift_bound,
     gaussian_value,
 )
-from heatext.profiles import profile_radial_closed_form
+from heatext.profiles import profile_planar, profile_radial_closed_form
 from heatext.solver import (
     Field,
     MassLedger,
@@ -113,6 +113,17 @@ def test_error_norms_reject_a_profile_of_another_dimension():
     error_norms(f, 0.0, profile_radial_closed_form(2, 1.0, DIRICHLET))
     with pytest.raises(PreconditionError, match="dimension"):
         error_norms(f, 0.0, _profile())
+
+
+def test_error_norms_reject_a_profile_of_another_hole():
+    # a rect hole's profile is built on the rect, not on its circumscribed ball
+    hole = RectHole(1.0, 1.0)
+    grid = PlanarGrid(half_width=8.0, n=32, hole=hole)
+    f = Field(grid, np.zeros(grid.shape), 1.0)
+    error_norms(f, 0.0, profile_planar(hole, DIRICHLET))
+    with pytest.raises(PreconditionError, match="hole"):
+        error_norms(f, 0.0, profile_radial_closed_form(2, hole.circumscribed_radius,
+                                                       DIRICHLET))
 
 
 def test_neumann_l1_error_bounded_by_time_shift():
@@ -292,7 +303,7 @@ def test_kernel_gap_requires_unit_mass():
     from heatext.solver.probes import ProbeResult
     ledger = MassLedger()
     ledger.append(0.0, 0.5, 0.0)
-    probe = ProbeResult([], ledger, 3.0, 0.5, False, 0.5)
+    probe = ProbeResult([], ledger, 3.0, 0.5, False, 0.5, (2.0, 0.05))
     with pytest.raises(PreconditionError):
         kernel_l1_gap(probe, 1.0, _profile())
 

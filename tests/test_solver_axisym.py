@@ -15,8 +15,43 @@ from heatext.solver import (
     mollifier_bump,
     probe_smearing_estimate,
 )
+from heatext.solver.axisym import _axisym_run
+from heatext.solver.march import step_count
+from heatext.solver.probes import WARMUP_DAMPING, warmup_steps
+from heatext.solver.radial import radial_operator
 
 DIRICHLET = ThetaBoundary(0.0)
+
+
+def _mode_factor(lam, t0, n):
+    """|CN amplification|^n of the mode with eigenvalue lam over n equal
+    steps covering [0, t0]."""
+    x = lam * t0 / n
+    return (abs(1.0 - 0.5 * x) / (1.0 + 0.5 * x)) ** n
+
+
+def _axisym_lam_bar(grid):
+    lo0, up0, lo1, up1 = grid.stencil()
+    return 2.0 * (float(np.max(lo0 + up0)) + float(np.max(lo1 + up1)))
+
+
+def _warmup_contract(lam_bar, warmup):
+    """The probe's warm-up stop damps the grid's stiffest mode by WARMUP_DAMPING;
+    returns its step count."""
+    t0, cap = warmup
+    n = step_count(t0, cap)
+    assert _mode_factor(lam_bar, t0, n) <= WARMUP_DAMPING
+    return n
+
+
+def test_warmup_steps_damp_the_stiff_modes():
+    # the damping rule by plain arithmetic: N steps over [0, t0 = 1] leave
+    # every mode from ln(1/eps) up to lam_bar with at most eps of its amplitude
+    for lam_bar in np.geomspace(10.0, 1e8, 29):
+        n = warmup_steps(lam_bar, 1.0)
+        assert n >= 8
+        for lam in np.geomspace(math.log(1.0 / WARMUP_DAMPING), lam_bar, 200):
+            assert _mode_factor(lam, 1.0, n) <= WARMUP_DAMPING * (1.0 + 1e-12)
 
 
 def _domain(t_max=5.0):
@@ -31,6 +66,35 @@ def test_whole_space_probe_matches_kernel_peak():
     peak = probe.peak(1.0)
     exact = gaussian_value(0.0, GaussianParams(3, 1.0))
     assert abs(peak - exact) / exact <= 1e-3
+    # the warm-up is sized by the stiffest row, the parity row 12 / h^2
+    lo, di, up = radial_operator(probe.snapshots[0].grid, ThetaBoundary(1.0))
+    lam_bar = float(np.max(np.abs(lo) + np.abs(di) + np.abs(up)))
+    assert _warmup_contract(lam_bar, probe.warmup) == 678
+
+
+def test_probe_warmup_matches_the_fine_warmup():
+    # on the benchmark's 96 x 192 grid the damping warm-up takes 40 steps
+    # (the regular cap 0.05 binds) and lands within 1e-4 in L1 of a run
+    # whose warm-up takes 512 steps of w^2 / 64
+    w, y, times = 0.5, 3.0, (5.0, 10.0)
+    probe = kernel_probe(_domain(10.0), y, w, times, n_rho=96, n_z=192)
+    grid = probe.snapshots[0].grid
+    assert _warmup_contract(_axisym_lam_bar(grid), probe.warmup) == 40
+    R, Z = grid.meshgrid()
+    u0 = mollifier_bump(np.sqrt(R ** 2 + (Z - y) ** 2), w)
+    u0[grid.hole_mask()] = 0.0
+    u0 /= float(np.sum(grid.volume_weights() * u0))
+    t0 = probe.warmup[0]
+    stops = ((t0, w ** 2 / 64.0),) + tuple((t, 0.05) for t in times)
+    fine, _ = _axisym_run(grid, Field(grid, u0), stops)
+    for snap in fine[1:]:
+        diff = np.abs(snap.values - probe.snapshot_at(snap.time).values)
+        assert float(np.sum(grid.volume_weights() * diff)) <= 1e-4
+
+
+def test_c11_probe_warmup_steps(kernel_probe_matrix):
+    probe = kernel_probe_matrix[0][3.0]
+    assert _warmup_contract(_axisym_lam_bar(probe.snapshots[0].grid), probe.warmup) == 73
 
 
 def test_probe_unit_mass_and_mass_loss():
@@ -59,7 +123,6 @@ def test_probe_z_symmetry_without_hole():
     R, Z = grid.meshgrid()
     u0 = mollifier_bump(np.sqrt(R ** 2 + Z ** 2), 0.5)
     cfg = StepperConfig(dt=0.05, snapshot_times=(1.0,))
-    from heatext.solver.axisym import _axisym_run
     snaps, _ = _axisym_run(grid, Field(grid, u0), cfg.stops())
     v = snaps[-1].values
     assert float(np.max(np.abs(v - v[:, ::-1]))) <= 1e-12
@@ -73,7 +136,6 @@ def test_probe_reflected_source():
     R, Z = grid.meshgrid()
     w = grid.volume_weights()
     cfg = StepperConfig(dt=0.05, snapshot_times=(2.0,))
-    from heatext.solver.axisym import _axisym_run
     outs = {}
     for z0 in (3.0, -3.0):
         u0 = mollifier_bump(np.sqrt(R ** 2 + (Z - z0) ** 2), 0.5)

@@ -245,6 +245,15 @@ def test_grid_domain_mismatch():
         evolve_radial(domain, DIRICHLET, _explicit_datum(grid), cfg)
 
 
+def test_grid_hole_must_equal_the_domain_hole_exactly():
+    # the hole is matched exactly, as on the planar and axisymmetric grids
+    grid, _ = _setup(1.0, a=1.0 + 1e-13)
+    domain = ExteriorDomain(3, BallHole(1.0), grid.r_out)
+    cfg = StepperConfig(dt=1.0 / 32.0, snapshot_times=(1.0,))
+    with pytest.raises(GeometryError, match="hole"):
+        evolve_radial(domain, DIRICHLET, _explicit_datum(grid), cfg)
+
+
 def test_nonfinite_datum_rejected():
     grid, domain = _setup(1.0)
     cfg = StepperConfig(dt=1.0 / 32.0, snapshot_times=(1.0,))
