@@ -31,7 +31,7 @@ os.makedirs(OUT, exist_ok=True)
 series = []
 for theta in (0.0, 0.25, 0.5, 1.0):
     table = profile_radial_closed_form(3, 1.0, ThetaBoundary(theta))
-    c = table.method.coefficient
+    c = table.coefficient
     print(f"theta = {theta:4.2f}: Phi(r) = 1 - {c:.4f} / r, Phi(2) = {table.evaluate(2.0):.4f}")
     series.append((table.r, table.values, f"theta={theta:g}"))
 line_plot_svg(os.path.join(OUT, "profiles.svg"), series, xlabel="r",

@@ -64,12 +64,8 @@ def error_norms(snapshot: Field, m: float, profile: ProfileTable,
         raise PreconditionError("error norms require snapshot.time > 0")
     grid = snapshot.grid
     dim = grid.dim
-    if profile.dim != dim:
-        raise PreconditionError("profile dimension does not match the field grid")
-    if grid.hole != profile.hole:
-        raise PreconditionError("profile hole does not match the field grid")
+    phi = profile.on_grid(grid)
     radii = grid.radii()
-    phi = profile.evaluate(np.maximum(radii, profile.hole.circumscribed_radius))
     g = gaussian_value(radii, GaussianParams(dim, t))
     err = snapshot.values - m * phi * g
     w = snapshot.weights()

@@ -10,6 +10,7 @@ so every judgement is re-runnable from the artifacts alone.
 import argparse
 import math
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -67,6 +68,24 @@ def _emit(line: str) -> None:
 def _verdict(name: str, passed: bool, detail: str) -> bool:
     _emit(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
     return passed
+
+
+def _floats(text: str, flag: str) -> tuple:
+    """The numbers of a comma-separated list flag."""
+    try:
+        return tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise ConfigError(f"{flag} takes comma-separated numbers, got '{text}'") from None
+
+
+def _run_overrides(args) -> dict:
+    """RunConfig overrides from the flags evolve and sweep share."""
+    return {
+        "dim": args.dim, "preset": args.preset, "study": args.study,
+        "t_max": args.t_max, "h": args.h, "dt": args.dt,
+        "hole": parse_hole(args.hole) if args.hole else None,
+        "snapshot_times": _floats(args.snapshots, "--snapshots") if args.snapshots else None,
+    }
 
 
 # ----------------------------------------------------------------- evolve
@@ -132,33 +151,21 @@ def _study_verdicts(study: str, files: dict, m: float) -> list:
     rates = _load_rates(files["rates"])
     columns = zip(*read_csv(files["ledger"])[1])
     ledger = MassLedger(*([float(v) for v in col] for col in columns))
-    m_l = np.asarray(ledger.masses)
     out = []
-
-    def decade_pair(series):
-        times = [row[0] for row in series]
-        t_hi = times[-1]
-        lows = [t for t in times if t <= t_hi / 10.0 + 1e-9]
+    if study in ("l1", "linf"):
+        # the last row against the last one a factor 10 earlier: the raw L1
+        # error (column 1) or the scaled sup-norm error (column 2)
+        p, col, name = {"l1": ("1", 1, "L1 error halves per decade"),
+                        "linf": ("inf", 2, "sup-norm scaled error halves per decade")}[study]
+        series = rates[p]
+        t_hi, v_hi = series[-1][0], series[-1][col]
+        lows = [row for row in series if row[0] <= t_hi / 10.0 + 1e-9]
         if not lows:
             raise ConfigError(
                 "study needs snapshot times spanning a factor-10 window")
-        return lows[-1], t_hi
-
-    if study == "linf":
-        series = rates["inf"]
-        t_lo, t_hi = decade_pair(series)
-        s_lo = next(row[2] for row in series if row[0] == t_lo)
-        s_hi = next(row[2] for row in series if row[0] == t_hi)
-        out.append(("sup-norm scaled error halves per decade",
-                    s_hi <= 0.5 * s_lo,
-                    f"t={t_hi:g}: {s_hi:.4e} vs 0.5 x {s_lo:.4e} at t={t_lo:g}"))
-    elif study == "l1":
-        series = rates["1"]
-        t_lo, t_hi = decade_pair(series)
-        r_lo = next(row[1] for row in series if row[0] == t_lo)
-        r_hi = next(row[1] for row in series if row[0] == t_hi)
-        out.append(("L1 error halves per decade", r_hi <= 0.5 * r_lo,
-                    f"t={t_hi:g}: {r_hi:.4e} vs 0.5 x {r_lo:.4e} at t={t_lo:g}"))
+        t_lo, v_lo = lows[-1][0], lows[-1][col]
+        out.append((name, v_hi <= 0.5 * v_lo,
+                    f"t={t_hi:g}: {v_hi:.4e} vs 0.5 x {v_lo:.4e} at t={t_lo:g}"))
     elif study == "lp":
         worst = -math.inf
         ok = True
@@ -172,11 +179,9 @@ def _study_verdicts(study: str, files: dict, m: float) -> list:
     elif study == "mass":
         # tolerance at the conservation scale: under Neumann the gap is
         # pure discretisation drift, which stays below 1e-4 of the mass
-        gaps = np.abs(m_l - m)
-        inc = np.max(np.diff(gaps)) if gaps.size > 1 else 0.0
-        out.append(("mass gap |M(t) - m| nonincreasing",
-                    inc <= 1e-4 * max(abs(m_l[0]), 1e-300),
-                    f"max increase {inc:.3e}, final gap {gaps[-1]:.4e}"))
+        rep = asym.mass_convergence(ledger, m, tol=1e-4)
+        out.append(("mass gap |M(t) - m| nonincreasing", rep.nonincreasing,
+                    f"max increase {rep.max_increase:.3e}, final gap {rep.final_gap:.4e}"))
     elif study == "balance":
         res = mass_balance_residual(ledger)
         out.append(("mass balance residual <= 2e-3", res <= 2e-3,
@@ -186,14 +191,8 @@ def _study_verdicts(study: str, files: dict, m: float) -> list:
 
 def cmd_evolve(args) -> int:
     mapping = parse_config_file(args.config) if args.config else {}
-    overrides = {
-        "dim": args.dim, "theta": args.theta, "preset": args.preset,
-        "study": args.study, "t_max": args.t_max, "h": args.h, "dt": args.dt,
-        "r_out": args.r_out, "audit": args.audit or None,
-        "hole": parse_hole(args.hole) if args.hole else None,
-        "snapshot_times": tuple(float(x) for x in args.snapshots.split(","))
-        if args.snapshots else None,
-    }
+    overrides = dict(_run_overrides(args), theta=args.theta, r_out=args.r_out,
+                     audit=args.audit or None)
     cfg = runconfig_from_mapping(mapping, overrides).resolved()
     out_dir = os.path.join(_out_root(args), cfg.run_id())
     os.makedirs(out_dir, exist_ok=True)
@@ -234,6 +233,7 @@ def cmd_evolve(args) -> int:
 def cmd_profile(args) -> int:
     hole = parse_hole(args.hole)
     theta = ThetaBoundary(args.theta)
+    radii = _floats(args.radii, "--R")
     out_dir = os.path.join(_out_root(args), f"profile-d{args.dim}-"
                            f"{hole_to_spec(hole).replace(':', '')}-"
                            f"th{('%g' % args.theta).replace('.', 'p')}")
@@ -259,7 +259,6 @@ def cmd_profile(args) -> int:
                     f"decay exponent (order {order}) <= {rep.target:g}",
                     rep.passed, f"fitted {rep.exponent:.4f}")
     if args.method in ("elliptic", "both"):
-        radii = tuple(float(x) for x in args.radii.split(","))
         far = max(radii) * 2.0
         domain = ExteriorDomain(args.dim, hole, max(far, 4.0 * hole.circumscribed_radius + 1.0))
         table = profile_elliptic(domain, theta, radii)
@@ -363,15 +362,21 @@ def cmd_optimal(args) -> int:
 # ----------------------------------------------------------------- kernel
 
 def cmd_kernel(args) -> int:
-    y = float(args.y.split(",")[-1])
-    times = tuple(float(x) for x in args.t.split(","))
-    n_rho, _, n_z = args.grid.partition("x")
+    point = _floats(args.y, "--y")
+    if len(point) not in (1, 3) or any(point[:-1]):
+        raise ConfigError(f"--y takes z or 0,0,z (the source sits on the z-axis), "
+                          f"got '{args.y}'")
+    y = point[-1]
+    times = _floats(args.t, "--t")
+    shape = re.fullmatch(r"([1-9][0-9]*)x([1-9][0-9]*)", args.grid)
+    if shape is None:
+        raise ConfigError(f"--grid takes NxM with positive integers, got '{args.grid}'")
+    n_rho, n_z = (int(n) for n in shape.groups())
     hole = parse_hole(args.hole)
     if not isinstance(hole, BallHole):
         raise ConfigError("kernel probes need a ball hole")
     domain = ExteriorDomain(3, hole, required_far_radius(hole, max(times)))
-    probe = kernel_probe(domain, y, args.width, times,
-                         n_rho=int(n_rho), n_z=int(n_z))
+    probe = kernel_probe(domain, y, args.width, times, n_rho=n_rho, n_z=n_z)
     profile0 = profile_radial_closed_form(3, hole.radius, ThetaBoundary(0.0))
     out_dir = os.path.join(_out_root(args), f"kernel-y{y:g}")
     os.makedirs(out_dir, exist_ok=True)
@@ -394,7 +399,7 @@ def cmd_kernel(args) -> int:
         # bound, the decision scale of the gap <= bound verdict
         t_last = times[-1]
         half_probe = kernel_probe(domain, y, 0.5 * args.width, (t_last,),
-                                  n_rho=int(n_rho), n_z=int(n_z))
+                                  n_rho=n_rho, n_z=n_z)
         rep_full = asym.kernel_l1_gap(probe, t_last, profile0)
         rep_half = asym.kernel_l1_gap(half_probe, t_last, profile0)
         change = abs(rep_full.gap - rep_half.gap) / rep_full.bound
@@ -418,18 +423,11 @@ def _sweep_one(base_cfg: RunConfig, value: float, root: str):
 def cmd_sweep(args) -> int:
     if args.param != "theta":
         raise ConfigError("sweep supports --param theta")
-    values = [float(x) for x in args.values.split(",")]
+    values = list(_floats(args.values, "--values"))
     if sorted(values) != values:
         raise ConfigError("sweep values must be increasing")
     mapping = parse_config_file(args.config) if args.config else {}
-    overrides = {
-        "dim": args.dim, "preset": args.preset, "study": args.study,
-        "t_max": args.t_max, "h": args.h, "dt": args.dt,
-        "hole": parse_hole(args.hole) if args.hole else None,
-        "snapshot_times": tuple(float(x) for x in args.snapshots.split(","))
-        if args.snapshots else None,
-    }
-    base = runconfig_from_mapping(mapping, overrides)
+    base = runconfig_from_mapping(mapping, _run_overrides(args))
     root = _out_root(args)
     results = [_sweep_one(base, v, root) for v in values]
     all_ok = True

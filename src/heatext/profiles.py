@@ -1,15 +1,18 @@
 """Asymptotic profiles: the bounded harmonic function with B_theta = 0 at the
 hole and value 1 at infinity.
 
-For dim >= 3 and a ball hole the profile is the closed form
+A profile is either the closed form around a hole of circumscribed
+radius a,
 
     Phi(r) = 1 - c (a/r)^(N-2),   c = 1 (Dirichlet),
                                   c = a b / (a b + N - 2) (Robin, b = cot(pi theta/2)),
                                   c = 0 (Neumann),
 
-which satisfies the boundary condition exactly (with du/dn = -du/dr at
-r = a) and tends to 1 at infinity. In dim 2 the profile degenerates: it
-is identically 0 unless the condition is Neumann (then identically 1).
+or a sampled radial table. In dim >= 3 around a ball the closed form
+satisfies the boundary condition exactly (with du/dn = -du/dr at r = a)
+and tends to 1 at infinity. Dim 2 is the case N = 2 of the same formula,
+for any hole: Phi is the constant 1 - c, that is 0 (all mass is lost)
+unless the condition is Neumann (1, all mass is kept).
 The elliptic route solves the truncated problems phi_R = 1 on |x| = R and
 extrapolates R -> infinity. In dim 2 it uses the masked 5-point stencil of
 the shared assembler `solver.grids.masked_laplacian`, on the quadrant
@@ -23,7 +26,7 @@ Dirichlet), which the two-point extrapolation uses.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -49,26 +52,14 @@ from .solver.grids import (
 from .solver.radial import radial_operator
 
 
-@dataclass(frozen=True)
-class ClosedFormRadial:
-    """Marker for Phi(r) = 1 - coefficient * (a/r)^(N-2)."""
-
-    coefficient: float
-
-
-@dataclass(frozen=True)
-class EllipticLimit:
-    """Marker for an R -> infinity elliptic limit with extrapolation offset q."""
-
-    radii: Tuple[float, ...]
-    offset: float
-
-
 def profile_coefficient(dim: int, a: float, theta: ThetaBoundary) -> float:
-    """Coefficient c of the closed-form radial profile (dim >= 3)."""
-    if dim < 3:
-        raise GeometryError("closed-form coefficient requires dim >= 3")
-    if theta.is_dirichlet:
+    """Coefficient c of the closed form Phi = 1 - c (a/r)^(N-2).
+
+    In dim 2 the profile is the constant 1 - c: c = 0 under Neumann, else 1.
+    """
+    if theta.is_neumann:
+        return 0.0
+    if dim == 2 or theta.is_dirichlet:
         return 1.0
     ab = a * theta.robin_b
     if not math.isfinite(ab):
@@ -79,53 +70,53 @@ def profile_coefficient(dim: int, a: float, theta: ThetaBoundary) -> float:
 
 @dataclass
 class ProfileTable:
-    """Sampled asymptotic profile with its construction metadata.
+    """Asymptotic profile sampled on the radii r in [a, r_max].
 
-    Radial tables carry (r, values); the planar elliptic route carries
-    per-radius Fields instead. The degenerate dim-2 cases are flagged:
-    all_mass_lost (Phi == 0) and conserved (Phi == 1).
+    A closed form sets `coefficient` c, and `evaluate` returns
+    1 - c (a/r)^(N-2), a the hole's circumscribed radius. Otherwise
+    `evaluate` interpolates (r, values) and continues the table
+    harmonically beyond r[-1]. Elliptic tables also keep their truncated
+    solves: per_radius on r (dim 3) or planar_fields (dim 2).
     """
 
     dim: int
     hole: HoleSpec
     theta: ThetaBoundary
-    method: object
-    r: Optional[np.ndarray] = None
-    values: Optional[np.ndarray] = None
+    r: np.ndarray
+    values: np.ndarray
+    coefficient: Optional[float] = None
     per_radius: Optional[Dict[float, np.ndarray]] = None
     planar_fields: Optional[Dict[float, Field]] = None
-    all_mass_lost: bool = False
-    conserved: bool = False
 
     def evaluate(self, radii):
         """Profile values at the given radii (vectorised)."""
         rr = np.asarray(radii, dtype=float)
-        if self.conserved:
-            return np.ones_like(rr)
-        if self.all_mass_lost:
-            return np.zeros_like(rr)
-        if isinstance(self.method, ClosedFormRadial):
-            a = self.hole.radius
-            c = self.method.coefficient
-            return 1.0 - c * (a / rr) ** (self.dim - 2)
-        if self.r is not None:
-            out = np.interp(rr, self.r, self.values)
-            # harmonic continuation beyond the table: 1 - C r^(2-N)
-            tail = rr > self.r[-1]
-            if np.any(tail):
-                c_tail = (1.0 - self.values[-1]) * self.r[-1] ** (self.dim - 2)
-                out = np.where(tail, 1.0 - c_tail * rr ** (2.0 - self.dim), out)
-            return out
-        raise PreconditionError("this profile table has no radial evaluator")
+        if self.coefficient is not None:
+            a = self.hole.circumscribed_radius
+            return 1.0 - self.coefficient * (a / rr) ** (self.dim - 2)
+        out = np.interp(rr, self.r, self.values)
+        # harmonic continuation beyond the table: 1 - C r^(2-N)
+        tail = rr > self.r[-1]
+        if np.any(tail):
+            c_tail = (1.0 - self.values[-1]) * self.r[-1] ** (self.dim - 2)
+            out = np.where(tail, 1.0 - c_tail * rr ** (2.0 - self.dim), out)
+        return out
+
+    def on_grid(self, grid) -> np.ndarray:
+        """Profile values at a grid's nodes, radii clamped to the hole's
+        circumscribed radius a (nodes inside it get Phi(a))."""
+        if grid.dim != self.dim:
+            raise PreconditionError("profile dimension does not match the field grid")
+        if grid.hole != self.hole:
+            raise PreconditionError("profile hole does not match the field grid")
+        return self.evaluate(np.maximum(grid.radii(), self.hole.circumscribed_radius))
 
     def boundary_residual(self) -> float:
         """Residual of sin(pi theta/2) dPhi/dn + cos(pi theta/2) Phi at r = a."""
-        if self.conserved or self.all_mass_lost:
-            return 0.0
-        a = self.hole.radius
+        a = self.hole.circumscribed_radius
         half = 0.5 * math.pi * self.theta.theta
-        if isinstance(self.method, ClosedFormRadial):
-            c = self.method.coefficient
+        if self.coefficient is not None:
+            c = self.coefficient
             phi_a = 1.0 - c
             dphi_dr = c * (self.dim - 2) / a
         else:
@@ -153,42 +144,28 @@ class ProfileTable:
         return count
 
 
+def _closed_form(dim: int, hole: HoleSpec, theta: ThetaBoundary,
+                 r_max: Optional[float], n_samples: int) -> ProfileTable:
+    """The closed-form table on [a, r_max] (default 64 a), a the hole's
+    circumscribed radius."""
+    a = hole.circumscribed_radius
+    c = profile_coefficient(dim, a, theta)
+    r = np.linspace(a, 64.0 * a if r_max is None else r_max, n_samples)
+    return ProfileTable(dim, hole, theta, r, 1.0 - c * (a / r) ** (dim - 2), c)
+
+
 def profile_radial_closed_form(dim: int, a: float, theta: ThetaBoundary,
                                r_max: Optional[float] = None,
                                n_samples: int = 512) -> ProfileTable:
-    """Closed-form radial profile for a ball hole.
-
-    dim 2 degenerates to `profile_planar` of the ball.
-    """
-    if a <= 0:
-        raise GeometryError("hole radius must be positive")
-    hole = BallHole(a)
-    if dim == 2:
-        return profile_planar(hole, theta, r_max, n_samples)
-    if r_max is None:
-        r_max = 64.0 * a
-    r = np.linspace(a, r_max, n_samples)
-    c = profile_coefficient(dim, a, theta)
-    table = ProfileTable(dim, hole, theta, ClosedFormRadial(c), r,
-                         1.0 - c * (a / r) ** (dim - 2),
-                         conserved=theta.is_neumann)
-    return table
+    """Closed-form profile around a ball hole of radius a (dim 2 or 3)."""
+    return _closed_form(dim, BallHole(a), theta, r_max, n_samples)
 
 
 def profile_planar(hole: HoleSpec, theta: ThetaBoundary, r_max: Optional[float] = None,
                    n_samples: int = 512) -> ProfileTable:
-    """The dim-2 profile of any hole, which degenerates: Neumann gives the
-    constant-1 table flagged conserved, anything else the constant-0 table
-    flagged all_mass_lost. Sampled on [R, r_max] (default 64 R), R the
-    hole's circumscribed radius.
-    """
-    rc = hole.circumscribed_radius
-    r = np.linspace(rc, 64.0 * rc if r_max is None else r_max, n_samples)
-    if theta.is_neumann:
-        return ProfileTable(2, hole, theta, ClosedFormRadial(0.0), r,
-                            np.ones_like(r), conserved=True)
-    return ProfileTable(2, hole, theta, ClosedFormRadial(0.0), r,
-                        np.zeros_like(r), all_mass_lost=True)
+    """The dim-2 profile of any hole: the closed form with N = 2, which is
+    the constant 1 under Neumann and the constant 0 otherwise."""
+    return _closed_form(2, hole, theta, r_max, n_samples)
 
 
 def _radial_truncated_solve(dim: int, a: float, theta: ThetaBoundary,
@@ -264,9 +241,9 @@ def profile_elliptic(domain: ExteriorDomain, theta: ThetaBoundary,
     dim 3 (ball hole): radial second-order solves (RadialGrid rejects an h
     with < 64 cells below min(R), exit 3); the limit table is the
     two-point extrapolation in 1/(R - q) of the two largest radii.
-    dim 2: masked 5-point solves on a shared lattice; no extrapolation
-    (the limit is the constant 0 or 1) but per-R tables demonstrate the
-    monotone decrease.
+    dim 2: masked 5-point solves on a shared lattice; no extrapolation:
+    the limit is `profile_planar`'s constant, and the per-R fields
+    demonstrate the monotone decrease toward it.
     """
     radii = tuple(float(R) for R in R_list)
     if len(radii) < 2 or list(radii) != sorted(set(radii)):
@@ -301,10 +278,8 @@ def profile_elliptic(domain: ExteriorDomain, theta: ThetaBoundary,
         y1, y2 = 1.0 / (R1 - q), 1.0 / (R2 - q)
         extrap = (y1 * per_radius[R2] - y2 * per_radius[R1]) / (y1 - y2)
         extrap = np.clip(extrap, 0.0, 1.0)
-        return ProfileTable(domain.dim, domain.hole, theta,
-                            EllipticLimit(radii, q), r_common, extrap,
-                            per_radius=per_radius,
-                            conserved=theta.is_neumann)
+        return ProfileTable(domain.dim, domain.hole, theta, r_common, extrap,
+                            per_radius=per_radius)
 
     # dim 2: masked planar solves on one nested lattice
     if h is None:
@@ -318,27 +293,13 @@ def profile_elliptic(domain: ExteriorDomain, theta: ThetaBoundary,
         off = round((g.half_width - small.half_width) / h)
         sub = f.values[off:off + small.n + 1, off:off + small.n + 1]
         per_fields[R] = Field(small, sub.copy(), 0.0).lock()
-    table = ProfileTable(domain.dim, domain.hole, theta,
-                         EllipticLimit(radii, 0.0),
-                         planar_fields=per_fields,
-                         all_mass_lost=not theta.is_neumann,
-                         conserved=theta.is_neumann)
-    return table
+    return replace(profile_planar(domain.hole, theta), planar_fields=per_fields)
 
 
 def asymptotic_mass(u0: Field, profile: ProfileTable) -> float:
     """Mass retained as t -> infinity: integral of Phi * u0 over the domain."""
-    grid = u0.grid
-    if grid.dim != profile.dim:
-        raise PreconditionError("profile dimension does not match the field grid")
-    if grid.hole != profile.hole:
-        raise PreconditionError("profile hole does not match the field grid")
-    if profile.conserved:
-        return u0.integral()
-    if profile.all_mass_lost:
-        return 0.0
-    phi = profile.evaluate(np.maximum(grid.radii(), profile.hole.circumscribed_radius))
-    return float(np.sum(grid.volume_weights() * phi * u0.values))
+    phi = profile.on_grid(u0.grid)
+    return float(np.sum(u0.grid.volume_weights() * phi * u0.values))
 
 
 @dataclass
@@ -366,18 +327,19 @@ def profile_decay_check(profile: ProfileTable, order: int,
     if profile.dim < 3:
         raise PreconditionError("decay checks require dim >= 3")
     target = -(profile.dim - 2 + order) + 0.1
-    if profile.conserved:
-        return DecayFitReport(order, 0.0, 0.0, target, True, skipped=True,
-                              reason="constant profile: 1 - Phi vanishes identically")
     a = profile.hole.circumscribed_radius
     radii = a * 2.0 ** np.arange(1, n_octaves + 1)
-    if profile.r is not None and not isinstance(profile.method, ClosedFormRadial):
+    if profile.coefficient is None:
         radii = radii[radii <= profile.r[-1] / 2.0]
     if radii.size < 4:
         raise PreconditionError("not enough samples for a decay fit")
+    psi = 1.0 - profile.evaluate(radii)
+    if not np.any(psi):
+        return DecayFitReport(order, 0.0, 0.0, target, True, skipped=True,
+                              reason="1 - Phi vanishes on the ladder")
     delta = 1e-3 * radii
     if order == 0:
-        vals = 1.0 - profile.evaluate(radii)
+        vals = psi
     elif order == 1:
         vals = np.abs(profile.evaluate(radii + delta)
                       - profile.evaluate(radii - delta)) / (2.0 * delta)
@@ -396,12 +358,8 @@ def profile_decay_check(profile: ProfileTable, order: int,
 class PsiTable:
     """Complement Psi = 1 - Phi(Dirichlet), with its fitted decay amplitude."""
 
-    dim: int
-    hole: HoleSpec
-    r: np.ndarray
-    values: np.ndarray
+    profile: ProfileTable
     amplitude: float  # fitted C with Psi <= C / r^(N-2)
-    profile: ProfileTable = None
 
     def evaluate(self, radii):
         return 1.0 - self.profile.evaluate(radii)
@@ -411,9 +369,5 @@ def psi_from_profile(profile0: ProfileTable) -> PsiTable:
     """Build Psi = 1 - Phi from a Dirichlet profile table."""
     if not profile0.theta.is_dirichlet:
         raise PreconditionError("Psi is defined from the Dirichlet profile")
-    if profile0.r is None:
-        raise PreconditionError("Psi requires a radial profile table")
     psi = 1.0 - profile0.evaluate(profile0.r)
-    amp = float(np.max(psi * profile0.r ** (profile0.dim - 2)))
-    return PsiTable(profile0.dim, profile0.hole, profile0.r.copy(), psi, amp,
-                    profile=profile0)
+    return PsiTable(profile0, float(np.max(psi * profile0.r ** (profile0.dim - 2))))

@@ -127,8 +127,8 @@ class PlanarGrid:
         return np.meshgrid(c, c, indexing="ij")
 
     def radii(self) -> np.ndarray:
-        X, Y = self.meshgrid()
-        return np.sqrt(X ** 2 + Y ** 2)
+        c2 = self.coords() ** 2
+        return np.sqrt(np.add.outer(c2, c2))
 
     def hole_mask(self) -> np.ndarray:
         """True on nodes inside (or on) the hole boundary."""
@@ -207,8 +207,7 @@ class AxisymGrid:
         return np.meshgrid(self.rho_nodes(), self.z_nodes(), indexing="ij")
 
     def radii(self) -> np.ndarray:
-        R, Z = self.meshgrid()
-        return np.sqrt(R ** 2 + Z ** 2)
+        return np.sqrt(np.add.outer(self.rho_nodes() ** 2, self.z_nodes() ** 2))
 
     def hole_mask(self) -> np.ndarray:
         R, Z = self.meshgrid()

@@ -241,6 +241,23 @@ def test_theta_whose_robin_row_overflows_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.count("theta = 1e-308") == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--grid", "256"],
+    ["kernel", "--grid", "0x192"],
+    ["kernel", "--t", "5,abc"],
+    ["kernel", "--y", "1,0,3"],
+    ["kernel", "--y", "0,3"],
+    ["sweep", "--values", "0,x"],
+    ["evolve", "--snapshots", "1,a"],
+    ["profile", "--R", "8,b"],
+])
+def test_malformed_flag_exit_code(tmp_path, capsys, argv):
+    # a bad number is a config error (exit 3) found before any output
+    assert _run(argv + ["--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert os.listdir(tmp_path) == []
+
+
 def test_evolve_dim2_mass_study(tmp_path):
     rc = _run(["evolve", "--dim", "2", "--hole", "rect:1x1", "--theta", "0",
                "--preset", "gaussian-bump:3,0,1.5", "--study", "mass",

@@ -15,6 +15,7 @@ from heatext.profiles import (
     profile_coefficient,
     profile_decay_check,
     profile_elliptic,
+    profile_planar,
     profile_radial_closed_form,
     psi_from_profile,
 )
@@ -45,14 +46,14 @@ def test_neumann_profile_is_one():
     p = profile_radial_closed_form(3, 1.0, NEUMANN)
     r = np.linspace(1.0, 50.0, 100)
     assert np.allclose(p.evaluate(r), 1.0)
-    assert p.conserved
+    assert p.coefficient == 0.0
 
 
 def test_robin_coefficient_solves_the_boundary_condition():
     # oracle: solve -Phi'(a) + b Phi(a) = 0 for Phi = 1 - c (a/r)^(N-2)
     # by hand: c = a b / (a b + N - 2); for a = 1, b = 1, N = 3: c = 1/2
     p = profile_radial_closed_form(3, 1.0, ROBIN_HALF)
-    assert p.method.coefficient == pytest.approx(0.5, rel=1e-14)
+    assert p.coefficient == pytest.approx(0.5, rel=1e-14)
     assert p.evaluate(1.0) == pytest.approx(0.5, rel=1e-14)
     assert abs(p.boundary_residual()) < 1e-12
 
@@ -70,7 +71,7 @@ def test_profile_bounds_and_theta_monotonicity():
         p = profile_radial_closed_form(3, 1.0, ThetaBoundary(theta))
         vals = p.evaluate(r)
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
-        c = p.method.coefficient
+        c = p.coefficient
         assert c <= prev_c + 1e-15  # c nonincreasing in theta
         prev_c = c
     assert profile_coefficient(3, 1.0, DIRICHLET) == 1.0
@@ -86,11 +87,14 @@ def test_profile_coefficient_rejects_an_overflowing_theta():
 
 
 def test_dim2_degenerate_profiles():
-    p0 = profile_radial_closed_form(2, 1.0, DIRICHLET)
-    assert p0.all_mass_lost
-    assert np.all(p0.evaluate(np.array([1.0, 5.0])) == 0.0)
-    p1 = profile_radial_closed_form(2, 1.0, NEUMANN)
-    assert p1.conserved
+    # the closed form with N = 2 is the constant 1 - c, exactly, for any hole
+    r = np.array([0.5, 1.0, 1.5, 5.0, 1e6, math.inf])
+    for theta, c in ((DIRICHLET, 1.0), (ROBIN_HALF, 1.0), (NEUMANN, 0.0)):
+        for p in (profile_radial_closed_form(2, 1.0, theta),
+                  profile_planar(RectHole(1.0, 0.5), theta)):
+            assert p.coefficient == c
+            assert np.all(p.values == 1.0 - c) and np.all(p.evaluate(r) == 1.0 - c)
+            assert abs(p.boundary_residual()) < 1e-16
 
 
 # ------------------------------------------------------------ elliptic
@@ -147,7 +151,8 @@ def test_elliptic_planar_dim2_monotone_decrease():
     dom = ExteriorDomain(2, BallHole(1.0), 40.0)
     table = profile_elliptic(dom, DIRICHLET, (8.0, 16.0, 32.0), h=0.25)
     assert table.elliptic_monotone_violations(tol=1e-12) == 0
-    assert table.all_mass_lost
+    assert table.coefficient == 1.0
+    assert np.all(table.evaluate(np.array([1.0, 4.0, 1e6])) == 0.0)
     # the truncated solutions head toward 0 at a fixed probe point
     g = table.planar_fields[8.0].grid
     i = round((4.0 + g.half_width) / g.h)
@@ -262,7 +267,19 @@ def test_asymptotic_mass_explicit_datum():
 def test_asymptotic_mass_neumann_conserves():
     u0 = _explicit_datum_grid()
     profile = profile_radial_closed_form(3, 1.0, NEUMANN)
-    assert asymptotic_mass(u0, profile) == pytest.approx(u0.integral(), rel=1e-14)
+    assert asymptotic_mass(u0, profile) == u0.integral()
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+def test_asymptotic_mass_planar_is_exact(theta):
+    # Phi is the constant 1 (Neumann) or 0, so m is u0's integral or 0
+    hole = RectHole(1.0, 1.0)
+    grid = PlanarGrid(half_width=8.0, n=64, hole=hole)
+    X, Y = grid.meshgrid()
+    u0 = Field(grid, np.where(grid.hole_mask(), 0.0, np.exp(-(X - 3.0) ** 2 - Y ** 2)))
+    assert u0.integral() > 0.0
+    m = asymptotic_mass(u0, profile_planar(hole, ThetaBoundary(theta)))
+    assert m == (u0.integral() if theta == 1.0 else 0.0)
 
 
 def test_asymptotic_mass_shrinking_shell_vanishes():
@@ -312,6 +329,16 @@ def test_decay_exponents_closed_form():
 def test_decay_check_neumann_skipped():
     p = profile_radial_closed_form(3, 1.0, NEUMANN)
     rep = profile_decay_check(p, 0)
+    assert rep.skipped and rep.passed
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_decay_check_elliptic_neumann_skipped(order):
+    # the sampled Neumann table is exactly 1, so 1 - Phi vanishes on the ladder
+    dom = ExteriorDomain(3, BallHole(1.0), 128.0)
+    table = profile_elliptic(dom, NEUMANN, (32.0, 64.0))
+    assert table.coefficient is None and np.all(table.values == 1.0)
+    rep = profile_decay_check(table, order)
     assert rep.skipped and rep.passed
 
 
