@@ -1,10 +1,12 @@
 """Command line: batch runs, CSV/SVG emission, and pass/fail verdicts.
 
-Subcommands: profile, evolve, herraiz, optimal, kernel, sweep.
-Exit codes: 0 all verdicts pass, 2 a verdict failed, 3 configuration
-error, 4 numerical failure. Output root: --out, else $HEATEXT_OUT,
-else ./heatext-out. Verdicts are recomputed from the emitted CSV files,
-so every judgement is re-runnable from the artifacts alone.
+Subcommands: profile, evolve, herraiz, optimal, kernel, sweep. A sweep
+runs evolve's one run path once per theta, so each of its run directories
+is the one evolve writes for that theta. Exit codes: 0 all verdicts pass,
+2 a verdict failed, 3 configuration error (any malformed argv included,
+found before any output), 4 numerical failure. Output root: --out, else
+$HEATEXT_OUT, else ./heatext-out. Verdicts are recomputed from the emitted
+CSV files, so every judgement is re-runnable from the artifacts alone.
 """
 
 import argparse
@@ -12,7 +14,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -36,6 +38,7 @@ from .profiles import (
     profile_radial_closed_form,
 )
 from .runconfig import (
+    STUDIES,
     RunConfig,
     hole_to_spec,
     parse_config_file,
@@ -76,16 +79,6 @@ def _floats(text: str, flag: str) -> tuple:
         return tuple(float(x) for x in text.split(","))
     except ValueError:
         raise ConfigError(f"{flag} takes comma-separated numbers, got '{text}'") from None
-
-
-def _run_overrides(args) -> dict:
-    """RunConfig overrides from the flags evolve and sweep share."""
-    return {
-        "dim": args.dim, "preset": args.preset, "study": args.study,
-        "t_max": args.t_max, "h": args.h, "dt": args.dt,
-        "hole": parse_hole(args.hole) if args.hole else None,
-        "snapshot_times": _floats(args.snapshots, "--snapshots") if args.snapshots else None,
-    }
 
 
 # ----------------------------------------------------------------- evolve
@@ -153,17 +146,15 @@ def _study_verdicts(study: str, files: dict, m: float) -> list:
     ledger = MassLedger(*([float(v) for v in col] for col in columns))
     out = []
     if study in ("l1", "linf"):
-        # the last row against the last one a factor 10 earlier: the raw L1
-        # error (column 1) or the scaled sup-norm error (column 2)
+        # the last row against the last one a factor 10 earlier (which
+        # RunConfig.resolved makes sure exists): the raw L1 error (column 1)
+        # or the scaled sup-norm error (column 2)
         p, col, name = {"l1": ("1", 1, "L1 error halves per decade"),
                         "linf": ("inf", 2, "sup-norm scaled error halves per decade")}[study]
         series = rates[p]
         t_hi, v_hi = series[-1][0], series[-1][col]
-        lows = [row for row in series if row[0] <= t_hi / 10.0 + 1e-9]
-        if not lows:
-            raise ConfigError(
-                "study needs snapshot times spanning a factor-10 window")
-        t_lo, v_lo = lows[-1][0], lows[-1][col]
+        low = [row for row in series if row[0] <= t_hi / 10.0 + 1e-9][-1]
+        t_lo, v_lo = low[0], low[col]
         out.append((name, v_hi <= 0.5 * v_lo,
                     f"t={t_hi:g}: {v_hi:.4e} vs 0.5 x {v_lo:.4e} at t={t_lo:g}"))
     elif study == "lp":
@@ -189,22 +180,21 @@ def _study_verdicts(study: str, files: dict, m: float) -> list:
     return out
 
 
-def cmd_evolve(args) -> int:
-    mapping = parse_config_file(args.config) if args.config else {}
-    overrides = dict(_run_overrides(args), theta=args.theta, r_out=args.r_out,
-                     audit=args.audit or None)
-    cfg = runconfig_from_mapping(mapping, overrides).resolved()
-    out_dir = os.path.join(_out_root(args), cfg.run_id())
+def _evolve_run(cfg: RunConfig, root: str, label: str = ""):
+    """One resolved run in root/<run id>: config.csv, the run's CSVs, their
+    audit- copies rerun at 2x r_out when cfg.audit, verdicts.csv, and
+    manifest.csv listing the others. Prints the verdict lines, each name
+    after label; returns (study verdicts, snapshots, all passed)."""
+    out_dir = os.path.join(root, cfg.run_id())
     os.makedirs(out_dir, exist_ok=True)
-    write_csv(os.path.join(out_dir, "config.csv"), ["key", "value"], cfg.echo_rows())
-
-    files, _, m = _run(cfg, out_dir)
+    config = write_csv(os.path.join(out_dir, "config.csv"), ["key", "value"],
+                       cfg.echo_rows())
+    files, snaps, m = _run(cfg, out_dir)
     verdicts = _study_verdicts(cfg.study, files, m)
     all_ok = True
-    verdict_rows = []
     for name, ok, detail in verdicts:
-        all_ok &= _verdict(name, ok, detail)
-        verdict_rows.append((name, ok, detail))
+        all_ok &= _verdict(label + name, ok, detail)
+    verdict_rows = list(verdicts)
 
     if cfg.audit:
         audit_cfg = replace(cfg, r_out=2.0 * cfg.r_out).resolved()
@@ -214,17 +204,31 @@ def cmd_evolve(args) -> int:
             flipped = ok != ok2
             if flipped:
                 all_ok = False
-                _emit(f"[TRUNCATION-SENSITIVE] {name}: verdict flipped at 2x r_out "
-                      f"({detail2})")
+                _emit(f"[TRUNCATION-SENSITIVE] {label}{name}: verdict flipped at "
+                      f"2x r_out ({detail2})")
             else:
-                _emit(f"[AUDIT-OK] {name}: unchanged at 2x r_out")
+                _emit(f"[AUDIT-OK] {label}{name}: unchanged at 2x r_out")
             verdict_rows.append((f"audit: {name}",
                                  not flipped, detail2))
-    write_csv(os.path.join(out_dir, "verdicts.csv"),
-              ["verdict", "passed", "detail"], verdict_rows)
+        files.update(("audit-" + k, v) for k, v in audit_files.items())
+    files["config"] = config
+    files["verdicts"] = write_csv(os.path.join(out_dir, "verdicts.csv"),
+                                  ["verdict", "passed", "detail"], verdict_rows)
     write_csv(os.path.join(out_dir, "manifest.csv"), ["artifact", "path"],
               sorted((k, os.path.basename(v)) for k, v in files.items()))
     _emit(f"artifacts under {out_dir}")
+    return verdicts, snaps, all_ok
+
+
+def _run_config(args) -> RunConfig:
+    """The --config file's RunConfig with the flags given on top."""
+    mapping = parse_config_file(args.config) if args.config else {}
+    return runconfig_from_mapping(
+        mapping, {f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
+
+
+def cmd_evolve(args) -> int:
+    _, _, all_ok = _evolve_run(_run_config(args).resolved(), _out_root(args))
     return 0 if all_ok else 2
 
 
@@ -377,6 +381,9 @@ def cmd_kernel(args) -> int:
         raise ConfigError("kernel probes need a ball hole")
     domain = ExteriorDomain(3, hole, required_far_radius(hole, max(times)))
     probe = kernel_probe(domain, y, args.width, times, n_rho=n_rho, n_z=n_z)
+    if args.audit_smearing:
+        half_probe = kernel_probe(domain, y, 0.5 * args.width, (times[-1],),
+                                  n_rho=n_rho, n_z=n_z)
     profile0 = profile_radial_closed_form(3, hole.radius, ThetaBoundary(0.0))
     out_dir = os.path.join(_out_root(args), f"kernel-y{y:g}")
     os.makedirs(out_dir, exist_ok=True)
@@ -398,8 +405,6 @@ def cmd_kernel(args) -> int:
         # halving the width must not move the gap by more than 10% of the
         # bound, the decision scale of the gap <= bound verdict
         t_last = times[-1]
-        half_probe = kernel_probe(domain, y, 0.5 * args.width, (t_last,),
-                                  n_rho=n_rho, n_z=n_z)
         rep_full = asym.kernel_l1_gap(probe, t_last, profile0)
         rep_half = asym.kernel_l1_gap(half_probe, t_last, profile0)
         change = abs(rep_full.gap - rep_half.gap) / rep_full.bound
@@ -411,35 +416,25 @@ def cmd_kernel(args) -> int:
 
 # ----------------------------------------------------------------- sweep
 
-def _sweep_one(base_cfg: RunConfig, value: float, root: str):
-    cfg = replace(base_cfg, theta=value).resolved()
-    out_dir = os.path.join(root, cfg.run_id())
-    os.makedirs(out_dir, exist_ok=True)
-    files, snaps, m = _run(cfg, out_dir)
-    verdicts = _study_verdicts(cfg.study, files, m)
-    return value, cfg.run_id(), files, snaps, verdicts
-
-
 def cmd_sweep(args) -> int:
-    if args.param != "theta":
-        raise ConfigError("sweep supports --param theta")
     values = list(_floats(args.values, "--values"))
     if sorted(values) != values:
         raise ConfigError("sweep values must be increasing")
-    mapping = parse_config_file(args.config) if args.config else {}
-    base = runconfig_from_mapping(mapping, _run_overrides(args))
+    base = _run_config(args)
+    cfgs = [replace(base, theta=v).resolved() for v in values]
     root = _out_root(args)
-    results = [_sweep_one(base, v, root) for v in values]
     all_ok = True
     manifest = []
-    for value, run_id, files, _, verdicts in results:
-        for name, ok, detail in verdicts:
-            all_ok &= _verdict(f"theta={value:g}: {name}", ok, detail)
-            manifest.append((run_id, "theta", value, name, ok))
+    snapshots = []
+    for cfg in cfgs:
+        verdicts, snaps, ok = _evolve_run(cfg, root, f"theta={cfg.theta:g}: ")
+        all_ok &= ok
+        manifest += [(cfg.run_id(), "theta", cfg.theta, name, passed)
+                     for name, passed, _ in verdicts]
+        snapshots.append(snaps)
     if args.check == "monotone":
-        ok = True
         worst = 0.0
-        for (v1, _, _, snaps1, _), (v2, _, _, snaps2, _) in zip(results, results[1:]):
+        for snaps1, snaps2 in zip(snapshots, snapshots[1:]):
             for s1, s2 in zip(snaps1, snaps2):
                 if s1.time <= 0:
                     continue
@@ -456,8 +451,31 @@ def cmd_sweep(args) -> int:
 
 # ----------------------------------------------------------------- parser
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a malformed argv as a ConfigError, which exits 3 like any
+    other bad input, in place of argparse's exit 2 (a failed verdict)."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    # the flags evolve and sweep share; each dest but config and out is a
+    # RunConfig field, left a string for runconfig_from_mapping to parse as
+    # it parses a config file's values
+    run_flags = argparse.ArgumentParser(add_help=False)
+    run_flags.add_argument("--config")
+    run_flags.add_argument("--dim")
+    run_flags.add_argument("--hole")
+    run_flags.add_argument("--preset")
+    run_flags.add_argument("--study", choices=STUDIES)
+    run_flags.add_argument("--t-max", dest="t_max")
+    run_flags.add_argument("--h")
+    run_flags.add_argument("--dt")
+    run_flags.add_argument("--snapshots", dest="snapshot_times")
+    run_flags.add_argument("--out")
+
+    ap = _Parser(
         prog="heatext",
         description="Heat-equation asymptotics on exterior domains: "
                     "profiles, evolutions, kernel checks, counterexample plans.")
@@ -475,21 +493,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_profile)
 
-    p = sub.add_parser("evolve", help="evolve a datum and judge a study")
-    p.add_argument("--config", default=None)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--hole", default=None)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--preset", default=None)
-    p.add_argument("--study", choices=("l1", "linf", "lp", "mass", "balance"),
-                   default=None)
-    p.add_argument("--t-max", dest="t_max", type=float, default=None)
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--r-out", dest="r_out", type=float, default=None)
-    p.add_argument("--snapshots", default=None)
-    p.add_argument("--audit", action="store_true")
-    p.add_argument("--out", default=None)
+    p = sub.add_parser("evolve", parents=[run_flags],
+                       help="evolve a datum and judge a study")
+    p.add_argument("--theta")
+    p.add_argument("--r-out", dest="r_out")
+    # absent, --audit is None, so that a config file's audit = true stands
+    p.add_argument("--audit", action="store_true", default=None)
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("herraiz", help="late-time comparison of predictions")
@@ -515,27 +524,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_kernel)
 
-    p = sub.add_parser("sweep", help="parameter sweep")
-    p.add_argument("--param", default="theta")
+    p = sub.add_parser("sweep", parents=[run_flags], help="parameter sweep")
+    p.add_argument("--param", choices=("theta",), default="theta")
     p.add_argument("--values", default="0,0.5,1")
     p.add_argument("--check", choices=("monotone", "none"), default="none")
-    p.add_argument("--config", default=None)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--hole", default=None)
-    p.add_argument("--preset", default=None)
-    p.add_argument("--study", default=None)
-    p.add_argument("--t-max", dest="t_max", type=float, default=None)
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--snapshots", default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, GeometryError, PreconditionError, UnsupportedFeatureError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -77,8 +77,15 @@ class RunConfig:
             snaps = _default_snapshots(self.study, self.t_max)
         if dt > h:
             raise ConfigError(f"dt = {dt} exceeds the accuracy guard h = {h}")
+        if not snaps:
+            raise ConfigError("no snapshot times given")
         if max(snaps) > self.t_max + 1e-12:
             raise ConfigError("snapshot times must not exceed t_max")
+        # the l1 and linf verdicts compare the last snapshot with the last
+        # one a factor 10 earlier
+        if self.study in ("l1", "linf") and not any(
+                0 < t <= max(snaps) / 10.0 + 1e-9 for t in snaps):
+            raise ConfigError("study needs snapshot times spanning a factor-10 window")
         return replace(self, h=h, dt=dt, r_out=r_out, snapshot_times=tuple(snaps))
 
     def theta_boundary(self) -> ThetaBoundary:
@@ -118,7 +125,11 @@ def _default_snapshots(study: str, t_max: float) -> Tuple[float, ...]:
 
 def parse_config_file(path: str) -> dict:
     out = {}
-    with open(path, "r") as fh:
+    try:
+        fh = open(path, "r")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
+    with fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line or (line.startswith("[") and line.endswith("]")):

@@ -90,6 +90,8 @@ def kernel_probe(domain: Optional[ExteriorDomain], y_dist: float,
     domain None runs the whole-space radial path (the hole disabled);
     otherwise the domain must have a ball hole, which the probe treats as
     Dirichlet, and the source must satisfy dist(y, hole) > 2 * mollifier_width.
+    The grid spacing (h, or max(h_rho, h_z) on the axisymmetric grid) must
+    not exceed mollifier_width, or the datum falls between the nodes.
     """
     if mollifier_width <= 0:
         raise PreconditionError("mollifier_width must be positive")
@@ -104,7 +106,8 @@ def kernel_probe(domain: Optional[ExteriorDomain], y_dist: float,
         # radial about the source; y_dist only shifts labels, not the solve
         grid = RadialGrid(a=0.0, r_out=mollifier_width + pad, n_r=n_r, dim=3)
         u0 = mollifier_bump(grid.nodes(), mollifier_width)
-        dt_cap = min(0.05, grid.h)
+        h = grid.h
+        dt_cap = min(0.05, h)
         # Gershgorin: the largest absolute row sum of the tridiagonal rows
         lo, di, up = radial_operator(grid, ThetaBoundary(1.0))
         lam_bar = float(np.max(np.abs(lo) + np.abs(di) + np.abs(up)))
@@ -122,10 +125,15 @@ def kernel_probe(domain: Optional[ExteriorDomain], y_dist: float,
         R, Z = grid.meshgrid()
         u0 = mollifier_bump(np.sqrt(R ** 2 + (Z - y_dist) ** 2), mollifier_width)
         u0[grid.hole_mask()] = 0.0
+        h = max(grid.h_rho, grid.h_z)
         dt_cap = min(0.05, grid.h_rho, grid.h_z)
         # Gershgorin: a row's diagonal is minus the sum of its four links
         lo0, up0, lo1, up1 = grid.stencil()
         lam_bar = 2.0 * (float(np.max(lo0 + up0)) + float(np.max(lo1 + up1)))
+    if h > mollifier_width:
+        raise PreconditionError(
+            f"grid spacing {h:.4g} exceeds the mollifier width {mollifier_width:g}: "
+            f"the probe datum is not resolved")
     m0 = float(np.sum(grid.volume_weights() * u0))
     u0 /= m0
 

@@ -216,6 +216,10 @@ def test_evolve_config_error_exit_code(tmp_path):
                "--snapshots", "1,2,5", "--h", "0.0625", "--dt", "0.03125",
                "--out", str(tmp_path)])
     assert rc == 3  # no factor-10 window for the linf verdict
+    rc = _run(["evolve", "--study", "l1", "--snapshots", "5,10", "--t-max", "10",
+               "--out", str(tmp_path)])
+    assert rc == 3  # the same, for the l1 verdict
+    assert os.listdir(tmp_path) == []  # found before any output
 
 
 def test_theta_with_infinite_robin_b_exit_code(tmp_path):
@@ -249,10 +253,23 @@ def test_theta_whose_robin_row_overflows_exit_code(tmp_path, capsys):
     ["kernel", "--y", "0,3"],
     ["sweep", "--values", "0,x"],
     ["evolve", "--snapshots", "1,a"],
+    ["evolve", "--snapshots", ","],
     ["profile", "--R", "8,b"],
+    ["evolve", "--theta", "abc"],
+    ["evolve", "--study", "bogus"],
+    ["evolve", "--no-such-flag"],
+    ["evolve", "--config", "no-such-file.cfg"],
+    ["profile", "--method", "bogus"],
+    ["herraiz", "--t", "x"],
+    ["kernel", "--width", "w"],
+    ["sweep", "--param", "rho"],
+    ["sweep", "--values", "0,0.5,2"],
+    ["kernel", "--y", "100", "--t", "2", "--grid", "96x192"],
 ])
 def test_malformed_flag_exit_code(tmp_path, capsys, argv):
-    # a bad number is a config error (exit 3) found before any output
+    # a bad number, choice or flag is a config error (exit 3) found before
+    # any output; the sweep resolves its last theta before its first run,
+    # and a source at z = 100 stretches the kernel grid to h_z = 1.16 > w = 0.5
     assert _run(argv + ["--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err.startswith("config error: ")
     assert os.listdir(tmp_path) == []
@@ -299,6 +316,28 @@ def test_sweep_monotone(tmp_path):
     header, rows = read_csv(os.path.join(str(tmp_path), "sweep-manifest.csv"))
     assert header[-1] == "passed"
     assert [row[-1] for row in rows] == ["true"] * 4
+    # each run writes the directory evolve writes
+    for run_id in {row[0] for row in rows} - {"sweep"}:
+        files = os.listdir(os.path.join(str(tmp_path), run_id))
+        assert {"config.csv", "verdicts.csv", "manifest.csv"} <= set(files)
+
+
+def test_sweep_audit_from_config_file(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("audit = true\n")
+    out = tmp_path / "out"
+    rc = _run(["sweep", "--values", "0,1", "--config", str(cfg_file),
+               "--study", "mass", "--t-max", "2", "--h", "0.0625",
+               "--dt", "0.03125", "--snapshots", "1,2", "--out", str(out)])
+    assert rc == 0
+    run_dirs = sorted(os.listdir(out))
+    assert len(run_dirs) == 3  # two runs and sweep-manifest.csv
+    for run_id in run_dirs[:2]:
+        assert "audit-ledger.csv" in os.listdir(out / run_id)
+    audit_lines = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("[AUDIT-OK]")]
+    assert [line.split(":")[0] for line in audit_lines] == [
+        "[AUDIT-OK] theta=0", "[AUDIT-OK] theta=1"]
 
 
 def test_kernel_cmd_coarse(tmp_path):
@@ -318,6 +357,12 @@ def test_evolve_audit_flag(tmp_path):
     assert rc == 0
     run_dir = os.path.join(str(tmp_path), os.listdir(str(tmp_path))[0])
     assert "audit-ledger.csv" in os.listdir(run_dir)
+    # the manifest lists every file of the run, the audit rerun's included
+    header, rows = read_csv(os.path.join(run_dir, "manifest.csv"))
+    assert header == ["artifact", "path"]
+    assert sorted(path for _, path in rows) == sorted(
+        set(os.listdir(run_dir)) - {"manifest.csv"})
+    assert {"audit-rates", "audit-snapshots", "audit-svg"} <= {k for k, _ in rows}
 
 
 def test_env_var_output_root(tmp_path, monkeypatch):

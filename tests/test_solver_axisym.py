@@ -195,6 +195,15 @@ def test_source_too_close_rejected():
         kernel_probe(_domain(), 1.5, 0.5, (1.0,))
 
 
+def test_under_resolved_probe_rejected():
+    # the grid spacing must not exceed the mollifier width: a far source
+    # stretches the axisymmetric z-spacing, a coarse whole-space grid its h
+    with pytest.raises(PreconditionError, match="exceeds the mollifier width"):
+        kernel_probe(_domain(2.0), 100.0, 0.5, (2.0,), n_rho=96, n_z=192)
+    with pytest.raises(PreconditionError, match="exceeds the mollifier width"):
+        kernel_probe(None, 0.0, 0.09, (1.0,), n_r=64, pad=8.0)
+
+
 def test_evolve_axisym_mass_decreases():
     dom = _domain(2.0)
     grid = AxisymGrid(rho_max=10.0, z_half=10.0, n_rho=128, n_z=256,
