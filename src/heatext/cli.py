@@ -101,8 +101,7 @@ def _run(cfg: RunConfig, out_dir: str, tag: str = ""):
         n = int(math.ceil(2.0 * cfg.r_out / cfg.h - 1e-9))
         n += n % 2
         grid = PlanarGrid(half_width=n * cfg.h / 2.0, n=n, hole=cfg.hole)
-        preset = cfg.preset if cfg.preset != "explicit-remark" else "gaussian-bump:3,0,1.5"
-        u0 = make_planar_datum(preset, grid)
+        u0 = make_planar_datum(cfg.preset, grid)
         domain = ExteriorDomain(2, cfg.hole, grid.half_width)
         snaps, ledger = evolve_planar(domain, theta, u0, stepper)
         profile = profile_planar(cfg.hole, theta)
@@ -418,8 +417,8 @@ def cmd_kernel(args) -> int:
 
 def cmd_sweep(args) -> int:
     values = list(_floats(args.values, "--values"))
-    if sorted(values) != values:
-        raise ConfigError("sweep values must be increasing")
+    if any(v1 >= v2 for v1, v2 in zip(values, values[1:])):
+        raise ConfigError("sweep values must be strictly increasing")
     base = _run_config(args)
     cfgs = [replace(base, theta=v).resolved() for v in values]
     root = _out_root(args)
@@ -482,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("profile", help="asymptotic profile tables")
-    p.add_argument("--dim", type=int, default=3)
+    p.add_argument("--dim", type=int, choices=(2, 3), default=3)
     p.add_argument("--hole", default="ball:1")
     p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--method", choices=("closed-form", "elliptic", "both"),

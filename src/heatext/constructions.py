@@ -362,14 +362,16 @@ def optimal_datum_plan(g: Callable[[float], float], n_max: int, dim: int = 3,
 def parse_g_spec(spec: str) -> Tuple[Callable[[float], float], str]:
     """Parse a decay-floor descriptor: 'recip:c' -> 1/(t+c), 'powlog:c' -> 1/log(t+c)."""
     kind, _, arg = spec.partition(":")
+    try:
+        c = float(arg) if arg else {"recip": 1.0, "powlog": math.e}[kind]
+    except (KeyError, ValueError):
+        raise PreconditionError(f"bad g spec '{spec}' (recip:c or powlog:c, c a number)") from None
     if kind == "recip":
-        c = float(arg) if arg else 1.0
-        if c <= 1.0:
-            raise PreconditionError("recip:c requires c > 1 so that g <= 1")
+        if not 1.0 < c < math.inf:
+            raise PreconditionError("recip:c requires a finite c > 1 so that g <= 1")
         return (lambda t: 1.0 / (t + c)), spec
     if kind == "powlog":
-        c = float(arg) if arg else math.e
-        if c < math.e:
-            raise PreconditionError("powlog:c requires c >= e")
+        if not math.e <= c < math.inf:
+            raise PreconditionError("powlog:c requires a finite c >= e")
         return (lambda t: 1.0 / math.log(t + c)), spec
     raise PreconditionError(f"unknown g spec '{spec}'")

@@ -17,12 +17,13 @@ The elliptic route solves the truncated problems phi_R = 1 on |x| = R and
 extrapolates R -> infinity. In dim 2 it uses the masked 5-point stencil of
 the shared assembler `solver.grids.masked_laplacian`, on the quadrant
 x, y >= 0 only: the hole and the disc are centred, so phi_R is even in x
-and in y, and the folded problem (axis links doubled) has exactly the
-restriction of the full solution as its solution; it is unfolded into the
-full field. In dim 3 it solves the evolution's rows (`radial_operator`),
-on which 1/r is exactly discrete-harmonic; the boundary influence is
-proportional to 1/(R - q) with offset q = a^2 b / (1 + a b) (q = a for
-Dirichlet), which the two-point extrapolation uses.
+and in y, and the folded problem (axis links doubled: the k = 0 parity
+row of `solver.grids.radial_links`) has exactly the restriction of the
+full solution as its solution; it is unfolded into the full field. In
+dim 3 it solves the evolution's rows (`radial_operator`), on which 1/r
+is exactly discrete-harmonic; the boundary influence is proportional to
+1/(R - q) with offset q = a^2 b / (1 + a b) (q = a for Dirichlet), which
+the two-point extrapolation uses.
 """
 
 import math
@@ -48,6 +49,7 @@ from .solver.grids import (
     hole_ghost,
     hole_nodes,
     masked_laplacian,
+    radial_links,
 )
 from .solver.radial import radial_operator
 
@@ -218,11 +220,10 @@ def _planar_truncated_solve(hole: HoleSpec, theta: ThetaBoundary, R: float,
     active = (X ** 2 + Y ** 2 < R ** 2 - 1e-12) & ~hole_mask
     if not np.any(active):
         raise GeometryError("truncation radius leaves no active nodes")
-    # unit links, the axis row's inward link folded onto its outward one;
-    # the far nodes outside the circle carry phi = 1, which moves to the
-    # right-hand side
-    lo, up = np.ones(m + 1), np.ones(m + 1)
-    lo[0], up[0] = 0.0, 2.0
+    # unit links, the axis row's inward link folded onto its outward one:
+    # the parity row of the k = 0 radial links; the far nodes outside the
+    # circle carry phi = 1, which moves to the right-hand side
+    lo, up = radial_links(np.arange(m + 1.0), 1.0, 0)
     L, far_coef = masked_laplacian(active, hole_mask, (lo, up, lo, up), hole_ghost(theta, h))
     phi_vec = spsolve(L.tocsc(), -far_coef, permc_spec="MMD_AT_PLUS_A")
     if not np.all(np.isfinite(phi_vec)):

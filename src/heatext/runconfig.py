@@ -6,6 +6,7 @@ values. Every field is validated against the geometry rules before any
 run starts.
 """
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Tuple
 
@@ -47,7 +48,7 @@ class RunConfig:
     dim: int = 3
     hole: HoleSpec = field(default_factory=lambda: BallHole(1.0))
     theta: float = 0.0
-    preset: str = "explicit-remark"
+    preset: Optional[str] = None       # initial datum (defaults per dim)
     study: str = "linf"
     t_max: float = 100.0
     h: Optional[float] = None          # grid spacing (defaults per dim)
@@ -62,9 +63,11 @@ class RunConfig:
             raise ConfigError(f"study must be one of {STUDIES}, got '{self.study}'")
         if not 0.0 <= self.theta <= 1.0:
             raise ConfigError(f"theta must lie in [0, 1], got {self.theta}")
-        if self.t_max <= 0:
-            raise ConfigError("t_max must be positive")
+        if not 0.0 < self.t_max < math.inf:
+            raise ConfigError(f"t_max must be positive and finite, got {self.t_max}")
         h = self.h if self.h is not None else (1.0 / 64.0 if self.dim == 3 else 0.5)
+        preset = self.preset if self.preset is not None else (
+            "explicit-remark" if self.dim == 3 else "gaussian-bump:3,0,1.5")
         dt = self.dt if self.dt is not None else h / 2.0
         try:
             r_out = self.r_out if self.r_out is not None else required_far_radius(
@@ -79,14 +82,14 @@ class RunConfig:
             raise ConfigError(f"dt = {dt} exceeds the accuracy guard h = {h}")
         if not snaps:
             raise ConfigError("no snapshot times given")
-        if max(snaps) > self.t_max + 1e-12:
-            raise ConfigError("snapshot times must not exceed t_max")
+        if not all(0.0 <= t <= self.t_max + 1e-12 for t in snaps) or list(snaps) != sorted(snaps):
+            raise ConfigError("snapshot times must increase within [0, t_max]")
         # the l1 and linf verdicts compare the last snapshot with the last
         # one a factor 10 earlier
         if self.study in ("l1", "linf") and not any(
                 0 < t <= max(snaps) / 10.0 + 1e-9 for t in snaps):
             raise ConfigError("study needs snapshot times spanning a factor-10 window")
-        return replace(self, h=h, dt=dt, r_out=r_out, snapshot_times=tuple(snaps))
+        return replace(self, preset=preset, h=h, dt=dt, r_out=r_out, snapshot_times=tuple(snaps))
 
     def theta_boundary(self) -> ThetaBoundary:
         return ThetaBoundary(self.theta)

@@ -41,6 +41,7 @@ import numpy as np
 from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dpttrf, dpttrs
 
 from ..errors import NumericalError
+from .grids import hole_links
 
 
 def tridiagonal_scale(lo, up):
@@ -74,14 +75,6 @@ def symmetric_factor(lo, di, up):
     if info != 0:
         raise NumericalError(f"symmetric tridiagonal is not positive definite (info {info})")
     return scale, d, e
-
-
-def _neighbours(mask):
-    """mask at the (i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1) neighbours,
-    False past the sides of the box."""
-    pad = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2), dtype=bool)
-    pad[1:-1, 1:-1] = mask
-    return pad[2:, 1:-1], pad[:-2, 1:-1], pad[1:-1, 2:], pad[1:-1, :-2]
 
 
 class SineModes:
@@ -138,7 +131,8 @@ class MaskedCNSolve(SineModes):
     `grids.hole_ghost`; L is the operator that `grids.masked_laplacian`
     assembles from them. Every box node (see `SineModes`) must be active
     or in the hole. The DST-I needs the axis-1 coefficients to be one
-    constant, c1 = up1[0]. `solve_modes` is the solve on mode vectors,
+    constant, c1 = up1[0]. The capacitance nodes and their hole links are
+    read off `grids.hole_links`. `solve_modes` is the solve on mode vectors,
     the one a march calls each step; calling the solver on active-node
     values is from_modes(solve_modes(to_modes(b))). `rank` is the size of
     the capacitance system.
@@ -150,7 +144,7 @@ class MaskedCNSolve(SineModes):
         c1 = up1[0]
         lo, up = lo0[self.rows], up0[self.rows]
         di = -(lo + up)
-        act, in_hole = self._act, hole[self.rows, 1:-1]
+        in_hole = hole[self.rows, 1:-1]
         n1, n0 = self.shape
         scale = self.scale
 
@@ -160,15 +154,11 @@ class MaskedCNSolve(SineModes):
         _, *self._tri = symmetric_factor(
             -half * lo, 1.0 - half * (di[None, :] + lam[:, None]), -half * up)
 
-        up_h, lo_h, right_h, left_h = _neighbours(in_hole)
-        src = in_hole & np.logical_or.reduce(_neighbours(act))
-        weight = np.ones(int(src.sum()))
+        # the hole rim, and for ghost != 0 the active nodes linked into the hole
+        sums, src = (a[self.rows, 1:-1] for a in hole_links(active, hole, stencil))
         if ghost != 0.0:
-            hole_coef = (up[:, None] * up_h + lo[:, None] * lo_h
-                         + c1 * (right_h.astype(float) + left_h))
-            near = act & (up_h | lo_h | right_h | left_h)
-            src = src | near
-            weight = np.where(near, -half * ghost * hole_coef, 1.0)[src]
+            src = src | (sums != 0.0)
+        weight = np.where(in_hole, 1.0, -half * ghost * sums)[src]
         self.rank = int(src.sum())
         if self.rank == 0:
             return

@@ -7,11 +7,11 @@ on the nodes inside the hole. Code that judges a field against the
 profile (`asymptotics.error_norms`, `profiles.asymptotic_mass`) reads
 only these, whatever the grid.
 
-`PlanarGrid.stencil()` and `AxisymGrid.stencil()` are the only places
-where the planar and axisymmetric link coefficients are written. The
-assembler `masked_laplacian`, the hole-link sums behind the ledger's
-hole-flux weights (`hole_weights`) and the fast solver
-`fastsolve.MaskedCNSolve` all read that one tuple.
+Every grid's `stencil()`, (lo, up) or (lo0, up0, lo1, up1), is the one
+source of its link coefficients, and `radial_links` the one radial link
+formula with its parity row. `masked_laplacian`, `fastsolve.MaskedCNSolve`,
+`radial.radial_operator` and the kernel probe's stiffness bound read the
+stencil; `hole_links` is the one walk of the links into the hole.
 """
 
 import math
@@ -23,6 +23,19 @@ import scipy.sparse as sp
 
 from ..domain import BallHole, HoleSpec, RectHole, sphere_surface_area
 from ..errors import GeometryError, PreconditionError
+
+
+def radial_links(r, h: float, k: int) -> tuple:
+    """Link coefficients (lo, up) of u_rr + (k/r) u_r at the nodes r, spacing h.
+
+    Centred differences where r > 0; at r = 0 the parity row (ghost
+    u_{-1} = u_1, operator (k + 1) u_rr): lo = 0, up = 2 (k + 1) / h^2.
+    """
+    drift = np.divide(k, 2.0 * h * r, out=np.zeros(r.shape), where=r > 0)
+    lo, up = 1.0 / h ** 2 - drift, 1.0 / h ** 2 + drift
+    axis = r == 0
+    lo[axis], up[axis] = 0.0, 2.0 * (k + 1) / h ** 2
+    return lo, up
 
 
 @dataclass(frozen=True)
@@ -76,6 +89,11 @@ class RadialGrid:
         w = np.ones_like(r)
         w[0] = w[-1] = 0.5
         return sphere_surface_area(self.dim) * w * r ** (self.dim - 1) * self.h
+
+    def stencil(self):
+        """Link coefficients (lo, up) of u_rr + (N-1)/r u_r; `radial_operator`
+        folds in the hole and far rows."""
+        return radial_links(self.nodes(), self.h, self.dim - 1)
 
 
 def hole_nodes(hole: HoleSpec, X, Y, eps: float) -> np.ndarray:
@@ -246,17 +264,9 @@ class AxisymGrid:
         return w
 
     def stencil(self):
-        """Link coefficients (lo0, up0, lo1, up1) of u_rhorho + u_rho/rho + u_zz.
-
-        Off the axis the centred stencil; the axis row is the parity row
-        4 (u_1 - u_0)/h^2, which has no inward link.
-        """
-        hr = self.h_rho
-        rho = self.rho_nodes()[1:]
-        lo0 = np.zeros(self.n_rho + 1)
-        up0 = np.full(self.n_rho + 1, 4.0 / hr ** 2)
-        lo0[1:] = 1.0 / hr ** 2 - 1.0 / (2.0 * rho * hr)
-        up0[1:] = 1.0 / hr ** 2 + 1.0 / (2.0 * rho * hr)
+        """Link coefficients (lo0, up0, lo1, up1) of u_rhorho + u_rho/rho + u_zz,
+        with the dim-2 `radial_links` along rho (the parity row on the axis)."""
+        lo0, up0 = radial_links(self.rho_nodes(), self.h_rho, 1)
         cz = np.full(self.n_z + 1, 1.0 / self.h_z ** 2)
         return lo0, up0, cz, cz
 
@@ -264,8 +274,10 @@ class AxisymGrid:
 def hole_ghost(theta, h: float) -> float:
     """Factor g of the ghost value g * u that a hole neighbour takes.
 
-    0 for Dirichlet, 1 for Neumann, and for Robin the second-order face
-    ghost (1 - b h/2) / (1 + b h/2), b = cot(pi theta/2).
+    0 for Dirichlet, 1 for Neumann, and for Robin (1 - b h/2) / (1 + b h/2),
+    b = cot(pi theta/2): second order at the face halfway to the hole node,
+    but `hole_nodes` puts the boundary nodes into the hole, so that face is
+    h/2 outside the boundary and a masked Robin run is first order in h.
     """
     if theta.is_dirichlet:
         return 0.0
@@ -275,25 +287,23 @@ def hole_ghost(theta, h: float) -> float:
     return (1.0 - 0.5 * b * h) / (1.0 + 0.5 * b * h)
 
 
-def _link_neighbours(active, stencil):
-    """Per link: the active nodes it applies at (nonzero coefficient), their
-    coefficients and the neighbours' positions, with nodes in np.where order."""
+def _shifted(mask):
+    """mask at the (i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1) neighbours,
+    False past the sides of the array."""
+    pad = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2), dtype=bool)
+    pad[1:-1, 1:-1] = mask
+    return pad[2:, 1:-1], pad[:-2, 1:-1], pad[1:-1, 2:], pad[1:-1, :-2]
+
+
+def hole_links(active, hole, stencil):
+    """(sums, rim): each active node's link coefficients into the hole, added
+    in `masked_laplacian`'s link order and zero off the active nodes, and
+    the mask of the hole nodes next to an active node."""
     lo0, up0, lo1, up1 = stencil
-    I, J = np.where(active)
-    for c, di, dj in ((up0[I], 1, 0), (lo0[I], -1, 0), (up1[J], 0, 1), (lo1[J], 0, -1)):
-        sel = c != 0.0
-        yield sel, c[sel], I[sel] + di, J[sel] + dj
-
-
-def hole_link_sums(active, hole, stencil):
-    """Sum of each active node's link coefficients into the hole.
-
-    Same links and node order as `masked_laplacian`.
-    """
-    out = np.zeros(int(active.sum()))
-    for sel, c, nb_i, nb_j in _link_neighbours(active, stencil):
-        out[sel] += np.where(hole[nb_i, nb_j], c, 0.0)
-    return out
+    up_h, lo_h, right_h, left_h = _shifted(hole)
+    sums = up0[:, None] * up_h + lo0[:, None] * lo_h + up1 * right_h + lo1 * left_h
+    sums[~active] = 0.0
+    return sums, hole & np.logical_or.reduce(_shifted(active))
 
 
 def hole_weights(grid, ghost: float) -> np.ndarray:
@@ -305,8 +315,8 @@ def hole_weights(grid, ghost: float) -> np.ndarray:
     the hole; the rest of w^T L u is the far-edge leakage.
     """
     active = grid.active_mask()
-    return ((ghost - 1.0) * grid.volume_weights()[active]
-            * hole_link_sums(active, grid.hole_mask(), grid.stencil()))
+    sums, _ = hole_links(active, grid.hole_mask(), grid.stencil())
+    return (ghost - 1.0) * grid.volume_weights()[active] * sums[active]
 
 
 def masked_laplacian(active, hole, stencil, hole_ghost):
@@ -331,7 +341,11 @@ def masked_laplacian(active, hole, stencil, hole_ghost):
     rows, cols, vals = [], [], []
     diag = np.zeros(n)
     edge_coef = np.zeros(n)
-    for sel, c, nb_i, nb_j in _link_neighbours(active, stencil):
+    lo0, up0, lo1, up1 = stencil
+    I, J = np.where(active)
+    for c, di, dj in ((up0[I], 1, 0), (lo0[I], -1, 0), (up1[J], 0, 1), (lo1[J], 0, -1)):
+        sel = c != 0.0
+        c, nb_i, nb_j = c[sel], I[sel] + di, J[sel] + dj
         nb_idx = idx[nb_i, nb_j]
         nb_hole = hole[nb_i, nb_j]
         nb_active = nb_idx >= 0

@@ -17,6 +17,7 @@ barely damps: for lam dt >> 1 its amplification is about
 -(1 - 4 / (lam dt)), so N equal steps over [0, t0] leave a mode of
 eigenvalue lam with a factor of about exp(-4 N^2 / (lam t0)). With lam_bar
 the Gershgorin bound on the spectrum of -L on the probe's own grid,
+2 sum_axes max(lo + up) over the grid's `stencil()` links,
 `warmup_steps` takes N = max(8, ceil(sqrt(ln(1/eps) lam_bar t0 / 4))),
 which makes that factor at most eps = WARMUP_DAMPING, a tenth of the
 tightest probe gate, for every eigenvalue from ln(1/eps) / t0 up to
@@ -36,7 +37,7 @@ from ..errors import PreconditionError
 from .axisym import _axisym_run
 from .grids import AxisymGrid, Field, RadialGrid
 from .ledger import MassLedger
-from .radial import _crank_nicolson_run, radial_operator
+from .radial import _crank_nicolson_run
 
 WARMUP_SPAN_WIDTHS = 8.0   # the warm-up covers 8 w^2 time units
 WARMUP_DAMPING = 1e-4      # the warm-up damps every mode of the grid at least this much
@@ -108,9 +109,6 @@ def kernel_probe(domain: Optional[ExteriorDomain], y_dist: float,
         u0 = mollifier_bump(grid.nodes(), mollifier_width)
         h = grid.h
         dt_cap = min(0.05, h)
-        # Gershgorin: the largest absolute row sum of the tridiagonal rows
-        lo, di, up = radial_operator(grid, ThetaBoundary(1.0))
-        lam_bar = float(np.max(np.abs(lo) + np.abs(di) + np.abs(up)))
     else:
         if not isinstance(domain.hole, BallHole) or domain.dim != 3:
             raise PreconditionError("kernel probes need a dim-3 ball-hole domain")
@@ -127,13 +125,13 @@ def kernel_probe(domain: Optional[ExteriorDomain], y_dist: float,
         u0[grid.hole_mask()] = 0.0
         h = max(grid.h_rho, grid.h_z)
         dt_cap = min(0.05, grid.h_rho, grid.h_z)
-        # Gershgorin: a row's diagonal is minus the sum of its four links
-        lo0, up0, lo1, up1 = grid.stencil()
-        lam_bar = 2.0 * (float(np.max(lo0 + up0)) + float(np.max(lo1 + up1)))
     if h > mollifier_width:
         raise PreconditionError(
             f"grid spacing {h:.4g} exceeds the mollifier width {mollifier_width:g}: "
             f"the probe datum is not resolved")
+    # Gershgorin: a row's diagonal is minus the sum of its links, (lo, up) per axis
+    links = grid.stencil()
+    lam_bar = 2.0 * sum(float(np.max(lo + up)) for lo, up in zip(links[::2], links[1::2]))
     m0 = float(np.sum(grid.volume_weights() * u0))
     u0 /= m0
 

@@ -1,10 +1,10 @@
 """Crank-Nicolson evolution of radial fields: u_t = u_rr + (N-1)/r u_r.
 
-Hole boundary at r = a by ghost node: Dirichlet pins u(a) = 0; Robin and
-Neumann fold u_r(a) = b u(a) into the first stencil row at second order
-(b = cot(pi theta/2); the sign follows from du/dn = -du/dr at the hole).
-a = 0 switches to the smooth-origin parity row used for ball domains and
-whole-space probes. The truncation boundary is homogeneous Dirichlet.
+The links are `RadialGrid.stencil()`, with the smooth-origin parity row
+at r = 0 (a = 0: ball domains, whole-space probes). `radial_operator`
+folds in the far row (homogeneous Dirichlet) and the hole row at r = a by
+ghost node: Dirichlet pins u(a) = 0; Robin and Neumann fold u_r(a) = b u(a)
+into it at second order (b = cot(pi theta/2), du/dn = -du/dr at the hole).
 
 The stencil is symmetric with respect to the volume weights, so a
 diagonal D makes I - dt/2 L symmetric positive definite; D depends on
@@ -41,31 +41,22 @@ BC_TOL = 1e-9  # relative tolerance for Dirichlet compatibility of the datum
 def radial_operator(grid: RadialGrid, theta: ThetaBoundary):
     """Tridiagonal second-order discretisation of the radial Laplacian.
 
-    Returns (lower, diag, upper) with the boundary rows folded in:
-    Dirichlet / far rows are identically zero, so Crank-Nicolson leaves
-    those nodes fixed at their (zero) initial values.
+    Returns (lower, diag, upper): `grid.stencil()` with row 0 and the far
+    row folded in. Dirichlet / far rows are identically zero, so
+    Crank-Nicolson leaves those nodes fixed at their (zero) initial values.
     """
-    r = grid.nodes()
     h = grid.h
-    n = r.size
-    dim = grid.dim
-    lo = np.zeros(n)
-    di = np.zeros(n)
-    up = np.zeros(n)
-    i = np.arange(1, n - 1)
-    lo[i] = 1.0 / h ** 2 - (dim - 1) / (2.0 * h * r[i])
-    di[i] = -2.0 / h ** 2
-    up[i] = 1.0 / h ** 2 + (dim - 1) / (2.0 * h * r[i])
+    lo, up = grid.stencil()
+    di = np.full(lo.size, -2.0 / h ** 2)
+    lo[0] = lo[-1] = di[-1] = up[-1] = 0.0
     if grid.a == 0.0:
-        # smooth origin: Laplacian of a radial function at r=0 is N u_rr,
-        # with the parity ghost u_{-1} = u_1
-        di[0] = -2.0 * dim / h ** 2
-        up[0] = 2.0 * dim / h ** 2
+        # smooth origin: the stencil's parity row, N u_rr with u_{-1} = u_1
+        di[0] = -up[0]
     elif theta.is_dirichlet:
-        pass  # zero row keeps u(a) = 0
+        di[0] = up[0] = 0.0  # zero row keeps u(a) = 0
     else:
         b = theta.robin_b
-        di[0] = -2.0 * (1.0 + h * b) / h ** 2 + (dim - 1) * b / r[0]
+        di[0] = -2.0 * (1.0 + h * b) / h ** 2 + (grid.dim - 1) * b / grid.a
         up[0] = 2.0 / h ** 2
         if not math.isfinite(di[0]):
             raise GeometryError(f"theta = {theta.theta!r} is too small: the Robin row "

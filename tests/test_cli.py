@@ -265,6 +265,10 @@ def test_theta_whose_robin_row_overflows_exit_code(tmp_path, capsys):
     ["sweep", "--param", "rho"],
     ["sweep", "--values", "0,0.5,2"],
     ["kernel", "--y", "100", "--t", "2", "--grid", "96x192"],
+    ["evolve", "--study", "mass", "--snapshots", "2,1", "--t-max", "2"],
+    ["sweep", "--values", "0.5,0.5"],
+    ["optimal", "--g", "recip:x"],
+    ["profile", "--dim", "4"],
 ])
 def test_malformed_flag_exit_code(tmp_path, capsys, argv):
     # a bad number, choice or flag is a config error (exit 3) found before
@@ -273,6 +277,19 @@ def test_malformed_flag_exit_code(tmp_path, capsys, argv):
     assert _run(argv + ["--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err.startswith("config error: ")
     assert os.listdir(tmp_path) == []
+
+
+def test_dim2_default_preset_is_named(tmp_path):
+    # without --preset a dim-2 run takes the planar bump and says so;
+    # explicit-remark is a radial datum, which a planar run rejects
+    argv = ["evolve", "--dim", "2", "--hole", "rect:1x1", "--study", "balance",
+            "--t-max", "2", "--out", str(tmp_path)]
+    assert _run(argv) == 0
+    (run_dir,) = os.listdir(tmp_path)
+    assert "gaussian-bump" in run_dir
+    with open(os.path.join(tmp_path, run_dir, "config.csv")) as fh:
+        assert 'preset,"gaussian-bump:3,0,1.5"\n' in fh.read()
+    assert _run(argv + ["--preset", "explicit-remark"]) == 3
 
 
 def test_evolve_dim2_mass_study(tmp_path):

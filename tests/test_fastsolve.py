@@ -91,6 +91,16 @@ def test_planar_hole_benchmark_grid_ranks():
     assert _solver(grid, _planar_ghost(grid, 0.5), 0.25).rank == 36
 
 
+@pytest.mark.parametrize("y", [2.5, 3.5])
+def test_kernel_probe_benchmark_grid_rank(y):
+    # the kernel-probe workload's grid (pad 4 sqrt(4 t_max), t_max = 10):
+    # the hole rim reaches the axis row, whose rho links have no inward side
+    pad = 4.0 * np.sqrt(40.0)
+    grid = AxisymGrid(rho_max=pad, z_half=y + pad, n_rho=96, n_z=192, hole=BallHole(1.0))
+    assert grid.hole_mask()[0].any()
+    assert _solver(grid, 0.0, 0.05).rank == 11
+
+
 @pytest.mark.parametrize("radius", [1.0, 0.0])
 def test_axisym_solve_matches_splu(radius):
     grid = AxisymGrid(rho_max=6.0, z_half=7.0, n_rho=40, n_z=96,

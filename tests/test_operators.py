@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from heatext.domain import BallHole, RectHole, ThetaBoundary
-from heatext.solver import AxisymGrid, PlanarGrid
-from heatext.solver.grids import hole_ghost, hole_weights, masked_laplacian
+from heatext.solver import AxisymGrid, PlanarGrid, RadialGrid
+from heatext.solver.grids import hole_ghost, hole_weights, masked_laplacian, radial_links
 
 
 def _operator(grid, ghost):
@@ -108,3 +108,19 @@ def test_axisym_hole_w_is_bit_identical_on_the_kernel_probe_grid():
     assert np.any(want != 0.0)
     assert np.array_equal(hole_weights(grid, 0.0), want)
     assert np.array_equal(_operator(grid, 0.0)[1], want)
+
+
+# ---------------------------------------------------- the one link source
+
+def test_radial_links_parity_row():
+    # u_rr + (2/r) u_r at r = 0, 1, 2, 3 (h = 1): the parity row 3 u_rr at
+    # the origin, the centred links 1 -+ 1/r elsewhere
+    lo, up = radial_links(np.arange(4.0), 1.0, 2)
+    assert np.array_equal(lo, [0.0, 0.0, 0.5, 1.0 - 1.0 / 3.0])
+    assert np.array_equal(up, [6.0, 2.0, 1.5, 1.0 + 1.0 / 3.0])
+
+
+def test_axisym_rho_links_are_the_dim2_radial_links():
+    grid = AxisymGrid(rho_max=25.3, z_half=28.0, n_rho=96, n_z=192, hole=BallHole(1.0))
+    radial = RadialGrid(0.0, grid.rho_max, grid.n_rho, dim=2)
+    assert np.array_equal(grid.stencil()[:2], radial.stencil())
