@@ -21,7 +21,7 @@ import numpy as np
 from . import asymptotics as asym
 from . import constructions as cons
 from .csvio import read_csv, write_csv, write_table
-from .domain import BallHole, ExteriorDomain, ThetaBoundary, required_far_radius
+from .domain import ExteriorDomain, ThetaBoundary, required_far_radius
 from .errors import (
     ConfigError,
     GeometryError,
@@ -237,19 +237,23 @@ def cmd_profile(args) -> int:
     hole = parse_hole(args.hole)
     theta = ThetaBoundary(args.theta)
     radii = _floats(args.radii, "--R")
+    if args.compare and (args.method != "both" or args.dim == 2):
+        raise ConfigError("--compare needs --method both and dim >= 3")
+    # the domain (a dim-3 hole is a ball) and the profiles come before any output
+    far = max(2.0 * max(radii), 4.0 * hole.circumscribed_radius + 1.0)
+    domain = ExteriorDomain(args.dim, hole, far)
+    closed = table = None
+    if args.method in ("closed-form", "both"):
+        closed = (profile_planar(hole, theta) if args.dim == 2 else
+                  profile_radial_closed_form(args.dim, hole.radius, theta))
+    if args.method in ("elliptic", "both"):
+        table = profile_elliptic(domain, theta, radii)
     out_dir = os.path.join(_out_root(args), f"profile-d{args.dim}-"
                            f"{hole_to_spec(hole).replace(':', '')}-"
                            f"th{('%g' % args.theta).replace('.', 'p')}")
     os.makedirs(out_dir, exist_ok=True)
     all_ok = True
-    closed = None
-    if args.method in ("closed-form", "both"):
-        if args.dim == 2:
-            closed = profile_planar(hole, theta)
-        else:
-            if not isinstance(hole, BallHole):
-                raise ConfigError("closed-form profiles require a ball hole")
-            closed = profile_radial_closed_form(args.dim, hole.radius, theta)
+    if closed is not None:
         write_csv(os.path.join(out_dir, "profile_closed.csv"), ["r", "phi"],
                   zip(closed.r, closed.values))
         resid = abs(closed.boundary_residual())
@@ -261,10 +265,7 @@ def cmd_profile(args) -> int:
                 all_ok &= _verdict(
                     f"decay exponent (order {order}) <= {rep.target:g}",
                     rep.passed, f"fitted {rep.exponent:.4f}")
-    if args.method in ("elliptic", "both"):
-        far = max(radii) * 2.0
-        domain = ExteriorDomain(args.dim, hole, max(far, 4.0 * hole.circumscribed_radius + 1.0))
-        table = profile_elliptic(domain, theta, radii)
+    if table is not None:
         if args.dim == 3:
             write_csv(os.path.join(out_dir, "profile_elliptic.csv"), ["r", "phi"],
                       zip(table.r, table.values))
@@ -281,8 +282,6 @@ def cmd_profile(args) -> int:
         all_ok &= _verdict("phi_R pointwise nonincreasing in R", viol == 0,
                            f"{viol} violations")
         if args.compare:
-            if closed is None or args.dim == 2:
-                raise ConfigError("--compare needs --method both and dim >= 3")
             diff = float(np.max(np.abs(
                 closed.evaluate(table.r) - table.values)))
             all_ok &= _verdict("closed-form vs elliptic agreement <= 1e-4",
@@ -375,9 +374,7 @@ def cmd_kernel(args) -> int:
     if shape is None:
         raise ConfigError(f"--grid takes NxM with positive integers, got '{args.grid}'")
     n_rho, n_z = (int(n) for n in shape.groups())
-    hole = parse_hole(args.hole)
-    if not isinstance(hole, BallHole):
-        raise ConfigError("kernel probes need a ball hole")
+    hole = parse_hole(args.hole)  # ExteriorDomain takes only a ball hole in dim 3
     domain = ExteriorDomain(3, hole, required_far_radius(hole, max(times)))
     probe = kernel_probe(domain, y, args.width, times, n_rho=n_rho, n_z=n_z)
     if args.audit_smearing:

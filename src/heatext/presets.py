@@ -1,8 +1,10 @@
 """Named initial data used by the command line and the test suites.
 
-Descriptors:
-    explicit-remark             the exact-solution datum (radial, dim 3, a = 1)
-    gaussian-bump:c,w           bump exp(-(r-c)^2/w^2); planar: c = "cx;cy"
+`PRESETS` is the one table of preset names and default parameters per run
+dim (3: radial data, 2: planar); `parse_preset` reads it for the builders
+and for `RunConfig.resolved`, before any output. Descriptors:
+    explicit-remark             the exact-solution datum (dim 3, a = 1)
+    gaussian-bump:c,w           bump exp(-(r-c)^2/w^2); dim 2: cx,cy,w
     ball-eigen:n                n-th ball eigenfunction (ball grids, a = 0)
     indicator-shell:r1,r2       indicator of r1 <= r <= r2
 """
@@ -14,15 +16,31 @@ from .domain import ThetaBoundary
 from .errors import ConfigError
 from .solver.grids import Field, PlanarGrid, RadialGrid
 
+PRESETS = {
+    3: {"explicit-remark": (), "gaussian-bump": (4.0, 1.0), "ball-eigen": (1.0,),
+        "indicator-shell": (1.5, 2.5)},
+    2: {"gaussian-bump": (3.0, 0.0, 1.5), "indicator-shell": (2.0, 4.0)},
+}
 
-def _split_args(arg: str, n: int, what: str):
-    parts = [p for p in arg.split(",") if p]
-    if len(parts) != n:
-        raise ConfigError(f"{what} expects {n} parameters, got '{arg}'")
+
+def parse_preset(spec: str, dim: int):
+    """(name, parameters) of a preset descriptor for a dim-`dim` run, the
+    defaults when it gives none; ConfigError for an unknown name or bad
+    parameters."""
+    name, _, arg = spec.partition(":")
+    if name not in PRESETS[dim]:
+        raise ConfigError(f"unknown dim-{dim} preset '{name}' "
+                          f"(expected one of {', '.join(PRESETS[dim])})")
+    default = PRESETS[dim][name]
     try:
-        return [float(p) for p in parts]
+        params = tuple(float(p) for p in arg.split(",") if p) or default
     except ValueError as exc:
         raise ConfigError(f"bad numeric parameter in '{arg}'") from exc
+    if len(params) != len(default):
+        raise ConfigError(f"{name} expects {len(default)} parameters, got '{arg}'")
+    if name == "gaussian-bump" and params[-1] <= 0:
+        raise ConfigError("bump width must be positive")
+    return name, params
 
 
 def make_radial_datum(spec: str, grid: RadialGrid,
@@ -33,57 +51,43 @@ def make_radial_datum(spec: str, grid: RadialGrid,
     trace times the harmonic factor (a/r)^(N-2) so the compatibility is
     exact without changing the far field.
     """
-    name, _, arg = spec.partition(":")
+    name, params = parse_preset(spec, 3)
     r = grid.nodes()
     if name == "explicit-remark":
         if grid.a != 1.0 or grid.dim != 3:
             raise ConfigError("explicit-remark requires dim 3 and hole radius 1")
         vals = explicit_solution(r, 0.0)
     elif name == "gaussian-bump":
-        c, w = _split_args(arg or "4,1", 2, "gaussian-bump")
-        if w <= 0:
-            raise ConfigError("bump width must be positive")
+        c, w = params
         vals = np.exp(-((r - c) / w) ** 2)
         if theta is not None and theta.is_dirichlet and grid.a > 0:
             vals = vals - vals[0] * (grid.a / r) ** (grid.dim - 2)
             vals = np.maximum(vals, 0.0)
     elif name == "ball-eigen":
-        mode = int(float(arg)) if arg else 1
+        mode = int(params[0])
         if grid.a != 0.0:
             raise ConfigError("ball-eigen requires a ball grid (a = 0)")
         vals = ball_eigenfunction(r / grid.r_out, mode) / grid.r_out ** grid.dim
         # rescaling keeps unit L1 mass on B(0, r_out)
-    elif name == "indicator-shell":
-        r1, r2 = _split_args(arg or "1.5,2.5", 2, "indicator-shell")
+    else:  # indicator-shell
+        r1, r2 = params
         if not grid.a <= r1 < r2 <= grid.r_out:
             raise ConfigError("indicator-shell bounds must satisfy a <= r1 < r2 <= r_out")
         vals = np.where((r >= r1) & (r <= r2), 1.0, 0.0)
-        if theta is not None and theta.is_dirichlet and r1 <= grid.a:
-            raise ConfigError("indicator-shell touching the hole violates the Dirichlet datum")
-    else:
-        raise ConfigError(f"unknown preset '{name}'")
-    vals = np.asarray(vals, dtype=float)
     vals[-1] = 0.0
     return Field(grid, vals, 0.0)
 
 
 def make_planar_datum(spec: str, grid: PlanarGrid) -> Field:
-    """Build a planar initial datum; values on hole nodes are zeroed."""
-    name, _, arg = spec.partition(":")
+    """Build a planar initial datum, zero on the hole and outer-edge nodes."""
+    name, params = parse_preset(spec, 2)
     X, Y = grid.meshgrid()
     if name == "gaussian-bump":
-        parts = _split_args(arg or "3,0,1.5", 3, "planar gaussian-bump")
-        cx, cy, w = parts
-        if w <= 0:
-            raise ConfigError("bump width must be positive")
+        cx, cy, w = params
         vals = np.exp(-(((X - cx) ** 2 + (Y - cy) ** 2) / w ** 2))
-    elif name == "indicator-shell":
-        r1, r2 = _split_args(arg or "2,4", 2, "indicator-shell")
+    else:  # indicator-shell
+        r1, r2 = params
         R = np.sqrt(X ** 2 + Y ** 2)
         vals = np.where((R >= r1) & (R <= r2), 1.0, 0.0)
-    else:
-        raise ConfigError(f"unknown planar preset '{name}'")
-    vals = np.asarray(vals, dtype=float)
-    vals[grid.hole_mask()] = 0.0
-    vals[grid.edge_mask()] = 0.0
+    vals[~grid.active_mask()] = 0.0  # the hole and outer-edge nodes the run pins
     return Field(grid, vals, 0.0)

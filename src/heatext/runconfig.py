@@ -19,6 +19,7 @@ from .domain import (
     required_far_radius,
 )
 from .errors import ConfigError, GeometryError
+from .presets import parse_preset
 
 STUDIES = ("l1", "linf", "lp", "mass", "balance")
 
@@ -75,15 +76,17 @@ class RunConfig:
             ExteriorDomain(self.dim, self.hole, r_out)
         except GeometryError as exc:
             raise ConfigError(str(exc)) from exc
+        parse_preset(preset, self.dim)
         snaps = self.snapshot_times
         if snaps is None:
             snaps = _default_snapshots(self.study, self.t_max)
-        if dt > h:
-            raise ConfigError(f"dt = {dt} exceeds the accuracy guard h = {h}")
+        if not 0.0 < dt <= h:
+            raise ConfigError(f"dt = {dt} must lie in (0, h], the accuracy guard h = {h}")
         if not snaps:
             raise ConfigError("no snapshot times given")
-        if not all(0.0 <= t <= self.t_max + 1e-12 for t in snaps) or list(snaps) != sorted(snaps):
-            raise ConfigError("snapshot times must increase within [0, t_max]")
+        if list(snaps) != sorted(set(snaps)) or not all(
+                0.0 <= t <= self.t_max + 1e-12 for t in snaps):
+            raise ConfigError("snapshot times must strictly increase within [0, t_max]")
         # the l1 and linf verdicts compare the last snapshot with the last
         # one a factor 10 earlier
         if self.study in ("l1", "linf") and not any(

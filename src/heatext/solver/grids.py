@@ -2,10 +2,10 @@
 
 Every grid owns its geometry through the same members: `dim`, the space
 dimension of the fields it carries; `hole`, its HoleSpec or None;
-`radii()`, each node's distance from the origin; and `hole_mask()`, True
-on the nodes inside the hole. Code that judges a field against the
-profile (`asymptotics.error_norms`, `profiles.asymptotic_mass`) reads
-only these, whatever the grid.
+`radii()`, each node's distance from the origin; `hole_mask()`, True on
+the nodes inside the hole; and `spacing`, the finest node spacing, which
+caps a run's steps. Code that judges a field against the profile
+(`asymptotics.error_norms`, `profiles.asymptotic_mass`) reads only these.
 
 Every grid's `stencil()`, (lo, up) or (lo0, up0, lo1, up1), is the one
 source of its link coefficients, and `radial_links` the one radial link
@@ -64,6 +64,8 @@ class RadialGrid:
     @property
     def h(self) -> float:
         return (self.r_out - self.a) / self.n_r
+
+    spacing = h
 
     @property
     def shape(self):
@@ -132,6 +134,8 @@ class PlanarGrid:
     @property
     def h(self) -> float:
         return 2.0 * self.half_width / self.n
+
+    spacing = h
 
     @property
     def shape(self):
@@ -210,6 +214,10 @@ class AxisymGrid:
     @property
     def h_z(self) -> float:
         return 2.0 * self.z_half / self.n_z
+
+    @property
+    def spacing(self) -> float:
+        return min(self.h_rho, self.h_z)
 
     @property
     def shape(self):

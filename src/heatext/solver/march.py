@@ -13,10 +13,18 @@ the step u+ = A^{-1} B u is u+ = 2 solve(u) - u and needs no matvec with L.
 The radial solver builds its own symmetric tridiagonal solve
 (`fastsolve.symmetric_factor`) and marches in a scaled variable. The
 planar and axisymmetric solvers share `march_masked`, which does all of a
-masked-grid run from the grid's stencil: the datum checks, the hole-flux
+masked-grid run from the grid's stencil: `check_run`, the hole-flux
 weights, the `fastsolve.MaskedCNSolve` builds and the march, which runs
 on sine modes: a step does no sine transform, and the values are read
 back only at the stops.
+
+`check_run` is the one run contract. Both grid-level runs,
+`radial._crank_nicolson_run` and `march_masked`, check it once before the
+first step, so every evolution and both kernel-probe paths do: the datum
+is finite and vanishes (to 1e-9 of its size) on the nodes the scheme
+pins, which then enter as exactly 0; stop times strictly increase from
+t >= 0; every step cap lies in (0, grid spacing], the accuracy guard.
+The entry points check only the grid against the domain.
 """
 
 import math
@@ -35,6 +43,25 @@ def step_count(span: float, cap: float) -> int:
     """Fewest equal steps no larger than cap that cover span (0 for span 0);
     a span within round-off (1e-9 relative) of n caps takes n steps."""
     return math.ceil(span / cap * (1.0 - 1e-9))
+
+
+def check_run(values, hole, edge, stops, spacing):
+    """Check the run contract; returns the datum as a new float array that
+    is exactly 0 on the pinned nodes hole and edge (masks or index lists)."""
+    values = np.array(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise PreconditionError("initial datum contains non-finite values")
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(values))))
+    for pinned, where in ((hole, "hole nodes"), (edge, "far-edge nodes")):
+        if np.any(np.abs(values[pinned]) > tol):
+            raise PreconditionError(f"datum must vanish on {where} (to {tol:.1e})")
+        values[pinned] = 0.0
+    times, caps = [t for t, _ in stops], [c for _, c in stops]
+    if times != sorted(set(times)) or not all(0.0 <= t < math.inf for t in times):
+        raise PreconditionError(f"stop times must strictly increase from t >= 0, got {times}")
+    if not all(0.0 < c <= spacing * (1.0 + 1e-12) for c in caps):
+        raise PreconditionError(f"accuracy guard: step caps {caps} must lie in (0, {spacing:g}]")
+    return values
 
 
 def march(u, stops, factor, mass, flux, to_field, what, ledger_stride=1):
@@ -75,8 +102,8 @@ def march(u, stops, factor, mass, flux, to_field, what, ledger_stride=1):
 def march_masked(grid, u0, ghost, stops, ledger_stride, what):
     """march a datum on a PlanarGrid or AxisymGrid; returns (snapshots, ledger).
 
-    The datum must be finite and vanish on the hole nodes; only its
-    active-node values enter. ghost is the hole ghost factor of
+    The hole and outer-edge nodes are pinned (`check_run`); only the
+    datum's active-node values enter. ghost is the hole ghost factor of
     `grids.hole_ghost`. The mass is the volume-weighted sum over the
     active nodes and the ledger flux is the hole flux
     `grids.hole_weights` . u. The march runs on the mode vectors of
@@ -84,12 +111,7 @@ def march_masked(grid, u0, ghost, stops, ledger_stride, what):
     mode vectors, and values are read back only at the stops.
     """
     active, hole = grid.active_mask(), grid.hole_mask()
-    values = np.asarray(u0.values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise PreconditionError("initial datum contains non-finite values")
-    scale = max(1.0, float(np.max(np.abs(values))))
-    if np.any(np.abs(values[hole]) > 1e-9 * scale):
-        raise PreconditionError("datum must vanish on hole nodes")
+    check_run(u0.values, hole, grid.edge_mask(), stops, grid.spacing)
     stencil = grid.stencil()
     modes = SineModes(active, stencil)
     mass_w = modes.functional(grid.volume_weights()[active])
@@ -103,6 +125,6 @@ def march_masked(grid, u0, ghost, stops, ledger_stride, what):
         full[active] = modes.from_modes(u_modes)
         return Field(grid, full, t).lock()
 
-    return march(modes.to_modes(values[active]), stops, factor,
+    return march(modes.to_modes(u0.values[active]), stops, factor,
                  lambda u: float(mass_w @ u), lambda u: float(flux_w @ u),
                  to_field, what, ledger_stride)

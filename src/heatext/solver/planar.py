@@ -11,7 +11,8 @@ sine modes in y of the values: the datum is transformed once and the
 values are read back only at the snapshot times. Each step is a full
 direct solve (no operator splitting) by `fastsolve.MaskedCNSolve`, built
 once per step size: one stacked tridiagonal solve in x and a capacitance
-correction for the hole, with no sine transform.
+correction for the hole, with no sine transform. `march_masked` checks
+the run contract `march.check_run`, the hole and outer-edge nodes pinned.
 """
 
 from ..domain import ExteriorDomain, ThetaBoundary
@@ -25,9 +26,9 @@ def evolve_planar(domain: ExteriorDomain, theta: ThetaBoundary, u0: Field,
                   cfg: StepperConfig):
     """Evolve a planar datum; returns (snapshots, ledger).
 
-    The datum must vanish on masked (hole) nodes; outer-edge values are
-    pinned to zero. Mass is the cell sum h^2 sum(u) over unmasked nodes;
-    the ledger flux is the discrete flux through hole faces only.
+    The datum must vanish on the hole and outer-edge nodes, which the
+    scheme pins. Mass is the cell sum h^2 sum(u) over unmasked nodes; the
+    ledger flux is the discrete flux through hole faces only.
     """
     grid = u0.grid
     if not isinstance(grid, PlanarGrid):
@@ -38,7 +39,5 @@ def evolve_planar(domain: ExteriorDomain, theta: ThetaBoundary, u0: Field,
         raise GeometryError("grid hole does not match the domain hole")
     if abs(grid.half_width - domain.far_radius) > 1e-9 * domain.far_radius:
         raise GeometryError("grid half_width does not match domain.far_radius")
-    if cfg.dt > grid.h * (1.0 + 1e-12):
-        raise PreconditionError("accuracy guard: dt exceeds grid spacing h")
     return march_masked(grid, u0, hole_ghost(theta, grid.h), cfg.stops(),
                         cfg.ledger_stride, "planar")

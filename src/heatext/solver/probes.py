@@ -24,6 +24,9 @@ tightest probe gate, for every eigenvalue from ln(1/eps) / t0 up to
 lam_bar; the regular cap may add steps. The
 warm-up's cost thus follows the grid's stiffness. Under-damped stiff
 modes are what make the whole-space peak miss its 1e-3 gate.
+The requested times are stops of the run, which checks them on both paths
+with the run contract `march.check_run`: a repeated or out-of-order time
+is an error, never merged or sorted.
 """
 
 import math
@@ -92,23 +95,21 @@ def kernel_probe(domain: Optional[ExteriorDomain], y_dist: float,
     otherwise the domain must have a ball hole, which the probe treats as
     Dirichlet, and the source must satisfy dist(y, hole) > 2 * mollifier_width.
     The grid spacing (h, or max(h_rho, h_z) on the axisymmetric grid) must
-    not exceed mollifier_width, or the datum falls between the nodes.
+    not exceed mollifier_width, or the datum falls between the nodes; the
+    times must be positive and strictly increase.
     """
     if mollifier_width <= 0:
         raise PreconditionError("mollifier_width must be positive")
-    times = tuple(sorted({float(t) for t in times}))
-    if not times or times[0] <= 0:
+    if not times or min(times) <= 0:
         raise PreconditionError("probe times must be positive")
-    t_max = times[-1]
     if pad is None:
-        pad = 4.0 * math.sqrt(4.0 * t_max)
+        pad = 4.0 * math.sqrt(4.0 * max(times))
 
     if domain is None:
         # radial about the source; y_dist only shifts labels, not the solve
         grid = RadialGrid(a=0.0, r_out=mollifier_width + pad, n_r=n_r, dim=3)
         u0 = mollifier_bump(grid.nodes(), mollifier_width)
         h = grid.h
-        dt_cap = min(0.05, h)
     else:
         if not isinstance(domain.hole, BallHole) or domain.dim != 3:
             raise PreconditionError("kernel probes need a dim-3 ball-hole domain")
@@ -122,9 +123,7 @@ def kernel_probe(domain: Optional[ExteriorDomain], y_dist: float,
                           hole=domain.hole)
         R, Z = grid.meshgrid()
         u0 = mollifier_bump(np.sqrt(R ** 2 + (Z - y_dist) ** 2), mollifier_width)
-        u0[grid.hole_mask()] = 0.0
         h = max(grid.h_rho, grid.h_z)
-        dt_cap = min(0.05, grid.h_rho, grid.h_z)
     if h > mollifier_width:
         raise PreconditionError(
             f"grid spacing {h:.4g} exceeds the mollifier width {mollifier_width:g}: "
@@ -136,6 +135,7 @@ def kernel_probe(domain: Optional[ExteriorDomain], y_dist: float,
     u0 /= m0
 
     t0 = min(WARMUP_SPAN_WIDTHS * mollifier_width ** 2, 0.5 * times[0])
+    dt_cap = min(0.05, grid.spacing)
     warmup = (t0, min(t0 / warmup_steps(lam_bar, t0), dt_cap))
     stops = (warmup,) + tuple((t, dt_cap) for t in times)
     if domain is None:

@@ -269,11 +269,22 @@ def test_theta_whose_robin_row_overflows_exit_code(tmp_path, capsys):
     ["sweep", "--values", "0.5,0.5"],
     ["optimal", "--g", "recip:x"],
     ["profile", "--dim", "4"],
+    ["kernel", "--t", "5,5", "--grid", "96x192"],
+    ["kernel", "--t", "10,5", "--grid", "96x192"],
+    ["evolve", "--preset", "bogus", "--study", "mass", "--t-max", "2"],
+    ["evolve", "--dim", "2", "--preset", "explicit-remark"],
+    ["profile", "--dim", "3", "--hole", "rect:1x1"],
+    ["profile", "--method", "elliptic", "--R", "1,8"],
+    ["profile", "--dim", "2", "--method", "both", "--R", "8,16", "--compare"],
+    ["profile", "--compare"],
+    ["evolve", "--study", "mass", "--snapshots", "1,1", "--t-max", "2"],
 ])
 def test_malformed_flag_exit_code(tmp_path, capsys, argv):
     # a bad number, choice or flag is a config error (exit 3) found before
     # any output; the sweep resolves its last theta before its first run,
-    # and a source at z = 100 stretches the kernel grid to h_z = 1.16 > w = 0.5
+    # a source at z = 100 stretches the kernel grid to h_z = 1.16 > w = 0.5,
+    # kernel times must strictly increase, a preset must be one of its dim's
+    # and profile builds its profiles before its directory
     assert _run(argv + ["--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err.startswith("config error: ")
     assert os.listdir(tmp_path) == []

@@ -19,15 +19,20 @@ from heatext.solver import (
     AxisymGrid,
     Field,
     PlanarGrid,
+    RadialGrid,
     StepperConfig,
     evolve_axisym,
+    evolve_ball,
     evolve_planar,
+    evolve_radial,
     mollifier_bump,
 )
 from heatext.solver import march as march_module
+from heatext.solver.axisym import _axisym_run
 from heatext.solver.fastsolve import MaskedCNSolve, SineModes, symmetric_factor
 from heatext.solver.grids import hole_ghost, hole_weights, masked_laplacian
 from heatext.solver.march import march, march_masked, step_count
+from heatext.solver.radial import _crank_nicolson_run
 
 TOL = 1e-12
 
@@ -269,32 +274,86 @@ def test_axisym_march_matches_splu_reference():
     _check_march(grid, snaps, ledger, rows, want)
 
 
-def _masked_run(kind):
-    """A grid and its evolve call, for the planar and the axisymmetric runs."""
+def _run_path(kind):
+    """(grid, a datum that meets the run contract, its hole nodes, the run)
+    of each run path: the four evolve entry points and the whole-space and
+    exterior kernel-probe runs."""
     if kind == "planar":
         grid = PlanarGrid(half_width=6.0, n=48, hole=RectHole(1.0, 1.0))
         domain = ExteriorDomain(2, grid.hole, 6.0)
-        return grid, lambda u0, cfg: evolve_planar(domain, ThetaBoundary(0.5), u0, cfg)
-    grid = AxisymGrid(rho_max=6.0, z_half=7.0, n_rho=40, n_z=96, hole=BallHole(1.0))
-    domain = ExteriorDomain(3, BallHole(1.0), 6.0)
-    return grid, lambda u0, cfg: evolve_axisym(domain, ThetaBoundary(0.0), u0, cfg)
+        run = lambda u0, cfg: evolve_planar(domain, ThetaBoundary(0.5), u0, cfg)
+    elif kind in ("axisym", "exterior probe"):
+        grid = AxisymGrid(rho_max=6.0, z_half=7.0, n_rho=40, n_z=96, hole=BallHole(1.0))
+        domain = ExteriorDomain(3, BallHole(1.0), 6.0)
+        run = lambda u0, cfg: evolve_axisym(domain, ThetaBoundary(0.0), u0, cfg)
+        if kind == "exterior probe":
+            run = lambda u0, cfg: _axisym_run(grid, u0, cfg.stops(), cfg.ledger_stride)
+    if kind in ("planar", "axisym", "exterior probe"):
+        return grid, np.where(grid.active_mask(), 1.0, 0.0), grid.hole_mask(), run
+    if kind == "radial":
+        grid = RadialGrid(a=1.0, r_out=9.0, n_r=64, dim=3)
+        domain = ExteriorDomain(3, BallHole(1.0), 9.0)
+        run = lambda u0, cfg: evolve_radial(domain, ThetaBoundary(0.0), u0, cfg)
+    else:
+        grid = RadialGrid(a=0.0, r_out=8.0, n_r=64, dim=3)
+        run = lambda u0, cfg: evolve_ball(8.0, u0, cfg)
+        if kind == "whole-space probe":
+            run = lambda u0, cfg: _crank_nicolson_run(grid, ThetaBoundary(1.0), u0.values,
+                                                      cfg.stops(), cfg.ledger_stride)
+    hole = [0] if kind == "radial" else []  # the Dirichlet hole node
+    values = np.ones(grid.shape)
+    values[hole] = values[-1] = 0.0
+    return grid, values, hole, run
 
 
-@pytest.mark.parametrize("defect, message", [("shape", "shape"),
-                                             ("non-finite", "non-finite"),
-                                             ("hole", "vanish on hole nodes")])
-@pytest.mark.parametrize("kind", ["planar", "axisym"])
+RUN_PATHS = ["planar", "axisym", "radial", "ball", "whole-space probe", "exterior probe"]
+RUN_DEFECTS = [("shape", "shape"), ("non-finite", "non-finite"),
+               ("hole", "vanish on hole nodes"), ("far edge", "vanish on far-edge nodes"),
+               ("cap above spacing", "accuracy guard"),
+               ("stops out of order", "strictly increase")]
+
+
+@pytest.mark.parametrize("kind, defect, message", [
+    (kind, defect, message) for kind in RUN_PATHS for defect, message in RUN_DEFECTS
+    if defect != "hole" or kind not in ("ball", "whole-space probe")])  # no hole there
 def test_masked_runs_check_the_datum(kind, defect, message):
-    grid, run = _masked_run(kind)
-    values = np.where(grid.active_mask(), 1.0, 0.0)
+    # every run path checks one contract: the datum on the grid's nodes,
+    # finite and zero on the nodes the scheme pins, stop times strictly
+    # increasing and every step cap within the grid spacing
+    grid, values, hole, run = _run_path(kind)
+    cfg = StepperConfig(dt=0.1, snapshot_times=(0.2,))
     if defect == "shape":
         values = values[:-1]
     elif defect == "non-finite":
-        values[1, 1] = np.nan
+        values[(1,) * values.ndim] = np.nan
+    elif defect == "hole":
+        values[hole] = 1e-3
+    elif defect == "far edge":
+        values[..., -1] = 1e-3
+    elif defect == "cap above spacing":
+        cfg = StepperConfig(dt=1.0, snapshot_times=(2.0,))
     else:
-        values[grid.hole_mask()] = 1e-3
+        cfg = StepperConfig(dt=0.1, snapshot_times=(0.2, 0.1))
     with pytest.raises(PreconditionError, match=message):
-        run(Field(grid, values), StepperConfig(dt=0.1, snapshot_times=(0.2,)))
+        run(Field(grid, values), cfg)
+
+
+def test_a_repeated_snapshot_time_is_one_stop_and_disorder_an_error():
+    # StepperConfig merges a time repeated in a row, never one out of order
+    cfg = StepperConfig(dt=0.1, snapshot_times=(0.0, 0.5, 0.5, 1.0))
+    assert cfg.stops() == ((0.0, 0.1), (0.5, 0.1), (1.0, 0.1))
+    grid, values, _, run = _run_path("radial")
+    with pytest.raises(PreconditionError, match="strictly increase"):
+        run(Field(grid, values), StepperConfig(dt=0.1, snapshot_times=(0.5, 1.0, 0.5)))
+
+
+def test_pinned_values_enter_as_exactly_zero():
+    # values on the pinned nodes within 1e-9 of the datum's size pass the
+    # check and then enter as 0, in the t = 0 snapshot too
+    grid, values, _, run = _run_path("radial")
+    values[0] = values[-1] = 1e-12
+    snaps, _ = run(Field(grid, values), StepperConfig(dt=0.1, snapshot_times=(0.0,)))
+    assert snaps[0].values[0] == 0.0 and snaps[0].values[-1] == 0.0
 
 
 # ------------------------------------------------------------ mode-space march

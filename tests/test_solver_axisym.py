@@ -204,6 +204,16 @@ def test_under_resolved_probe_rejected():
         kernel_probe(None, 0.0, 0.09, (1.0,), n_r=64, pad=8.0)
 
 
+@pytest.mark.parametrize("times", [(5.0, 5.0), (10.0, 5.0)])
+def test_probe_times_must_strictly_increase(times):
+    # a repeated time is not merged and an out-of-order list not sorted
+    # without a word, on either probe path
+    with pytest.raises(PreconditionError, match="strictly increase"):
+        kernel_probe(None, 0.0, 0.5, times, n_r=256)
+    with pytest.raises(PreconditionError, match="strictly increase"):
+        kernel_probe(_domain(10.0), 3.0, 0.5, times, n_rho=64, n_z=128)
+
+
 def test_evolve_axisym_mass_decreases():
     dom = _domain(2.0)
     grid = AxisymGrid(rho_max=10.0, z_half=10.0, n_rho=128, n_z=256,

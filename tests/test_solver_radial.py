@@ -223,11 +223,16 @@ def test_snapshots_are_locked():
 def test_dirichlet_datum_precondition():
     grid, domain = _setup(1.0)
     cfg = StepperConfig(dt=1.0 / 32.0, snapshot_times=(1.0,))
-    bad = Field(grid, np.ones(grid.n_r + 1), 0.0)
+    values = np.ones(grid.n_r + 1)
+    values[-1] = 0.0  # the far node is pinned under every theta
+    bad = Field(grid, values, 0.0)
     with pytest.raises(PreconditionError):
         evolve_radial(domain, DIRICHLET, bad, cfg)
     # the same datum is fine under Neumann
     evolve_radial(domain, NEUMANN, bad, cfg)
+    # a nonzero far node is not dropped without a word
+    with pytest.raises(PreconditionError, match="far-edge"):
+        evolve_radial(domain, NEUMANN, Field(grid, np.ones(grid.n_r + 1), 0.0), cfg)
 
 
 def test_accuracy_guard_dt_le_h():
