@@ -321,10 +321,11 @@ def cmd_herraiz(args) -> int:
 
 # ----------------------------------------------------------------- optimal
 
-def _unit_ball_eigen_run(t_end: float = 0.35, n_r: int = 256, dt: float = 1.0 / 2048.0):
-    grid = RadialGrid(a=0.0, r_out=1.0, n_r=n_r, dim=3)
+def _unit_ball_eigen_run():
+    """The eigenfunction datum on the unit ball, 256 cells, dt = 1/2048, to t = 0.35."""
+    grid = RadialGrid(a=0.0, r_out=1.0, n_r=256, dim=3)
     vals = cons.ball_eigenfunction(grid.nodes())
-    cfg = StepperConfig(dt=dt, snapshot_times=(t_end,), ledger_stride=8)
+    cfg = StepperConfig(dt=1.0 / 2048.0, snapshot_times=(0.35,), ledger_stride=8)
     snaps, ledger = evolve_ball(1.0, Field(grid, vals), cfg)
     return snaps, ledger
 

@@ -24,24 +24,14 @@ PSI_PEAK = math.pi / 4.0  # value at the origin of the L1-normalised eigenfuncti
 EXPLICIT_ASYMPTOTIC_MASS = 2.0 * math.pi ** 1.5
 
 
-def ball_eigenfunction(r, mode: int = 1):
-    """L1-normalised Dirichlet eigenfunction sin(n pi r) / (4 r) of the unit ball.
-
-    For mode 1 the function is positive with unit integral over the ball;
-    higher modes are normalised by their absolute integral.
-    """
+def ball_eigenfunction(r):
+    """L1-normalised first Dirichlet eigenfunction sin(pi r) / (4 r) of the
+    unit ball: positive, with unit integral over the ball."""
     rr = np.asarray(r, dtype=float)
     out = np.empty_like(rr)
     small = np.abs(rr) < 1e-12
-    out[~small] = np.sin(mode * math.pi * rr[~small]) / (4.0 * rr[~small])
-    out[small] = mode * math.pi / 4.0
-    if mode == 1:
-        return out if out.ndim else float(out)
-    # absolute L1 normalisation for sign-changing modes
-    s = np.linspace(0.0, 1.0, 20001)
-    f = np.abs(np.sin(mode * math.pi * s)) * s  # |psi| r^2 with psi ~ sin/r
-    norm = math.pi * float(np.trapezoid(f, s))  # 4 pi * integral |sin|/(4 r) r^2
-    out = out / norm
+    out[~small] = np.sin(math.pi * rr[~small]) / (4.0 * rr[~small])
+    out[small] = PSI_PEAK
     return out if out.ndim else float(out)
 
 
@@ -69,8 +59,9 @@ def explicit_solution_mass(t) -> float:
     return out if out.ndim else float(out)
 
 
-def radial_z(x_norm: float, gamma: float, dim: int = 3) -> Tuple[float, float]:
-    """Value of z = x^(-gamma) and the residual of -Lap z = gamma(N-2-gamma) z / x^2.
+def radial_z(x_norm: float, gamma: float) -> Tuple[float, float]:
+    """Value of z = x^(-gamma) and the residual of -Lap z = gamma(1-gamma) z / x^2
+    in dim 3.
 
     The Laplacian is evaluated by fourth-order central differences, so the
     returned residual is at the 1e-8 scale or below for moderate x_norm.
@@ -91,8 +82,8 @@ def radial_z(x_norm: float, gamma: float, dim: int = 3) -> Tuple[float, float]:
     z_p2, z_p1, z_0, z_m1, z_m2 = z(x + 2 * d), z(x + d), z(x), z(x - d), z(x - 2 * d)
     d1 = (-z_p2 + 8.0 * z_p1 - 8.0 * z_m1 + z_m2) / (12.0 * d)
     d2 = (-z_p2 + 16.0 * z_p1 - 30.0 * z_0 + 16.0 * z_m1 - z_m2) / (12.0 * d * d)
-    lap = d2 + (dim - 1) / x * d1
-    residual = abs(-lap - gamma * (dim - 2 - gamma) * z_0 / x ** 2)
+    lap = d2 + 2.0 / x * d1
+    residual = abs(-lap - gamma * (1.0 - gamma) * z_0 / x ** 2)
     return value, residual
 
 
@@ -102,14 +93,12 @@ class SubSuperParams:
 
     gamma: float
     kappa: float
-    sigma: float = 1.0
-    delta: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise GeometryError("gamma must lie in (0, 1)")
-        if self.kappa <= 0 or self.sigma <= 0 or self.delta <= 0:
-            raise GeometryError("kappa, sigma, delta must be positive")
+        if self.kappa <= 0:
+            raise GeometryError("kappa must be positive")
 
 
 def supersolution_Z(params: SubSuperParams, profile0: ProfileTable, x_norm, t):
@@ -150,10 +139,9 @@ class ZReport:
         return "\n".join(lines)
 
 
-def supersolution_report(params: SubSuperParams, profile0: ProfileTable,
-                         r_max: float = 64.0, n_r: int = 400,
-                         t_grid=None) -> ZReport:
-    """Numerical verification of the supersolution properties on sample grids.
+def supersolution_report(params: SubSuperParams, profile0: ProfileTable) -> ZReport:
+    """Numerical verification of the supersolution properties on sample grids:
+    400 geometric radii on [a, 64] and 25 geometric times on [1, 1e4].
 
     Checks: (i) positivity; (ii) t^(N/2) Z decreasing in t uniformly;
     (iii) dZ/dn at the hole bounded below by m / (1 + t^(N/2+1)) with a
@@ -169,10 +157,8 @@ def supersolution_report(params: SubSuperParams, profile0: ProfileTable,
     a = profile0.hole.circumscribed_radius
     gamma, kappa = params.gamma, params.kappa
     psi = psi_from_profile(profile0)
-    r = np.geomspace(a, r_max, n_r)
-    if t_grid is None:
-        t_grid = np.geomspace(1.0, 1e4, 25)
-    t_grid = np.asarray(t_grid, dtype=float)
+    r = np.geomspace(a, 64.0, 400)
+    t_grid = np.geomspace(1.0, 1e4, 25)
 
     items = []
     fitted: Dict[str, float] = {}
@@ -235,7 +221,6 @@ def supersolution_report(params: SubSuperParams, profile0: ProfileTable,
         "heat-operator residual on |x|^2 <= delta t", ok,
         f"fitted c = {c_fit:.6g}, delta = {delta_fit:.6g}, C2 = {c2:.6g}" + witness_pt))
     fitted["kappa"] = kappa
-    fitted["sigma"] = params.sigma
     return ZReport(items, fitted)
 
 
@@ -251,46 +236,53 @@ class PlanRow:
 
 @dataclass
 class OptimalDatumPlan:
-    """Sequence (t_n, R_n, |x_n|, 2^-n) realising a prescribed decay floor g."""
+    """Sequence (t_n, R_n, |x_n|, 2^-n) realising a prescribed decay floor g,
+    in dim 3 outside the unit ball."""
 
     g: Callable[[float], float]
     g_label: str
-    dim: int
-    hole_radius: float
     eigenvalue: float
     psi_peak: float
     rows: List[PlanRow]
 
 
-def _bisect_decreasing(g, target, t_lo, t_hi, tol=1e-12, max_iter=400):
-    for _ in range(max_iter):
+def _bisect_decreasing(g, target, t_lo, t_hi):
+    for _ in range(400):
         mid = 0.5 * (t_lo + t_hi)
         if g(mid) > target:
             t_lo = mid
         else:
             t_hi = mid
-        if t_hi - t_lo <= tol * max(1.0, t_hi):
+        if t_hi - t_lo <= 1e-12 * max(1.0, t_hi):
             break
     return 0.5 * (t_lo + t_hi)
+
+
+def _gaussian_smallness_rhs(n: int, t_n: float, radius: float) -> float:
+    """(4 pi t_n)^(3/2) / (2^(n+2) |B(0, R_n)|), the bound that the Gaussian
+    smallness condition puts on exp(-(|x_n| - R_n) / (4 t_{n+1})).
+
+    R_n >= pi sqrt(t_n / ln(4/3)) makes it at most
+    3 (4 pi ln(4/3))^(3/2) / (4 pi^4 2^(n+2)) <= 6.6e-3 for n >= 1.
+    """
+    ball_vol = 4.0 / 3.0 * math.pi * radius ** 3
+    return (4.0 * math.pi * t_n) ** 1.5 / (2.0 ** (n + 2) * ball_vol)
 
 
 def plan_condition_values(plan: OptimalDatumPlan, row: PlanRow) -> Dict[str, float]:
     """The three construction conditions as residuals (all must be >= 0)."""
     lam = plan.eigenvalue
-    n, dim = row.n, plan.dim
-    ball_vol = 4.0 / 3.0 * math.pi * row.radius ** 3 if dim == 3 else math.pi * row.radius ** 2
-    rhs3 = (4.0 * math.pi * row.t_n) ** (dim / 2.0) / (2.0 ** (n + 2) * ball_vol)
+    rhs3 = _gaussian_smallness_rhs(row.n, row.t_n, row.radius)
     return {
         "eigen_decay": math.exp(-lam * row.t_next / row.radius ** 2) - 0.75,
-        "separation": row.center_dist - (row.radius + plan.hole_radius),
+        "separation": row.center_dist - (row.radius + 1.0),
         "gaussian_smallness": rhs3 - math.exp(
             -(row.center_dist - row.radius) / (4.0 * row.t_next)
         ),
     }
 
 
-def optimal_datum_plan(g: Callable[[float], float], n_max: int, dim: int = 3,
-                       hole_radius: float = 1.0,
+def optimal_datum_plan(g: Callable[[float], float], n_max: int,
                        g_label: str = "custom") -> OptimalDatumPlan:
     """Construct (t_n, R_n, |x_n|) for n = 1..n_max from a decreasing g -> 0.
 
@@ -301,8 +293,6 @@ def optimal_datum_plan(g: Callable[[float], float], n_max: int, dim: int = 3,
     """
     if n_max < 1 or n_max > 8:
         raise PreconditionError("n_max must lie in 1..8")
-    if dim != 3:
-        raise PreconditionError("the plan generator is implemented for dim 3")
     lam = BALL_EIGENVALUE
 
     # probe that g is decreasing to 0
@@ -328,27 +318,21 @@ def optimal_datum_plan(g: Callable[[float], float], n_max: int, dim: int = 3,
     for n in range(1, n_max + 1):
         t_n, t_next = t_list[n - 1], t_list[n]
         radius = float(math.ceil(math.pi * math.sqrt(t_next / math.log(4.0 / 3.0))))
-        ball_vol = 4.0 / 3.0 * math.pi * radius ** 3
-        rhs3 = (4.0 * math.pi * t_n) ** (dim / 2.0) / (2.0 ** (n + 2) * ball_vol)
-        x_min_sep = radius + hole_radius
-        if rhs3 >= 1.0:
-            x_n = x_min_sep + 1e-6 * radius
-        else:
-            need = radius - 4.0 * t_next * math.log(rhs3)
+        rhs3 = _gaussian_smallness_rhs(n, t_n, radius)
+        x_min_sep = radius + 1.0
+        # shortfall is decreasing and vanishes at need > radius (rhs3 < 1,
+        # see _gaussian_smallness_rhs), so [radius, 2 need] brackets its root
+        need = radius - 4.0 * t_next * math.log(rhs3)
 
-            def shortfall(x):
-                # decreasing in x; zero at the smallest admissible centre
-                return math.exp(-(x - radius) / (4.0 * t_next)) - rhs3
+        def shortfall(x):
+            # decreasing in x; zero at the smallest admissible centre
+            return math.exp(-(x - radius) / (4.0 * t_next)) - rhs3
 
-            lo, hi = radius, max(need * 2.0, x_min_sep * 2.0)
-            while shortfall(hi) > 0:
-                hi *= 2.0
-            x_n = _bisect_decreasing(shortfall, 0.0, lo, hi)
-            x_n = max(x_n * (1.0 + 1e-9) + 1e-9, x_min_sep + 1e-6 * radius)
-        row = PlanRow(n, t_n, t_next, radius, x_n, 2.0 ** (-n))
-        rows.append(row)
+        x_n = _bisect_decreasing(shortfall, 0.0, radius, max(need * 2.0, x_min_sep * 2.0))
+        x_n = max(x_n * (1.0 + 1e-9) + 1e-9, x_min_sep + 1e-6 * radius)
+        rows.append(PlanRow(n, t_n, t_next, radius, x_n, 2.0 ** (-n)))
 
-    plan = OptimalDatumPlan(g, g_label, dim, hole_radius, lam, PSI_PEAK, rows)
+    plan = OptimalDatumPlan(g, g_label, lam, PSI_PEAK, rows)
     for row in plan.rows:
         vals = plan_condition_values(plan, row)
         for name, v in vals.items():

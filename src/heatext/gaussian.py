@@ -65,17 +65,17 @@ def gaussian_l1_time_shift_bound(t: float, d: float, dim: int) -> float:
     return 2.0 * (((t + d) / t) ** (dim / 2.0) - 1.0)
 
 
-def adaptive_radial_integral(fn, dim: int, r_max: float, tol: float = 1e-10,
-                             n_start: int = 256, n_cap: int = 2 ** 22) -> float:
+def adaptive_radial_integral(fn, dim: int, r_max: float, tol: float) -> float:
     """Integral over R^N of a radial integrand fn(r) by composite trapezoid.
 
-    The node count doubles until two successive estimates differ by less
-    than tol. fn must accept a numpy array of radii.
+    The node count doubles from 256 cells until two successive estimates
+    differ by less than tol (NumericalError past 2^22 cells). fn must
+    accept a numpy array of radii.
     """
     omega = sphere_surface_area(dim)
-    n = n_start
+    n = 256
     prev = None
-    while n <= n_cap:
+    while n <= 2 ** 22:
         r = np.linspace(0.0, r_max, n + 1)
         val = omega * float(np.trapezoid(fn(r) * r ** (dim - 1), r))
         if prev is not None and abs(val - prev) < tol:
@@ -85,31 +85,33 @@ def adaptive_radial_integral(fn, dim: int, r_max: float, tol: float = 1e-10,
     raise NumericalError(f"radial quadrature did not reach tol={tol}", residual=abs(val - prev))
 
 
-def gaussian_mass_quadrature(params: GaussianParams, tol: float = 1e-10) -> float:
-    """Quadrature of the kernel over R^N; equals 1 up to the quadrature tol."""
+def gaussian_mass_quadrature(params: GaussianParams) -> float:
+    """Quadrature of the kernel over R^N; equals 1 up to the quadrature tol 1e-10."""
     cutoff = 12.0 * math.sqrt(params.time)
-    return adaptive_radial_integral(lambda r: gaussian_value(r, params), params.dim, cutoff, tol)
+    return adaptive_radial_integral(lambda r: gaussian_value(r, params), params.dim, cutoff,
+                                    1e-10)
 
 
-def gaussian_l1_time_shift_quadrature(t: float, d: float, dim: int, tol: float = 1e-10) -> float:
-    """Quadrature of integral |G(x,t) - G(x,t+d)| dx, the quantity the bound caps."""
+def gaussian_l1_time_shift_quadrature(t: float, d: float, dim: int) -> float:
+    """Quadrature (tol 1e-10) of integral |G(x,t) - G(x,t+d)| dx, the quantity
+    the bound caps."""
     pa, pb = GaussianParams(dim, t), GaussianParams(dim, t + d)
     cutoff = 12.0 * math.sqrt(t + d)
     return adaptive_radial_integral(
-        lambda r: np.abs(gaussian_value(r, pa) - gaussian_value(r, pb)), dim, cutoff, tol
+        lambda r: np.abs(gaussian_value(r, pa) - gaussian_value(r, pb)), dim, cutoff, 1e-10
     )
 
 
-def gaussian_ball_integral(center_dist: float, radius: float, time: float, dim: int = 3,
-                           n_quad: int = 4001) -> float:
+def gaussian_ball_integral(center_dist: float, radius: float, time: float,
+                           dim: int = 3) -> float:
     """Integral of G(x - y, t) over the ball B(0, radius), with |y| = center_dist.
 
-    Reduces to a 1d quadrature over shell radii using the closed-form
-    average of exp(-|x - y|^2/4t) over a sphere of radius s.
+    Reduces to a 1d trapezoid quadrature on 4001 shell radii using the
+    closed-form average of exp(-|x - y|^2/4t) over a sphere of radius s.
     """
     if radius <= 0 or time <= 0 or center_dist < 0:
         raise GeometryError("need radius > 0, time > 0, center_dist >= 0")
-    s = np.linspace(0.0, radius, n_quad)
+    s = np.linspace(0.0, radius, 4001)
     d = center_dist
     t = time
     if dim == 3:

@@ -5,20 +5,20 @@ dim (3: radial data, 2: planar); `parse_preset` reads it for the builders
 and for `RunConfig.resolved`, before any output. Descriptors:
     explicit-remark             the exact-solution datum (dim 3, a = 1)
     gaussian-bump:c,w           bump exp(-(r-c)^2/w^2); dim 2: cx,cy,w
-    ball-eigen:n                n-th ball eigenfunction (ball grids, a = 0)
-    indicator-shell:r1,r2       indicator of r1 <= r <= r2
+    indicator-shell:r1,r2       indicator of r1 <= r <= r2, inside the grid
 """
+
+import math
 
 import numpy as np
 
-from .constructions import ball_eigenfunction, explicit_solution
+from .constructions import explicit_solution
 from .domain import ThetaBoundary
 from .errors import ConfigError
 from .solver.grids import Field, PlanarGrid, RadialGrid
 
 PRESETS = {
-    3: {"explicit-remark": (), "gaussian-bump": (4.0, 1.0), "ball-eigen": (1.0,),
-        "indicator-shell": (1.5, 2.5)},
+    3: {"explicit-remark": (), "gaussian-bump": (4.0, 1.0), "indicator-shell": (1.5, 2.5)},
     2: {"gaussian-bump": (3.0, 0.0, 1.5), "indicator-shell": (2.0, 4.0)},
 }
 
@@ -26,7 +26,7 @@ PRESETS = {
 def parse_preset(spec: str, dim: int):
     """(name, parameters) of a preset descriptor for a dim-`dim` run, the
     defaults when it gives none; ConfigError for an unknown name or bad
-    parameters."""
+    parameters, a NaN or infinite one included."""
     name, _, arg = spec.partition(":")
     if name not in PRESETS[dim]:
         raise ConfigError(f"unknown dim-{dim} preset '{name}' "
@@ -38,14 +38,16 @@ def parse_preset(spec: str, dim: int):
         raise ConfigError(f"bad numeric parameter in '{arg}'") from exc
     if len(params) != len(default):
         raise ConfigError(f"{name} expects {len(default)} parameters, got '{arg}'")
+    if not all(math.isfinite(p) for p in params):
+        raise ConfigError(f"{name} parameters must be finite, got '{arg}'")
     if name == "gaussian-bump" and params[-1] <= 0:
         raise ConfigError("bump width must be positive")
     return name, params
 
 
-def make_radial_datum(spec: str, grid: RadialGrid,
-                      theta: ThetaBoundary = None) -> Field:
-    """Build a radial initial datum from a preset descriptor.
+def make_radial_datum(spec: str, grid: RadialGrid, theta: ThetaBoundary) -> Field:
+    """Build a radial initial datum from a preset descriptor, zero at the
+    far node.
 
     Dirichlet runs require u0(a) = 0; the bump preset subtracts its hole
     trace times the harmonic factor (a/r)^(N-2) so the compatibility is
@@ -60,21 +62,15 @@ def make_radial_datum(spec: str, grid: RadialGrid,
     elif name == "gaussian-bump":
         c, w = params
         vals = np.exp(-((r - c) / w) ** 2)
-        if theta is not None and theta.is_dirichlet and grid.a > 0:
+        if theta.is_dirichlet and grid.a > 0:
             vals = vals - vals[0] * (grid.a / r) ** (grid.dim - 2)
             vals = np.maximum(vals, 0.0)
-    elif name == "ball-eigen":
-        mode = int(params[0])
-        if grid.a != 0.0:
-            raise ConfigError("ball-eigen requires a ball grid (a = 0)")
-        vals = ball_eigenfunction(r / grid.r_out, mode) / grid.r_out ** grid.dim
-        # rescaling keeps unit L1 mass on B(0, r_out)
     else:  # indicator-shell
         r1, r2 = params
-        if not grid.a <= r1 < r2 <= grid.r_out:
-            raise ConfigError("indicator-shell bounds must satisfy a <= r1 < r2 <= r_out")
+        if not grid.a <= r1 < r2 < grid.r_out:
+            raise ConfigError("indicator-shell bounds must satisfy a <= r1 < r2 < r_out")
         vals = np.where((r >= r1) & (r <= r2), 1.0, 0.0)
-    vals[-1] = 0.0
+    vals[-1] = 0.0  # the smooth data's tails; a shell ends inside the grid
     return Field(grid, vals, 0.0)
 
 
@@ -87,6 +83,8 @@ def make_planar_datum(spec: str, grid: PlanarGrid) -> Field:
         vals = np.exp(-(((X - cx) ** 2 + (Y - cy) ** 2) / w ** 2))
     else:  # indicator-shell
         r1, r2 = params
+        if not r2 < grid.half_width:
+            raise ConfigError("indicator-shell must end inside the grid: r2 < half_width")
         R = np.sqrt(X ** 2 + Y ** 2)
         vals = np.where((R >= r1) & (R <= r2), 1.0, 0.0)
     vals[~grid.active_mask()] = 0.0  # the hole and outer-edge nodes the run pins

@@ -146,28 +146,24 @@ class ProfileTable:
         return count
 
 
-def _closed_form(dim: int, hole: HoleSpec, theta: ThetaBoundary,
-                 r_max: Optional[float], n_samples: int) -> ProfileTable:
-    """The closed-form table on [a, r_max] (default 64 a), a the hole's
+def _closed_form(dim: int, hole: HoleSpec, theta: ThetaBoundary) -> ProfileTable:
+    """The closed-form table at 512 radii on [a, 64 a], a the hole's
     circumscribed radius."""
     a = hole.circumscribed_radius
     c = profile_coefficient(dim, a, theta)
-    r = np.linspace(a, 64.0 * a if r_max is None else r_max, n_samples)
+    r = np.linspace(a, 64.0 * a, 512)
     return ProfileTable(dim, hole, theta, r, 1.0 - c * (a / r) ** (dim - 2), c)
 
 
-def profile_radial_closed_form(dim: int, a: float, theta: ThetaBoundary,
-                               r_max: Optional[float] = None,
-                               n_samples: int = 512) -> ProfileTable:
+def profile_radial_closed_form(dim: int, a: float, theta: ThetaBoundary) -> ProfileTable:
     """Closed-form profile around a ball hole of radius a (dim 2 or 3)."""
-    return _closed_form(dim, BallHole(a), theta, r_max, n_samples)
+    return _closed_form(dim, BallHole(a), theta)
 
 
-def profile_planar(hole: HoleSpec, theta: ThetaBoundary, r_max: Optional[float] = None,
-                   n_samples: int = 512) -> ProfileTable:
+def profile_planar(hole: HoleSpec, theta: ThetaBoundary) -> ProfileTable:
     """The dim-2 profile of any hole: the closed form with N = 2, which is
     the constant 1 under Neumann and the constant 0 otherwise."""
-    return _closed_form(2, hole, theta, r_max, n_samples)
+    return _closed_form(2, hole, theta)
 
 
 def _radial_truncated_solve(dim: int, a: float, theta: ThetaBoundary,
@@ -316,12 +312,12 @@ class DecayFitReport:
     reason: str = ""
 
 
-def profile_decay_check(profile: ProfileTable, order: int,
-                        n_octaves: int = 7) -> DecayFitReport:
+def profile_decay_check(profile: ProfileTable, order: int) -> DecayFitReport:
     """Fit the decay exponent of |D^order Phi| (order 0 uses 1 - Phi).
 
-    Finite differences on a dyadic radius ladder; passes when the fitted
-    exponent is at most -(N - 2 + order) + 0.1.
+    Finite differences on the dyadic radius ladder 2a, 4a, ..., 128a (cut
+    at r[-1]/2 for a sampled table); passes when the fitted exponent is at
+    most -(N - 2 + order) + 0.1.
     """
     if order < 0 or order > 2:
         raise PreconditionError("order must be 0, 1, or 2")
@@ -329,7 +325,7 @@ def profile_decay_check(profile: ProfileTable, order: int,
         raise PreconditionError("decay checks require dim >= 3")
     target = -(profile.dim - 2 + order) + 0.1
     a = profile.hole.circumscribed_radius
-    radii = a * 2.0 ** np.arange(1, n_octaves + 1)
+    radii = a * 2.0 ** np.arange(1, 8)
     if profile.coefficient is None:
         radii = radii[radii <= profile.r[-1] / 2.0]
     if radii.size < 4:

@@ -76,7 +76,10 @@ class RunConfig:
             ExteriorDomain(self.dim, self.hole, r_out)
         except GeometryError as exc:
             raise ConfigError(str(exc)) from exc
-        parse_preset(preset, self.dim)
+        name, params = parse_preset(preset, self.dim)
+        if name == "indicator-shell" and not params[1] < r_out:
+            # each grid reaches r_out, so a shell inside r_out ends inside it
+            raise ConfigError(f"indicator-shell must end inside the grid: r2 < r_out = {r_out:g}")
         snaps = self.snapshot_times
         if snaps is None:
             snaps = _default_snapshots(self.study, self.t_max)

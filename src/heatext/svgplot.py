@@ -9,13 +9,14 @@ import numpy as np
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def _ticks_linear(lo: float, hi: float, n: int = 5):
+def _ticks_linear(lo: float, hi: float):
+    """At most 5 ticks at multiples of 1, 2 or 5 times a power of ten."""
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    step = 10.0 ** math.floor(math.log10(span / n))
+    step = 10.0 ** math.floor(math.log10(span / 5))
     for mult in (1.0, 2.0, 5.0, 10.0):
-        if span / (step * mult) <= n:
+        if span / (step * mult) <= 5:
             step *= mult
             break
     first = math.ceil(lo / step) * step
@@ -35,12 +36,13 @@ def _ticks_log(lo: float, hi: float):
 
 def line_plot_svg(path: str, series: List[Tuple[Sequence, Sequence, str]],
                   xlabel: str = "", ylabel: str = "", title: str = "",
-                  logx: bool = False, logy: bool = False,
-                  width: int = 720, height: int = 480) -> str:
-    """Write a polyline plot; series is a list of (x, y, label) triples.
+                  logx: bool = False, logy: bool = False) -> str:
+    """Write a 720 x 480 polyline plot; series is a list of (x, y, label)
+    triples.
 
     Nonpositive values are dropped on log axes. Returns the path.
     """
+    width, height = 720, 480
     ml, mr, mt, mb = 70, 20, 34, 50
     pw, ph = width - ml - mr, height - mt - mb
 

@@ -278,16 +278,68 @@ def test_theta_whose_robin_row_overflows_exit_code(tmp_path, capsys):
     ["profile", "--dim", "2", "--method", "both", "--R", "8,16", "--compare"],
     ["profile", "--compare"],
     ["evolve", "--study", "mass", "--snapshots", "1,1", "--t-max", "2"],
+    ["evolve", "--preset", "gaussian-bump:nan,1", "--study", "mass", "--t-max", "2"],
+    ["evolve", "--preset", "gaussian-bump:4,inf", "--study", "mass", "--t-max", "2"],
+    ["evolve", "--preset", "ball-eigen", "--study", "mass", "--t-max", "2"],
+    ["evolve", "--preset", "indicator-shell:2,12", "--r-out", "12", "--h", "0.0625",
+     "--theta", "1", "--study", "mass", "--t-max", "2"],
+    ["evolve", "--dim", "2", "--preset", "indicator-shell:2,8", "--r-out", "8",
+     "--study", "mass", "--t-max", "2"],
 ])
 def test_malformed_flag_exit_code(tmp_path, capsys, argv):
     # a bad number, choice or flag is a config error (exit 3) found before
     # any output; the sweep resolves its last theta before its first run,
     # a source at z = 100 stretches the kernel grid to h_z = 1.16 > w = 0.5,
     # kernel times must strictly increase, a preset must be one of its dim's
-    # and profile builds its profiles before its directory
+    # with finite parameters and a shell that ends inside the grid, and
+    # profile builds its profiles before its directory
     assert _run(argv + ["--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err.startswith("config error: ")
     assert os.listdir(tmp_path) == []
+
+
+def test_robin_row_failure_exit_code(tmp_path, capsys):
+    # h = 1.5 is too coarse for a Robin hole of radius 1 at theta = 0.05:
+    # the radial Robin row makes the operator grow, a numerical failure
+    rc = _run(["evolve", "--theta", "0.05", "--h", "1.5", "--r-out", "200",
+               "--study", "mass", "--t-max", "2", "--out", str(tmp_path)])
+    assert rc == 4
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+
+
+def _rates_by_p(path):
+    """{p label: [(t, raw, scaled)]} from an emitted rates.csv."""
+    out = {}
+    for t, p, raw, scaled, _, _ in read_csv(path)[1]:
+        out.setdefault(p, []).append((float(t), float(raw), float(scaled)))
+    return out
+
+
+def _recomputed_verdict(study, rates):
+    """(passed, detail) of an l1, linf or lp study, from its rates alone."""
+    if study == "lp":
+        excess = [s2 - (np.sqrt(s1 * si) + 1e-6) for (_, _, s1), (_, _, s2), (_, _, si)
+                  in zip(rates["1"], rates["2"], rates["inf"])]
+        return max(excess) <= 0, f"max excess {max(excess):.3e}"
+    series, col = (rates["1"], 1) if study == "l1" else (rates["inf"], 2)
+    t_hi, v_hi = series[-1][0], series[-1][col]
+    t_lo, v_lo = [(row[0], row[col]) for row in series if row[0] <= t_hi / 10.0][-1]
+    return (v_hi <= 0.5 * v_lo,
+            f"t={t_hi:g}: {v_hi:.4e} vs 0.5 x {v_lo:.4e} at t={t_lo:g}")
+
+
+@pytest.mark.parametrize("study", ["l1", "linf", "lp"])
+def test_norm_study_verdicts_recompute_from_rates(tmp_path, study):
+    # on this coarse grid l1 and lp pass and linf fails; each verdict in
+    # verdicts.csv is the one rates.csv gives
+    rc = _run(["evolve", "--study", study, "--t-max", "10", "--h", "0.125",
+               "--r-out", "12", "--snapshots", "1,2,5,10", "--out", str(tmp_path)])
+    (run_dir,) = os.listdir(tmp_path)
+    run_dir = os.path.join(tmp_path, run_dir)
+    passed, detail = _recomputed_verdict(study, _rates_by_p(os.path.join(run_dir, "rates.csv")))
+    ((_, passed_csv, detail_csv),) = read_csv(os.path.join(run_dir, "verdicts.csv"))[1]
+    assert (passed_csv, detail_csv) == ("true" if passed else "false", detail)
+    assert rc == (0 if passed else 2)
 
 
 def test_dim2_default_preset_is_named(tmp_path):
@@ -376,6 +428,13 @@ def test_kernel_cmd_coarse(tmp_path):
     header, rows = read_csv(os.path.join(run_dir, "gaps.csv"))
     assert header == ["t", "gap", "bound", "profile_term", "hole_term"]
     assert float(rows[0][1]) <= float(rows[0][2])  # gap <= bound
+
+
+def test_kernel_smearing_audit(tmp_path, capsys):
+    rc = _run(["kernel", "--y", "0,0,3", "--t", "5", "--grid", "96x192",
+               "--audit-smearing", "--out", str(tmp_path)])
+    assert rc == 0
+    assert "[PASS] mollifier smearing audit" in capsys.readouterr().out
 
 
 def test_evolve_audit_flag(tmp_path):

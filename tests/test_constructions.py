@@ -141,7 +141,7 @@ def test_supersolution_value_and_normal_derivative():
 
 
 def test_supersolution_report_passes():
-    params = SubSuperParams(gamma=0.25, kappa=1.0, sigma=1.0)
+    params = SubSuperParams(gamma=0.25, kappa=1.0)
     rep = supersolution_report(params, _dirichlet_profile())
     assert rep.all_passed
     assert rep.fitted["c"] > 0.0 and rep.fitted["delta"] > 0.0

@@ -115,6 +115,26 @@ def test_elliptic_radial_robin_matches_closed_form():
     assert float(np.max(np.abs(table.values - exact))) <= 1e-4
 
 
+def test_elliptic_table_continues_harmonically_past_its_end():
+    # the table ends at min(R) = 8; beyond it evaluate continues with
+    # 1 - C/r, C matched to the last sample, which tracks the closed form
+    # 1 - c/r with the last sample's error times r[-1]/r
+    dom = ExteriorDomain(3, BallHole(1.0), 64.0)
+    table = profile_elliptic(dom, ROBIN_HALF, (8.0, 16.0, 32.0))
+    closed = profile_radial_closed_form(3, 1.0, ROBIN_HALF)
+    end = table.r[-1]
+    assert end == 8.0
+    r = np.geomspace(end, 1e4, 50)[1:]
+    tail = table.evaluate(r)
+    np.testing.assert_allclose((1.0 - tail) * r, (1.0 - table.values[-1]) * end,
+                               rtol=1e-12)
+    end_err = abs(table.values[-1] - float(closed.evaluate(end)))
+    assert 0.0 < end_err <= 1e-4
+    np.testing.assert_allclose(np.abs(tail - closed.evaluate(r)) * r, end_err * end,
+                               rtol=1e-5)
+    assert np.all(np.diff(tail) > 0.0) and tail[-1] < 1.0
+
+
 def test_elliptic_radial_neumann_is_exactly_one():
     dom = ExteriorDomain(3, BallHole(1.0), 64.0)
     table = profile_elliptic(dom, NEUMANN, (8.0, 16.0))
