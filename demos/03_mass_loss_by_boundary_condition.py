@@ -40,7 +40,7 @@ domain = ExteriorDomain(3, BallHole(a), grid.r_out)
 vals = explicit_solution(grid.nodes(), 0.0)
 vals[-1] = 0.0
 u0 = Field(grid, vals, 0.0)
-cfg = StepperConfig(dt=1.0 / 64.0, snapshot_times=(T_MAX,), ledger_stride=32)
+cfg = StepperConfig(dt=1.0 / 64.0, snapshot_times=(T_MAX,))
 
 print("dim 3, unit-ball hole, shared datum:")
 print(" theta    M(0)      M(50)     predicted limit (int Phi u0)")
@@ -62,7 +62,7 @@ hole = RectHole(1.0, 1.0)
 pg = PlanarGrid(half_width=40.0, n=160, hole=hole)
 pdom = ExteriorDomain(2, hole, 40.0)
 pu0 = make_planar_datum("gaussian-bump:3,0,1.5", pg)
-pcfg = StepperConfig(dt=0.5, snapshot_times=(1.0, 10.0, 50.0), ledger_stride=2)
+pcfg = StepperConfig(dt=0.5, snapshot_times=(1.0, 10.0, 50.0))
 _, pledger = evolve_planar(pdom, ThetaBoundary(0.0), pu0, pcfg)
 print("\ndim 2, Dirichlet rectangle hole, bump at distance 3:")
 for t in (1.0, 10.0, 50.0):

@@ -43,7 +43,7 @@ vals[-1] = 0.0
 u0 = Field(grid, vals, 0.0)
 
 times = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
-cfg = StepperConfig(dt=1.0 / 64.0, snapshot_times=times, ledger_stride=16)
+cfg = StepperConfig(dt=1.0 / 64.0, snapshot_times=times)
 snaps, ledger = evolve_radial(domain, ThetaBoundary(0.0), u0, cfg)
 
 profile = profile_radial_closed_form(3, a, ThetaBoundary(0.0))

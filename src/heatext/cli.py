@@ -325,7 +325,7 @@ def _unit_ball_eigen_run():
     """The eigenfunction datum on the unit ball, 256 cells, dt = 1/2048, to t = 0.35."""
     grid = RadialGrid(a=0.0, r_out=1.0, n_r=256, dim=3)
     vals = cons.ball_eigenfunction(grid.nodes())
-    cfg = StepperConfig(dt=1.0 / 2048.0, snapshot_times=(0.35,), ledger_stride=8)
+    cfg = StepperConfig(dt=1.0 / 2048.0, snapshot_times=(0.35,))
     snaps, ledger = evolve_ball(1.0, Field(grid, vals), cfg)
     return snaps, ledger
 

@@ -26,7 +26,8 @@ PRESETS = {
 def parse_preset(spec: str, dim: int):
     """(name, parameters) of a preset descriptor for a dim-`dim` run, the
     defaults when it gives none; ConfigError for an unknown name or bad
-    parameters, a NaN or infinite one included."""
+    parameters, a NaN or infinite one or a shell with r1 < 0 or r1 >= r2
+    included."""
     name, _, arg = spec.partition(":")
     if name not in PRESETS[dim]:
         raise ConfigError(f"unknown dim-{dim} preset '{name}' "
@@ -42,6 +43,8 @@ def parse_preset(spec: str, dim: int):
         raise ConfigError(f"{name} parameters must be finite, got '{arg}'")
     if name == "gaussian-bump" and params[-1] <= 0:
         raise ConfigError("bump width must be positive")
+    if name == "indicator-shell" and not 0.0 <= params[0] < params[1]:
+        raise ConfigError(f"indicator-shell bounds must satisfy 0 <= r1 < r2, got '{arg}'")
     return name, params
 
 

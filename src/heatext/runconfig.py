@@ -77,6 +77,9 @@ class RunConfig:
         except GeometryError as exc:
             raise ConfigError(str(exc)) from exc
         name, params = parse_preset(preset, self.dim)
+        if name == "indicator-shell" and self.dim == 3 and params[0] < self.hole.radius:
+            raise ConfigError(f"indicator-shell must start outside the hole: "
+                              f"r1 >= a = {self.hole.radius:g}")
         if name == "indicator-shell" and not params[1] < r_out:
             # each grid reaches r_out, so a shell inside r_out ends inside it
             raise ConfigError(f"indicator-shell must end inside the grid: r2 < r_out = {r_out:g}")

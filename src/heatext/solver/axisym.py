@@ -40,10 +40,10 @@ def evolve_axisym(domain: ExteriorDomain, theta: ThetaBoundary, u0: Field,
         raise GeometryError("evolve_axisym requires a dim-3 domain")
     if grid.hole != domain.hole:
         raise GeometryError("grid hole does not match the domain hole")
-    return _axisym_run(grid, u0, cfg.stops(), cfg.ledger_stride)
+    return _axisym_run(grid, u0, cfg.stops())
 
 
-def _axisym_run(grid: AxisymGrid, u0: Field, stops, ledger_stride=1):
+def _axisym_run(grid: AxisymGrid, u0: Field, stops):
     """The Dirichlet run on the grid's own hole, without the domain checks;
     the exterior kernel probe calls it directly, on the grid it builds."""
-    return march_masked(grid, u0, 0.0, stops, ledger_stride, "axisymmetric")
+    return march_masked(grid, u0, 0.0, stops, "axisymmetric")

@@ -4,9 +4,11 @@ A run is a list of stops (time, step cap). The march covers the interval
 before each stop in `step_count` equal steps and lands on its time
 exactly. A solver supplies factor(dt), returning solve(b) =
 (I - dt/2 L)^{-1} b for its operator L (called once per distinct step
-size), the mass and hole-flux functionals of its ledger, and the map from
-the unknown vector to a snapshot Field. `march` owns everything else: the
-step, the ledger rows, the snapshots and the finiteness checks. With
+size), the mass and hole-flux weight vectors of its ledger, fixed before
+the first step, and the map from the unknown vector to a snapshot Field.
+`march` owns everything else: the step, the ledger rows (one at t = 0
+and one after every step, each the dot products of the weight vectors
+with the unknown vector), the snapshots and the finiteness checks. With
 A = I - dt/2 L the right-hand side matrix is B = I + dt/2 L = 2I - A, so
 the step u+ = A^{-1} B u is u+ = 2 solve(u) - u and needs no matvec with L.
 
@@ -64,19 +66,19 @@ def check_run(values, hole, edge, stops, spacing):
     return values
 
 
-def march(u, stops, factor, mass, flux, to_field, what, ledger_stride=1):
+def march(u, stops, factor, mass_w, flux_w, to_field, what):
     """Advance u from t = 0 through the stops; returns (snapshots, ledger).
 
     stops are (time, cap) pairs with increasing times. to_field(u, t)
-    builds the locked snapshot taken at every stop. Ledger rows
-    (t, mass(u), flux(u)) are written at t = 0, every ledger_stride-th
-    step and at every stop that a step reaches. Values are checked for
+    builds the locked snapshot taken at every stop. A ledger row
+    (t, mass_w . u, flux_w . u) is written at t = 0 and after every step,
+    at the stop's own time after its last step. Values are checked for
     finiteness every CHECK_EVERY steps and at the end; `what` names the
     evolution in the error.
     """
     solvers = {}
     ledger = MassLedger()
-    ledger.append(0.0, mass(u), flux(u))
+    ledger.append(0.0, mass_w @ u, flux_w @ u)
     snaps = []
     t_prev, k = 0.0, 0
     for t_stop, cap in stops:
@@ -90,8 +92,7 @@ def march(u, stops, factor, mass, flux, to_field, what, ledger_stride=1):
             k += 1
             if k % CHECK_EVERY == 0 and not np.all(np.isfinite(u)):
                 raise NumericalError(f"non-finite values in {what} evolution", step=k)
-            if j == n or k % ledger_stride == 0:
-                ledger.append(t_stop if j == n else t_prev + j * dt, mass(u), flux(u))
+            ledger.append(t_stop if j == n else t_prev + j * dt, mass_w @ u, flux_w @ u)
         snaps.append(to_field(u, t_stop))
         t_prev = t_stop
     if not np.all(np.isfinite(u)):
@@ -99,7 +100,7 @@ def march(u, stops, factor, mass, flux, to_field, what, ledger_stride=1):
     return snaps, ledger
 
 
-def march_masked(grid, u0, ghost, stops, ledger_stride, what):
+def march_masked(grid, u0, ghost, stops, what):
     """march a datum on a PlanarGrid or AxisymGrid; returns (snapshots, ledger).
 
     The hole and outer-edge nodes are pinned (`check_run`); only the
@@ -125,6 +126,5 @@ def march_masked(grid, u0, ghost, stops, ledger_stride, what):
         full[active] = modes.from_modes(u_modes)
         return Field(grid, full, t).lock()
 
-    return march(modes.to_modes(u0.values[active]), stops, factor,
-                 lambda u: float(mass_w @ u), lambda u: float(flux_w @ u),
-                 to_field, what, ledger_stride)
+    return march(modes.to_modes(u0.values[active]), stops, factor, mass_w, flux_w,
+                 to_field, what)

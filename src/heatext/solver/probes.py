@@ -44,7 +44,6 @@ from .radial import _crank_nicolson_run
 
 WARMUP_SPAN_WIDTHS = 8.0   # the warm-up covers 8 w^2 time units
 WARMUP_DAMPING = 1e-4      # the warm-up damps every mode of the grid at least this much
-LEDGER_STRIDE = 4          # steps per ledger row: a row costs about a tenth of a step
 
 
 def warmup_steps(lam_bar: float, t0: float) -> int:
@@ -139,10 +138,9 @@ def kernel_probe(domain: Optional[ExteriorDomain], y_dist: float,
     warmup = (t0, min(t0 / warmup_steps(lam_bar, t0), dt_cap))
     stops = (warmup,) + tuple((t, dt_cap) for t in times)
     if domain is None:
-        snaps, ledger = _crank_nicolson_run(grid, ThetaBoundary(1.0), u0, stops,
-                                            LEDGER_STRIDE)
+        snaps, ledger = _crank_nicolson_run(grid, ThetaBoundary(1.0), u0, stops)
     else:
-        snaps, ledger = _axisym_run(grid, Field(grid, u0), stops, LEDGER_STRIDE)
+        snaps, ledger = _axisym_run(grid, Field(grid, u0), stops)
     # snaps[0] is the warm-up end, not a requested time
     return ProbeResult(snaps[1:], ledger, y_dist, mollifier_width, domain is None, m0,
                        warmup)

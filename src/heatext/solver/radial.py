@@ -14,9 +14,11 @@ each step is one dpttrs solve. The far node, whose value stays zero, is
 left out; node 0 is back-substituted from its row when it is the
 Dirichlet hole node or, for a = 0 in dim 3, when node 1 has no link to
 it. The march runs in the scaled variable v = D u, so no step pays for
-the scaling: the mass weights are w / D, and the hole flux and the
-snapshots read u = v / D. The time loop is the shared `march`. The dim-3
-elliptic profile solves these rows with the same factor.
+the scaling: the ledger's mass and hole-flux weight vectors, built once
+before the first step, carry the 1 / D, and the snapshots read u = v / D.
+The time loop is the shared `march`, which writes a ledger row at t = 0
+and after every step. The dim-3 elliptic profile solves these rows with
+the same factor.
 Every radial run (`evolve_radial`, `evolve_ball`, the whole-space kernel
 probe) checks the run contract `march.check_run` in `_crank_nicolson_run`,
 with the far node and the Dirichlet hole node (a > 0) pinned.
@@ -65,7 +67,7 @@ def radial_operator(grid: RadialGrid, theta: ThetaBoundary):
     return lo, di, up
 
 
-def _crank_nicolson_run(grid, theta, u0_values, stops, ledger_stride=1):
+def _crank_nicolson_run(grid, theta, u0_values, stops):
     dirichlet_hole = grid.a > 0.0 and theta.is_dirichlet
     values = check_run(u0_values, [0] if dirichlet_hole else [], [-1], stops, grid.spacing)
     lo, di, up = radial_operator(grid, theta)
@@ -97,27 +99,22 @@ def _crank_nicolson_run(grid, theta, u0_values, stops, ledger_stride=1):
 
     scale = np.ones(n)  # symmetric_factor's D, the same for every dt
     scale[first:] = tridiagonal_scale(lo[first:n], up[first:n])
-    w = grid.volume_weights()[:n] / scale
-    a_pow = grid.a ** (grid.dim - 1)
-    omega = sphere_surface_area(grid.dim)
-
-    def flux(v):
-        if grid.a == 0.0:
-            return 0.0
-        u = v[:3] / scale[:3]
-        if dirichlet_hole:
-            u_r = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * grid.h)
-            return omega * a_pow * (-u_r)
-        # Robin/Neumann: the condition itself gives du/dn = -b u(a) exactly
-        return -omega * a_pow * theta.robin_b * u[0]
+    mass_w = grid.volume_weights()[:n] / scale
+    # the hole flux omega a^(N-1) du/dn on u = v / D, du/dn = -du/dr
+    flux_w = np.zeros(n)
+    if grid.a > 0.0:
+        omega_a = sphere_surface_area(grid.dim) * grid.a ** (grid.dim - 1)
+        if dirichlet_hole:  # one-sided second-order du/dr at r = a
+            flux_w[:3] = omega_a * np.array([3.0, -4.0, 1.0]) / (2.0 * grid.h) / scale[:3]
+        else:  # Robin/Neumann: the condition itself gives du/dn = -b u(a) exactly
+            flux_w[0] = -omega_a * theta.robin_b / scale[0]
 
     def to_field(v, t):
         u = np.zeros(n + 1)
         u[:n] = v / scale
         return Field(grid, u, t).lock()
 
-    return march(values[:n] * scale, stops, factor, lambda v: float(w @ v), flux,
-                 to_field, "radial", ledger_stride)
+    return march(values[:n] * scale, stops, factor, mass_w, flux_w, to_field, "radial")
 
 
 def evolve_radial(domain: ExteriorDomain, theta: ThetaBoundary, u0: Field,
@@ -125,8 +122,8 @@ def evolve_radial(domain: ExteriorDomain, theta: ThetaBoundary, u0: Field,
     """Evolve a radial datum on the truncated exterior domain.
 
     Returns (snapshots, ledger). Snapshots are immutable Fields at the
-    requested times; the ledger holds (t, mass, hole flux) rows at every
-    ledger_stride-th step.
+    requested times; the ledger holds a (t, mass, hole flux) row at t = 0
+    and after every step.
     """
     grid = u0.grid
     if not isinstance(grid, RadialGrid):
@@ -137,7 +134,7 @@ def evolve_radial(domain: ExteriorDomain, theta: ThetaBoundary, u0: Field,
         raise GeometryError("grid outer radius does not match domain.far_radius")
     if grid.dim != domain.dim:
         raise GeometryError("grid dimension does not match the domain")
-    return _crank_nicolson_run(grid, theta, u0.values, cfg.stops(), cfg.ledger_stride)
+    return _crank_nicolson_run(grid, theta, u0.values, cfg.stops())
 
 
 def evolve_ball(radius: float, u0: Field, cfg: StepperConfig):
@@ -152,5 +149,4 @@ def evolve_ball(radius: float, u0: Field, cfg: StepperConfig):
         raise PreconditionError("evolve_ball requires a RadialGrid with a = 0")
     if abs(grid.r_out - radius) > 1e-12 * max(1.0, radius):
         raise PreconditionError("grid outer radius must equal the ball radius")
-    return _crank_nicolson_run(grid, ThetaBoundary(1.0), u0.values, cfg.stops(),
-                               cfg.ledger_stride)
+    return _crank_nicolson_run(grid, ThetaBoundary(1.0), u0.values, cfg.stops())

@@ -10,9 +10,7 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
 def _ticks_linear(lo: float, hi: float):
-    """At most 5 ticks at multiples of 1, 2 or 5 times a power of ten."""
-    if hi <= lo:
-        hi = lo + 1.0
+    """At most 5 ticks at multiples of 1, 2 or 5 times a power of ten, for lo < hi."""
     span = hi - lo
     step = 10.0 ** math.floor(math.log10(span / 5))
     for mult in (1.0, 2.0, 5.0, 10.0):
@@ -67,7 +65,7 @@ def line_plot_svg(path: str, series: List[Tuple[Sequence, Sequence, str]],
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
-        y_hi = y_lo * 1.1 + 1e-12
+        y_hi = y_lo + 0.1 * abs(y_lo) + 1e-12
 
     def sx(v):
         if logx:

@@ -102,8 +102,7 @@ def planar_masloss_run():
     grid = PlanarGrid(half_width=n * h / 2.0, n=n, hole=hole)
     domain = ExteriorDomain(2, hole, grid.half_width)
     u0 = make_planar_datum("gaussian-bump:3,0,1.5", grid)
-    cfg = StepperConfig(dt=0.25, snapshot_times=(1.0, 10.0, 100.0),
-                        ledger_stride=4)
+    cfg = StepperConfig(dt=0.25, snapshot_times=(1.0, 10.0, 100.0))
     t0 = time.perf_counter()
     snaps, ledger = evolve_planar(domain, ThetaBoundary(0.0), u0, cfg)
     elapsed = time.perf_counter() - t0

@@ -297,7 +297,7 @@ def test_c14_optimality_constructions():
 
     grid = RadialGrid(a=0.0, r_out=1.0, n_r=512, dim=3)
     u0 = Field(grid, ball_eigenfunction(grid.nodes()))
-    cfg = StepperConfig(dt=1.0 / 2048.0, snapshot_times=(0.35,), ledger_stride=8)
+    cfg = StepperConfig(dt=1.0 / 2048.0, snapshot_times=(0.35,))
     _, ledger = evolve_ball(1.0, u0, cfg)
     t, m, _ = ledger.as_arrays()
     sel = t > 0

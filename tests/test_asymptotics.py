@@ -139,7 +139,7 @@ def test_neumann_l1_error_bounded_by_time_shift():
     r = grid.nodes()
     u0 = Field(grid, gaussian_value(r, GaussianParams(3, 1.0)), 0.0)
     m = u0.integral()  # Neumann profile is 1
-    cfg = StepperConfig(dt=1.0 / 32.0, snapshot_times=(t_end,), ledger_stride=64)
+    cfg = StepperConfig(dt=1.0 / 32.0, snapshot_times=(t_end,))
     snaps, _ = evolve_radial(domain, ThetaBoundary(1.0), u0, cfg)
     norms = error_norms(snaps[-1], m, profile_radial_closed_form(3, 1.0, ThetaBoundary(1.0)))
     bound = gaussian_l1_time_shift_bound(t_end, 1.0, 3)

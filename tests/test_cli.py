@@ -285,13 +285,17 @@ def test_theta_whose_robin_row_overflows_exit_code(tmp_path, capsys):
      "--theta", "1", "--study", "mass", "--t-max", "2"],
     ["evolve", "--dim", "2", "--preset", "indicator-shell:2,8", "--r-out", "8",
      "--study", "mass", "--t-max", "2"],
+    ["evolve", "--preset", "indicator-shell:0.5,3", "--study", "mass", "--t-max", "2"],
+    ["evolve", "--dim", "2", "--hole", "rect:1x1", "--preset", "indicator-shell:4,2",
+     "--study", "mass", "--t-max", "2"],
 ])
 def test_malformed_flag_exit_code(tmp_path, capsys, argv):
     # a bad number, choice or flag is a config error (exit 3) found before
     # any output; the sweep resolves its last theta before its first run,
     # a source at z = 100 stretches the kernel grid to h_z = 1.16 > w = 0.5,
     # kernel times must strictly increase, a preset must be one of its dim's
-    # with finite parameters and a shell that ends inside the grid, and
+    # with finite parameters and a shell 0 <= r1 < r2 that starts outside
+    # the hole (dim 3) and ends inside the grid, and
     # profile builds its profiles before its directory
     assert _run(argv + ["--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err.startswith("config error: ")

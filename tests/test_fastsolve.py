@@ -287,7 +287,7 @@ def _run_path(kind):
         domain = ExteriorDomain(3, BallHole(1.0), 6.0)
         run = lambda u0, cfg: evolve_axisym(domain, ThetaBoundary(0.0), u0, cfg)
         if kind == "exterior probe":
-            run = lambda u0, cfg: _axisym_run(grid, u0, cfg.stops(), cfg.ledger_stride)
+            run = lambda u0, cfg: _axisym_run(grid, u0, cfg.stops())
     if kind in ("planar", "axisym", "exterior probe"):
         return grid, np.where(grid.active_mask(), 1.0, 0.0), grid.hole_mask(), run
     if kind == "radial":
@@ -299,7 +299,7 @@ def _run_path(kind):
         run = lambda u0, cfg: evolve_ball(8.0, u0, cfg)
         if kind == "whole-space probe":
             run = lambda u0, cfg: _crank_nicolson_run(grid, ThetaBoundary(1.0), u0.values,
-                                                      cfg.stops(), cfg.ledger_stride)
+                                                      cfg.stops())
     hole = [0] if kind == "radial" else []  # the Dirichlet hole node
     values = np.ones(grid.shape)
     values[hole] = values[-1] = 0.0
@@ -383,7 +383,7 @@ CASES = ["dirichlet", "robin", "neumann", "axisym"]
 def test_mode_march_matches_node_space_steps(kind):
     grid, ghost, u0 = _masked_case(kind)
     assert (ghost != 0.0) == (kind in ("robin", "neumann"))
-    snaps, ledger = march_masked(grid, Field(grid, u0), ghost, TWO_CAP_STOPS, 1, kind)
+    snaps, ledger = march_masked(grid, Field(grid, u0), ghost, TWO_CAP_STOPS, kind)
     active = grid.active_mask()
     rows, want = _reference_march(u0[active], hole_weights(grid, ghost),
                                   grid.volume_weights()[active], TWO_CAP_STOPS,
@@ -425,8 +425,9 @@ def test_hole_entries_of_the_marched_modes_stay_at_round_off(kind):
         return MaskedCNSolve(active, hole, grid.stencil(), ghost, dt).solve_modes
 
     stops = TWO_CAP_STOPS + ((8.0, 0.125),)
-    states, _ = march(modes.to_modes(u0[active]), stops, factor, lambda u: 0.0,
-                      lambda u: 0.0, lambda u, t: u.copy(), kind)
+    zero = np.zeros(modes.shape[0] * modes.shape[1])
+    states, _ = march(modes.to_modes(u0[active]), stops, factor, zero, zero,
+                      lambda u, t: u.copy(), kind)
     # measured against the datum: the run decays, the round-off does not
     box_hole = hole[modes.rows, 1:-1]
     for state in states:
@@ -469,7 +470,7 @@ def test_masked_run_builds_one_solver_per_step_size(monkeypatch):
     grid, ghost, u0 = _masked_case("axisym")
     built = _counted_builds(monkeypatch)
     stops = TWO_CAP_STOPS + ((2.5, 0.125), (2.5 + 0.25 / 16, 0.25 / 16))
-    march_masked(grid, Field(grid, u0), ghost, stops, 1, "axisymmetric")
+    march_masked(grid, Field(grid, u0), ghost, stops, "axisymmetric")
     assert built == [0.25 / 16, 0.125]
 
 
@@ -489,5 +490,5 @@ def test_masked_run_transforms_once_per_stop(monkeypatch, cap):
         calls.clear()
         grid, ghost, u0 = _masked_case(kind)
         stops = ((0.5, cap), (1.0, cap), (2.0, cap))
-        march_masked(grid, Field(grid, u0), ghost, stops, 1, kind)
+        march_masked(grid, Field(grid, u0), ghost, stops, kind)
         assert len(calls) == 3 + len(stops)

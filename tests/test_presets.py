@@ -5,7 +5,7 @@ import pytest
 
 from heatext.domain import DIRICHLET, NEUMANN, RectHole, ThetaBoundary
 from heatext.errors import ConfigError
-from heatext.presets import make_planar_datum, make_radial_datum
+from heatext.presets import make_planar_datum, make_radial_datum, parse_preset
 from heatext.solver import PlanarGrid, RadialGrid
 
 
@@ -76,3 +76,12 @@ def test_planar_indicator_shell_ends_inside_the_grid(spec):
     grid = PlanarGrid(half_width=8.0, n=64, hole=RectHole(1.0, 1.0))
     with pytest.raises(ConfigError, match="inside the grid"):
         make_planar_datum(spec, grid)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("arg", ["4,2", "3,3", "-1,2"])
+def test_indicator_shell_bounds_are_ordered(dim, arg):
+    # an inverted, empty or negative shell is an error in both dims, before
+    # any grid exists: in dim 2 nothing else would stop an all-zero datum
+    with pytest.raises(ConfigError, match="0 <= r1 < r2"):
+        parse_preset(f"indicator-shell:{arg}", dim)

@@ -287,7 +287,7 @@ def long_coarse_run():
     # (r-1)/r factor keeps early-window slopes above the limit rate
     grid, domain = _setup(400.5, h=1.0 / 16.0)
     times = (50.0, 50.5, 100.0, 100.5, 200.0, 200.5, 400.0, 400.5)
-    cfg = StepperConfig(dt=1.0 / 32.0, snapshot_times=times, ledger_stride=64)
+    cfg = StepperConfig(dt=1.0 / 32.0, snapshot_times=times)
     snaps, _ = evolve_radial(domain, DIRICHLET, _explicit_datum(grid), cfg)
     return grid, snaps
 
@@ -349,7 +349,7 @@ def test_ball_eigen_decay_coarse():
     # unit-ball run with the first eigenfunction: mass decays as exp(-pi^2 t)
     grid = RadialGrid(a=0.0, r_out=1.0, n_r=128, dim=3)
     vals = ball_eigenfunction(grid.nodes())
-    cfg = StepperConfig(dt=1.0 / 1024.0, snapshot_times=(0.2,), ledger_stride=16)
+    cfg = StepperConfig(dt=1.0 / 1024.0, snapshot_times=(0.2,))
     snaps, ledger = evolve_ball(1.0, Field(grid, vals), cfg)
     t, m, _ = ledger.as_arrays()
     expect = m[0] * np.exp(-BALL_EIGENVALUE * t)
