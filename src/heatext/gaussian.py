@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import i0e
 
 from .domain import sphere_surface_area
 from .errors import GeometryError, NumericalError
@@ -128,6 +127,9 @@ def gaussian_ball_integral(center_dist: float, radius: float, time: float,
         shell[~sm] = 0.0
         return float(np.trapezoid(shell, s)) / (4.0 * math.pi * t) ** 1.5
     if dim == 2:
+        # imported here: no CLI run takes this branch, so none loads scipy.special
+        from scipy.special import i0e
+
         # i0e is the scaled Bessel function: i0(x) = i0e(x) exp(x)
         shell = 2.0 * math.pi * s * np.exp(-((s - d) ** 2) / (4.0 * t)) * i0e(
             s * d / (2.0 * t))

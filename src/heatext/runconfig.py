@@ -77,9 +77,12 @@ class RunConfig:
         except GeometryError as exc:
             raise ConfigError(str(exc)) from exc
         name, params = parse_preset(preset, self.dim)
-        if name == "indicator-shell" and self.dim == 3 and params[0] < self.hole.radius:
-            raise ConfigError(f"indicator-shell must start outside the hole: "
-                              f"r1 >= a = {self.hole.radius:g}")
+        if name == "indicator-shell" and self.dim == 3:
+            # a Dirichlet hole pins the node at r = a, where a shell from r1 = a is 1
+            a, dirichlet = self.hole.radius, self.theta == 0.0
+            if params[0] < a or (dirichlet and params[0] == a):
+                raise ConfigError(f"indicator-shell must start outside the hole: "
+                                  f"r1 {'>' if dirichlet else '>='} a = {a:g}")
         if name == "indicator-shell" and not params[1] < r_out:
             # each grid reaches r_out, so a shell inside r_out ends inside it
             raise ConfigError(f"indicator-shell must end inside the grid: r2 < r_out = {r_out:g}")

@@ -5,12 +5,13 @@ box of non-edge nodes it is the Kronecker sum of a tridiagonal operator T0
 along axis 0 (x, or rho with its parity row: off-diagonals lo0 and up0,
 diagonal -(lo0 + up0)) and the constant stencil c1 (1, -2, 1) along axis 1
 (y or z, c1 = lo1 = up1) with Dirichlet end columns. The orthonormal DST-I
-S diagonalises the axis-1 part, so the box matrix A0 = I - dt/2 (T0 + c1 T1)
-splits into one tridiagonal system per sine mode. The modes are stacked
-into one tridiagonal matrix, factored once per step size and solved in
-the symmetric form of `symmetric_factor` (dpttrf, dpttrs). The scaling D
-acts on axis 0 only, reads only the stencil's up / lo ratios and commutes
-with S along axis 1.
+S (`dst1`, a numpy real FFT of the odd extension) diagonalises the axis-1
+part, so the box matrix A0 = I - dt/2 (T0 + c1 T1) splits into one
+tridiagonal system per sine mode. The modes are stacked into one
+tridiagonal matrix, factored once per step size and solved in the
+symmetric form of `symmetric_factor` (dpttrf, dpttrs). The scaling D acts
+on axis 0 only, reads only the stencil's up / lo ratios and commutes with
+S along axis 1.
 
 A run therefore marches the mode vector U = S (D u) of the box
 (`SineModes`): the datum is scattered, scaled and transformed once, and
@@ -77,6 +78,22 @@ def symmetric_factor(lo, di, up):
     return scale, d, e
 
 
+def dst1(x):
+    """The orthonormal DST-I of x along axis 0, its own inverse.
+
+    X[k] = sqrt(2 / (n + 1)) sum_j x[j] sin(pi (j + 1)(k + 1) / (n + 1)), read
+    off numpy's real FFT of the odd extension [0, x, 0, -x[::-1]] of length
+    2 (n + 1): X = -Im(rfft)[1:n + 1] sqrt(1 / (2 (n + 1))). This is
+    scipy.fft.dst(x, type=1, axis=0, norm="ortho") to round-off, without
+    loading scipy.fft.
+    """
+    n = x.shape[0]
+    odd = np.zeros((2 * (n + 1),) + x.shape[1:])
+    odd[1:n + 1] = x
+    odd[n + 2:] = -x[::-1]
+    return -np.fft.rfft(odd, axis=0)[1:n + 1].imag * np.sqrt(1.0 / (2 * (n + 1)))
+
+
 class SineModes:
     """The sine-mode space of a masked grid's box.
 
@@ -87,13 +104,11 @@ class SineModes:
     1 first): the active-node values u, scaled by the stencil's D along
     axis 0 (`scale`, `tridiagonal_scale` of the axis-0 links) and
     scattered into the box with zeros elsewhere, then transformed by the
-    orthonormal DST-I S along axis 1. S is symmetric and orthogonal, so
-    a . u = functional(a) . U for any active-node weights a.
+    orthonormal DST-I S (`dst1`) along axis 1. S is symmetric and
+    orthogonal, so a . u = functional(a) . U for any active-node weights a.
     """
 
     def __init__(self, active, stencil):
-        from scipy.fft import dst  # imported here: heatext.cli does not load scipy.fft
-
         lo0, up0 = stencil[:2]
         filled = np.flatnonzero(active.any(axis=1))
         self.rows = slice(filled[0], filled[-1] + 1)
@@ -102,12 +117,11 @@ class SineModes:
         self.shape = (n1, n0)
         self.scale = tridiagonal_scale(lo0[self.rows], up0[self.rows])
         self._node_scale = self.scale[np.nonzero(self._act)[0]]  # D at each active node
-        self._dst = dst
 
     def _transform(self, values):
         box = np.zeros(self.shape)
         box.T[self._act] = values
-        return self._dst(box, type=1, axis=0, norm="ortho", overwrite_x=True).ravel()
+        return dst1(box).ravel()
 
     def to_modes(self, u):
         """U = S (D u) of the active-node values u."""
@@ -119,7 +133,7 @@ class SineModes:
 
     def from_modes(self, modes):
         """The active-node values u of the mode vector U = S (D u)."""
-        x = self._dst(modes.reshape(self.shape), type=1, axis=0, norm="ortho").T[self._act]
+        x = dst1(modes.reshape(self.shape)).T[self._act]
         return x / self._node_scale
 
 

@@ -1,9 +1,12 @@
 import csv
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import heatext
 from heatext.cli import main
 from heatext.csvio import format_value, read_csv, write_csv, write_table
 from heatext.runconfig import (
@@ -286,6 +289,7 @@ def test_theta_whose_robin_row_overflows_exit_code(tmp_path, capsys):
     ["evolve", "--dim", "2", "--preset", "indicator-shell:2,8", "--r-out", "8",
      "--study", "mass", "--t-max", "2"],
     ["evolve", "--preset", "indicator-shell:0.5,3", "--study", "mass", "--t-max", "2"],
+    ["evolve", "--preset", "indicator-shell:1,3", "--study", "mass", "--t-max", "2"],
     ["evolve", "--dim", "2", "--hole", "rect:1x1", "--preset", "indicator-shell:4,2",
      "--study", "mass", "--t-max", "2"],
 ])
@@ -295,7 +299,8 @@ def test_malformed_flag_exit_code(tmp_path, capsys, argv):
     # a source at z = 100 stretches the kernel grid to h_z = 1.16 > w = 0.5,
     # kernel times must strictly increase, a preset must be one of its dim's
     # with finite parameters and a shell 0 <= r1 < r2 that starts outside
-    # the hole (dim 3) and ends inside the grid, and
+    # the hole (dim 3; r1 > a around a Dirichlet hole, whose node at r = a
+    # is pinned) and ends inside the grid, and
     # profile builds its profiles before its directory
     assert _run(argv + ["--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err.startswith("config error: ")
@@ -344,6 +349,13 @@ def test_norm_study_verdicts_recompute_from_rates(tmp_path, study):
     ((_, passed_csv, detail_csv),) = read_csv(os.path.join(run_dir, "verdicts.csv"))[1]
     assert (passed_csv, detail_csv) == ("true" if passed else "false", detail)
     assert rc == (0 if passed else 2)
+
+
+def test_indicator_shell_may_start_on_a_robin_hole(tmp_path):
+    # the node at r = a is an unknown of a Robin hole, so a shell from r1 = a
+    # is a valid datum there; around a Dirichlet hole it exits 3 (above)
+    assert _run(["evolve", "--preset", "indicator-shell:1,3", "--theta", "0.5",
+                 "--study", "mass", "--t-max", "2", "--out", str(tmp_path)]) == 0
 
 
 def test_dim2_default_preset_is_named(tmp_path):
@@ -461,3 +473,27 @@ def test_env_var_output_root(tmp_path, monkeypatch):
     rc = _run(["herraiz", "--t", "50"])
     assert rc == 0
     assert os.path.isdir(str(tmp_path / "env-root"))
+
+
+# the four commands the benchmark times, on cheap grids, in one interpreter
+LEAN_RUN = """
+import sys
+from heatext.cli import main
+out = sys.argv[1]
+for argv in (["sweep", "--values", "0,1", "--study", "mass", "--t-max", "2"],
+             ["evolve", "--dim", "2", "--hole", "rect:1x1", "--study", "mass", "--t-max", "2"],
+             ["kernel", "--y", "0,0,3", "--t", "1,2", "--grid", "48x96"],
+             ["profile", "--dim", "2", "--method", "elliptic", "--R", "8,16"]):
+    assert main(argv + ["--out", out]) == 0, argv
+print(sorted(m for m in sys.modules if m.startswith(("scipy.special", "scipy.fft"))))
+"""
+
+
+def test_cli_runs_load_neither_scipy_special_nor_scipy_fft(tmp_path):
+    # a fresh interpreter pays every import a CLI run makes: the sine
+    # transforms are numpy's and only the dim-2 ball integral needs i0e
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(heatext.__file__)))
+    done = subprocess.run([sys.executable, "-c", LEAN_RUN, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

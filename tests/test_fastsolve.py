@@ -1,12 +1,11 @@
-"""The DST + capacitance solver against sparse LU, the masked marches it
-drives against reference marches stepped by splu and B @ u and by the
-node-space solve, the mode-space march's independence of the hole
-entries and its set-up counts, and the symmetric tridiagonal factor the
-solver shares with the radial march."""
+"""The numpy DST-I against scipy's, the DST + capacitance solver against
+sparse LU, the masked marches it drives against reference marches stepped
+by splu and B @ u and by the node-space solve, the mode-space march's
+independence of the hole entries and its set-up counts, and the symmetric
+tridiagonal factor the solver shares with the radial march."""
 
 import numpy as np
 import pytest
-import scipy.fft
 import scipy.sparse as sp
 from scipy.fft import dst
 from scipy.linalg.lapack import dpttrs
@@ -27,9 +26,10 @@ from heatext.solver import (
     evolve_radial,
     mollifier_bump,
 )
+from heatext.solver import fastsolve
 from heatext.solver import march as march_module
 from heatext.solver.axisym import _axisym_run
-from heatext.solver.fastsolve import MaskedCNSolve, SineModes, symmetric_factor
+from heatext.solver.fastsolve import MaskedCNSolve, SineModes, dst1, symmetric_factor
 from heatext.solver.grids import hole_ghost, hole_weights, masked_laplacian
 from heatext.solver.march import march, march_masked, step_count
 from heatext.solver.radial import _crank_nicolson_run
@@ -122,6 +122,17 @@ def _random_tridiagonal(rng, n, blocks):
     lo, up = -rng.uniform(0.1, 2.0, n), -rng.uniform(0.1, 2.0, n)
     di = rng.uniform(1.0, 3.0, (blocks, n)) + np.abs(lo) + np.abs(up)
     return lo, di, up
+
+
+@pytest.mark.parametrize("n", [1, 2, 95, 96, 191, 245])
+@pytest.mark.parametrize("columns", [None, 4])
+def test_dst1_is_scipys_orthonormal_dst_and_its_own_inverse(n, columns):
+    x = np.random.default_rng(n).standard_normal(n if columns is None else (n, columns))
+    tol = 1e-14 * np.max(np.abs(x))
+    got = dst1(x)
+    assert got.shape == x.shape
+    assert np.max(np.abs(got - dst(x, type=1, axis=0, norm="ortho"))) <= tol
+    assert np.max(np.abs(dst1(got) - x)) <= tol
 
 
 @pytest.mark.parametrize("blocks", [1, 3])
@@ -479,13 +490,13 @@ def test_masked_run_transforms_once_per_stop(monkeypatch, cap):
     # the datum and the two ledger functionals, then one inverse per stop,
     # however many steps the run takes
     calls = []
-    real = scipy.fft.dst
+    real = fastsolve.dst1
 
-    def counted(*args, **kwargs):
+    def counted(x):
         calls.append(1)
-        return real(*args, **kwargs)
+        return real(x)
 
-    monkeypatch.setattr(scipy.fft, "dst", counted)
+    monkeypatch.setattr(fastsolve, "dst1", counted)
     for kind in ("robin", "axisym"):
         calls.clear()
         grid, ghost, u0 = _masked_case(kind)

@@ -111,6 +111,20 @@ def test_ball_integral_against_cartesian_sum():
     assert gaussian_ball_integral(d, a, t) == pytest.approx(oracle, rel=5e-3)
 
 
+def test_disc_integral_against_cartesian_sum():
+    # the dim-2 branch (the i0e shell average) against a midpoint sum over
+    # a cartesian grid of the disc
+    a, d, t = 1.0, 3.0, 10.0
+    n = 400
+    h = 2.0 * a / n
+    c = -a + (np.arange(n) + 0.5) * h
+    X, Y = np.meshgrid(c, c, indexing="ij")
+    inside = X ** 2 + Y ** 2 <= a ** 2
+    vals = np.exp(-(X ** 2 + (Y - d) ** 2) / (4.0 * t)) / (4.0 * math.pi * t)
+    oracle = float(np.sum(vals[inside]) * h ** 2)
+    assert gaussian_ball_integral(d, a, t, dim=2) == pytest.approx(oracle, rel=5e-3)
+
+
 def test_ball_integral_centered_source():
     # d = 0 reduces to the radial integral over [0, a]
     a, t = 1.0, 2.0
