@@ -7,18 +7,19 @@ hole conditions are supported here (a staircase Robin condition would
 degrade to first order). The run itself is the masked-grid run
 `march.march_masked` shared with the planar solver, on the sine modes in
 z of the scaled values: the datum is transformed once and the values are
-read back only at the stops. Each step is a direct solve by
+read back only at the snapshots. Each step is a direct solve by
 `fastsolve.MaskedCNSolve`: one stacked tridiagonal solve in rho and a
 capacitance correction on the hole staircase, with no sine transform.
 Used for off-axis sources: kernel probes and domain-comparison checks.
 `march_masked` checks the run contract `march.check_run` for both, the
-hole and outer-edge nodes pinned and every step cap at most min(h_rho, h_z).
+hole and outer-edge nodes pinned and the accuracy guard on every step
+cap, with h = min(h_rho, h_z).
 """
 
 from ..domain import ExteriorDomain, ThetaBoundary
 from ..errors import GeometryError, PreconditionError, UnsupportedFeatureError
 from .config import StepperConfig
-from .grids import AxisymGrid, Field
+from .grids import AxisymGrid, Field, stiffness
 from .march import march_masked
 
 
@@ -40,10 +41,10 @@ def evolve_axisym(domain: ExteriorDomain, theta: ThetaBoundary, u0: Field,
         raise GeometryError("evolve_axisym requires a dim-3 domain")
     if grid.hole != domain.hole:
         raise GeometryError("grid hole does not match the domain hole")
-    return _axisym_run(grid, u0, cfg.stops())
+    return _axisym_run(grid, u0, cfg.stops(stiffness(grid)), cfg.snapshot_times)
 
 
-def _axisym_run(grid: AxisymGrid, u0: Field, stops):
+def _axisym_run(grid: AxisymGrid, u0: Field, stops, snap_times):
     """The Dirichlet run on the grid's own hole, without the domain checks;
     the exterior kernel probe calls it directly, on the grid it builds."""
-    return march_masked(grid, u0, 0.0, stops, "axisymmetric")
+    return march_masked(grid, u0, 0.0, stops, "axisymmetric", snap_times)

@@ -42,7 +42,7 @@ import numpy as np
 from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dpttrf, dpttrs
 
 from ..errors import NumericalError
-from .grids import hole_links
+from .grids import hole_links, hole_rim
 
 
 def tridiagonal_scale(lo, up):
@@ -145,8 +145,10 @@ class MaskedCNSolve(SineModes):
     `grids.hole_ghost`; L is the operator that `grids.masked_laplacian`
     assembles from them. Every box node (see `SineModes`) must be active
     or in the hole. The DST-I needs the axis-1 coefficients to be one
-    constant, c1 = up1[0]. The capacitance nodes and their hole links are
-    read off `grids.hole_links`. `solve_modes` is the solve on mode vectors,
+    constant, c1 = up1[0]. The capacitance nodes are the hole rim
+    (`grids.hole_rim`), joined for ghost != 0 by the active nodes with a
+    hole link, whose link sums come from `grids.hole_links`. `solve_modes`
+    is the solve on mode vectors,
     the one a march calls each step; calling the solver on active-node
     values is from_modes(solve_modes(to_modes(b))). `rank` is the size of
     the capacitance system.
@@ -169,10 +171,13 @@ class MaskedCNSolve(SineModes):
             -half * lo, 1.0 - half * (di[None, :] + lam[:, None]), -half * up)
 
         # the hole rim, and for ghost != 0 the active nodes linked into the hole
-        sums, src = (a[self.rows, 1:-1] for a in hole_links(active, hole, stencil))
         if ghost != 0.0:
-            src = src | (sums != 0.0)
-        weight = np.where(in_hole, 1.0, -half * ghost * sums)[src]
+            sums, rim = (a[self.rows, 1:-1] for a in hole_links(active, hole, stencil))
+            src = rim | (sums != 0.0)
+            weight = np.where(in_hole, 1.0, -half * ghost * sums)[src]
+        else:
+            src = hole_rim(active, hole)[self.rows, 1:-1]
+            weight = np.ones(int(src.sum()))
         self.rank = int(src.sum())
         if self.rank == 0:
             return

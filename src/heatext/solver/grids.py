@@ -10,8 +10,8 @@ caps a run's steps. Code that judges a field against the profile
 Every grid's `stencil()`, (lo, up) or (lo0, up0, lo1, up1), is the one
 source of its link coefficients, and `radial_links` the one radial link
 formula with its parity row. `masked_laplacian`, `fastsolve.MaskedCNSolve`,
-`radial.radial_operator` and the kernel probe's stiffness bound read the
-stencil; `hole_links` is the one walk of the links into the hole.
+`radial.radial_operator` and `stiffness`, the bound that sizes a warm-up,
+read the stencil; `hole_links` is the one walk of the links into the hole.
 """
 
 import math
@@ -96,6 +96,21 @@ class RadialGrid:
         """Link coefficients (lo, up) of u_rr + (N-1)/r u_r; `radial_operator`
         folds in the hole and far rows."""
         return radial_links(self.nodes(), self.h, self.dim - 1)
+
+
+def stiffness(grid) -> float:
+    """Gershgorin bound lam_bar on the spectrum of -L for the grid's stencil.
+
+    A row's diagonal is minus the sum of its links, so lam_bar is
+    2 sum_axes max(lo + up) over the (lo, up) pairs of `stencil()`. It also
+    bounds a masked run's operator with a hole ghost factor g in [-1, 1]
+    (`hole_ghost`): a row whose links into the hole sum to s gains g s on
+    its diagonal and loses s of its links, so its Gershgorin sum falls by
+    (1 + g) s. A radial Robin hole row is not bounded by it
+    (`radial.radial_stiffness`).
+    """
+    links = grid.stencil()
+    return 2.0 * sum(float(np.max(lo + up)) for lo, up in zip(links[::2], links[1::2]))
 
 
 def hole_nodes(hole: HoleSpec, X, Y, eps: float) -> np.ndarray:
@@ -311,7 +326,13 @@ def hole_links(active, hole, stencil):
     up_h, lo_h, right_h, left_h = _shifted(hole)
     sums = up0[:, None] * up_h + lo0[:, None] * lo_h + up1 * right_h + lo1 * left_h
     sums[~active] = 0.0
-    return sums, hole & np.logical_or.reduce(_shifted(active))
+    return sums, hole_rim(active, hole)
+
+
+def hole_rim(active, hole):
+    """The mask of the hole nodes next to an active node (`hole_links`' rim),
+    without the link sums."""
+    return hole & np.logical_or.reduce(_shifted(active))
 
 
 def hole_weights(grid, ghost: float) -> np.ndarray:

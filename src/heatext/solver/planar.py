@@ -18,7 +18,7 @@ the run contract `march.check_run`, the hole and outer-edge nodes pinned.
 from ..domain import ExteriorDomain, ThetaBoundary
 from ..errors import GeometryError, PreconditionError
 from .config import StepperConfig
-from .grids import Field, PlanarGrid, hole_ghost
+from .grids import Field, PlanarGrid, hole_ghost, stiffness
 from .march import march_masked
 
 
@@ -39,4 +39,5 @@ def evolve_planar(domain: ExteriorDomain, theta: ThetaBoundary, u0: Field,
         raise GeometryError("grid hole does not match the domain hole")
     if abs(grid.half_width - domain.far_radius) > 1e-9 * domain.far_radius:
         raise GeometryError("grid half_width does not match domain.far_radius")
-    return march_masked(grid, u0, hole_ghost(theta, grid.h), cfg.stops(), "planar")
+    return march_masked(grid, u0, hole_ghost(theta, grid.h), cfg.stops(stiffness(grid)),
+                        "planar", cfg.snapshot_times)

@@ -10,19 +10,19 @@ halving the width and comparing. Two code paths:
   - exterior domain (Dirichlet ball hole): the source sits on the z-axis
     at distance y from the origin and the evolution is axisymmetric.
 
-A probe is one `march` run. Its first stop is the warm-up end
-t0 = min(8 w^2, t_min / 2); the requested times follow at the regular cap.
-The warm-up damps the stiff modes of the sharp datum, which Crank-Nicolson
-barely damps: for lam dt >> 1 its amplification is about
--(1 - 4 / (lam dt)), so N equal steps over [0, t0] leave a mode of
-eigenvalue lam with a factor of about exp(-4 N^2 / (lam t0)). With lam_bar
-the Gershgorin bound on the spectrum of -L on the probe's own grid,
-2 sum_axes max(lo + up) over the grid's `stencil()` links,
-`warmup_steps` takes N = max(8, ceil(sqrt(ln(1/eps) lam_bar t0 / 4))),
-which makes that factor at most eps = WARMUP_DAMPING, a tenth of the
-tightest probe gate, for every eigenvalue from ln(1/eps) / t0 up to
-lam_bar; the regular cap may add steps. The
-warm-up's cost thus follows the grid's stiffness. Under-damped stiff
+A probe is one uniform `march` run. Its first stop is the warm-up end
+t0 = min(8 w^2, t_min / 2), which takes no snapshot; the requested times
+follow at the regular cap, each with its snapshot. The warm-up damps the
+stiff modes of the sharp datum, which Crank-Nicolson barely damps: for
+lam dt >> 1 its amplification is about -(1 - 4 / (lam dt)), so N equal
+steps over [0, t0] leave a mode of eigenvalue lam with a factor of about
+exp(-4 N^2 / (lam t0)). With lam_bar = `grids.stiffness` of the probe's
+own grid, the Gershgorin bound on the spectrum of -L, `config.warmup_steps`
+takes N = max(8, ceil(sqrt(ln(1/eps) lam_bar t0 / 4))), which makes that
+factor at most eps = WARMUP_DAMPING, a tenth of the tightest probe gate,
+for every eigenvalue from ln(1/eps) / t0 up to lam_bar; the regular cap
+may add steps. The warm-up's cost thus follows the grid's stiffness, and
+a graded run's start-up is sized by the same rule. Under-damped stiff
 modes are what make the whole-space peak miss its 1e-3 gate.
 The requested times are stops of the run, which checks them on both paths
 with the run contract `march.check_run`: a repeated or out-of-order time
@@ -38,19 +38,12 @@ import numpy as np
 from ..domain import BallHole, ExteriorDomain, ThetaBoundary
 from ..errors import PreconditionError
 from .axisym import _axisym_run
-from .grids import AxisymGrid, Field, RadialGrid
+from .config import WARMUP_DAMPING, warmup_steps  # noqa: F401 (re-exported)
+from .grids import AxisymGrid, Field, RadialGrid, stiffness
 from .ledger import MassLedger
 from .radial import _crank_nicolson_run
 
 WARMUP_SPAN_WIDTHS = 8.0   # the warm-up covers 8 w^2 time units
-WARMUP_DAMPING = 1e-4      # the warm-up damps every mode of the grid at least this much
-
-
-def warmup_steps(lam_bar: float, t0: float) -> int:
-    """Equal Crank-Nicolson steps over [0, t0] (at least 8) that damp every
-    mode of -L with eigenvalue from ln(1/WARMUP_DAMPING) / t0 up to lam_bar
-    by a factor of at most WARMUP_DAMPING."""
-    return max(8, math.ceil(math.sqrt(math.log(1.0 / WARMUP_DAMPING) * lam_bar * t0 / 4.0)))
 
 
 def mollifier_bump(dist, width: float):
@@ -127,23 +120,18 @@ def kernel_probe(domain: Optional[ExteriorDomain], y_dist: float,
         raise PreconditionError(
             f"grid spacing {h:.4g} exceeds the mollifier width {mollifier_width:g}: "
             f"the probe datum is not resolved")
-    # Gershgorin: a row's diagonal is minus the sum of its links, (lo, up) per axis
-    links = grid.stencil()
-    lam_bar = 2.0 * sum(float(np.max(lo + up)) for lo, up in zip(links[::2], links[1::2]))
     m0 = float(np.sum(grid.volume_weights() * u0))
     u0 /= m0
 
     t0 = min(WARMUP_SPAN_WIDTHS * mollifier_width ** 2, 0.5 * times[0])
     dt_cap = min(0.05, grid.spacing)
-    warmup = (t0, min(t0 / warmup_steps(lam_bar, t0), dt_cap))
+    warmup = (t0, min(t0 / warmup_steps(stiffness(grid), t0), dt_cap))
     stops = (warmup,) + tuple((t, dt_cap) for t in times)
     if domain is None:
-        snaps, ledger = _crank_nicolson_run(grid, ThetaBoundary(1.0), u0, stops)
+        snaps, ledger = _crank_nicolson_run(grid, ThetaBoundary(1.0), u0, stops, times)
     else:
-        snaps, ledger = _axisym_run(grid, Field(grid, u0), stops)
-    # snaps[0] is the warm-up end, not a requested time
-    return ProbeResult(snaps[1:], ledger, y_dist, mollifier_width, domain is None, m0,
-                       warmup)
+        snaps, ledger = _axisym_run(grid, Field(grid, u0), stops, times)
+    return ProbeResult(snaps, ledger, y_dist, mollifier_width, domain is None, m0, warmup)
 
 
 def probe_smearing_estimate(domain: Optional[ExteriorDomain], y_dist: float,

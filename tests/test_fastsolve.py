@@ -1,7 +1,8 @@
 """The numpy DST-I against scipy's, the DST + capacitance solver against
 sparse LU, the masked marches it drives against reference marches stepped
 by splu and B @ u and by the node-space solve, the mode-space march's
-independence of the hole entries and its set-up counts, and the symmetric
+independence of the hole entries and its set-up counts (solver builds,
+transforms and walks of the hole links), and the symmetric
 tridiagonal factor the solver shares with the radial march."""
 
 import numpy as np
@@ -27,10 +28,11 @@ from heatext.solver import (
     mollifier_bump,
 )
 from heatext.solver import fastsolve
+from heatext.solver import grids as grids_module
 from heatext.solver import march as march_module
 from heatext.solver.axisym import _axisym_run
 from heatext.solver.fastsolve import MaskedCNSolve, SineModes, dst1, symmetric_factor
-from heatext.solver.grids import hole_ghost, hole_weights, masked_laplacian
+from heatext.solver.grids import hole_ghost, hole_rim, hole_weights, masked_laplacian
 from heatext.solver.march import march, march_masked, step_count
 from heatext.solver.radial import _crank_nicolson_run
 
@@ -298,7 +300,7 @@ def _run_path(kind):
         domain = ExteriorDomain(3, BallHole(1.0), 6.0)
         run = lambda u0, cfg: evolve_axisym(domain, ThetaBoundary(0.0), u0, cfg)
         if kind == "exterior probe":
-            run = lambda u0, cfg: _axisym_run(grid, u0, cfg.stops())
+            run = lambda u0, cfg: _axisym_run(grid, u0, cfg.stops(), cfg.snapshot_times)
     if kind in ("planar", "axisym", "exterior probe"):
         return grid, np.where(grid.active_mask(), 1.0, 0.0), grid.hole_mask(), run
     if kind == "radial":
@@ -310,7 +312,7 @@ def _run_path(kind):
         run = lambda u0, cfg: evolve_ball(8.0, u0, cfg)
         if kind == "whole-space probe":
             run = lambda u0, cfg: _crank_nicolson_run(grid, ThetaBoundary(1.0), u0.values,
-                                                      cfg.stops())
+                                                      cfg.stops(), cfg.snapshot_times)
     hole = [0] if kind == "radial" else []  # the Dirichlet hole node
     values = np.ones(grid.shape)
     values[hole] = values[-1] = 0.0
@@ -371,6 +373,7 @@ def test_pinned_values_enter_as_exactly_zero():
 
 # a warm-up cap, then a main cap, as a kernel probe takes them
 TWO_CAP_STOPS = ((0.25, 0.25 / 16), (1.0, 0.125), (2.0, 0.125))
+TWO_CAP_TIMES = tuple(t for t, _ in TWO_CAP_STOPS)
 
 
 def _masked_case(kind):
@@ -394,7 +397,7 @@ CASES = ["dirichlet", "robin", "neumann", "axisym"]
 def test_mode_march_matches_node_space_steps(kind):
     grid, ghost, u0 = _masked_case(kind)
     assert (ghost != 0.0) == (kind in ("robin", "neumann"))
-    snaps, ledger = march_masked(grid, Field(grid, u0), ghost, TWO_CAP_STOPS, kind)
+    snaps, ledger = march_masked(grid, Field(grid, u0), ghost, TWO_CAP_STOPS, kind, TWO_CAP_TIMES)
     active = grid.active_mask()
     rows, want = _reference_march(u0[active], hole_weights(grid, ghost),
                                   grid.volume_weights()[active], TWO_CAP_STOPS,
@@ -438,7 +441,7 @@ def test_hole_entries_of_the_marched_modes_stay_at_round_off(kind):
     stops = TWO_CAP_STOPS + ((8.0, 0.125),)
     zero = np.zeros(modes.shape[0] * modes.shape[1])
     states, _ = march(modes.to_modes(u0[active]), stops, factor, zero, zero,
-                      lambda u, t: u.copy(), kind)
+                      lambda u, t: u.copy(), kind, [t for t, _ in stops])
     # measured against the datum: the run decays, the round-off does not
     box_hole = hole[modes.rows, 1:-1]
     for state in states:
@@ -481,7 +484,7 @@ def test_masked_run_builds_one_solver_per_step_size(monkeypatch):
     grid, ghost, u0 = _masked_case("axisym")
     built = _counted_builds(monkeypatch)
     stops = TWO_CAP_STOPS + ((2.5, 0.125), (2.5 + 0.25 / 16, 0.25 / 16))
-    march_masked(grid, Field(grid, u0), ghost, stops, "axisymmetric")
+    march_masked(grid, Field(grid, u0), ghost, stops, "axisymmetric", [t for t, _ in stops])
     assert built == [0.25 / 16, 0.125]
 
 
@@ -501,5 +504,28 @@ def test_masked_run_transforms_once_per_stop(monkeypatch, cap):
         calls.clear()
         grid, ghost, u0 = _masked_case(kind)
         stops = ((0.5, cap), (1.0, cap), (2.0, cap))
-        march_masked(grid, Field(grid, u0), ghost, stops, kind)
+        march_masked(grid, Field(grid, u0), ghost, stops, kind, [t for t, _ in stops])
         assert len(calls) == 3 + len(stops)
+
+
+@pytest.mark.parametrize("kind, walks", [("dirichlet", 1), ("axisym", 1), ("robin", 3)])
+def test_masked_run_walks_the_hole_links_only_where_their_sums_are_read(monkeypatch, kind,
+                                                                        walks):
+    # the ledger's hole-flux weights walk the links once per run; a solver
+    # build reads the link sums only for ghost != 0 and otherwise takes the
+    # hole rim alone, which is the rim of hole_links
+    grid, ghost, u0 = _masked_case(kind)
+    active, hole = grid.active_mask(), grid.hole_mask()
+    real = grids_module.hole_links
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    assert np.array_equal(hole_rim(active, hole), real(active, hole, grid.stencil())[1])
+    monkeypatch.setattr(grids_module, "hole_links", counted)
+    monkeypatch.setattr(fastsolve, "hole_links", counted)
+    # two step sizes
+    march_masked(grid, Field(grid, u0), ghost, TWO_CAP_STOPS, kind, TWO_CAP_TIMES)
+    assert len(calls) == walks

@@ -86,7 +86,7 @@ def test_probe_warmup_matches_the_fine_warmup():
     u0 /= float(np.sum(grid.volume_weights() * u0))
     t0 = probe.warmup[0]
     stops = ((t0, w ** 2 / 64.0),) + tuple((t, 0.05) for t in times)
-    fine, _ = _axisym_run(grid, Field(grid, u0), stops)
+    fine, _ = _axisym_run(grid, Field(grid, u0), stops, [t for t, _ in stops])
     for snap in fine[1:]:
         diff = np.abs(snap.values - probe.snapshot_at(snap.time).values)
         assert float(np.sum(grid.volume_weights() * diff)) <= 1e-4
@@ -123,7 +123,7 @@ def test_probe_z_symmetry_without_hole():
     R, Z = grid.meshgrid()
     u0 = mollifier_bump(np.sqrt(R ** 2 + Z ** 2), 0.5)
     cfg = StepperConfig(dt=0.05, snapshot_times=(1.0,))
-    snaps, _ = _axisym_run(grid, Field(grid, u0), cfg.stops())
+    snaps, _ = _axisym_run(grid, Field(grid, u0), cfg.stops(), cfg.snapshot_times)
     v = snaps[-1].values
     assert float(np.max(np.abs(v - v[:, ::-1]))) <= 1e-12
 
@@ -141,7 +141,7 @@ def test_probe_reflected_source():
         u0 = mollifier_bump(np.sqrt(R ** 2 + (Z - z0) ** 2), 0.5)
         u0[grid.hole_mask()] = 0.0
         u0 /= float(np.sum(w * u0))
-        snaps, _ = _axisym_run(grid, Field(grid, u0), cfg.stops())
+        snaps, _ = _axisym_run(grid, Field(grid, u0), cfg.stops(), cfg.snapshot_times)
         outs[z0] = snaps[-1].values
     assert float(np.max(np.abs(outs[-3.0] - outs[3.0][:, ::-1]))) <= 1e-10
 
