@@ -19,11 +19,14 @@ the shared assembler `solver.grids.masked_laplacian`, on the quadrant
 x, y >= 0 only: the hole and the disc are centred, so phi_R is even in x
 and in y, and the folded problem (axis links doubled: the k = 0 parity
 row of `solver.grids.radial_links`) has exactly the restriction of the
-full solution as its solution; it is unfolded into the full field. In
-dim 3 it solves the evolution's rows (`radial_operator`), on which 1/r
-is exactly discrete-harmonic; the boundary influence is proportional to
-1/(R - q) with offset q = a^2 b / (1 + a b) (q = a for Dirichlet), which
-the two-point extrapolation uses.
+full solution as its solution; it is unfolded into the full field. The
+folded system is solved by SuperLU (`spsolve`, from `solver.fastsolve`:
+scipy's compiled gssv on the assembler's CSC arrays, without
+scipy.sparse). In dim 3 it solves the evolution's rows
+(`radial_operator`), on which 1/r is exactly discrete-harmonic, with the
+march's symmetric factor and LAPACK dpttrs; the boundary influence is
+proportional to 1/(R - q) with offset q = a^2 b / (1 + a b) (q = a for
+Dirichlet), which the two-point extrapolation uses.
 """
 
 import math
@@ -31,8 +34,6 @@ from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dpttrs
-from scipy.sparse.linalg import spsolve
 
 from .domain import (
     BallHole,
@@ -41,7 +42,7 @@ from .domain import (
     ThetaBoundary,
 )
 from .errors import GeometryError, NumericalError, PreconditionError
-from .solver.fastsolve import symmetric_factor
+from .solver.fastsolve import dpttrs, spsolve, symmetric_factor
 from .solver.grids import (
     Field,
     PlanarGrid,
@@ -221,7 +222,7 @@ def _planar_truncated_solve(hole: HoleSpec, theta: ThetaBoundary, R: float,
     # circle carry phi = 1, which moves to the right-hand side
     lo, up = radial_links(np.arange(m + 1.0), 1.0, 0)
     L, far_coef = masked_laplacian(active, hole_mask, (lo, up, lo, up), hole_ghost(theta, h))
-    phi_vec = spsolve(L.tocsc(), -far_coef, permc_spec="MMD_AT_PLUS_A")
+    phi_vec = spsolve(L, -far_coef)
     if not np.all(np.isfinite(phi_vec)):
         raise NumericalError("planar harmonic solve produced non-finite values")
     quad = np.ones((m + 1, m + 1))

@@ -36,13 +36,77 @@ is forced to zero, so the active values never depend on what the box
 holds at hole nodes. Those entries start at zero, since the datum
 vanishes on the hole, and then evolve by a stable Crank-Nicolson step
 with zero boundary values, so they stay at round-off.
+
+The LAPACK routines (dpttrf, dpttrs, dgetrf, dgetrs, dgecon; the radial
+march and the profiles take dpttrs from here too) and SuperLU's gssv
+(`spsolve`) come from two compiled scipy extensions, `scipy.linalg._flapack`
+and `scipy.sparse.linalg._dsolve._superlu`, which `scipy_extension` loads
+from their files without running any scipy package init. They are the
+routines that scipy.linalg.lapack and scipy.sparse.linalg.spsolve call.
 """
 
+import importlib
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
 import numpy as np
-from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dpttrf, dpttrs
+from numpy.fft import rfft  # numpy loads numpy.fft lazily: load it at import, not in a run
 
 from ..errors import NumericalError
 from .grids import hole_links, hole_rim
+
+
+def scipy_extension(package, name):
+    """The compiled scipy module `package.name`, such as ("scipy.linalg", "_flapack").
+
+    The extension file is found under scipy's directory, which
+    `importlib.util.find_spec("scipy")` reports without running
+    scipy/__init__, and is loaded and registered in sys.modules under its
+    own name, so a later import of its package reuses it. No scipy
+    package init runs. When the package is already imported, or the file
+    cannot be found or loaded, this is the normal import, package inits
+    included.
+    """
+    fullname = f"{package}.{name}"
+    if package not in sys.modules and fullname not in sys.modules:
+        root = importlib.util.find_spec("scipy")
+        for location in getattr(root, "submodule_search_locations", None) or ():
+            finder = importlib.machinery.FileFinder(
+                os.path.join(location, *package.split(".")[1:]),
+                (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+            spec = finder.find_spec(fullname)
+            if spec is None:
+                continue
+            try:
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+            except (ImportError, OSError):
+                break
+            sys.modules[fullname] = module
+            return module
+    return importlib.import_module(fullname)
+
+
+_flapack = scipy_extension("scipy.linalg", "_flapack")
+dgecon, dgetrf, dgetrs, dpttrf, dpttrs = (
+    _flapack.dgecon, _flapack.dgetrf, _flapack.dgetrs, _flapack.dpttrf, _flapack.dpttrs)
+_superlu = scipy_extension("scipy.sparse.linalg._dsolve", "_superlu")
+
+
+def spsolve(csc, b):
+    """x with L x = b, for L the CSC arrays (n, data, indices, indptr) of
+    `grids.masked_laplacian`: SuperLU's gssv with the column ordering
+    MMD_AT_PLUS_A, the solve scipy.sparse.linalg.spsolve(L, b,
+    permc_spec="MMD_AT_PLUS_A") makes. Raises NumericalError when L is
+    exactly singular."""
+    n, data, indices, indptr = csc
+    x, info = _superlu.gssv(n, data.size, data, indices, indptr, b, 1,
+                            options={"ColPerm": "MMD_AT_PLUS_A"})
+    if info != 0:
+        raise NumericalError(f"sparse LU: the matrix is exactly singular (info {info})")
+    return x
 
 
 def tridiagonal_scale(lo, up):
@@ -91,7 +155,7 @@ def dst1(x):
     odd = np.zeros((2 * (n + 1),) + x.shape[1:])
     odd[1:n + 1] = x
     odd[n + 2:] = -x[::-1]
-    return -np.fft.rfft(odd, axis=0)[1:n + 1].imag * np.sqrt(1.0 / (2 * (n + 1)))
+    return -rfft(odd, axis=0)[1:n + 1].imag * np.sqrt(1.0 / (2 * (n + 1)))
 
 
 class SineModes:

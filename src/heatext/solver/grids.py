@@ -19,7 +19,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..domain import BallHole, HoleSpec, RectHole, sphere_surface_area
 from ..errors import GeometryError, PreconditionError
@@ -360,8 +359,12 @@ def masked_laplacian(active, hole, stencil, hole_ghost):
     out). Any other neighbour lies on the outer edge, whose value is zero
     or moves to a right-hand side.
 
-    Returns (L, edge_coef): L acts on the vector of active values, and
-    edge_coef sums each node's link coefficients to the outer edge.
+    Returns (L, edge_coef). L acts on the vector of active values, as the
+    canonical CSC arrays (n, data, indices, indptr): row indices sorted
+    within each column, no duplicates, explicit zeros kept, indices and
+    indptr of C int; these are the arrays scipy.sparse.csr_matrix((data,
+    (rows, cols))).tocsc() gives. edge_coef sums each node's link
+    coefficients to the outer edge.
     """
     n = int(active.sum())
     idx = -np.ones(active.shape, dtype=np.int64)
@@ -383,12 +386,12 @@ def masked_laplacian(active, hole, stencil, hole_ghost):
         vals.append(c[nb_active])
         diag[sel] -= np.where(nb_hole, (1.0 - hole_ghost) * c, c)
         edge_coef[sel] += np.where(nb_active | nb_hole, 0.0, c)
-    L = sp.csr_matrix(
-        (np.concatenate(vals + [diag]),
-         (np.concatenate(rows + [me]), np.concatenate(cols + [me]))),
-        shape=(n, n),
-    )
-    return L, edge_coef
+    rows, cols = np.concatenate(rows + [me]), np.concatenate(cols + [me])
+    order = np.lexsort((rows, cols))  # by column, then by row
+    indptr = np.zeros(n + 1, dtype=np.intc)
+    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+    data = np.concatenate(vals + [diag])[order]
+    return (n, data, rows[order].astype(np.intc), indptr), edge_coef
 
 
 @dataclass

@@ -10,10 +10,11 @@ The stencil is symmetric with respect to the volume weights, so a
 diagonal D makes I - dt/2 L symmetric positive definite; D depends on
 the stencil only, not on dt. A run factors that form once per step size
 (`fastsolve.symmetric_factor`, LAPACK dpttrf) on the coupled nodes and
-each step is one dpttrs solve. The far node, whose value stays zero, is
-left out; node 0 is back-substituted from its row when it is the
-Dirichlet hole node or, for a = 0 in dim 3, when node 1 has no link to
-it. The march runs in the scaled variable v = D u, so no step pays for
+each step is one dpttrs solve; both are scipy's LAPACK routines, which
+`fastsolve` loads from their compiled extension without scipy.linalg.
+The far node, whose value stays zero, is left out; node 0 is
+back-substituted from its row when it is the Dirichlet hole node or, for
+a = 0 in dim 3, when node 1 has no link to it. The march runs in the scaled variable v = D u, so no step pays for
 the scaling: the ledger's mass and hole-flux weight vectors, built once
 before the first step, carry the 1 / D, and the snapshots read u = v / D.
 The time loop is the shared `march`, which writes a ledger row at t = 0
@@ -30,7 +31,6 @@ run's start-up is sized by `radial_stiffness`, the Gershgorin bound of
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dpttrs
 
 from ..domain import (
     ExteriorDomain,
@@ -39,7 +39,7 @@ from ..domain import (
 )
 from ..errors import GeometryError, NumericalError, PreconditionError
 from .config import StepperConfig
-from .fastsolve import symmetric_factor, tridiagonal_scale
+from .fastsolve import dpttrs, symmetric_factor, tridiagonal_scale
 from .grids import Field, RadialGrid
 from .march import check_run, march
 

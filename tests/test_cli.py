@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -28,7 +29,11 @@ def emitted_csvs_parse_to_header_width(tmp_path):
     here write there) parses with csv.reader into rows of the header's
     width."""
     yield
-    for dirpath, _, names in os.walk(tmp_path):
+    _check_csv_widths(tmp_path)
+
+
+def _check_csv_widths(root):
+    for dirpath, _, names in os.walk(root):
         for name in names:
             if name.endswith(".csv"):
                 with open(os.path.join(dirpath, name), newline="") as fh:
@@ -475,25 +480,118 @@ def test_env_var_output_root(tmp_path, monkeypatch):
     assert os.path.isdir(str(tmp_path / "env-root"))
 
 
-# the four commands the benchmark times, on cheap grids, in one interpreter
+# the four commands the benchmark times, on cheap grids
+LEAN_ARGVS = (["sweep", "--values", "0,1", "--study", "mass", "--t-max", "2"],
+              ["evolve", "--dim", "2", "--hole", "rect:1x1", "--study", "mass", "--t-max", "2"],
+              ["kernel", "--y", "0,0,3", "--t", "1,2", "--grid", "48x96"],
+              ["profile", "--dim", "2", "--method", "elliptic", "--R", "8,16"])
+
+# runs them one after another in one interpreter; prints, as JSON, the
+# scipy modules loaded at the end and, per command, the numpy, scipy and
+# heatext modules that its main call loaded first. A module one command
+# would load alone is loaded by the first command that needs it, so no
+# command loads any when none is listed
 LEAN_RUN = """
-import sys
+import json, sys
 from heatext.cli import main
-out = sys.argv[1]
-for argv in (["sweep", "--values", "0,1", "--study", "mass", "--t-max", "2"],
-             ["evolve", "--dim", "2", "--hole", "rect:1x1", "--study", "mass", "--t-max", "2"],
-             ["kernel", "--y", "0,0,3", "--t", "1,2", "--grid", "48x96"],
-             ["profile", "--dim", "2", "--method", "elliptic", "--R", "8,16"]):
+out, argvs = sys.argv[1], json.loads(sys.argv[2])
+in_main = []
+for argv in argvs:
+    before = set(sys.modules)
     assert main(argv + ["--out", out]) == 0, argv
-print(sorted(m for m in sys.modules if m.startswith(("scipy.special", "scipy.fft"))))
+    in_main.append(sorted(m for m in set(sys.modules) - before
+                          if m.partition(".")[0] in ("numpy", "scipy", "heatext")))
+print(json.dumps([sorted(m for m in sys.modules if m.startswith("scipy")), in_main]))
 """
 
 
-def test_cli_runs_load_neither_scipy_special_nor_scipy_fft(tmp_path):
-    # a fresh interpreter pays every import a CLI run makes: the sine
-    # transforms are numpy's and only the dim-2 ball integral needs i0e
+def _fresh_python(script, *args):
+    """Run script in a fresh interpreter that imports this heatext; its stdout."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(heatext.__file__)))
-    done = subprocess.run([sys.executable, "-c", LEAN_RUN, str(tmp_path)], env=env,
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    return done.stdout
+
+
+@pytest.fixture(scope="module")
+def lean_run(tmp_path_factory):
+    """(output root, the scipy modules loaded, the modules each main loaded)."""
+    root = tmp_path_factory.mktemp("lean")
+    out = _fresh_python(LEAN_RUN, str(root), json.dumps(LEAN_ARGVS))
+    return (root, *json.loads(out.splitlines()[-1]))
+
+
+def test_cli_runs_load_no_scipy_package_only_its_lapack_and_superlu_extensions(lean_run):
+    # a fresh interpreter pays every import a CLI run makes: the sine
+    # transforms are numpy's, only the dim-2 ball integral needs i0e, and
+    # the LAPACK routines and SuperLU come from their compiled extensions,
+    # so no scipy package init runs (scipy, scipy.linalg, scipy.sparse,
+    # scipy.sparse.linalg, scipy.special, scipy.fft)
+    root, scipy_modules, _ = lean_run
+    assert scipy_modules == ["scipy.linalg._flapack", "scipy.sparse.linalg._dsolve._superlu"]
+    _check_csv_widths(root)
+
+
+def test_cli_runs_load_no_library_module_inside_main(lean_run):
+    # everything a run needs is loaded by `import heatext.cli`, so a
+    # benchmark's setup_s holds the imports and wall_s none (numpy.fft,
+    # which numpy loads lazily, included)
+    _, _, in_main = lean_run
+    assert in_main == [[]] * len(LEAN_ARGVS)
+
+
+# a fresh interpreter: heatext alone loads no scipy package, and a later
+# public import of scipy.linalg and scipy.sparse.linalg reuses its modules
+PUBLIC_AFTER_FAST = """
+import sys
+from heatext.solver import fastsolve
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+import scipy.linalg.lapack
+from scipy.sparse.linalg._dsolve import linsolve
+print(all(getattr(fastsolve, name) is getattr(scipy.linalg.lapack, name)
+          for name in ("dpttrf", "dpttrs", "dgetrf", "dgetrs", "dgecon")),
+      fastsolve._superlu is linsolve._superlu)
+"""
+
+
+def test_public_scipy_imports_reuse_the_extensions_heatext_loaded():
+    assert _fresh_python(PUBLIC_AFTER_FAST).splitlines() == [
+        "['scipy.linalg._flapack', 'scipy.sparse.linalg._dsolve._superlu']", "True True"]
+
+
+# the same runs in a fresh interpreter, the extensions' fast load either
+# kept or made to fail (scipy's directory not found); prints the scipy
+# packages loaded
+FALLBACK_RUN = """
+import importlib.util, sys
+if sys.argv[2] == "fail":
+    find_spec = importlib.util.find_spec
+    importlib.util.find_spec = lambda name, package=None: (
+        None if name == "scipy" else find_spec(name, package))
+from heatext.cli import main
+for argv in (["profile", "--dim", "2", "--method", "elliptic", "--R", "8,16"],
+             ["evolve", "--dim", "2", "--hole", "rect:1x1", "--study", "mass", "--t-max", "2"]):
+    assert main(argv + ["--out", sys.argv[1]]) == 0, argv
+print(sorted(m for m in ("scipy", "scipy.linalg", "scipy.sparse.linalg") if m in sys.modules))
+"""
+
+
+def _files(root):
+    found = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                found[os.path.relpath(path, root)] = fh.read()
+    return found
+
+
+def test_a_failed_extension_load_falls_back_to_scipys_public_imports(tmp_path):
+    fast, fail = tmp_path / "fast", tmp_path / "fail"
+    assert _fresh_python(FALLBACK_RUN, str(fast), "fast").splitlines()[-1] == "[]"
+    assert _fresh_python(FALLBACK_RUN, str(fail), "fail").splitlines()[-1] == (
+        "['scipy', 'scipy.linalg', 'scipy.sparse.linalg']")
+    written = _files(fast)
+    assert sum(name.endswith(".csv") for name in written) >= 8
+    assert _files(fail) == written

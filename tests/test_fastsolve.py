@@ -2,15 +2,16 @@
 sparse LU, the masked marches it drives against reference marches stepped
 by splu and B @ u and by the node-space solve, the mode-space march's
 independence of the hole entries and its set-up counts (solver builds,
-transforms and walks of the hole links), and the symmetric
-tridiagonal factor the solver shares with the radial march."""
+transforms and walks of the hole links), the symmetric
+tridiagonal factor the solver shares with the radial march, and the
+SuperLU solve on the assembler's CSC arrays against scipy's spsolve."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.fft import dst
 from scipy.linalg.lapack import dpttrs
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import splu, spsolve
 
 from heatext.domain import BallHole, ExteriorDomain, RectHole, ThetaBoundary
 from heatext.errors import NumericalError, PreconditionError
@@ -42,7 +43,13 @@ TOL = 1e-12
 def _operator(grid, ghost):
     """(L, hole_w) of a masked grid: its stencil assembled, its hole-flux weights."""
     L, _ = masked_laplacian(grid.active_mask(), grid.hole_mask(), grid.stencil(), ghost)
-    return L, hole_weights(grid, ghost)
+    return _csc(L), hole_weights(grid, ghost)
+
+
+def _csc(L):
+    """scipy's CSC matrix of `masked_laplacian`'s arrays (n, data, indices, indptr)."""
+    n, data, indices, indptr = L
+    return sp.csc_matrix((data, indices, indptr), shape=(n, n))
 
 
 def _solver(grid, ghost, dt):
@@ -200,8 +207,27 @@ def test_singular_capacitance_matrix_raises():
         MaskedCNSolve(active, hole, (c, c, c, c), 1.25, 0.5)
     # the same links assembled sparsely: the row is exactly zero
     L, _ = masked_laplacian(active, hole, (c, c, c, c), 1.25)
-    A, _ = _cn_matrices(L, 0.5)
+    A, _ = _cn_matrices(_csc(L), 0.5)
     assert np.min(np.abs(A).sum(axis=1)) == 0.0
+
+
+# ------------------------------------------- the SuperLU solve on CSC arrays
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+def test_spsolve_is_scipys_spsolve_bit_for_bit(theta):
+    grid = PlanarGrid(half_width=4.0, n=32, hole=RectHole(1.0, 0.5))
+    L, _ = masked_laplacian(grid.active_mask(), grid.hole_mask(), grid.stencil(),
+                            _planar_ghost(grid, theta))
+    b = np.random.default_rng(5).standard_normal(L[0])
+    want = spsolve(_csc(L), b, permc_spec="MMD_AT_PLUS_A")
+    assert np.array_equal(fastsolve.spsolve(L, b), want)
+
+
+def test_spsolve_raises_on_an_exactly_singular_matrix():
+    ones = (2, np.ones(4), np.array([0, 1, 0, 1], dtype=np.intc),
+            np.array([0, 2, 4], dtype=np.intc))
+    with pytest.raises(NumericalError, match="singular"):
+        fastsolve.spsolve(ones, np.ones(2))
 
 
 def _splu_steps(L):

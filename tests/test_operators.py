@@ -9,6 +9,7 @@ leakage.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from heatext.domain import BallHole, RectHole, ThetaBoundary
 from heatext.solver import AxisymGrid, PlanarGrid, RadialGrid
@@ -17,8 +18,9 @@ from heatext.solver.grids import hole_ghost, hole_weights, masked_laplacian, rad
 
 def _operator(grid, ghost):
     """(L, hole_w) of a masked grid: its stencil assembled, its hole-flux weights."""
-    L, _ = masked_laplacian(grid.active_mask(), grid.hole_mask(), grid.stencil(), ghost)
-    return L, hole_weights(grid, ghost)
+    (n, data, indices, indptr), _ = masked_laplacian(grid.active_mask(), grid.hole_mask(),
+                                                     grid.stencil(), ghost)
+    return sp.csc_matrix((data, indices, indptr), shape=(n, n)), hole_weights(grid, ghost)
 
 
 def _next_to_edge(grid):
@@ -108,6 +110,59 @@ def test_axisym_hole_w_is_bit_identical_on_the_kernel_probe_grid():
     assert np.any(want != 0.0)
     assert np.array_equal(hole_weights(grid, 0.0), want)
     assert np.array_equal(_operator(grid, 0.0)[1], want)
+
+
+# ------------------------------------------------ the assembler's CSC arrays
+
+def _loop_laplacian(active, hole, stencil, ghost):
+    """Reference: (rows, cols, vals, edge_coef) of the masked stencil, node by
+    node, each node's links in the assembler's order."""
+    lo0, up0, lo1, up1 = stencil
+    idx = -np.ones(active.shape, dtype=int)
+    idx[active] = np.arange(int(active.sum()))
+    rows, cols, vals, edge = [], [], [], []
+    for i, j in zip(*np.nonzero(active)):
+        diag = edge_sum = 0.0
+        for c, ni, nj in ((up0[i], i + 1, j), (lo0[i], i - 1, j),
+                          (up1[j], i, j + 1), (lo1[j], i, j - 1)):
+            if c == 0.0:
+                continue
+            if active[ni, nj]:
+                rows.append(idx[i, j])
+                cols.append(idx[ni, nj])
+                vals.append(c)
+                diag -= c
+            elif hole[ni, nj]:
+                diag -= (1.0 - ghost) * c
+            else:
+                diag -= c
+                edge_sum += c
+        rows.append(idx[i, j])
+        cols.append(idx[i, j])
+        vals.append(diag)
+        edge.append(edge_sum)
+    return rows, cols, vals, np.array(edge)
+
+
+@pytest.mark.parametrize("grid, theta", [
+    (PlanarGrid(half_width=4.0, n=32, hole=RectHole(1.0, 0.5)), 0.5),  # Robin
+    (AxisymGrid(rho_max=4.0, z_half=4.0, n_rho=24, n_z=48, hole=BallHole(1.3)), 0.0),
+])
+def test_masked_laplacian_arrays_are_scipys_canonical_csc(grid, theta):
+    active, hole, stencil = grid.active_mask(), grid.hole_mask(), grid.stencil()
+    ghost = hole_ghost(ThetaBoundary(theta), grid.spacing)
+    (n, data, indices, indptr), edge_coef = masked_laplacian(active, hole, stencil, ghost)
+    rows, cols, vals, edge = _loop_laplacian(active, hole, stencil, ghost)
+    # scipy's CSR of the triplets, converted to CSC, listed in a shuffled order
+    order = np.random.default_rng(3).permutation(len(rows))
+    want = sp.csr_matrix((np.array(vals)[order], (np.array(rows)[order],
+                                                   np.array(cols)[order])),
+                         shape=(n, n)).tocsc()
+    assert n == int(active.sum())
+    assert np.array_equal(indptr, want.indptr) and np.array_equal(indices, want.indices)
+    assert np.array_equal(data, want.data)
+    assert indices.dtype == indptr.dtype == np.intc
+    assert np.array_equal(edge_coef, edge)
 
 
 # ---------------------------------------------------- the one link source
