@@ -84,11 +84,10 @@ def _floats(text: str, flag: str) -> tuple:
 # ----------------------------------------------------------------- evolve
 
 def _run(cfg: RunConfig, out_dir: str, tag: str = ""):
-    """One evolution, radial (dim 3) on the graded time grid of
-    `StepperConfig` or planar (dim 2) on the uniform one; emits CSVs and
-    returns (files, snapshots, m)."""
+    """One evolution, radial (dim 3) or planar (dim 2), on the time grid of
+    `StepperConfig.stops`; emits CSVs and returns (files, snapshots, m)."""
     theta = cfg.theta_boundary()
-    stepper = StepperConfig(dt=cfg.dt, snapshot_times=cfg.snapshot_times, graded=cfg.dim == 3)
+    stepper = StepperConfig(dt=cfg.dt, snapshot_times=cfg.snapshot_times)
     if cfg.dim == 3:
         a = cfg.hole.radius
         n_r = int(math.ceil((cfg.r_out - a) / cfg.h - 1e-9))

@@ -215,6 +215,7 @@ def _planar_truncated_solve(hole: HoleSpec, theta: ThetaBoundary, R: float,
     X, Y = np.meshgrid(np.arange(m + 1) * h, np.arange(m + 1) * h, indexing="ij")
     hole_mask = hole_nodes(hole, X, Y, 1e-12 * grid.half_width)
     active = (X ** 2 + Y ** 2 < R ** 2 - 1e-12) & ~hole_mask
+    del X, Y  # not held through the sparse solve, the run's memory peak
     if not np.any(active):
         raise GeometryError("truncation radius leaves no active nodes")
     # unit links, the axis row's inward link folded onto its outward one:
@@ -279,18 +280,20 @@ def profile_elliptic(domain: ExteriorDomain, theta: ThetaBoundary,
         return ProfileTable(domain.dim, domain.hole, theta, r_common, extrap,
                             per_radius=per_radius)
 
-    # dim 2: masked planar solves on one nested lattice
+    # dim 2: masked planar solves on one nested lattice, each restricted to
+    # the coarsest (smallest R) grid for comparisons as soon as it is solved,
+    # so no full field of a smaller R is held through a larger solve
     if h is None:
         h = 0.25
-    fields = {R: _planar_truncated_solve(domain.hole, theta, R, h) for R in radii}
-    # restrict every solve to the coarsest (smallest R) grid for comparisons
-    small = fields[radii[0]].grid
-    per_fields = {}
-    for R, f in fields.items():
-        g = f.grid
-        off = round((g.half_width - small.half_width) / h)
-        sub = f.values[off:off + small.n + 1, off:off + small.n + 1]
-        per_fields[R] = Field(small, sub.copy(), 0.0).lock()
+    small, per_fields = None, {}
+    for R in radii:
+        f = _planar_truncated_solve(domain.hole, theta, R, h)
+        if small is None:
+            small = f.grid
+        off = round((f.grid.half_width - small.half_width) / h)
+        keep = slice(off, off + small.n + 1)
+        per_fields[R] = Field(small, f.values[keep, keep].copy(), 0.0).lock()
+        del f
     return replace(profile_planar(domain.hole, theta), planar_fields=per_fields)
 
 

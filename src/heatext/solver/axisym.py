@@ -41,7 +41,7 @@ def evolve_axisym(domain: ExteriorDomain, theta: ThetaBoundary, u0: Field,
         raise GeometryError("evolve_axisym requires a dim-3 domain")
     if grid.hole != domain.hole:
         raise GeometryError("grid hole does not match the domain hole")
-    return _axisym_run(grid, u0, cfg.stops(stiffness(grid)), cfg.snapshot_times)
+    return _axisym_run(grid, u0, cfg.stops(stiffness(grid), grid.spacing), cfg.snapshot_times)
 
 
 def _axisym_run(grid: AxisymGrid, u0: Field, stops, snap_times):

@@ -55,7 +55,6 @@ import numpy as np
 from numpy.fft import rfft  # numpy loads numpy.fft lazily: load it at import, not in a run
 
 from ..errors import NumericalError
-from .grids import hole_links, hole_rim
 
 
 def scipy_extension(package, name):
@@ -107,6 +106,17 @@ def spsolve(csc, b):
     if info != 0:
         raise NumericalError(f"sparse LU: the matrix is exactly singular (info {info})")
     return x
+
+
+def capacitance_nodes(links, ghost):
+    """(nodes, sums): the node indices (i, j) of a masked grid's capacitance
+    nodes, in row-major order, and their hole-link sums, from links =
+    `grids.hole_links` of its masks and stencil. The nodes are the hole
+    rim, joined for ghost != 0 by the active nodes with a link into the
+    hole; all of them lie in the box of `SineModes`."""
+    sums, rim = links
+    nodes = np.nonzero(rim | (sums != 0.0) if ghost != 0.0 else rim)
+    return nodes, sums[nodes]
 
 
 def tridiagonal_scale(lo, up):
@@ -209,22 +219,20 @@ class MaskedCNSolve(SineModes):
     `grids.hole_ghost`; L is the operator that `grids.masked_laplacian`
     assembles from them. Every box node (see `SineModes`) must be active
     or in the hole. The DST-I needs the axis-1 coefficients to be one
-    constant, c1 = up1[0]. The capacitance nodes are the hole rim
-    (`grids.hole_rim`), joined for ghost != 0 by the active nodes with a
-    hole link, whose link sums come from `grids.hole_links`. `solve_modes`
-    is the solve on mode vectors,
-    the one a march calls each step; calling the solver on active-node
-    values is from_modes(solve_modes(to_modes(b))). `rank` is the size of
-    the capacitance system.
+    constant, c1 = up1[0]. cap_nodes is `capacitance_nodes` of the grid's
+    hole links, which a run computes once for all its builds.
+    `solve_modes` is the solve on mode vectors, the one a march calls each
+    step; calling the solver on active-node values is
+    from_modes(solve_modes(to_modes(b))). `rank` is the size of the
+    capacitance system.
     """
 
-    def __init__(self, active, hole, stencil, ghost, dt):
+    def __init__(self, active, hole, stencil, ghost, dt, cap_nodes):
         super().__init__(active, stencil)
         lo0, up0, _, up1 = stencil
         c1 = up1[0]
         lo, up = lo0[self.rows], up0[self.rows]
         di = -(lo + up)
-        in_hole = hole[self.rows, 1:-1]
         n1, n0 = self.shape
         scale = self.scale
 
@@ -234,22 +242,17 @@ class MaskedCNSolve(SineModes):
         _, *self._tri = symmetric_factor(
             -half * lo, 1.0 - half * (di[None, :] + lam[:, None]), -half * up)
 
-        # the hole rim, and for ghost != 0 the active nodes linked into the hole
-        if ghost != 0.0:
-            sums, rim = (a[self.rows, 1:-1] for a in hole_links(active, hole, stencil))
-            src = rim | (sums != 0.0)
-            weight = np.where(in_hole, 1.0, -half * ghost * sums)[src]
-        else:
-            src = hole_rim(active, hole)[self.rows, 1:-1]
-            weight = np.ones(int(src.sum()))
-        self.rank = int(src.sum())
+        nodes, sums = cap_nodes
+        on_hole = hole[nodes]
+        weight = np.where(on_hole, 1.0, -half * ghost * sums)
+        self.rank = on_hole.size
         if self.rank == 0:
             return
 
         # Each mode's tridiagonal inverse, column by column for the box rows
         # that hold a capacitance node, times D: a unit source at node (i, j)
         # has the scaled spectral response phi_k(j) * rows_inv[k, row of i].
-        i_src, j_src = np.nonzero(src)
+        i_src, j_src = nodes[0] - self.rows.start, nodes[1] - 1  # box indices
         src_rows, row_of = np.unique(i_src, return_inverse=True)
         unit = np.zeros((src_rows.size, n1, n0))  # solved in place, column by column
         unit[np.arange(src_rows.size), :, src_rows] = scale[src_rows, None]
@@ -265,7 +268,7 @@ class MaskedCNSolve(SineModes):
         # hole nodes: the solution z vanishes; active nodes: s + weight z = 0,
         # which adds their diagonal shift weight = -dt/2 ghost (hole links)
         cap = weight[:, None] * resp
-        cap[np.arange(self.rank), np.arange(self.rank)] += ~in_hole[src]
+        cap[np.arange(self.rank), np.arange(self.rank)] += ~on_hole
         *self._cap, info = dgetrf(cap)
         rcond = dgecon(self._cap[0], np.abs(cap).sum(axis=0).max())[0] if info == 0 else 0.0
         if rcond <= np.finfo(float).eps:

@@ -325,17 +325,12 @@ def hole_links(active, hole, stencil):
     up_h, lo_h, right_h, left_h = _shifted(hole)
     sums = up0[:, None] * up_h + lo0[:, None] * lo_h + up1 * right_h + lo1 * left_h
     sums[~active] = 0.0
-    return sums, hole_rim(active, hole)
+    return sums, hole & np.logical_or.reduce(_shifted(active))
 
 
-def hole_rim(active, hole):
-    """The mask of the hole nodes next to an active node (`hole_links`' rim),
-    without the link sums."""
-    return hole & np.logical_or.reduce(_shifted(active))
-
-
-def hole_weights(grid, ghost: float) -> np.ndarray:
-    """Hole-flux weights over the active nodes of a PlanarGrid or AxisymGrid.
+def hole_weights(grid, ghost: float, links) -> np.ndarray:
+    """Hole-flux weights over the active nodes of a PlanarGrid or AxisymGrid,
+    from links = `hole_links` of the grid's masks and stencil.
 
     hole_w . u is the hole part of the discrete mass rate w^T L u (w the
     volume weights, L the `masked_laplacian` of grid.stencil() with hole
@@ -343,7 +338,7 @@ def hole_weights(grid, ghost: float) -> np.ndarray:
     the hole; the rest of w^T L u is the far-edge leakage.
     """
     active = grid.active_mask()
-    sums, _ = hole_links(active, grid.hole_mask(), grid.stencil())
+    sums, _ = links
     return (ghost - 1.0) * grid.volume_weights()[active] * sums[active]
 
 

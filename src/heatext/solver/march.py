@@ -3,7 +3,7 @@
 A run is a list of stops (time, step cap). The march covers the interval
 before each stop in `step_count` equal steps and lands on its time
 exactly. It builds a snapshot Field only at the stops whose times are
-the run's snapshot times: a graded run's ladder stops and a kernel
+the run's snapshot times: an evolution's ladder stops and a kernel
 probe's warm-up end take none. A solver
 supplies factor(dt), returning solve(b) = (I - dt/2 L)^{-1} b for its
 operator L (called once per distinct step size), the mass and hole-flux
@@ -30,10 +30,10 @@ is finite and vanishes (to 1e-9 of its size) on the nodes the scheme
 pins, which then enter as exactly 0; stop times strictly increase from
 t >= 0; the accuracy guard: each step cap lies in
 (0, max(h, GROWTH t_prev)], h the grid spacing and t_prev the stop before
-it (0 for the first). So the first cap is at most h, every cap of a
-uniform run (all equal) is, and a graded run's caps grow no faster than
-`config.graded_stops` lets them. The entry points check only the grid
-against the domain.
+it (0 for the first). So the first cap is at most h, and the caps grow no
+faster than `config.graded_stops` lets them; the step budget: the stops
+take at most MAX_STEPS steps. The entry points check the grid against the
+domain, and `StepperConfig.stops` checks dt against h.
 """
 
 import math
@@ -42,11 +42,19 @@ import numpy as np
 
 from ..errors import NumericalError, PreconditionError
 from .config import GROWTH
-from .fastsolve import MaskedCNSolve, SineModes
-from .grids import Field, hole_weights
+from .fastsolve import MaskedCNSolve, SineModes, capacitance_nodes
+from .grids import Field, hole_links, hole_weights
 from .ledger import MassLedger
 
 CHECK_EVERY = 200  # steps between finiteness checks of the march
+# The most steps one run may take, 50 times the 20 000 of a kernel probe to
+# t = 1 000 at its cap 0.05; the longest run of the tests takes 4 701 steps,
+# of the demos 1 885 and of the benchmark 1 060. Only the start-up's damping
+# rule asks for more, when the Robin hole row's b = cot(pi theta/2) is huge:
+# a radial run to t = 2 would take 2.6e7 steps at theta = 1e-12 and 2.8e16
+# at theta = 1e-30, with a ledger row per step. 10^6 steps on the sweep's
+# 4 207-node radial grid take about 60 s on a 2-core x86 machine.
+MAX_STEPS = 10 ** 6
 
 
 def step_count(span: float, cap: float) -> int:
@@ -74,6 +82,10 @@ def check_run(values, hole, edge, stops, spacing):
         if not 0.0 < cap <= bound * (1.0 + 1e-12):
             raise PreconditionError(f"accuracy guard: the step cap {cap:g} after "
                                     f"t = {t_prev:g} must lie in (0, {bound:g}]")
+    steps = sum(step_count(t - t_prev, cap) for t_prev, (t, cap) in zip([0.0] + times, stops))
+    if steps > MAX_STEPS:
+        raise PreconditionError(f"step budget: the stops take {steps:.3g} steps, more than "
+                                f"{MAX_STEPS:.0e}")
     return values
 
 
@@ -117,21 +129,27 @@ def march_masked(grid, u0, ghost, stops, what, snap_times):
 
     snap_times is that of `march`. The hole and outer-edge nodes are
     pinned (`check_run`); only the datum's active-node values enter. ghost
-    is the hole ghost factor of `grids.hole_ghost`. The mass is the volume-weighted sum over the
-    active nodes and the ledger flux is the hole flux
-    `grids.hole_weights` . u. The march runs on the mode vectors of
-    `fastsolve.SineModes`: both functionals are dot products with their
-    mode vectors, and values are read back only at the snapshots.
+    is the hole ghost factor of `grids.hole_ghost`. The mass is the
+    volume-weighted sum over the active nodes and the ledger flux is the
+    hole flux `grids.hole_weights` . u. The run walks `grids.hole_links`
+    once, for those weights and for the capacitance nodes of every solver
+    build (`fastsolve.capacitance_nodes`). The march runs on the mode
+    vectors of `fastsolve.SineModes`: both functionals are dot products
+    with their mode vectors, and values are read back only at the
+    snapshots.
     """
     active, hole = grid.active_mask(), grid.hole_mask()
     check_run(u0.values, hole, grid.edge_mask(), stops, grid.spacing)
     stencil = grid.stencil()
     modes = SineModes(active, stencil)
     mass_w = modes.functional(grid.volume_weights()[active])
-    flux_w = modes.functional(hole_weights(grid, ghost))
+    links = hole_links(active, hole, stencil)
+    flux_w = modes.functional(hole_weights(grid, ghost, links))
+    cap_nodes = capacitance_nodes(links, ghost)
+    del links  # the march holds the capacitance nodes' indices, not full-grid arrays
 
     def factor(dt):
-        return MaskedCNSolve(active, hole, stencil, ghost, dt).solve_modes
+        return MaskedCNSolve(active, hole, stencil, ghost, dt, cap_nodes).solve_modes
 
     def to_field(u_modes, t):
         full = np.zeros(active.shape)

@@ -39,5 +39,5 @@ def evolve_planar(domain: ExteriorDomain, theta: ThetaBoundary, u0: Field,
         raise GeometryError("grid hole does not match the domain hole")
     if abs(grid.half_width - domain.far_radius) > 1e-9 * domain.far_radius:
         raise GeometryError("grid half_width does not match domain.far_radius")
-    return march_masked(grid, u0, hole_ghost(theta, grid.h), cfg.stops(stiffness(grid)),
-                        "planar", cfg.snapshot_times)
+    return march_masked(grid, u0, hole_ghost(theta, grid.h),
+                        cfg.stops(stiffness(grid), grid.spacing), "planar", cfg.snapshot_times)

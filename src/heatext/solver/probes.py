@@ -22,7 +22,7 @@ takes N = max(8, ceil(sqrt(ln(1/eps) lam_bar t0 / 4))), which makes that
 factor at most eps = WARMUP_DAMPING, a tenth of the tightest probe gate,
 for every eigenvalue from ln(1/eps) / t0 up to lam_bar; the regular cap
 may add steps. The warm-up's cost thus follows the grid's stiffness, and
-a graded run's start-up is sized by the same rule. Under-damped stiff
+an evolution's start-up is sized by the same rule. Under-damped stiff
 modes are what make the whole-space peak miss its 1e-3 gate.
 The requested times are stops of the run, which checks them on both paths
 with the run contract `march.check_run`: a repeated or out-of-order time
@@ -38,7 +38,7 @@ import numpy as np
 from ..domain import BallHole, ExteriorDomain, ThetaBoundary
 from ..errors import PreconditionError
 from .axisym import _axisym_run
-from .config import WARMUP_DAMPING, warmup_steps  # noqa: F401 (re-exported)
+from .config import warmup_steps
 from .grids import AxisymGrid, Field, RadialGrid, stiffness
 from .ledger import MassLedger
 from .radial import _crank_nicolson_run

@@ -14,18 +14,22 @@ each step is one dpttrs solve; both are scipy's LAPACK routines, which
 `fastsolve` loads from their compiled extension without scipy.linalg.
 The far node, whose value stays zero, is left out; node 0 is
 back-substituted from its row when it is the Dirichlet hole node or, for
-a = 0 in dim 3, when node 1 has no link to it. The march runs in the scaled variable v = D u, so no step pays for
-the scaling: the ledger's mass and hole-flux weight vectors, built once
-before the first step, carry the 1 / D, and the snapshots read u = v / D.
+a = 0 in dim 3, when node 1 has no link to it. The march runs in the
+scaled variable v = D u, so no step pays for the scaling: the ledger's
+mass and hole-flux weight vectors, built once before the first step,
+carry the 1 / D, and the snapshots read u = v / D.
 The time loop is the shared `march`, which writes a ledger row at t = 0
-and after every step and a snapshot only at the snapshot times (a graded
-run's ladder stops take none). The dim-3 elliptic profile solves these
-rows with the same factor.
+and after every step and a snapshot only at the snapshot times (the
+ladder stops take none). The dim-3 elliptic profile solves these rows
+with the same factor.
 Every radial run (`evolve_radial`, `evolve_ball`, the whole-space kernel
 probe) checks the run contract `march.check_run` in `_crank_nicolson_run`,
-with the far node and the Dirichlet hole node (a > 0) pinned. A graded
-run's start-up is sized by `radial_stiffness`, the Gershgorin bound of
-`radial_operator` with its Robin hole row.
+with the far node and the Dirichlet hole node (a > 0) pinned. The
+evolutions' start-up (`StepperConfig.stops`) is sized by
+`radial_stiffness`, the Gershgorin bound of `radial_operator` with its
+Robin hole row: at theta = 0.001 that row puts the top of the spectrum
+5.4 times above the stencil's bound, and a start-up that left its mode
+undamped would leave the ledger's hole flux -b u(a) dominated by it.
 """
 
 import math
@@ -135,8 +139,8 @@ def evolve_radial(domain: ExteriorDomain, theta: ThetaBoundary, u0: Field,
     """Evolve a radial datum on the truncated exterior domain.
 
     Returns (snapshots, ledger). Snapshots are immutable Fields at
-    exactly cfg.snapshot_times, uniform or graded; the ledger holds a
-    (t, mass, hole flux) row at t = 0 and after every step.
+    exactly cfg.snapshot_times, on the stops of `StepperConfig.stops`; the
+    ledger holds a (t, mass, hole flux) row at t = 0 and after every step.
     """
     grid = u0.grid
     if not isinstance(grid, RadialGrid):
@@ -147,8 +151,8 @@ def evolve_radial(domain: ExteriorDomain, theta: ThetaBoundary, u0: Field,
         raise GeometryError("grid outer radius does not match domain.far_radius")
     if grid.dim != domain.dim:
         raise GeometryError("grid dimension does not match the domain")
-    return _crank_nicolson_run(grid, theta, u0.values, cfg.stops(radial_stiffness(grid, theta)),
-                               cfg.snapshot_times)
+    stops = cfg.stops(radial_stiffness(grid, theta), grid.spacing)
+    return _crank_nicolson_run(grid, theta, u0.values, stops, cfg.snapshot_times)
 
 
 def evolve_ball(radius: float, u0: Field, cfg: StepperConfig):
@@ -164,5 +168,5 @@ def evolve_ball(radius: float, u0: Field, cfg: StepperConfig):
     if abs(grid.r_out - radius) > 1e-12 * max(1.0, radius):
         raise PreconditionError("grid outer radius must equal the ball radius")
     theta = ThetaBoundary(1.0)
-    return _crank_nicolson_run(grid, theta, u0.values, cfg.stops(radial_stiffness(grid, theta)),
-                               cfg.snapshot_times)
+    stops = cfg.stops(radial_stiffness(grid, theta), grid.spacing)
+    return _crank_nicolson_run(grid, theta, u0.values, stops, cfg.snapshot_times)

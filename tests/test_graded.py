@@ -1,10 +1,12 @@
-"""The graded time grid: its stops, its accuracy guard, a spectral oracle for
-the radial march on it, its order in the growth and rough data on it.
+"""The graded time grid: its stops, its accuracy guard, the step budget, a
+spectral oracle for the radial march on it, its order in the growth, rough
+data on it and the small-theta hole flux it gets right.
 
-A graded run (`StepperConfig(graded=True)`, every radial CLI evolve and
-sweep run) keeps steps of at most dt, fewer if the start-up damping rule
-binds for the Gershgorin bound of its own operator, up to t_s = dt / GROWTH
-and then stops on a x1.25 ladder with cap max(dt, GROWTH t_prev).
+Every evolution (`StepperConfig.stops`: the library entry points, every
+CLI run, the fixtures and the demos) keeps steps of at most dt, fewer if
+the start-up damping rule binds for the Gershgorin bound of its own
+operator, up to t_s = dt / GROWTH and then stops on a x1.25 ladder with
+cap max(dt, GROWTH t_prev).
 """
 
 import math
@@ -25,15 +27,15 @@ from heatext.solver import (
     PlanarGrid,
     RadialGrid,
     StepperConfig,
-    evolve_planar,
     evolve_radial,
     mollifier_bump,
 )
 from heatext.solver import march as march_module
+from heatext.solver import planar as planar_module
 from heatext.solver import radial as radial_module
 from heatext.solver.config import GROWTH, LADDER_RATIO, WARMUP_DAMPING, graded_stops, warmup_steps
 from heatext.solver.grids import stiffness
-from heatext.solver.march import march_masked, step_count
+from heatext.solver.march import MAX_STEPS, march_masked, step_count
 from heatext.solver.radial import _crank_nicolson_run, radial_operator, radial_stiffness
 
 
@@ -57,7 +59,7 @@ def test_graded_stops_follow_the_ladder_and_the_caps():
     grid = _radial_grid()
     dt, times = grid.h / 2.0, (1.0, 10.0, 30.0)
     lam_bar = radial_stiffness(grid, ThetaBoundary(0.5))
-    stops = StepperConfig(dt, times, graded=True).stops(lam_bar)
+    stops = StepperConfig(dt, times).stops(lam_bar, grid.spacing)
     t_s = dt / GROWTH
     # the damping rule binds on this grid: 244 steps, so 400 of dt / 2, not 200
     assert t_s / 244 < dt and warmup_steps(lam_bar, t_s) == 244
@@ -72,7 +74,7 @@ def test_graded_stops_follow_the_ladder_and_the_caps():
     # a start-up of dt / 2^k gives a sweep's thetas one time grid
     for theta in (0.0, 0.2, 1.0):
         lam = radial_stiffness(grid, ThetaBoundary(theta))
-        assert StepperConfig(dt, times, graded=True).stops(lam) == stops
+        assert StepperConfig(dt, times).stops(lam, grid.spacing) == stops
 
 
 def _symmetrised(grid, theta):
@@ -104,8 +106,8 @@ def test_graded_start_up_damps_the_operators_stiffest_mode(theta):
     assert lam_max == pytest.approx(-eigvalsh_tridiagonal(di, off)[0], rel=1e-12)
     if theta < 0.01:
         assert lam_max > 5.0 * stiffness(grid)
-    cfg = StepperConfig(dt, (t_s,), graded=True)
-    steps = np.array(_step_sizes(cfg.stops(radial_stiffness(grid, tb))))
+    cfg = StepperConfig(dt, (t_s,))
+    steps = np.array(_step_sizes(cfg.stops(radial_stiffness(grid, tb), grid.spacing)))
     assert steps.sum() == pytest.approx(t_s, rel=1e-12)
     for lam in np.append(np.geomspace(math.log(1.0 / WARMUP_DAMPING) / t_s, lam_max, 50),
                          lam_max):
@@ -119,29 +121,51 @@ def test_graded_start_up_damps_the_operators_stiffest_mode(theta):
     assert abs(top @ (d * snap.values[first:grid.n_r])) <= WARMUP_DAMPING * abs(c0)
 
 
-def test_a_graded_run_that_ends_by_t_s_is_the_uniform_run():
-    # at the CLI's planar default h = 0.5, dt = 0.25: t_s = 50 > t_max = 25,
-    # and the damping rule does not bind (61 steps over [0, 50] allow 0.82 > dt)
-    grid = PlanarGrid(half_width=12.0, n=48, hole=RectHole(1.0, 1.0))
-    uniform = StepperConfig(0.25, (0.0, 1.0, 10.0, 25.0))
-    graded = StepperConfig(0.25, (0.0, 1.0, 10.0, 25.0), graded=True)
-    assert graded.stops(stiffness(grid)) == uniform.stops()
-    domain = ExteriorDomain(2, grid.hole, 12.0)
-    u0 = make_planar_datum("gaussian-bump:3,0,1.5", grid)
-    runs = [evolve_planar(domain, ThetaBoundary(0.5), u0, cfg) for cfg in (uniform, graded)]
-    (snaps_u, led_u), (snaps_g, led_g) = runs
-    assert led_u.as_arrays()[1].tobytes() == led_g.as_arrays()[1].tobytes()
-    assert all(np.array_equal(a.values, b.values) for a, b in zip(snaps_u, snaps_g))
+def test_a_graded_run_that_ends_by_t_s_is_the_uniform_run(tmp_path, monkeypatch):
+    # the benchmark's planar-hole argv at the CLI's planar default h = 0.5,
+    # dt = 0.25: t_s = 50 > t_max = 25, and the damping rule does not bind
+    # (61 steps over [0, 50] allow 0.82 > dt), so its stops are its
+    # snapshot times, each with cap dt
+    taken = []
+
+    def recorded(grid, u0, ghost, stops, what, snap_times):
+        taken.append(stops)
+        return march_masked(grid, u0, ghost, stops, what, snap_times)
+
+    monkeypatch.setattr(planar_module, "march_masked", recorded)
+    argv = ["evolve", "--dim", "2", "--hole", "rect:1x1", "--preset", "gaussian-bump:3,0,1.5",
+            "--study", "balance", "--t-max", "25", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert taken == [((1.0, 0.25), (10.0, 0.25), (25.0, 0.25))]
+
+
+def test_small_theta_hole_flux_follows_the_mass_rate():
+    # theta = 0.001: the Robin hole row's stiff mode, eigenvalue about
+    # 2 b / h with b = 637, is damped by the start-up. Uniform steps of dt
+    # to t = 1 (lam dt = 694) leave about half of it at the hole node, 0.43
+    # there, and the ledger's flux -b u(a) reads -3 440 against a mass rate
+    # of -2.6
+    grid = _radial_grid()
+    tb = ThetaBoundary(0.001)
+    u0 = make_radial_datum("indicator-shell:1,2", grid, tb)
+    cfg = StepperConfig(grid.h / 2.0, (1.0, 2.0))
+    snaps, ledger = evolve_radial(ExteriorDomain(3, BallHole(1.0), grid.r_out), tb, u0, cfg)
+    t, m, f = ledger.as_arrays()
+    i = ledger.times.index(1.0)
+    rate = (m[i + 1] - m[i - 1]) / (t[i + 1] - t[i - 1])
+    assert -3.0 < f[i] < -2.4
+    assert abs(f[i] - rate) <= 0.05 * abs(rate)
+    assert abs(snaps[0].values[0]) <= 1e-3
 
 
 def test_graded_snapshots_are_the_snapshot_times_only():
     grid = _radial_grid(n_r=512)
     theta = ThetaBoundary(0.5)
     u0 = make_radial_datum("gaussian-bump:3,0.5", grid, theta)
-    cfg = StepperConfig(grid.h / 2.0, (0.0, 1.0, 10.0, 10.0, 20.0), graded=True)
+    cfg = StepperConfig(grid.h / 2.0, (0.0, 1.0, 10.0, 10.0, 20.0))
     snaps, ledger = evolve_radial(ExteriorDomain(3, BallHole(1.0), grid.r_out), theta, u0, cfg)
     assert [s.time for s in snaps] == [0.0, 1.0, 10.0, 20.0]
-    stops = cfg.stops(radial_stiffness(grid, theta))
+    stops = cfg.stops(radial_stiffness(grid, theta), grid.spacing)
     assert len(stops) > len(snaps)
     assert len(ledger) == len(_step_sizes(stops)) + 1
     for s in snaps:
@@ -151,8 +175,8 @@ def test_graded_snapshots_are_the_snapshot_times_only():
 def test_graded_stops_keep_a_disordered_time_for_the_run_to_reject():
     grid = _radial_grid(n_r=256)
     theta = ThetaBoundary(1.0)
-    cfg = StepperConfig(grid.h / 2.0, (5.0, 1.0), graded=True)
-    assert [t for t, _ in cfg.stops(radial_stiffness(grid, theta))][-1] == 1.0
+    cfg = StepperConfig(grid.h / 2.0, (5.0, 1.0))
+    assert [t for t, _ in cfg.stops(radial_stiffness(grid, theta), grid.spacing)][-1] == 1.0
     u0 = make_radial_datum("gaussian-bump:3,0.5", grid, theta)
     with pytest.raises(PreconditionError, match="strictly increase"):
         evolve_radial(ExteriorDomain(3, BallHole(1.0), grid.r_out), theta, u0, cfg)
@@ -207,6 +231,30 @@ def test_graded_guard_rejects_a_cap_before_the_first_step(monkeypatch, kind, def
         run(ok)
 
 
+@pytest.mark.parametrize("kind", ["radial", "planar", "axisym"])
+def test_step_budget_rejects_a_run_before_its_first_step(monkeypatch, kind):
+    run, h = _guard_cases()[kind]
+    monkeypatch.setattr(march_module, "march", _no_march)
+    monkeypatch.setattr(radial_module, "march", _no_march)
+    # MAX_STEPS / 2 + MAX_STEPS / 2 + 1 steps over two stops, then MAX_STEPS
+    with pytest.raises(PreconditionError, match="step budget"):
+        run(((0.5, 1.0 / MAX_STEPS), (1.0, 1.0 / (MAX_STEPS + 2))))
+    with pytest.raises(AssertionError, match="before its contract"):
+        run(((0.5, 1.0 / MAX_STEPS), (1.0, 1.0 / MAX_STEPS)))
+
+
+@pytest.mark.parametrize("theta", ["1e-12", "1e-30", "1e-306"])
+def test_a_run_over_the_step_budget_exits_3_before_its_ledger(tmp_path, capsys, theta):
+    # a Robin row's b = cot(pi theta/2) sizes the start-up: 2.6e7 steps to
+    # t = 2 at theta = 1e-12, 2.8e16 at 1e-30; at 1e-306 the damping rule's
+    # count lam_bar t_s overflows, and its root does not
+    argv = ["evolve", "--theta", theta, "--study", "mass", "--t-max", "2", "--out",
+            str(tmp_path)]
+    assert main(argv) == 3
+    assert "step budget" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*/ledger.csv"))
+
+
 # ----------------------------------------------------------------- oracle
 
 def _spectral_oracle(grid, theta, u0, stops, snap_times):
@@ -238,8 +286,8 @@ def test_graded_march_matches_the_spectral_oracle(theta):
     r = grid.nodes()
     u0 = (r - 1.0) * np.exp(-(r - 3.0) ** 2)
     u0[-1] = 0.0
-    cfg = StepperConfig(grid.h / 2.0, (1.0, 5.0, 20.0), graded=True)
-    stops = cfg.stops(radial_stiffness(grid, tb))
+    cfg = StepperConfig(grid.h / 2.0, (1.0, 5.0, 20.0))
+    stops = cfg.stops(radial_stiffness(grid, tb), grid.spacing)
     assert len(set(_step_sizes(stops))) > 10  # a real ladder, not one step size
     snaps, _ = evolve_radial(ExteriorDomain(3, BallHole(1.0), grid.r_out), tb,
                              Field(grid, u0), cfg)
@@ -298,19 +346,22 @@ def test_graded_sweep_keeps_rough_data_ordered(tmp_path, capsys):
     line = [ln for ln in capsys.readouterr().out.splitlines() if "ordering" in ln][0]
     assert line.startswith("[PASS]")
     printed = float(re.search(r"max violation (\S+)", line).group(1))
-    # the same sweep on the uniform and the graded grid: the uniform run is
-    # ordered exactly, and the graded one to round-off of each node's value
-    # (5.7e-42 at r = 18.8, t = 1, where u = 1.9e-26)
+    # the same sweep on uniform steps of dt and on the graded grid: the
+    # uniform run is ordered exactly, and the graded one to round-off of
+    # each node's value (5.7e-42 at r = 18.8, t = 1, where u = 1.9e-26)
+    grid = _radial_grid(n_r=4207)  # the CLI grid: h = 1/64, r_out = 66.73
+    dt, times = grid.h / 2.0, (1.0, 10.0, 30.0)
     defects = {}
     for graded in (False, True):
         runs = []
         for theta in (0.0, 0.5, 1.0):
-            grid = _radial_grid(n_r=4207)  # the CLI grid: h = 1/64, r_out = 66.73
             tb = ThetaBoundary(theta)
             u0 = make_radial_datum("indicator-shell:2,4", grid, tb)
-            cfg = StepperConfig(grid.h / 2.0, (1.0, 10.0, 30.0), graded=graded)
-            runs.append(evolve_radial(ExteriorDomain(3, BallHole(1.0), grid.r_out), tb, u0,
-                                      cfg)[0])
+            if graded:
+                stops = StepperConfig(dt, times).stops(radial_stiffness(grid, tb), grid.spacing)
+            else:
+                stops = ((1.0, dt), (10.0, dt), (30.0, dt))
+            runs.append(_crank_nicolson_run(grid, tb, u0.values, stops, times)[0])
         defects[graded] = _ordering_defect(runs)
     assert defects[False] == (0.0, 0.0)
     worst, rel = defects[True]

@@ -27,7 +27,9 @@ from heatext.solver import (
     kernel_probe,
     mollifier_bump,
 )
+from heatext.solver.grids import stiffness
 from heatext.solver.march import step_count
+from heatext.solver.radial import radial_stiffness
 
 TOL = 1e-12
 CFG = StepperConfig(dt=1.0 / 16.0, snapshot_times=(0.5, 2.0))
@@ -48,19 +50,20 @@ def _run(kind):
         grid = RadialGrid(a=1.0, r_out=9.0, n_r=128, dim=3)
         u0 = make_radial_datum("gaussian-bump:4,1", grid, theta)
         snaps, ledger = evolve_radial(ExteriorDomain(3, BallHole(1.0), 9.0), theta, u0, CFG)
-        return snaps, ledger, CFG.stops(), theta
+        return snaps, ledger, CFG.stops(radial_stiffness(grid, theta), grid.spacing), theta
     if kind == "ball":
         grid = RadialGrid(a=0.0, r_out=1.0, n_r=64, dim=3)
         u0 = Field(grid, ball_eigenfunction(grid.nodes()))
         cfg = StepperConfig(dt=1.0 / 256.0, snapshot_times=(0.05, 0.2))
         snaps, ledger = evolve_ball(1.0, u0, cfg)
-        return snaps, ledger, cfg.stops(), None
+        return snaps, ledger, cfg.stops(radial_stiffness(grid, ThetaBoundary(1.0)),
+                                        grid.spacing), None
     if kind == "planar":
         grid = PlanarGrid(half_width=6.0, n=48, hole=RectHole(1.0, 1.0))
         u0 = make_planar_datum("gaussian-bump:2.5,0.5,1", grid)
         snaps, ledger = evolve_planar(ExteriorDomain(2, grid.hole, 6.0), ThetaBoundary(0.5),
                                       u0, CFG)
-        return snaps, ledger, CFG.stops(), None
+        return snaps, ledger, CFG.stops(stiffness(grid), grid.spacing), None
     if kind == "axisym":
         grid = AxisymGrid(rho_max=6.0, z_half=7.0, n_rho=40, n_z=96, hole=BallHole(1.0))
         R, Z = grid.meshgrid()
@@ -68,7 +71,7 @@ def _run(kind):
         u0[grid.hole_mask() | grid.edge_mask()] = 0.0
         snaps, ledger = evolve_axisym(ExteriorDomain(3, BallHole(1.0), 6.0),
                                       ThetaBoundary(0.0), Field(grid, u0), CFG)
-        return snaps, ledger, CFG.stops(), None
+        return snaps, ledger, CFG.stops(stiffness(grid), grid.spacing), None
     times = (0.5, 1.0)
     if kind == "whole-space probe":
         probe = kernel_probe(None, 0.0, 0.5, times, n_r=256)

@@ -13,14 +13,26 @@ import scipy.sparse as sp
 
 from heatext.domain import BallHole, RectHole, ThetaBoundary
 from heatext.solver import AxisymGrid, PlanarGrid, RadialGrid
-from heatext.solver.grids import hole_ghost, hole_weights, masked_laplacian, radial_links
+from heatext.solver.grids import (
+    hole_ghost,
+    hole_links,
+    hole_weights,
+    masked_laplacian,
+    radial_links,
+)
 
 
 def _operator(grid, ghost):
     """(L, hole_w) of a masked grid: its stencil assembled, its hole-flux weights."""
     (n, data, indices, indptr), _ = masked_laplacian(grid.active_mask(), grid.hole_mask(),
                                                      grid.stencil(), ghost)
-    return sp.csc_matrix((data, indices, indptr), shape=(n, n)), hole_weights(grid, ghost)
+    return sp.csc_matrix((data, indices, indptr), shape=(n, n)), _hole_w(grid, ghost)
+
+
+def _hole_w(grid, ghost):
+    """`hole_weights` on the grid's own `hole_links`."""
+    return hole_weights(grid, ghost, hole_links(grid.active_mask(), grid.hole_mask(),
+                                                grid.stencil()))
 
 
 def _next_to_edge(grid):
@@ -92,7 +104,7 @@ def test_planar_hole_w_is_bit_identical_on_the_benchmark_grid(theta):
     sums = _hole_sums_by_link(grid, [(True, inv_h2, 1, 0), (True, inv_h2, -1, 0),
                                      (True, inv_h2, 0, 1), (True, inv_h2, 0, -1)])
     want = (hole_ghost(tb, grid.h) - 1.0) * grid.volume_weights()[grid.active_mask()] * sums
-    assert np.array_equal(hole_weights(grid, hole_ghost(tb, grid.h)), want)
+    assert np.array_equal(_hole_w(grid, hole_ghost(tb, grid.h)), want)
     assert np.array_equal(_operator(grid, hole_ghost(tb, grid.h))[1], want)
 
 
@@ -108,7 +120,7 @@ def test_axisym_hole_w_is_bit_identical_on_the_kernel_probe_grid():
                                      (rows > 0, c_in_full, -1, 0)])
     want = -grid.volume_weights()[grid.active_mask()] * sums
     assert np.any(want != 0.0)
-    assert np.array_equal(hole_weights(grid, 0.0), want)
+    assert np.array_equal(_hole_w(grid, 0.0), want)
     assert np.array_equal(_operator(grid, 0.0)[1], want)
 
 

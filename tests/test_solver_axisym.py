@@ -16,8 +16,8 @@ from heatext.solver import (
     probe_smearing_estimate,
 )
 from heatext.solver.axisym import _axisym_run
+from heatext.solver.config import WARMUP_DAMPING, warmup_steps
 from heatext.solver.march import step_count
-from heatext.solver.probes import WARMUP_DAMPING, warmup_steps
 from heatext.solver.radial import radial_operator
 
 DIRICHLET = ThetaBoundary(0.0)
@@ -122,8 +122,7 @@ def test_probe_z_symmetry_without_hole():
     grid = AxisymGrid(rho_max=8.0, z_half=8.0, n_rho=96, n_z=192, hole=None)
     R, Z = grid.meshgrid()
     u0 = mollifier_bump(np.sqrt(R ** 2 + Z ** 2), 0.5)
-    cfg = StepperConfig(dt=0.05, snapshot_times=(1.0,))
-    snaps, _ = _axisym_run(grid, Field(grid, u0), cfg.stops(), cfg.snapshot_times)
+    snaps, _ = _axisym_run(grid, Field(grid, u0), ((1.0, 0.05),), (1.0,))
     v = snaps[-1].values
     assert float(np.max(np.abs(v - v[:, ::-1]))) <= 1e-12
 
@@ -135,13 +134,12 @@ def test_probe_reflected_source():
                       hole=BallHole(1.0))
     R, Z = grid.meshgrid()
     w = grid.volume_weights()
-    cfg = StepperConfig(dt=0.05, snapshot_times=(2.0,))
     outs = {}
     for z0 in (3.0, -3.0):
         u0 = mollifier_bump(np.sqrt(R ** 2 + (Z - z0) ** 2), 0.5)
         u0[grid.hole_mask()] = 0.0
         u0 /= float(np.sum(w * u0))
-        snaps, _ = _axisym_run(grid, Field(grid, u0), cfg.stops(), cfg.snapshot_times)
+        snaps, _ = _axisym_run(grid, Field(grid, u0), ((2.0, 0.05),), (2.0,))
         outs[z0] = snaps[-1].values
     assert float(np.max(np.abs(outs[-3.0] - outs[3.0][:, ::-1]))) <= 1e-10
 
