@@ -3,10 +3,10 @@
 Subcommands: profile, evolve, herraiz, optimal, kernel, sweep. A sweep
 runs evolve's one run path once per theta, so each of its run directories
 is the one evolve writes for that theta. Exit codes: 0 all verdicts pass,
-2 a verdict failed, 3 configuration error (any malformed argv included,
-found before any output), 4 numerical failure. Output root: --out, else
-$HEATEXT_OUT, else ./heatext-out. Verdicts are recomputed from the emitted
-CSV files, so every judgement is re-runnable from the artifacts alone.
+2 a verdict failed, 3 configuration error, 4 numerical failure; on 3 or 4
+no run directory is written, as every run is computed before the first
+file. Output root: --out, else $HEATEXT_OUT, else ./heatext-out. evolve and
+sweep judge the emitted CSVs, so their verdicts.csv re-runs from the artifacts alone.
 """
 
 import argparse
@@ -83,18 +83,17 @@ def _floats(text: str, flag: str) -> tuple:
 
 # ----------------------------------------------------------------- evolve
 
-def _run(cfg: RunConfig, out_dir: str, tag: str = ""):
-    """One evolution, radial (dim 3) or planar (dim 2), on the time grid of
-    `StepperConfig.stops`; emits CSVs and returns (files, snapshots, m)."""
-    theta = cfg.theta_boundary()
+def _run(cfg: RunConfig):
+    """One evolution, radial (dim 3) or planar (dim 2); returns (snapshots,
+    write), write(prefix) emitting its CSVs and returning (files, verdicts)."""
+    theta = ThetaBoundary(cfg.theta)
     stepper = StepperConfig(dt=cfg.dt, snapshot_times=cfg.snapshot_times)
     if cfg.dim == 3:
         a = cfg.hole.radius
         n_r = int(math.ceil((cfg.r_out - a) / cfg.h - 1e-9))
         grid = RadialGrid(a=a, r_out=a + n_r * cfg.h, n_r=n_r, dim=cfg.dim)
         u0 = make_radial_datum(cfg.preset, grid, theta)
-        domain = ExteriorDomain(cfg.dim, cfg.hole, grid.r_out)
-        snaps, ledger = evolve_radial(domain, theta, u0, stepper)
+        snaps, ledger = evolve_radial(ExteriorDomain(3, cfg.hole, grid.r_out), theta, u0, stepper)
         profile = profile_radial_closed_form(cfg.dim, a, theta)
         columns, coords, keep = ["t", "r", "u"], [grid.nodes()], slice(None)
     else:
@@ -110,22 +109,24 @@ def _run(cfg: RunConfig, out_dir: str, tag: str = ""):
     m = asymptotic_mass(u0, profile)
     rates = asym.RateSeries.from_snapshots(snaps, m, profile, ledger)
 
-    prefix = os.path.join(out_dir, tag)
-    files = {"snapshots": write_table(prefix + "snapshots.csv", columns,
-                                      ((s.time, *coords, s.values[keep]) for s in snaps))}
-    files["ledger"] = write_table(prefix + "ledger.csv", ["t", "mass", "flux"],
-                                  [ledger.as_arrays()])
-    files["rates"] = write_csv(
-        prefix + "rates.csv",
-        ["t", "p", "raw_norm", "scaled_norm", "mass", "mass_gap"], rates.rows())
-    if cfg.dim == 3:
-        series = [(rates.times, rates.scaled[p],
-                   f"p={'inf' if math.isinf(p) else '%g' % p}")
-                  for p in (1.0, 2.0, math.inf)]
-        files["svg"] = line_plot_svg(prefix + "scaled_errors.svg", series,
-                                     xlabel="t", ylabel="scaled error norm",
-                                     title="scaled error norms", logx=True, logy=True)
-    return files, snaps, m
+    def write(prefix):
+        files = {"snapshots": write_table(prefix + "snapshots.csv", columns,
+                                          ((s.time, *coords, s.values[keep]) for s in snaps))}
+        files["ledger"] = write_table(prefix + "ledger.csv", ["t", "mass", "flux"],
+                                      [ledger.as_arrays()])
+        files["rates"] = write_csv(
+            prefix + "rates.csv",
+            ["t", "p", "raw_norm", "scaled_norm", "mass", "mass_gap"], rates.rows())
+        if cfg.dim == 3:
+            series = [(rates.times, rates.scaled[p],
+                       f"p={'inf' if math.isinf(p) else '%g' % p}")
+                      for p in (1.0, 2.0, math.inf)]
+            files["svg"] = line_plot_svg(prefix + "scaled_errors.svg", series,
+                                         xlabel="t", ylabel="scaled error norm",
+                                         title="scaled error norms", logx=True, logy=True)
+        return files, _study_verdicts(cfg.study, files, m)
+
+    return snaps, write
 
 
 def _load_rates(path: str):
@@ -179,26 +180,30 @@ def _study_verdicts(study: str, files: dict, m: float) -> list:
     return out
 
 
-def _evolve_run(cfg: RunConfig, root: str, label: str = ""):
-    """One resolved run in root/<run id>: config.csv, the run's CSVs, their
-    audit- copies rerun at 2x r_out when cfg.audit, verdicts.csv, and
-    manifest.csv listing the others. Prints the verdict lines, each name
-    after label; returns (study verdicts, snapshots, all passed)."""
+def _marched(cfg: RunConfig):
+    """(cfg, its `_run`s): cfg's and, if cfg.audit, its rerun at 2x r_out."""
+    audit = [replace(cfg, r_out=2.0 * cfg.r_out).resolved()] if cfg.audit else []
+    return cfg, [_run(c) for c in [cfg] + audit]
+
+
+def _evolve_run(cfg: RunConfig, runs: list, root: str, label: str = ""):
+    """Write cfg's `_marched` runs in root/<run id>: config.csv, the run's CSVs,
+    their audit- copies, verdicts.csv, and manifest.csv listing the others.
+    Prints the verdict lines, each name after label; returns (study
+    verdicts, all passed)."""
     out_dir = os.path.join(root, cfg.run_id())
     os.makedirs(out_dir, exist_ok=True)
     config = write_csv(os.path.join(out_dir, "config.csv"), ["key", "value"],
                        cfg.echo_rows())
-    files, snaps, m = _run(cfg, out_dir)
-    verdicts = _study_verdicts(cfg.study, files, m)
+    (_, write), *audit = runs
+    files, verdicts = write(os.path.join(out_dir, ""))
     all_ok = True
     for name, ok, detail in verdicts:
         all_ok &= _verdict(label + name, ok, detail)
     verdict_rows = list(verdicts)
 
-    if cfg.audit:
-        audit_cfg = replace(cfg, r_out=2.0 * cfg.r_out).resolved()
-        audit_files, _, m2 = _run(audit_cfg, out_dir, tag="audit-")
-        audit_verdicts = _study_verdicts(cfg.study, audit_files, m2)
+    for _, audit_write in audit:
+        audit_files, audit_verdicts = audit_write(os.path.join(out_dir, "audit-"))
         for (name, ok, _), (_, ok2, detail2) in zip(verdicts, audit_verdicts):
             flipped = ok != ok2
             if flipped:
@@ -207,8 +212,7 @@ def _evolve_run(cfg: RunConfig, root: str, label: str = ""):
                       f"2x r_out ({detail2})")
             else:
                 _emit(f"[AUDIT-OK] {label}{name}: unchanged at 2x r_out")
-            verdict_rows.append((f"audit: {name}",
-                                 not flipped, detail2))
+            verdict_rows.append((f"audit: {name}", not flipped, detail2))
         files.update(("audit-" + k, v) for k, v in audit_files.items())
     files["config"] = config
     files["verdicts"] = write_csv(os.path.join(out_dir, "verdicts.csv"),
@@ -216,7 +220,7 @@ def _evolve_run(cfg: RunConfig, root: str, label: str = ""):
     write_csv(os.path.join(out_dir, "manifest.csv"), ["artifact", "path"],
               sorted((k, os.path.basename(v)) for k, v in files.items()))
     _emit(f"artifacts under {out_dir}")
-    return verdicts, snaps, all_ok
+    return verdicts, all_ok
 
 
 def _run_config(args) -> RunConfig:
@@ -227,7 +231,7 @@ def _run_config(args) -> RunConfig:
 
 
 def cmd_evolve(args) -> int:
-    _, _, all_ok = _evolve_run(_run_config(args).resolved(), _out_root(args))
+    _, all_ok = _evolve_run(*_marched(_run_config(args).resolved()), _out_root(args))
     return 0 if all_ok else 2
 
 
@@ -297,8 +301,6 @@ def cmd_profile(args) -> int:
 # ----------------------------------------------------------------- herraiz
 
 def cmd_herraiz(args) -> int:
-    if args.t < 10:
-        raise ConfigError("the comparison needs t >= 10")
     comp = asym.herraiz_compare(args.t, use_profile=args.phi == "on")
     out_dir = os.path.join(_out_root(args), f"herraiz-t{args.t:g}")
     os.makedirs(out_dir, exist_ok=True)
@@ -419,16 +421,16 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep values must be strictly increasing")
     base = _run_config(args)
     cfgs = [replace(base, theta=v).resolved() for v in values]
+    runs = [_marched(cfg) for cfg in cfgs]  # every theta before the first file
     root = _out_root(args)
     all_ok = True
     manifest = []
-    snapshots = []
-    for cfg in cfgs:
-        verdicts, snaps, ok = _evolve_run(cfg, root, f"theta={cfg.theta:g}: ")
+    for cfg, cfg_runs in runs:
+        verdicts, ok = _evolve_run(cfg, cfg_runs, root, f"theta={cfg.theta:g}: ")
         all_ok &= ok
         manifest += [(cfg.run_id(), "theta", cfg.theta, name, passed)
                      for name, passed, _ in verdicts]
-        snapshots.append(snaps)
+    snapshots = [cfg_runs[0][0] for _, cfg_runs in runs]
     if args.check == "monotone":
         worst = 0.0
         for snaps1, snaps2 in zip(snapshots, snapshots[1:]):

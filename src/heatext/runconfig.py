@@ -1,9 +1,9 @@
 """Run configuration: dataclass, flat key = value config files, validation.
 
 Config files are diff-able plain text: optional [section] headers, one
-key = value per line, '#' comments. Command-line flags override file
-values. Every field is validated against the geometry rules before any
-run starts.
+key = value per line, '#' comments, each value read exactly. Command-line
+flags override file values. `RunConfig.resolved` fills the defaults and
+checks what the library's checks, met before a CLI run's first file, leave out.
 """
 
 import math
@@ -59,11 +59,9 @@ class RunConfig:
     audit: bool = False                # rerun at 2 r_out and compare verdicts
 
     def resolved(self) -> "RunConfig":
-        """Fill derived defaults and validate against the geometry rules."""
+        """Fill the defaults and check theta, the domain and the rules only the CLI has."""
         if self.study not in STUDIES:
             raise ConfigError(f"study must be one of {STUDIES}, got '{self.study}'")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ConfigError(f"theta must lie in [0, 1], got {self.theta}")
         if not 0.0 < self.t_max < math.inf:
             raise ConfigError(f"t_max must be positive and finite, got {self.t_max}")
         h = self.h if self.h is not None else (1.0 / 64.0 if self.dim == 3 else 0.5)
@@ -71,24 +69,18 @@ class RunConfig:
             "explicit-remark" if self.dim == 3 else "gaussian-bump:3,0,1.5")
         dt = self.dt if self.dt is not None else h / 2.0
         try:
+            ThetaBoundary(self.theta)
             r_out = self.r_out if self.r_out is not None else required_far_radius(
                 self.hole, self.t_max)
             ExteriorDomain(self.dim, self.hole, r_out)
         except GeometryError as exc:
             raise ConfigError(str(exc)) from exc
         name, params = parse_preset(preset, self.dim)
-        if name == "indicator-shell" and self.dim == 3:
-            # a Dirichlet hole pins the node at r = a, where a shell from r1 = a is 1
-            a, dirichlet = self.hole.radius, self.theta == 0.0
-            if params[0] < a or (dirichlet and params[0] == a):
-                raise ConfigError(f"indicator-shell must start outside the hole: "
-                                  f"r1 {'>' if dirichlet else '>='} a = {a:g}")
         if name == "indicator-shell" and not params[1] < r_out:
             # each grid reaches r_out, so a shell inside r_out ends inside it
             raise ConfigError(f"indicator-shell must end inside the grid: r2 < r_out = {r_out:g}")
-        snaps = self.snapshot_times
-        if snaps is None:
-            snaps = _default_snapshots(self.study, self.t_max)
+        snaps = (self.snapshot_times if self.snapshot_times is not None
+                 else _default_snapshots(self.study, self.t_max))
         if not 0.0 < dt <= h:
             raise ConfigError(f"dt = {dt} must lie in (0, h], the accuracy guard h = {h}")
         if not snaps:
@@ -102,9 +94,6 @@ class RunConfig:
                 0 < t <= max(snaps) / 10.0 + 1e-9 for t in snaps):
             raise ConfigError("study needs snapshot times spanning a factor-10 window")
         return replace(self, preset=preset, h=h, dt=dt, r_out=r_out, snapshot_times=tuple(snaps))
-
-    def theta_boundary(self) -> ThetaBoundary:
-        return ThetaBoundary(self.theta)
 
     def run_id(self) -> str:
         th = ("%g" % self.theta).replace(".", "p")
@@ -156,6 +145,12 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
+def _yes_no(text: str) -> bool:
+    if text.lower() not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ConfigError("expected 1/true/yes/on or 0/false/no/off")
+    return text.lower() in ("1", "true", "yes", "on")
+
+
 _PARSERS = {
     "dim": int,
     "hole": parse_hole,
@@ -166,8 +161,8 @@ _PARSERS = {
     "h": float,
     "dt": float,
     "r_out": float,
-    "snapshot_times": lambda s: tuple(float(x) for x in s.replace(";", ",").split(",") if x),
-    "audit": lambda s: s.lower() in ("1", "true", "yes", "on"),
+    "snapshot_times": lambda s: tuple(float(x) for x in s.replace(";", ",").split(",")),
+    "audit": _yes_no,
 }
 
 

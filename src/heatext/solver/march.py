@@ -99,26 +99,29 @@ def march(u, stops, factor, mass_w, flux_w, to_field, what, snap_times):
     Values are checked for finiteness every CHECK_EVERY steps and at the
     end; `what` names the evolution in the error.
     """
+    plan, t_prev = [], 0.0  # (t_prev, t_stop, steps, dt) of each stop
+    for t_stop, cap in stops:
+        n = step_count(t_stop - t_prev, cap)
+        plan.append((t_prev, t_stop, n, (t_stop - t_prev) / n if n else 0.0))
+        t_prev = t_stop
+    last = {dt: i for i, (*_, dt) in enumerate(plan)}  # a solver is freed after its last stop
     solvers = {}
     ledger = MassLedger()
     ledger.append(0.0, mass_w @ u, flux_w @ u)
-    snaps = []
-    t_prev, k = 0.0, 0
-    for t_stop, cap in stops:
-        n = step_count(t_stop - t_prev, cap)
-        if n:
-            dt = (t_stop - t_prev) / n
-            if dt not in solvers:
-                solvers[dt] = factor(dt)
+    snaps, k = [], 0
+    for i, (t_prev, t_stop, n, dt) in enumerate(plan):
+        if n and dt not in solvers:
+            solvers[dt] = factor(dt)
         for j in range(1, n + 1):
             u = 2.0 * solvers[dt](u) - u
             k += 1
             if k % CHECK_EVERY == 0 and not np.all(np.isfinite(u)):
                 raise NumericalError(f"non-finite values in {what} evolution", step=k)
             ledger.append(t_stop if j == n else t_prev + j * dt, mass_w @ u, flux_w @ u)
+        if last[dt] == i:
+            solvers.pop(dt, None)
         if t_stop in snap_times:
             snaps.append(to_field(u, t_stop))
-        t_prev = t_stop
     if not np.all(np.isfinite(u)):
         raise NumericalError(f"non-finite values in {what} evolution", step=k)
     return snaps, ledger

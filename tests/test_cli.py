@@ -119,6 +119,31 @@ def test_config_rejects_unknown_key(tmp_path):
             runconfig_from_mapping({key: "11"})
 
 
+@pytest.mark.parametrize("text, audit", [("1", True), ("TRUE", True), ("Yes", True),
+                                         ("on", True), ("0", False), ("false", False),
+                                         ("NO", False), ("Off", False)])
+def test_config_reads_audit_exactly(text, audit):
+    assert runconfig_from_mapping({"audit": text}).audit is audit
+
+
+@pytest.mark.parametrize("key, text", [("audit", "ture"), ("audit", "2"),
+                                       ("audit", "enabled"), ("audit", ""),
+                                       ("snapshot_times", "1,,2"), ("snapshot_times", "1,2,"),
+                                       ("snapshot_times", ",")])
+def test_config_rejects_inexact_values(tmp_path, capsys, key, text):
+    # a value the reader does not know is an error, never a silent default
+    # (audit off) or a dropped item (1,,2 read as 1,2)
+    with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
+        runconfig_from_mapping({key: text})
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{key} = {text}\n")
+    out = tmp_path / "out"
+    assert _run(["evolve", "--config", str(cfg_file), "--study", "mass", "--t-max", "2",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(f"config error: bad value for '{key}'")
+    assert not out.exists()
+
+
 def test_config_validates_geometry():
     with pytest.raises(ConfigError):
         RunConfig(theta=2.0, t_max=1.0).resolved()
@@ -297,6 +322,11 @@ def test_theta_whose_robin_row_overflows_exit_code(tmp_path, capsys):
     ["evolve", "--preset", "indicator-shell:1,3", "--study", "mass", "--t-max", "2"],
     ["evolve", "--dim", "2", "--hole", "rect:1x1", "--preset", "indicator-shell:4,2",
      "--study", "mass", "--t-max", "2"],
+    ["evolve", "--study", "mass", "--t-max", "2", "--theta", "1e-30"],
+    ["evolve", "--study", "mass", "--t-max", "2", "--theta", "1e-308"],
+    ["evolve", "--study", "mass", "--t-max", "2", "--theta", "2.2e-313"],
+    ["sweep", "--values", "0,1e-30", "--study", "mass", "--t-max", "2"],
+    ["herraiz", "--t", "5"],
 ])
 def test_malformed_flag_exit_code(tmp_path, capsys, argv):
     # a bad number, choice or flag is a config error (exit 3) found before
@@ -306,7 +336,11 @@ def test_malformed_flag_exit_code(tmp_path, capsys, argv):
     # with finite parameters and a shell 0 <= r1 < r2 that starts outside
     # the hole (dim 3; r1 > a around a Dirichlet hole, whose node at r = a
     # is pinned) and ends inside the grid, and
-    # profile builds its profiles before its directory
+    # profile builds its profiles before its directory. The library's run
+    # checks come before the first file too: theta = 1e-30 is over the step
+    # budget, theta = 1e-308 has no finite Robin row, theta = 2.2e-313 no
+    # finite b = cot(pi theta/2); a sweep marches every theta before its
+    # first run, and herraiz needs t >= 10
     assert _run(argv + ["--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err.startswith("config error: ")
     assert os.listdir(tmp_path) == []
@@ -319,6 +353,7 @@ def test_robin_row_failure_exit_code(tmp_path, capsys):
                "--study", "mass", "--t-max", "2", "--out", str(tmp_path)])
     assert rc == 4
     assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert os.listdir(tmp_path) == []
 
 
 def _rates_by_p(path):

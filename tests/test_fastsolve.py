@@ -6,6 +6,8 @@ transforms and walks of the hole links), the symmetric
 tridiagonal factor the solver shares with the radial march, and the
 SuperLU solve on the assembler's CSC arrays against scipy's spsolve."""
 
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -533,6 +535,28 @@ def test_masked_run_builds_one_solver_per_step_size(monkeypatch):
     stops = TWO_CAP_STOPS + ((2.5, 0.125), (2.5 + 0.25 / 16, 0.25 / 16))
     march_masked(grid, Field(grid, u0), ghost, stops, "axisymmetric", [t for t, _ in stops])
     assert built == [0.25 / 16, 0.125]
+
+
+def test_masked_run_frees_each_solver_after_its_last_stop(monkeypatch):
+    # to t = 60 the run takes dt = 0.125 through the start-up and the first
+    # ladder rung, then a larger step on each rung: one build per step size,
+    # each solver freed after its last stop, so none is alive at the next build
+    grid, ghost, u0 = _masked_case("robin")
+    live, alive_at_build = weakref.WeakSet(), []
+
+    class Counted(MaskedCNSolve):
+        def __init__(self, active, hole, stencil, ghost, dt, cap_nodes):
+            alive_at_build.append((dt, len(live)))
+            super().__init__(active, hole, stencil, ghost, dt, cap_nodes)
+            live.add(self)
+
+    monkeypatch.setattr(march_module, "MaskedCNSolve", Counted)
+    cfg = StepperConfig(dt=0.125, snapshot_times=(0.0, 60.0))
+    evolve_planar(ExteriorDomain(2, grid.hole, 6.0), ThetaBoundary(0.5), Field(grid, u0), cfg)
+    steps = [dt for dt, _ in alive_at_build]
+    assert len(steps) >= 4 and len(set(steps)) == len(steps)
+    assert [n for _, n in alive_at_build] == [0] * len(steps)
+    assert len(live) == 0
 
 
 @pytest.mark.parametrize("cap", [0.125, 0.125 / 4])
