@@ -1,12 +1,14 @@
 """Command line: batch runs, CSV/SVG emission, and pass/fail verdicts.
 
-Subcommands: profile, evolve, herraiz, optimal, kernel, sweep. A sweep
-runs evolve's one run path once per theta, so each of its run directories
-is the one evolve writes for that theta. Exit codes: 0 all verdicts pass,
-2 a verdict failed, 3 configuration error, 4 numerical failure; on 3 or 4
-no run directory is written, as every run is computed before the first
-file. Output root: --out, else $HEATEXT_OUT, else ./heatext-out. evolve and
-sweep judge the emitted CSVs, so their verdicts.csv re-runs from the artifacts alone.
+Subcommands: profile, evolve, herraiz, optimal, kernel, sweep. Each
+computes every run, check and verdict and returns [(out_dir, stdout lines,
+write)] without touching the disk; `main` alone makes the directories,
+writes, prints and exits 0 (all verdicts pass) or 2 (a verdict failed). A
+bad input exits 3 and a numerical failure 4, with no run directory written
+in either case. A sweep runs evolve's one run path once per theta, so each
+of its run directories is the one evolve writes for that theta. evolve and
+sweep judge the numbers their CSVs hold, so verdicts.csv re-runs from the
+artifacts alone. Output root: --out, else $HEATEXT_OUT, else ./heatext-out.
 """
 
 import argparse
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import asymptotics as asym
 from . import constructions as cons
-from .csvio import read_csv, write_csv, write_table
+from .csvio import write_csv, write_table
 from .domain import ExteriorDomain, ThetaBoundary, required_far_radius
 from .errors import (
     ConfigError,
@@ -41,6 +43,7 @@ from .runconfig import (
     STUDIES,
     RunConfig,
     hole_to_spec,
+    number_text,
     parse_config_file,
     parse_hole,
     runconfig_from_mapping,
@@ -64,13 +67,8 @@ def _out_root(args) -> str:
     return args.out or os.environ.get("HEATEXT_OUT") or "heatext-out"
 
 
-def _emit(line: str) -> None:
-    print(line)
-
-
-def _verdict(name: str, passed: bool, detail: str) -> bool:
-    _emit(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
-    return passed
+def _line(name: str, passed: bool, detail: str) -> str:
+    return f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}"
 
 
 def _floats(text: str, flag: str) -> tuple:
@@ -81,11 +79,17 @@ def _floats(text: str, flag: str) -> tuple:
         raise ConfigError(f"{flag} takes comma-separated numbers, got '{text}'") from None
 
 
+def _as_written(v):
+    """v as its CSV cell reads back: a float through "%.12e", text as is."""
+    return float("%.12e" % v) if isinstance(v, float) else v
+
+
 # ----------------------------------------------------------------- evolve
 
 def _run(cfg: RunConfig):
-    """One evolution, radial (dim 3) or planar (dim 2); returns (snapshots,
-    write), write(prefix) emitting its CSVs and returning (files, verdicts)."""
+    """One evolution, radial (dim 3) or planar (dim 2), judged; returns
+    (snapshots, study verdicts, write), write(prefix) emitting its CSVs and
+    returning {artifact: path}."""
     theta = ThetaBoundary(cfg.theta)
     stepper = StepperConfig(dt=cfg.dt, snapshot_times=cfg.snapshot_times)
     if cfg.dim == 3:
@@ -108,6 +112,12 @@ def _run(cfg: RunConfig):
         columns, coords = ["t", "x", "y", "u"], [c[keep] for c in grid.meshgrid()]
     m = asymptotic_mass(u0, profile)
     rates = asym.RateSeries.from_snapshots(snaps, m, profile, ledger)
+    # judged on the numbers rates.csv and ledger.csv hold, so that
+    # verdicts.csv recomputes from the artifacts alone
+    rows = [tuple(map(_as_written, row)) for row in rates.rows()]
+    written = MassLedger(*([_as_written(v) for v in col]
+                           for col in (ledger.times, ledger.masses, ledger.fluxes)))
+    verdicts = _study_verdicts(cfg.study, rows, written, m)
 
     def write(prefix):
         files = {"snapshots": write_table(prefix + "snapshots.csv", columns,
@@ -116,7 +126,7 @@ def _run(cfg: RunConfig):
                                       [ledger.as_arrays()])
         files["rates"] = write_csv(
             prefix + "rates.csv",
-            ["t", "p", "raw_norm", "scaled_norm", "mass", "mass_gap"], rates.rows())
+            ["t", "p", "raw_norm", "scaled_norm", "mass", "mass_gap"], rows)
         if cfg.dim == 3:
             series = [(rates.times, rates.scaled[p],
                        f"p={'inf' if math.isinf(p) else '%g' % p}")
@@ -124,26 +134,16 @@ def _run(cfg: RunConfig):
             files["svg"] = line_plot_svg(prefix + "scaled_errors.svg", series,
                                          xlabel="t", ylabel="scaled error norm",
                                          title="scaled error norms", logx=True, logy=True)
-        return files, _study_verdicts(cfg.study, files, m)
+        return files
 
-    return snaps, write
-
-
-def _load_rates(path: str):
-    _, rows = read_csv(path)
-    out = {}
-    for t_s, p_s, raw_s, scaled_s, mass_s, gap_s in rows:
-        t = float(t_s)
-        out.setdefault(p_s, []).append((t, float(raw_s), float(scaled_s),
-                                        float(mass_s), float(gap_s)))
-    return out
+    return snaps, verdicts, write
 
 
-def _study_verdicts(study: str, files: dict, m: float) -> list:
-    """Judge a study from its emitted CSVs; returns [(name, passed, detail)]."""
-    rates = _load_rates(files["rates"])
-    columns = zip(*read_csv(files["ledger"])[1])
-    ledger = MassLedger(*([float(v) for v in col] for col in columns))
+def _study_verdicts(study: str, rows: list, ledger: MassLedger, m: float) -> list:
+    """Judge a study from its rates.csv rows and ledger; returns [(name, passed, detail)]."""
+    rates = {}
+    for t, p, *values in rows:
+        rates.setdefault(p, []).append((t, *values))
     out = []
     if study in ("l1", "linf"):
         # the last row against the last one a factor 10 earlier (which
@@ -180,47 +180,37 @@ def _study_verdicts(study: str, files: dict, m: float) -> list:
     return out
 
 
-def _marched(cfg: RunConfig):
-    """(cfg, its `_run`s): cfg's and, if cfg.audit, its rerun at 2x r_out."""
-    audit = [replace(cfg, r_out=2.0 * cfg.r_out).resolved()] if cfg.audit else []
-    return cfg, [_run(c) for c in [cfg] + audit]
-
-
-def _evolve_run(cfg: RunConfig, runs: list, root: str, label: str = ""):
-    """Write cfg's `_marched` runs in root/<run id>: config.csv, the run's CSVs,
-    their audit- copies, verdicts.csv, and manifest.csv listing the others.
-    Prints the verdict lines, each name after label; returns (study
-    verdicts, all passed)."""
-    out_dir = os.path.join(root, cfg.run_id())
-    os.makedirs(out_dir, exist_ok=True)
-    config = write_csv(os.path.join(out_dir, "config.csv"), ["key", "value"],
-                       cfg.echo_rows())
-    (_, write), *audit = runs
-    files, verdicts = write(os.path.join(out_dir, ""))
-    all_ok = True
-    for name, ok, detail in verdicts:
-        all_ok &= _verdict(label + name, ok, detail)
+def _evolve(cfg: RunConfig, root: str, label: str = ""):
+    """cfg's run and, if cfg.audit, its rerun at 2x r_out, judged; returns
+    (snapshots, study verdicts, (root/<run id>, lines, write)). The lines
+    name each verdict after label; write(out_dir) emits config.csv, the
+    run's CSVs, their audit- copies, verdicts.csv, and manifest.csv listing
+    the others."""
+    snaps, verdicts, run_write = _run(cfg)
+    audits = [_run(replace(cfg, r_out=2.0 * cfg.r_out).resolved())] if cfg.audit else []
+    lines = [_line(label + name, ok, detail) for name, ok, detail in verdicts]
     verdict_rows = list(verdicts)
-
-    for _, audit_write in audit:
-        audit_files, audit_verdicts = audit_write(os.path.join(out_dir, "audit-"))
+    for _, audit_verdicts, _ in audits:
         for (name, ok, _), (_, ok2, detail2) in zip(verdicts, audit_verdicts):
             flipped = ok != ok2
-            if flipped:
-                all_ok = False
-                _emit(f"[TRUNCATION-SENSITIVE] {label}{name}: verdict flipped at "
-                      f"2x r_out ({detail2})")
-            else:
-                _emit(f"[AUDIT-OK] {label}{name}: unchanged at 2x r_out")
+            lines.append(f"[TRUNCATION-SENSITIVE] {label}{name}: verdict flipped at "
+                         f"2x r_out ({detail2})" if flipped else
+                         f"[AUDIT-OK] {label}{name}: unchanged at 2x r_out")
             verdict_rows.append((f"audit: {name}", not flipped, detail2))
-        files.update(("audit-" + k, v) for k, v in audit_files.items())
-    files["config"] = config
-    files["verdicts"] = write_csv(os.path.join(out_dir, "verdicts.csv"),
-                                  ["verdict", "passed", "detail"], verdict_rows)
-    write_csv(os.path.join(out_dir, "manifest.csv"), ["artifact", "path"],
-              sorted((k, os.path.basename(v)) for k, v in files.items()))
-    _emit(f"artifacts under {out_dir}")
-    return verdicts, all_ok
+
+    def write(out_dir):
+        prefix = os.path.join(out_dir, "")
+        config = write_csv(prefix + "config.csv", ["key", "value"], cfg.echo_rows())
+        files = run_write(prefix)
+        for _, _, audit_write in audits:
+            files.update(("audit-" + k, v) for k, v in audit_write(prefix + "audit-").items())
+        files["config"] = config
+        files["verdicts"] = write_csv(prefix + "verdicts.csv",
+                                      ["verdict", "passed", "detail"], verdict_rows)
+        write_csv(prefix + "manifest.csv", ["artifact", "path"],
+                  sorted((k, os.path.basename(v)) for k, v in files.items()))
+
+    return snaps, verdicts, (os.path.join(root, cfg.run_id()), lines, write)
 
 
 def _run_config(args) -> RunConfig:
@@ -230,95 +220,91 @@ def _run_config(args) -> RunConfig:
         mapping, {f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
 
 
-def cmd_evolve(args) -> int:
-    _, all_ok = _evolve_run(*_marched(_run_config(args).resolved()), _out_root(args))
-    return 0 if all_ok else 2
+def cmd_evolve(args) -> list:
+    return [_evolve(_run_config(args).resolved(), _out_root(args))[2]]
 
 
 # ----------------------------------------------------------------- profile
 
-def cmd_profile(args) -> int:
+def cmd_profile(args) -> list:
     hole = parse_hole(args.hole)
     theta = ThetaBoundary(args.theta)
     radii = _floats(args.radii, "--R")
     if args.compare and (args.method != "both" or args.dim == 2):
         raise ConfigError("--compare needs --method both and dim >= 3")
-    # the domain (a dim-3 hole is a ball) and the profiles come before any output
     far = max(2.0 * max(radii), 4.0 * hole.circumscribed_radius + 1.0)
-    domain = ExteriorDomain(args.dim, hole, far)
+    domain = ExteriorDomain(args.dim, hole, far)  # a dim-3 hole is a ball
+    lines = []
     closed = table = None
     if args.method in ("closed-form", "both"):
         closed = (profile_planar(hole, theta) if args.dim == 2 else
                   profile_radial_closed_form(args.dim, hole.radius, theta))
-    if args.method in ("elliptic", "both"):
-        table = profile_elliptic(domain, theta, radii)
-    out_dir = os.path.join(_out_root(args), f"profile-d{args.dim}-"
-                           f"{hole_to_spec(hole).replace(':', '')}-"
-                           f"th{('%g' % args.theta).replace('.', 'p')}")
-    os.makedirs(out_dir, exist_ok=True)
-    all_ok = True
-    if closed is not None:
-        write_csv(os.path.join(out_dir, "profile_closed.csv"), ["r", "phi"],
-                  zip(closed.r, closed.values))
         resid = abs(closed.boundary_residual())
-        all_ok &= _verdict("closed-form boundary residual <= 1e-10",
-                           resid <= 1e-10, f"residual {resid:.3e}")
+        lines.append(_line("closed-form boundary residual <= 1e-10",
+                           resid <= 1e-10, f"residual {resid:.3e}"))
         if args.dim >= 3 and not theta.is_neumann:
             for order in (0, 1):
                 rep = profile_decay_check(closed, order)
-                all_ok &= _verdict(
-                    f"decay exponent (order {order}) <= {rep.target:g}",
-                    rep.passed, f"fitted {rep.exponent:.4f}")
-    if table is not None:
-        if args.dim == 3:
-            write_csv(os.path.join(out_dir, "profile_elliptic.csv"), ["r", "phi"],
-                      zip(table.r, table.values))
-            for R in radii:
-                write_csv(os.path.join(out_dir, f"profile_R{R:g}.csv"), ["r", "phi"],
-                          zip(table.r, table.per_radius[R]))
-        else:
-            for R, f in table.planar_fields.items():
-                X, Y = f.grid.meshgrid()
-                keep = ~f.grid.hole_mask()
-                write_table(os.path.join(out_dir, f"profile_R{R:g}.csv"),
-                            ["x", "y", "phi"], [(X[keep], Y[keep], f.values[keep])])
+                lines.append(_line(f"decay exponent (order {order}) <= {rep.target:g}",
+                                   rep.passed, f"fitted {rep.exponent:.4f}"))
+    if args.method in ("elliptic", "both"):
+        table = profile_elliptic(domain, theta, radii)
         viol = table.elliptic_monotone_violations(tol=1e-12)
-        all_ok &= _verdict("phi_R pointwise nonincreasing in R", viol == 0,
-                           f"{viol} violations")
+        lines.append(_line("phi_R pointwise nonincreasing in R", viol == 0,
+                           f"{viol} violations"))
         if args.compare:
             diff = float(np.max(np.abs(
                 closed.evaluate(table.r) - table.values)))
-            all_ok &= _verdict("closed-form vs elliptic agreement <= 1e-4",
-                               diff <= 1e-4, f"sup difference {diff:.3e}")
-    if args.svg and closed is not None:
-        line_plot_svg(os.path.join(out_dir, "profile.svg"),
-                      [(closed.r, closed.values, "phi")],
-                      xlabel="r", ylabel="phi", title="asymptotic profile")
-    _emit(f"artifacts under {out_dir}")
-    return 0 if all_ok else 2
+            lines.append(_line("closed-form vs elliptic agreement <= 1e-4",
+                               diff <= 1e-4, f"sup difference {diff:.3e}"))
+
+    def write(out_dir):
+        if closed is not None:
+            write_csv(os.path.join(out_dir, "profile_closed.csv"), ["r", "phi"],
+                      zip(closed.r, closed.values))
+        if table is not None and args.dim == 3:
+            write_csv(os.path.join(out_dir, "profile_elliptic.csv"), ["r", "phi"],
+                      zip(table.r, table.values))
+            for R in radii:
+                write_csv(os.path.join(out_dir, f"profile_R{number_text(R)}.csv"), ["r", "phi"],
+                          zip(table.r, table.per_radius[R]))
+        elif table is not None:
+            for R, f in table.planar_fields.items():
+                X, Y = f.grid.meshgrid()
+                keep = ~f.grid.hole_mask()
+                write_table(os.path.join(out_dir, f"profile_R{number_text(R)}.csv"),
+                            ["x", "y", "phi"], [(X[keep], Y[keep], f.values[keep])])
+        if args.svg and closed is not None:
+            line_plot_svg(os.path.join(out_dir, "profile.svg"),
+                          [(closed.r, closed.values, "phi")],
+                          xlabel="r", ylabel="phi", title="asymptotic profile")
+
+    name = (f"profile-d{args.dim}-{hole_to_spec(hole).replace(':', '')}-"
+            f"th{number_text(args.theta).replace('.', 'p')}")
+    return [(os.path.join(_out_root(args), name), lines, write)]
 
 
 # ----------------------------------------------------------------- herraiz
 
-def cmd_herraiz(args) -> int:
+def cmd_herraiz(args) -> list:
     comp = asym.herraiz_compare(args.t, use_profile=args.phi == "on")
-    out_dir = os.path.join(_out_root(args), f"herraiz-t{args.t:g}")
-    os.makedirs(out_dir, exist_ok=True)
-    write_csv(os.path.join(out_dir, "herraiz.csv"),
-              ["r", "exact", "theorem_pred", "herraiz_pred"],
-              zip(comp.r, comp.exact, comp.theorem_pred, comp.herraiz_pred))
-    line_plot_svg(os.path.join(out_dir, "herraiz.svg"),
-                  [(comp.r, comp.exact, "exact"),
-                   (comp.r, comp.theorem_pred, "retained-mass prediction"),
-                   (comp.r, comp.herraiz_pred, "initial-mass prediction")],
-                  xlabel="r", ylabel="u", title=f"late-time comparison, t={args.t:g}")
-    _emit(f"sup-relative gaps: retained-mass {comp.gap_theorem:.4f}, "
-          f"initial-mass {comp.gap_herraiz:.4f}; peak ratio {comp.peak_ratio:.4f}")
-    ok = _verdict("retained-mass prediction beats initial-mass prediction",
-                  comp.gap_theorem < comp.gap_herraiz,
-                  f"{comp.gap_theorem:.4f} < {comp.gap_herraiz:.4f}")
-    _emit(f"artifacts under {out_dir}")
-    return 0 if ok else 2
+    lines = [f"sup-relative gaps: retained-mass {comp.gap_theorem:.4f}, "
+             f"initial-mass {comp.gap_herraiz:.4f}; peak ratio {comp.peak_ratio:.4f}",
+             _line("retained-mass prediction beats initial-mass prediction",
+                   comp.gap_theorem < comp.gap_herraiz,
+                   f"{comp.gap_theorem:.4f} < {comp.gap_herraiz:.4f}")]
+
+    def write(out_dir):
+        write_csv(os.path.join(out_dir, "herraiz.csv"),
+                  ["r", "exact", "theorem_pred", "herraiz_pred"],
+                  zip(comp.r, comp.exact, comp.theorem_pred, comp.herraiz_pred))
+        line_plot_svg(os.path.join(out_dir, "herraiz.svg"),
+                      [(comp.r, comp.exact, "exact"),
+                       (comp.r, comp.theorem_pred, "retained-mass prediction"),
+                       (comp.r, comp.herraiz_pred, "initial-mass prediction")],
+                      xlabel="r", ylabel="u", title=f"late-time comparison, t={args.t:g}")
+
+    return [(os.path.join(_out_root(args), f"herraiz-t{number_text(args.t)}"), lines, write)]
 
 
 # ----------------------------------------------------------------- optimal
@@ -332,41 +318,41 @@ def _unit_ball_eigen_run():
     return snaps, ledger
 
 
-def cmd_optimal(args) -> int:
+def cmd_optimal(args) -> list:
     g, label = cons.parse_g_spec(args.g)
     plan = cons.optimal_datum_plan(g, args.n, g_label=label)
-    out_dir = os.path.join(_out_root(args), f"optimal-{label.replace(':', '')}-n{args.n}")
-    os.makedirs(out_dir, exist_ok=True)
-    write_csv(os.path.join(out_dir, "plan.csv"),
-              ["n", "t_n", "R_n", "x_n", "weight"],
-              [(row.n, row.t_n, row.radius, row.center_dist, row.weight)
-               for row in plan.rows])
-    all_ok = True
+    lines = []
     for row in plan.rows:
         vals = cons.plan_condition_values(plan, row)
-        ok = all(v >= 0 for v in vals.values())
-        all_ok &= _verdict(f"plan row n={row.n} conditions", ok,
-                           ", ".join(f"{k}={v:.3e}" for k, v in vals.items()))
+        lines.append(_line(f"plan row n={row.n} conditions", all(v >= 0 for v in vals.values()),
+                           ", ".join(f"{k}={v:.3e}" for k, v in vals.items())))
     snaps, ledger = _unit_ball_eigen_run()
     t_l, m_l, _ = ledger.as_arrays()
     sel = t_l > 0
     slope = float(np.polyfit(t_l[sel], np.log(m_l[sel]), 1)[0])
     lam = cons.BALL_EIGENVALUE
-    all_ok &= _verdict("unit-ball eigen-decay exponent within 1% of -pi^2",
+    lines.append(_line("unit-ball eigen-decay exponent within 1% of -pi^2",
                        abs(slope + lam) <= 0.01 * lam,
-                       f"fitted {slope:.5f} vs {-lam:.5f}")
+                       f"fitted {slope:.5f} vs {-lam:.5f}"))
     rep = asym.optimality_check_l1(plan, min(2, args.n), t_l, m_l)
-    all_ok &= _verdict(f"L1 lower-bound chain for n={rep.n}", rep.passed,
+    lines.append(_line(f"L1 lower-bound chain for n={rep.n}", rep.passed,
                        f"component mass {rep.component_mass_min:.4f} >= "
                        f"{rep.component_mass_floor:.4f}, gaussian term "
-                       f"{rep.gaussian_term_max:.3e} <= {rep.gaussian_term_cap:.3e}")
-    _emit(f"artifacts under {out_dir}")
-    return 0 if all_ok else 2
+                       f"{rep.gaussian_term_max:.3e} <= {rep.gaussian_term_cap:.3e}"))
+
+    def write(out_dir):
+        write_csv(os.path.join(out_dir, "plan.csv"),
+                  ["n", "t_n", "R_n", "x_n", "weight"],
+                  [(row.n, row.t_n, row.radius, row.center_dist, row.weight)
+                   for row in plan.rows])
+
+    return [(os.path.join(_out_root(args), f"optimal-{label.replace(':', '')}-n{args.n}"),
+             lines, write)]
 
 
 # ----------------------------------------------------------------- kernel
 
-def cmd_kernel(args) -> int:
+def cmd_kernel(args) -> list:
     point = _floats(args.y, "--y")
     if len(point) not in (1, 3) or any(point[:-1]):
         raise ConfigError(f"--y takes z or 0,0,z (the source sits on the z-axis), "
@@ -380,72 +366,65 @@ def cmd_kernel(args) -> int:
     hole = parse_hole(args.hole)  # ExteriorDomain takes only a ball hole in dim 3
     domain = ExteriorDomain(3, hole, required_far_radius(hole, max(times)))
     probe = kernel_probe(domain, y, args.width, times, n_rho=n_rho, n_z=n_z)
-    if args.audit_smearing:
-        half_probe = kernel_probe(domain, y, 0.5 * args.width, (times[-1],),
-                                  n_rho=n_rho, n_z=n_z)
     profile0 = profile_radial_closed_form(3, hole.radius, ThetaBoundary(0.0))
-    out_dir = os.path.join(_out_root(args), f"kernel-y{y:g}")
-    os.makedirs(out_dir, exist_ok=True)
-    all_ok = True
-    rows = []
-    grid = probe.snapshots[0].grid
-    R, Z = grid.meshgrid()
-    keep = ~grid.hole_mask()
+    lines, rows = [], []
     for t in times:
         rep = asym.kernel_l1_gap(probe, t, profile0)
         rows.append((t, rep.gap, rep.bound, rep.profile_term, rep.hole_term))
-        all_ok &= _verdict(f"kernel L1 gap <= bound at t={t:g}", rep.passed,
-                           f"gap {rep.gap:.4f} vs bound {rep.bound:.4f}")
-    write_csv(os.path.join(out_dir, "gaps.csv"),
-              ["t", "gap", "bound", "profile_term", "hole_term"], rows)
-    write_table(os.path.join(out_dir, "snapshots.csv"), ["t", "rho", "z", "u"],
-                ((t, R[keep], Z[keep], probe.snapshot_at(t).values[keep]) for t in times))
+        lines.append(_line(f"kernel L1 gap <= bound at t={t:g}", rep.passed,
+                           f"gap {rep.gap:.4f} vs bound {rep.bound:.4f}"))
     if args.audit_smearing:
         # halving the width must not move the gap by more than 10% of the
         # bound, the decision scale of the gap <= bound verdict
-        t_last = times[-1]
-        rep_full = asym.kernel_l1_gap(probe, t_last, profile0)
-        rep_half = asym.kernel_l1_gap(half_probe, t_last, profile0)
-        change = abs(rep_full.gap - rep_half.gap) / rep_full.bound
-        all_ok &= _verdict("mollifier smearing audit: gap change < 10% of bound",
-                           change < 0.10, f"gap moved {change:.4f} of the bound")
-    _emit(f"artifacts under {out_dir}")
-    return 0 if all_ok else 2
+        half_probe = kernel_probe(domain, y, 0.5 * args.width, (times[-1],),
+                                  n_rho=n_rho, n_z=n_z)
+        rep_half = asym.kernel_l1_gap(half_probe, times[-1], profile0)
+        change = abs(rep.gap - rep_half.gap) / rep.bound  # rep: the gap at times[-1]
+        lines.append(_line("mollifier smearing audit: gap change < 10% of bound",
+                           change < 0.10, f"gap moved {change:.4f} of the bound"))
+
+    def write(out_dir):
+        grid = probe.snapshots[0].grid
+        R, Z = grid.meshgrid()
+        keep = ~grid.hole_mask()
+        write_csv(os.path.join(out_dir, "gaps.csv"),
+                  ["t", "gap", "bound", "profile_term", "hole_term"], rows)
+        write_table(os.path.join(out_dir, "snapshots.csv"), ["t", "rho", "z", "u"],
+                    ((t, R[keep], Z[keep], probe.snapshot_at(t).values[keep]) for t in times))
+
+    return [(os.path.join(_out_root(args), f"kernel-y{number_text(y)}"), lines, write)]
 
 
 # ----------------------------------------------------------------- sweep
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> list:
     values = list(_floats(args.values, "--values"))
     if any(v1 >= v2 for v1, v2 in zip(values, values[1:])):
         raise ConfigError("sweep values must be strictly increasing")
     base = _run_config(args)
-    cfgs = [replace(base, theta=v).resolved() for v in values]
-    runs = [_marched(cfg) for cfg in cfgs]  # every theta before the first file
     root = _out_root(args)
-    all_ok = True
-    manifest = []
-    for cfg, cfg_runs in runs:
-        verdicts, ok = _evolve_run(cfg, cfg_runs, root, f"theta={cfg.theta:g}: ")
-        all_ok &= ok
-        manifest += [(cfg.run_id(), "theta", cfg.theta, name, passed)
-                     for name, passed, _ in verdicts]
-    snapshots = [cfg_runs[0][0] for _, cfg_runs in runs]
+    cfgs = [replace(base, theta=v).resolved() for v in values]
+    runs = [_evolve(cfg, root, f"theta={number_text(cfg.theta)}: ") for cfg in cfgs]
+    manifest = [(cfg.run_id(), "theta", cfg.theta, name, passed)
+                for cfg, (_, verdicts, _) in zip(cfgs, runs) for name, passed, _ in verdicts]
+    lines = []
     if args.check == "monotone":
         worst = 0.0
-        for snaps1, snaps2 in zip(snapshots, snapshots[1:]):
+        for (snaps1, _, _), (snaps2, _, _) in zip(runs, runs[1:]):
             for s1, s2 in zip(snaps1, snaps2):
                 if s1.time <= 0:
                     continue
                 worst = max(worst, float(np.max(s1.values - s2.values)))
         ok = worst <= 1e-8
-        all_ok &= _verdict("pointwise ordering in theta", ok,
-                           f"max violation {worst:.3e} (tolerance 1e-8)")
+        lines.append(_line("pointwise ordering in theta", ok,
+                           f"max violation {worst:.3e} (tolerance 1e-8)"))
         manifest.append(("sweep", "check", "monotone", "ordering", ok))
-    write_csv(os.path.join(root, "sweep-manifest.csv"),
-              ["run_id", "param", "value", "verdict", "passed"], manifest)
-    _emit(f"manifest under {root}")
-    return 0 if all_ok else 2
+
+    def write(out_dir):
+        write_csv(os.path.join(out_dir, "sweep-manifest.csv"),
+                  ["run_id", "param", "value", "verdict", "passed"], manifest)
+
+    return [run for _, _, run in runs] + [(root, lines, write)]
 
 
 # ----------------------------------------------------------------- parser
@@ -534,13 +513,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        runs = args.func(args)
     except (ConfigError, GeometryError, PreconditionError, UnsupportedFeatureError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
+    # every run is computed and judged: only now is a file written
+    failed = False
+    for out_dir, lines, write in runs:
+        os.makedirs(out_dir, exist_ok=True)
+        write(out_dir)
+        for line in lines:
+            print(line)
+            failed |= line.startswith(("[FAIL]", "[TRUNCATION-SENSITIVE]"))
+        print(f"artifacts under {out_dir}")
+    return 2 if failed else 0
 
 
 if __name__ == "__main__":

@@ -144,6 +144,8 @@ class ExteriorDomain:
                 f"hole (circumscribed radius {rc}) must lie strictly inside "
                 f"the far ball (radius {self.far_radius})"
             )
+        if self.far_radius == math.inf:
+            raise GeometryError("far_radius must be finite")
         if self.far_radius < 4.0 * rc:
             raise GeometryError(
                 f"far_radius must be at least 4x the hole circumscribed radius "

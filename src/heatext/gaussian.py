@@ -23,8 +23,8 @@ class GaussianParams:
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise GeometryError(f"dim must be 2 or 3, got {self.dim}")
-        if not self.time > 0:
-            raise GeometryError(f"time must be positive, got {self.time}")
+        if not 0 < self.time < math.inf:
+            raise GeometryError(f"time must be positive and finite, got {self.time}")
 
 
 def gaussian_value(x_norm, params: GaussianParams):

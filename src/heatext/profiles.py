@@ -245,6 +245,8 @@ def profile_elliptic(domain: ExteriorDomain, theta: ThetaBoundary,
     demonstrate the monotone decrease toward it.
     """
     radii = tuple(float(R) for R in R_list)
+    if not all(math.isfinite(R) for R in radii):
+        raise PreconditionError(f"R_list must hold finite radii, got {radii}")
     if len(radii) < 2 or list(radii) != sorted(set(radii)):
         raise PreconditionError("R_list must contain >= 2 strictly increasing radii")
     rc = domain.hole.circumscribed_radius

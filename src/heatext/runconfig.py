@@ -38,10 +38,16 @@ def parse_hole(spec: str) -> HoleSpec:
     raise ConfigError(f"unknown hole kind '{kind}' (expected ball: or rect:)")
 
 
+def number_text(v: float) -> str:
+    """v in %g when that reads back as v, else in repr, which always does."""
+    text = "%g" % v
+    return text if float(text) == v else repr(v)
+
+
 def hole_to_spec(hole: HoleSpec) -> str:
     if isinstance(hole, BallHole):
-        return f"ball:{hole.radius:g}"
-    return f"rect:{hole.half_width_x:g}x{hole.half_width_y:g}"
+        return f"ball:{number_text(hole.radius)}"
+    return f"rect:{number_text(hole.half_width_x)}x{number_text(hole.half_width_y)}"
 
 
 @dataclass(frozen=True)
@@ -96,10 +102,10 @@ class RunConfig:
         return replace(self, preset=preset, h=h, dt=dt, r_out=r_out, snapshot_times=tuple(snaps))
 
     def run_id(self) -> str:
-        th = ("%g" % self.theta).replace(".", "p")
+        th = number_text(self.theta).replace(".", "p")
         preset = self.preset.replace(":", "-").replace(",", "_").replace(";", "_")
         return (f"evolve-d{self.dim}-{hole_to_spec(self.hole).replace(':', '')}"
-                f"-th{th}-{preset}-{self.study}-T{self.t_max:g}")
+                f"-th{th}-{preset}-{self.study}-T{number_text(self.t_max)}")
 
     def echo_rows(self):
         out = []
@@ -108,7 +114,7 @@ class RunConfig:
             if f.name == "hole":
                 v = hole_to_spec(v)
             elif f.name == "snapshot_times" and v is not None:
-                v = ";".join("%g" % t for t in v)
+                v = ";".join(number_text(t) for t in v)
             out.append((f.name, str(v)))
         return out
 

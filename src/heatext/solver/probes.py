@@ -88,10 +88,14 @@ def kernel_probe(domain: Optional[ExteriorDomain], y_dist: float,
     Dirichlet, and the source must satisfy dist(y, hole) > 2 * mollifier_width.
     The grid spacing (h, or max(h_rho, h_z) on the axisymmetric grid) must
     not exceed mollifier_width, or the datum falls between the nodes; the
-    times must be positive and strictly increase.
+    width and y_dist must be finite, the times positive and strictly
+    increasing.
     """
-    if mollifier_width <= 0:
-        raise PreconditionError("mollifier_width must be positive")
+    if not 0 < mollifier_width < math.inf:
+        raise PreconditionError(
+            f"mollifier_width must be positive and finite, got {mollifier_width}")
+    if not math.isfinite(y_dist):
+        raise PreconditionError(f"the source distance must be finite, got {y_dist}")
     if not times or min(times) <= 0:
         raise PreconditionError("probe times must be positive")
     if pad is None:

@@ -258,6 +258,13 @@ def test_herraiz_requires_late_time():
         herraiz_compare(5.0)
 
 
+def test_herraiz_rejects_a_time_whose_curves_overflow():
+    assert herraiz_compare(1e150).gap_theorem < 1e-12
+    for t in (1e154, 1e300):
+        with pytest.raises(PreconditionError, match="not finite"):
+            herraiz_compare(t)
+
+
 # --------------------------------------------------------------- optimality
 
 def _unit_ball_trace():

@@ -12,6 +12,7 @@ from heatext.cli import main
 from heatext.csvio import format_value, read_csv, write_csv, write_table
 from heatext.runconfig import (
     RunConfig,
+    number_text,
     parse_config_file,
     parse_hole,
     runconfig_from_mapping,
@@ -209,6 +210,7 @@ def test_evolve_balance_needs_three_ledger_rows(tmp_path):
                "--h", "0.0625", "--dt", "0.0625", "--r-out", "6",
                "--snapshots", "0.0625", "--out", str(tmp_path)])
     assert rc == 3
+    assert os.listdir(tmp_path) == []  # judged before the first file
 
 
 def test_evolve_deterministic_output(tmp_path):
@@ -327,6 +329,15 @@ def test_theta_whose_robin_row_overflows_exit_code(tmp_path, capsys):
     ["evolve", "--study", "mass", "--t-max", "2", "--theta", "2.2e-313"],
     ["sweep", "--values", "0,1e-30", "--study", "mass", "--t-max", "2"],
     ["herraiz", "--t", "5"],
+    ["profile", "--dim", "3", "--theta", "0.9999999999999999"],
+    ["herraiz", "--t", "inf"],
+    ["herraiz", "--t", "1e300"],
+    ["profile", "--method", "elliptic", "--R", "8,inf"],
+    ["profile", "--method", "elliptic", "--R", "8,nan"],
+    ["kernel", "--width", "nan", "--grid", "32x64"],
+    ["kernel", "--y", "inf", "--grid", "32x64"],
+    ["kernel", "--t", "inf", "--grid", "32x64"],
+    ["evolve", "--r-out", "inf", "--study", "mass", "--t-max", "2"],
 ])
 def test_malformed_flag_exit_code(tmp_path, capsys, argv):
     # a bad number, choice or flag is a config error (exit 3) found before
@@ -340,7 +351,11 @@ def test_malformed_flag_exit_code(tmp_path, capsys, argv):
     # checks come before the first file too: theta = 1e-30 is over the step
     # budget, theta = 1e-308 has no finite Robin row, theta = 2.2e-313 no
     # finite b = cot(pi theta/2); a sweep marches every theta before its
-    # first run, and herraiz needs t >= 10
+    # first run, and herraiz needs t >= 10. Every verdict is judged before
+    # the first file too: a theta this close to 1 leaves the closed-form
+    # profile no decay to fit. herraiz needs a finite t whose curves do not
+    # overflow, the elliptic profile finite radii, the kernel probe a finite
+    # mollifier width and source distance, and a domain a finite far radius
     assert _run(argv + ["--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err.startswith("config error: ")
     assert os.listdir(tmp_path) == []
@@ -456,6 +471,21 @@ def test_sweep_monotone(tmp_path):
     for run_id in {row[0] for row in rows} - {"sweep"}:
         files = os.listdir(os.path.join(str(tmp_path), run_id))
         assert {"config.csv", "verdicts.csv", "manifest.csv"} <= set(files)
+
+
+def test_sweep_names_each_theta_in_full(tmp_path):
+    # 0.5000001 prints as 0.5 in %g; each theta keeps its own directory
+    assert _run(["sweep", "--values", "0.5,0.5000001", "--study", "mass",
+                 "--t-max", "2", "--out", str(tmp_path)]) == 0
+    run_ids = [row[0] for row in read_csv(os.path.join(tmp_path, "sweep-manifest.csv"))[1]]
+    assert run_ids == ["evolve-d3-ball1-th0p5-explicit-remark-mass-T2",
+                       "evolve-d3-ball1-th0p5000001-explicit-remark-mass-T2"]
+    assert sorted(os.listdir(tmp_path)) == sorted(run_ids + ["sweep-manifest.csv"])
+
+
+def test_number_text_prints_g_unless_it_drops_digits():
+    assert [number_text(v) for v in (0.5, 100.0, 1e-30, 0.5000001, 0.9999999999999999)] == [
+        "0.5", "100", "1e-30", "0.5000001", "0.9999999999999999"]
 
 
 def test_sweep_audit_from_config_file(tmp_path, capsys):

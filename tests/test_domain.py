@@ -90,6 +90,8 @@ def test_exterior_domain_validation():
         ExteriorDomain(3, RectHole(1.0, 1.0), 10.0)  # rect is dim-2 only
     with pytest.raises(GeometryError):
         ExteriorDomain(4, BallHole(1.0), 10.0)
+    with pytest.raises(GeometryError):
+        ExteriorDomain(3, BallHole(1.0), float("inf"))
     ExteriorDomain(2, RectHole(1.0, 2.0), 12.0)
 
 

@@ -28,6 +28,9 @@ def test_params_validation():
         GaussianParams(3, 0.0)
     with pytest.raises(GeometryError):
         GaussianParams(5, 1.0)
+    for t in (math.inf, math.nan):
+        with pytest.raises(GeometryError):
+            GaussianParams(3, t)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -195,6 +195,9 @@ def test_elliptic_rejects_bad_radius_list():
         profile_elliptic(dom, DIRICHLET, (8.0,))
     with pytest.raises(PreconditionError):
         profile_elliptic(dom, DIRICHLET, (1.5, 8.0))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(PreconditionError, match="finite"):
+            profile_elliptic(dom, DIRICHLET, (8.0, bad))
 
 
 # ------------------------------------------------------------ planar fold
