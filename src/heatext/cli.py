@@ -22,7 +22,7 @@ import numpy as np
 
 from . import asymptotics as asym
 from . import constructions as cons
-from .csvio import write_csv, write_table
+from .csvio import as_written, write_csv, write_table
 from .domain import ExteriorDomain, ThetaBoundary, required_far_radius
 from .errors import (
     ConfigError,
@@ -79,11 +79,6 @@ def _floats(text: str, flag: str) -> tuple:
         raise ConfigError(f"{flag} takes comma-separated numbers, got '{text}'") from None
 
 
-def _as_written(v):
-    """v as its CSV cell reads back: a float through "%.12e", text as is."""
-    return float("%.12e" % v) if isinstance(v, float) else v
-
-
 # ----------------------------------------------------------------- evolve
 
 def _run(cfg: RunConfig):
@@ -114,10 +109,8 @@ def _run(cfg: RunConfig):
     rates = asym.RateSeries.from_snapshots(snaps, m, profile, ledger)
     # judged on the numbers rates.csv and ledger.csv hold, so that
     # verdicts.csv recomputes from the artifacts alone
-    rows = [tuple(map(_as_written, row)) for row in rates.rows()]
-    written = MassLedger(*([_as_written(v) for v in col]
-                           for col in (ledger.times, ledger.masses, ledger.fluxes)))
-    verdicts = _study_verdicts(cfg.study, rows, written, m)
+    verdicts = _study_verdicts(cfg.study, rates,
+                               MassLedger(*map(as_written, ledger.as_arrays())), m)
 
     def write(prefix):
         files = {"snapshots": write_table(prefix + "snapshots.csv", columns,
@@ -126,7 +119,7 @@ def _run(cfg: RunConfig):
                                       [ledger.as_arrays()])
         files["rates"] = write_csv(
             prefix + "rates.csv",
-            ["t", "p", "raw_norm", "scaled_norm", "mass", "mass_gap"], rows)
+            ["t", "p", "raw_norm", "scaled_norm", "mass", "mass_gap"], rates.rows())
         if cfg.dim == 3:
             series = [(rates.times, rates.scaled[p],
                        f"p={'inf' if math.isinf(p) else '%g' % p}")
@@ -139,34 +132,27 @@ def _run(cfg: RunConfig):
     return snaps, verdicts, write
 
 
-def _study_verdicts(study: str, rows: list, ledger: MassLedger, m: float) -> list:
-    """Judge a study from its rates.csv rows and ledger; returns [(name, passed, detail)]."""
-    rates = {}
-    for t, p, *values in rows:
-        rates.setdefault(p, []).append((t, *values))
+def _study_verdicts(study: str, rates: asym.RateSeries, ledger: MassLedger,
+                    m: float) -> list:
+    """Judge a study on rates as rates.csv holds them and on a ledger as
+    ledger.csv holds it; returns [(name, passed, detail)]."""
     out = []
     if study in ("l1", "linf"):
-        # the last row against the last one a factor 10 earlier (which
-        # RunConfig.resolved makes sure exists): the raw L1 error (column 1)
-        # or the scaled sup-norm error (column 2)
-        p, col, name = {"l1": ("1", 1, "L1 error halves per decade"),
-                        "linf": ("inf", 2, "sup-norm scaled error halves per decade")}[study]
-        series = rates[p]
-        t_hi, v_hi = series[-1][0], series[-1][col]
-        low = [row for row in series if row[0] <= t_hi / 10.0 + 1e-9][-1]
-        t_lo, v_lo = low[0], low[col]
-        out.append((name, v_hi <= 0.5 * v_lo,
-                    f"t={t_hi:g}: {v_hi:.4e} vs 0.5 x {v_lo:.4e} at t={t_lo:g}"))
+        # the last snapshot against the last one a factor 10 earlier (which
+        # RunConfig.resolved makes sure exists): the raw L1 error or the
+        # scaled sup-norm error
+        v, name = {"l1": (rates.raw[1.0], "L1 error halves per decade"),
+                   "linf": (rates.scaled[math.inf],
+                            "sup-norm scaled error halves per decade")}[study]
+        t, v = as_written(rates.times), as_written(v)
+        lo = np.flatnonzero(t <= t[-1] / 10.0 + 1e-9)[-1]
+        out.append((name, bool(v[-1] <= 0.5 * v[lo]),
+                    f"t={t[-1]:g}: {v[-1]:.4e} vs 0.5 x {v[lo]:.4e} at t={t[lo]:g}"))
     elif study == "lp":
-        worst = -math.inf
-        ok = True
-        for (t1, _, s1, _, _), (t2, _, s2, _, _), (ti, _, si, _, _) in zip(
-                rates["1"], rates["2"], rates["inf"]):
-            bound = math.sqrt(s1 * si) + 1e-6
-            worst = max(worst, s2 - bound)
-            ok = ok and s2 <= bound
-        out.append(("interpolation: scaled p=2 within sqrt(p=1 x p=inf)",
-                    ok, f"max excess {worst:.3e}"))
+        s1, s2, s_inf = (as_written(rates.scaled[p]) for p in asym.P_NORMS)
+        bound = np.sqrt(s1 * s_inf) + 1e-6
+        out.append(("interpolation: scaled p=2 within sqrt(p=1 x p=inf)", bool(np.all(s2 <= bound)),
+                    f"max excess {np.max(s2 - bound, initial=-math.inf):.3e}"))
     elif study == "mass":
         # tolerance at the conservation scale: under Neumann the gap is
         # pure discretisation drift, which stays below 1e-4 of the mass

@@ -242,7 +242,6 @@ class OptimalDatumPlan:
     g: Callable[[float], float]
     g_label: str
     eigenvalue: float
-    psi_peak: float
     rows: List[PlanRow]
 
 
@@ -332,7 +331,7 @@ def optimal_datum_plan(g: Callable[[float], float], n_max: int,
         x_n = max(x_n * (1.0 + 1e-9) + 1e-9, x_min_sep + 1e-6 * radius)
         rows.append(PlanRow(n, t_n, t_next, radius, x_n, 2.0 ** (-n)))
 
-    plan = OptimalDatumPlan(g, g_label, lam, PSI_PEAK, rows)
+    plan = OptimalDatumPlan(g, g_label, lam, rows)
     for row in plan.rows:
         vals = plan_condition_values(plan, row)
         for name, v in vals.items():

@@ -16,7 +16,8 @@ the same m as y does, and m is what Python's correctly rounded "%.12e"
 prints. The other values go to Python's own "%.12e": those within the
 band (which holds every exact tie, so ties keep Python's round-half-even),
 non-finite values and nonzero |x| outside [1e-290, 1e290). ±0.0 prints
-from the tables.
+from the tables. as_written parses a column printed by the same
+formatter, so a value and its CSV cell agree on one rounding rule.
 """
 
 import csv
@@ -92,6 +93,7 @@ def _word_tables():
 
 
 _HEAD, _QUAD, _TRIPLE_E, _EXP = _word_tables()
+_NEWLINE = np.frombuffer(b"\n\0\0\0", np.uint32)
 
 
 def _decimal(x):
@@ -155,6 +157,12 @@ def write_table(path: str, header: Sequence[str], blocks: Iterable[Sequence]) ->
             for start in range(0, len(table), BLOCK_ROWS):
                 fh.write(_format_block(table[start:start + BLOCK_ROWS], sep))
     return path
+
+
+def as_written(values) -> np.ndarray:
+    """The floats that a column of values reads back as from write_table."""
+    column = np.asarray(values, dtype=float).reshape(-1, 1)
+    return np.array(_format_block(column, _NEWLINE).split(), dtype=float)
 
 
 def read_csv(path: str):

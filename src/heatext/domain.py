@@ -26,8 +26,8 @@ class BallHole:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise GeometryError(f"ball hole radius must be positive, got {self.radius}")
+        if not 0.0 < self.radius < math.inf:
+            raise GeometryError(f"ball hole radius must be positive and finite, got {self.radius}")
 
     @property
     def circumscribed_radius(self) -> float:
@@ -42,8 +42,9 @@ class RectHole:
     half_width_y: float
 
     def __post_init__(self):
-        if self.half_width_x <= 0 or self.half_width_y <= 0:
-            raise GeometryError("rectangle half-widths must be positive")
+        if not (0.0 < self.half_width_x < math.inf and 0.0 < self.half_width_y < math.inf):
+            raise GeometryError(f"rectangle half-widths must be positive and finite, got "
+                                f"{self.half_width_x} and {self.half_width_y}")
 
     @property
     def circumscribed_radius(self) -> float:

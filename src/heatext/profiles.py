@@ -192,6 +192,13 @@ def _radial_truncated_solve(dim: int, a: float, theta: ThetaBoundary,
     return grid.nodes(), phi
 
 
+def _planar_lattice(hole: HoleSpec, R: float, h: float) -> PlanarGrid:
+    """The grid of the truncated solve at radius R: the nodes i h, j h of
+    the global lattice with |i|, |j| <= ceil(R / h) + 1."""
+    m = int(math.ceil(R / h)) + 1
+    return PlanarGrid(half_width=m * h, n=2 * m, hole=hole)
+
+
 def _planar_truncated_solve(hole: HoleSpec, theta: ThetaBoundary, R: float,
                             h: float) -> Field:
     """Masked 5-point Laplace solve on B(0,R) \\ hole with phi = 1 at |x| = R.
@@ -210,8 +217,8 @@ def _planar_truncated_solve(hole: HoleSpec, theta: ThetaBoundary, R: float,
     use the quadrant's own coordinates i h, which makes the returned field
     mirror-symmetric by construction.
     """
-    m = int(math.ceil(R / h)) + 1
-    grid = PlanarGrid(half_width=m * h, n=2 * m, hole=hole)
+    grid = _planar_lattice(hole, R, h)
+    m = grid.n // 2
     X, Y = np.meshgrid(np.arange(m + 1) * h, np.arange(m + 1) * h, indexing="ij")
     hole_mask = hole_nodes(hole, X, Y, 1e-12 * grid.half_width)
     active = (X ** 2 + Y ** 2 < R ** 2 - 1e-12) & ~hole_mask
@@ -283,20 +290,22 @@ def profile_elliptic(domain: ExteriorDomain, theta: ThetaBoundary,
                             per_radius=per_radius)
 
     # dim 2: masked planar solves on one nested lattice, each restricted to
-    # the coarsest (smallest R) grid for comparisons as soon as it is solved,
-    # so no full field of a smaller R is held through a larger solve
+    # the coarsest (smallest R) grid as soon as it is solved, so no full
+    # field is held through the next solve. The largest R is solved first,
+    # on a heap that no earlier SuperLU solve has left holes in: the run's
+    # peak then no longer depends on where those holes fell.
     if h is None:
         h = 0.25
-    small, per_fields = None, {}
-    for R in radii:
+    small = _planar_lattice(domain.hole, radii[0], h)
+    per_fields = {}
+    for R in reversed(radii):
         f = _planar_truncated_solve(domain.hole, theta, R, h)
-        if small is None:
-            small = f.grid
         off = round((f.grid.half_width - small.half_width) / h)
         keep = slice(off, off + small.n + 1)
         per_fields[R] = Field(small, f.values[keep, keep].copy(), 0.0).lock()
         del f
-    return replace(profile_planar(domain.hole, theta), planar_fields=per_fields)
+    return replace(profile_planar(domain.hole, theta),
+                   planar_fields={R: per_fields[R] for R in radii})
 
 
 def asymptotic_mass(u0: Field, profile: ProfileTable) -> float:

@@ -71,6 +71,8 @@ class RunConfig:
         if not 0.0 < self.t_max < math.inf:
             raise ConfigError(f"t_max must be positive and finite, got {self.t_max}")
         h = self.h if self.h is not None else (1.0 / 64.0 if self.dim == 3 else 0.5)
+        if not 0.0 < h < math.inf:
+            raise ConfigError(f"h must be positive and finite, got {h}")
         preset = self.preset if self.preset is not None else (
             "explicit-remark" if self.dim == 3 else "gaussian-bump:3,0,1.5")
         dt = self.dt if self.dt is not None else h / 2.0
@@ -81,6 +83,9 @@ class RunConfig:
             ExteriorDomain(self.dim, self.hole, r_out)
         except GeometryError as exc:
             raise ConfigError(str(exc)) from exc
+        if not math.isfinite(2.0 * r_out / h):
+            raise ConfigError(f"h = {h!r} is too small for r_out = {r_out:g}: "
+                              f"the grid's node count overflows")
         name, params = parse_preset(preset, self.dim)
         if name == "indicator-shell" and not params[1] < r_out:
             # each grid reaches r_out, so a shell inside r_out ends inside it

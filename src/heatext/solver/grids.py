@@ -15,13 +15,28 @@ read the stencil; `hole_links` is the one walk of the links into the hole.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ..domain import BallHole, HoleSpec, RectHole, sphere_surface_area
 from ..errors import GeometryError, PreconditionError
+
+# The most nodes one grid may hold, checked before any of its arrays is
+# made: a tiny spacing or a huge radius exits as a bad input instead of
+# allocating until memory runs out. The largest grid of the tests, demos
+# and benchmark is the 515 x 515 planar profile grid at R = 64 (2.7e5
+# nodes); 10^7 nodes are 80 MB per float array.
+MAX_NODES = 10 ** 7
+
+
+def _check_nodes(shape) -> None:
+    """Reject a grid whose node shape holds more than MAX_NODES nodes."""
+    count = math.prod(shape)
+    if count > MAX_NODES:
+        raise GeometryError(f"a grid of about 10^{math.log10(count):.1f} nodes exceeds "
+                            f"the budget of 10^{math.log10(MAX_NODES):g} nodes")
 
 
 def radial_links(r, h: float, k: int) -> tuple:
@@ -57,6 +72,7 @@ class RadialGrid:
             raise GeometryError("r_out must exceed the hole radius")
         if self.n_r < 64:
             raise GeometryError(f"n_r must be at least 64, got {self.n_r}")
+        _check_nodes(self.shape)
         if self.dim not in (2, 3):
             raise GeometryError(f"dim must be 2 or 3, got {self.dim}")
 
@@ -141,6 +157,7 @@ class PlanarGrid:
             raise GeometryError("half_width must be positive")
         if self.n < 16:
             raise GeometryError(f"n must be at least 16, got {self.n}")
+        _check_nodes(self.shape)
         if self.hole is not None:
             if self.hole.circumscribed_radius >= self.half_width:
                 raise GeometryError("hole must lie strictly inside the grid square")
@@ -215,6 +232,7 @@ class AxisymGrid:
             raise GeometryError("rho_max and z_half must be positive")
         if self.n_rho < 16 or self.n_z < 16:
             raise GeometryError("n_rho and n_z must be at least 16")
+        _check_nodes(self.shape)
         if self.hole is not None:
             if not isinstance(self.hole, BallHole):
                 raise GeometryError(f"axisymmetric grids take a ball hole, got {self.hole!r}")
@@ -396,7 +414,6 @@ class Field:
     grid: object
     values: np.ndarray
     time: float = 0.0
-    _weights: np.ndarray = dc_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -410,9 +427,7 @@ class Field:
         return self
 
     def weights(self) -> np.ndarray:
-        if self._weights is None:
-            self._weights = self.grid.volume_weights()
-        return self._weights
+        return self.grid.volume_weights()
 
     def integral(self) -> float:
         return float(np.sum(self.weights() * self.values))

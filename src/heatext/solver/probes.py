@@ -61,9 +61,7 @@ class ProbeResult:
     snapshots: List[Field]
     ledger: MassLedger
     y_dist: float
-    mollifier_width: float
     whole_space: bool
-    initial_mass: float  # discrete mass before normalisation to 1
     warmup: Tuple[float, float]  # the warm-up stop (t0, step cap) of the march
 
     def snapshot_at(self, t: float) -> Field:
@@ -135,7 +133,7 @@ def kernel_probe(domain: Optional[ExteriorDomain], y_dist: float,
         snaps, ledger = _crank_nicolson_run(grid, ThetaBoundary(1.0), u0, stops, times)
     else:
         snaps, ledger = _axisym_run(grid, Field(grid, u0), stops, times)
-    return ProbeResult(snaps, ledger, y_dist, mollifier_width, domain is None, m0, warmup)
+    return ProbeResult(snaps, ledger, y_dist, domain is None, warmup)
 
 
 def probe_smearing_estimate(domain: Optional[ExteriorDomain], y_dist: float,

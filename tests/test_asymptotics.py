@@ -310,7 +310,7 @@ def test_kernel_gap_requires_unit_mass():
     from heatext.solver.probes import ProbeResult
     ledger = MassLedger()
     ledger.append(0.0, 0.5, 0.0)
-    probe = ProbeResult([], ledger, 3.0, 0.5, False, 0.5, (2.0, 0.05))
+    probe = ProbeResult([], ledger, 3.0, False, (2.0, 0.05))
     with pytest.raises(PreconditionError):
         kernel_l1_gap(probe, 1.0, _profile())
 

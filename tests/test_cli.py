@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -338,6 +339,18 @@ def test_theta_whose_robin_row_overflows_exit_code(tmp_path, capsys):
     ["kernel", "--y", "inf", "--grid", "32x64"],
     ["kernel", "--t", "inf", "--grid", "32x64"],
     ["evolve", "--r-out", "inf", "--study", "mass", "--t-max", "2"],
+    ["evolve", "--h", "1e-300", "--study", "mass", "--t-max", "2"],
+    ["evolve", "--dim", "2", "--h", "1e-300", "--study", "mass", "--t-max", "2"],
+    ["profile", "--dim", "3", "--method", "elliptic", "--R", "8,1e12"],
+    ["profile", "--dim", "2", "--method", "elliptic", "--R", "8,1e6"],
+    ["kernel", "--grid", "100000x100000"],
+    ["evolve", "--h", "1e-320", "--study", "mass", "--t-max", "2"],
+    ["evolve", "--r-out", "1e308", "--study", "mass", "--t-max", "2"],
+    ["evolve", "--h", "inf"],
+    ["evolve", "--h", "nan"],
+    ["evolve", "--h", "-1"],
+    ["evolve", "--hole", "ball:nan"],
+    ["evolve", "--dim", "2", "--hole", "rect:1xnan"],
 ])
 def test_malformed_flag_exit_code(tmp_path, capsys, argv):
     # a bad number, choice or flag is a config error (exit 3) found before
@@ -355,7 +368,11 @@ def test_malformed_flag_exit_code(tmp_path, capsys, argv):
     # the first file too: a theta this close to 1 leaves the closed-form
     # profile no decay to fit. herraiz needs a finite t whose curves do not
     # overflow, the elliptic profile finite radii, the kernel probe a finite
-    # mollifier width and source distance, and a domain a finite far radius
+    # mollifier width and source distance, and a domain a finite far radius.
+    # A grid may hold at most grids.MAX_NODES nodes, checked before any array
+    # is made (a tiny h, a huge elliptic R or kernel grid), h must be
+    # positive and finite with a node count that does not overflow, and a
+    # hole's size positive and finite
     assert _run(argv + ["--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err.startswith("config error: ")
     assert os.listdir(tmp_path) == []
@@ -404,6 +421,45 @@ def test_norm_study_verdicts_recompute_from_rates(tmp_path, study):
     ((_, passed_csv, detail_csv),) = read_csv(os.path.join(run_dir, "verdicts.csv"))[1]
     assert (passed_csv, detail_csv) == ("true" if passed else "false", detail)
     assert rc == (0 if passed else 2)
+
+
+def _recomputed_ledger_verdict(study, ledger_csv):
+    """(passed, detail) of a mass study with m = 0 or of a balance study,
+    from ledger.csv alone."""
+    t, mass, flux = np.array(read_csv(ledger_csv)[1], dtype=float).T
+    if study == "mass":
+        gaps = np.abs(mass - 0.0)
+        increase = np.max(np.diff(gaps))
+        return (increase <= 1e-4 * abs(mass[0]),
+                f"max increase {increase:.3e}, final gap {gaps[-1]:.4e}")
+    residual = np.max(np.abs(np.diff(mass) - 0.5 * (flux[1:] + flux[:-1]) * np.diff(t)))
+    residual /= abs(mass[0])
+    return residual <= 2e-3, f"residual {residual:.4e}"
+
+
+@pytest.mark.parametrize("study", ["mass", "balance"])
+def test_ledger_study_verdicts_recompute_from_ledger(tmp_path, study):
+    # in dim 2 a Dirichlet hole's profile is 0, so the mass study's m is 0
+    # and both verdicts need nothing but ledger.csv (on this coarse grid
+    # mass passes and balance fails): each verdict in verdicts.csv, flag and
+    # detail, is the one ledger.csv gives
+    rc = _run(["evolve", "--dim", "2", "--hole", "ball:1", "--study", study, "--t-max", "2",
+               "--h", "0.25", "--dt", "0.125", "--r-out", "8", "--snapshots", "1,2",
+               "--out", str(tmp_path)])
+    (run_dir,) = os.listdir(tmp_path)
+    run_dir = os.path.join(tmp_path, run_dir)
+    passed, detail = _recomputed_ledger_verdict(study, os.path.join(run_dir, "ledger.csv"))
+    ((_, passed_csv, detail_csv),) = read_csv(os.path.join(run_dir, "verdicts.csv"))[1]
+    assert (passed_csv, detail_csv) == ("true" if passed else "false", detail)
+    assert rc == (0 if passed else 2)
+
+
+@pytest.mark.parametrize("h", [math.inf, math.nan, -1.0, 0.0])
+def test_resolved_names_a_bad_h(h):
+    # before this check, h = inf was reported as "n_r must be at least 64"
+    # and a NaN or negative h as a problem with dt
+    with pytest.raises(ConfigError, match="h must be positive and finite"):
+        RunConfig(h=h).resolved()
 
 
 def test_indicator_shell_may_start_on_a_robin_hole(tmp_path):

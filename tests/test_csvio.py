@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatext.csvio import _decimal, format_value, write_table
+from heatext.csvio import _decimal, as_written, format_value, write_table
 
 
 def _assert_table_matches_format_value(path, columns):
@@ -89,3 +89,20 @@ def test_write_table_matches_format_value_on_bit_patterns(table_path, bits):
 def test_write_table_matches_format_value_on_floats(table_path, values):
     x = np.array(values, dtype=float)
     _assert_table_matches_format_value(table_path, [x, x[::-1]])
+
+
+def test_as_written_is_each_value_read_back_through_format_value():
+    # as_written parses write_table's own bytes: each value is the float its
+    # "%.12e" cell reads back as, sign of zero, ties and non-finite included
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e-290, np.nextafter(1e-290, 0.0),
+             1e290, np.nextafter(1e290, 0.0), -1e290, 1.7976931348623157e308,
+             -1.7976931348623157e308, np.inf, -np.inf, np.nan, 2.5, -2.5] + EXACT_TIES
+    rng = np.random.default_rng(25)
+    x = np.concatenate([edges, rng.standard_normal(2000) * 10.0 ** rng.integers(-300, 300, 2000)])
+    got = as_written(x)
+    want = np.array([float(format_value(float(v))) for v in x])
+    assert got.shape == x.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.signbit(as_written([-0.0])[0]) and not np.signbit(as_written([0.0])[0])
+    assert as_written(2.5).tolist() == [2.5] and as_written([]).size == 0

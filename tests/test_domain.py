@@ -95,6 +95,19 @@ def test_exterior_domain_validation():
     ExteriorDomain(2, RectHole(1.0, 2.0), 12.0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda v: BallHole(v),
+    lambda v: RectHole(1.0, v),
+    lambda v: RectHole(v, 1.0),
+])
+@pytest.mark.parametrize("size", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_hole_sizes_must_be_positive_and_finite(make, size):
+    # a NaN size fails no "<= 0" test, so it is rejected by name here rather
+    # than as a hole that does not fit inside a far ball of radius nan
+    with pytest.raises(GeometryError, match="positive and finite"):
+        make(size)
+
+
 def test_rect_hole_circumscribed_radius():
     assert RectHole(3.0, 4.0).circumscribed_radius == pytest.approx(5.0)
 

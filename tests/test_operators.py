@@ -7,13 +7,17 @@ on nodes linked to the outer edge, where the remainder is the far-edge
 leakage.
 """
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from heatext.domain import BallHole, RectHole, ThetaBoundary
+from heatext.errors import GeometryError
 from heatext.solver import AxisymGrid, PlanarGrid, RadialGrid
 from heatext.solver.grids import (
+    MAX_NODES,
     hole_ghost,
     hole_links,
     hole_weights,
@@ -191,3 +195,18 @@ def test_axisym_rho_links_are_the_dim2_radial_links():
     grid = AxisymGrid(rho_max=25.3, z_half=28.0, n_rho=96, n_z=192, hole=BallHole(1.0))
     radial = RadialGrid(0.0, grid.rho_max, grid.n_rho, dim=2)
     assert np.array_equal(grid.stencil()[:2], radial.stencil())
+
+
+def test_grids_reject_more_nodes_than_the_budget():
+    # the budget is checked in the constructor, before any array is made:
+    # a tiny spacing or a huge radius is a bad input, not a memory failure
+    side = math.isqrt(MAX_NODES)
+    RadialGrid(a=1.0, r_out=2.0, n_r=MAX_NODES - 1)
+    PlanarGrid(half_width=4.0, n=side - 1)
+    AxisymGrid(rho_max=4.0, z_half=4.0, n_rho=side - 1, n_z=side - 1)
+    for make in (lambda: RadialGrid(a=1.0, r_out=2.0, n_r=MAX_NODES),
+                 lambda: PlanarGrid(half_width=4.0, n=side),
+                 lambda: AxisymGrid(rho_max=4.0, z_half=4.0, n_rho=side, n_z=side - 1),
+                 lambda: PlanarGrid(half_width=4.0, n=10 ** 400)):
+        with pytest.raises(GeometryError, match="budget"):
+            make()

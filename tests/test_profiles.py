@@ -182,6 +182,27 @@ def test_elliptic_planar_dim2_monotone_decrease():
     assert vals[0] > vals[1] > vals[2] > 0.0
 
 
+def test_elliptic_planar_solves_the_largest_radius_first(monkeypatch):
+    # each solve is independent, so the order changes no value; the largest
+    # solve goes first so that it does not land in the holes a smaller
+    # solve left on the heap. The fields stay in the order of the radii.
+    import heatext.profiles as profiles
+    order = []
+
+    def recorded(hole, theta, R, h):
+        order.append(R)
+        return _planar_truncated_solve(hole, theta, R, h)
+
+    monkeypatch.setattr(profiles, "_planar_truncated_solve", recorded)
+    dom = ExteriorDomain(2, BallHole(1.0), 40.0)
+    table = profile_elliptic(dom, DIRICHLET, (6.0, 9.0, 12.0), h=0.5)
+    assert order == [12.0, 9.0, 6.0]
+    assert list(table.planar_fields) == [6.0, 9.0, 12.0]
+    small = _planar_truncated_solve(BallHole(1.0), DIRICHLET, 6.0, 0.5)
+    assert table.planar_fields[6.0].grid == small.grid
+    assert np.array_equal(table.planar_fields[6.0].values, small.values)
+
+
 def test_elliptic_bc_residual_second_order():
     dom = ExteriorDomain(3, BallHole(1.0), 64.0)
     h = 1.0 / 256.0
