@@ -5,11 +5,14 @@ Cylindrical Laplacian u_rhorho + u_rho/rho + u_zz with the parity row
 The ball hole is a masked staircase with Dirichlet nodes; only Dirichlet
 hole conditions are supported here (a staircase Robin condition would
 degrade to first order). The run itself is the masked-grid run
-`march.march_masked` shared with the planar solver, on the sine modes in
-z of the scaled values: the datum is transformed once and the values are
-read back only at the snapshots. Each step is a direct solve by
-`fastsolve.MaskedCNSolve`: one stacked tridiagonal solve in rho and a
-capacitance correction on the hole staircase, with no sine transform.
+`march.march_masked` shared with the planar solver, in the box
+operator's joint eigenbasis of the scaled values (sine modes in z, the
+eigenvectors of the symmetrised rho tridiagonal, parity row included, in
+rho; `fastsolve.SineModes`, built once per run): the datum is
+transformed once and the values are read back only at the snapshots.
+Each step is a direct solve by `fastsolve.MaskedCNSolve`, built once per
+step size: an elementwise multiply by the box inverse and a rank-r
+capacitance correction on the hole staircase, with no transform.
 Used for off-axis sources: kernel probes and domain-comparison checks.
 `march_masked` checks the run contract `march.check_run` for both, the
 hole and outer-edge nodes pinned and the accuracy guard on every step

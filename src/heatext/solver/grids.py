@@ -9,7 +9,7 @@ caps a run's steps. Code that judges a field against the profile
 
 Every grid's `stencil()`, (lo, up) or (lo0, up0, lo1, up1), is the one
 source of its link coefficients, and `radial_links` the one radial link
-formula with its parity row. `masked_laplacian`, `fastsolve.MaskedCNSolve`,
+formula with its parity row. `masked_laplacian`, `fastsolve.SineModes`,
 `radial.radial_operator` and `stiffness`, the bound that sizes a warm-up,
 read the stencil; `hole_links` is the one walk of the links into the hole.
 """

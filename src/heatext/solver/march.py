@@ -19,9 +19,12 @@ The radial solver builds its own symmetric tridiagonal solve
 (`fastsolve.symmetric_factor`) and marches in a scaled variable. The
 planar and axisymmetric solvers share `march_masked`, which does all of a
 masked-grid run from the grid's stencil: `check_run`, the hole-flux
-weights, the `fastsolve.MaskedCNSolve` builds and the march, which runs
-on sine modes: a step does no sine transform, and the values are read
-back only at the snapshots.
+weights, the box operator's joint eigenbasis (`fastsolve.SineModes`,
+built once per run), the `fastsolve.MaskedCNSolve` builds (one per step
+size: a diagonal inverse and a capacitance LU) and the march, which runs
+on the eigenbasis's mode vectors: a step is an elementwise multiply plus
+a rank-r capacitance correction, with no transform, and the values are
+read back only at the snapshots.
 
 `check_run` is the one run contract. Both grid-level runs,
 `radial._crank_nicolson_run` and `march_masked`, check it once before the
@@ -137,9 +140,10 @@ def march_masked(grid, u0, ghost, stops, what, snap_times):
     hole flux `grids.hole_weights` . u. The run walks `grids.hole_links`
     once, for those weights and for the capacitance nodes of every solver
     build (`fastsolve.capacitance_nodes`). The march runs on the mode
-    vectors of `fastsolve.SineModes`: both functionals are dot products
-    with their mode vectors, and values are read back only at the
-    snapshots.
+    vectors of `fastsolve.SineModes`, the box's eigenbasis, which the run
+    computes once and every step size's `fastsolve.MaskedCNSolve` shares:
+    both functionals are dot products with their mode vectors, and values
+    are read back only at the snapshots.
     """
     active, hole = grid.active_mask(), grid.hole_mask()
     check_run(u0.values, hole, grid.edge_mask(), stops, grid.spacing)
@@ -152,7 +156,7 @@ def march_masked(grid, u0, ghost, stops, what, snap_times):
     del links  # the march holds the capacitance nodes' indices, not full-grid arrays
 
     def factor(dt):
-        return MaskedCNSolve(active, hole, stencil, ghost, dt, cap_nodes).solve_modes
+        return MaskedCNSolve(modes, hole, ghost, dt, cap_nodes).solve_modes
 
     def to_field(u_modes, t):
         full = np.zeros(active.shape)

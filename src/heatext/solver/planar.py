@@ -7,11 +7,13 @@ of `grids.hole_ghost`, h/2 outside the hole boundary, so the Robin mass is
 first order in h (3.4% low for rect:1x1, theta = 0.5, h = 1/2). The stencil is
 `PlanarGrid.stencil()`; the run itself is the masked-grid run
 `march.march_masked` shared with the axisymmetric solver. It marches the
-sine modes in y of the values: the datum is transformed once and the
-values are read back only at the snapshot times. Each step is a full
-direct solve (no operator splitting) by `fastsolve.MaskedCNSolve`, built
-once per step size: one stacked tridiagonal solve in x and a capacitance
-correction for the hole, with no sine transform. `march_masked` checks
+values in the box operator's joint eigenbasis (sine modes in y, the
+eigenvectors of the x tridiagonal in x; `fastsolve.SineModes`, built
+once per run): the datum is transformed once and the values are read
+back only at the snapshot times. Each step is a full direct solve (no
+operator splitting) by `fastsolve.MaskedCNSolve`, built once per step
+size: an elementwise multiply by the box inverse and a rank-r
+capacitance correction for the hole, with no transform. `march_masked` checks
 the run contract `march.check_run`, the hole and outer-edge nodes pinned.
 """
 

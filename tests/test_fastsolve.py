@@ -1,10 +1,11 @@
-"""The numpy DST-I against scipy's, the DST + capacitance solver against
-sparse LU, the masked marches it drives against reference marches stepped
-by splu and B @ u and by the node-space solve, the mode-space march's
-independence of the hole entries and its set-up counts (solver builds,
-transforms and walks of the hole links), the symmetric
-tridiagonal factor the solver shares with the radial march, and the
-SuperLU solve on the assembler's CSC arrays against scipy's spsolve."""
+"""The numpy DST-I against scipy's, the box eigenbasis against the
+symmetrised axis-0 tridiagonal, the eigenbasis + capacitance solver
+against sparse LU, the masked marches it drives against reference
+marches stepped by splu and B @ u and by the node-space solve, the
+mode-space march's independence of the hole entries and its set-up
+counts (solver builds, transforms, eigendecompositions and walks of the
+hole links), the symmetric tridiagonal factor of the radial march, and
+the SuperLU solve on the assembler's CSC arrays against scipy's spsolve."""
 
 import weakref
 
@@ -66,8 +67,8 @@ def _csc(L):
 
 
 def _solver(grid, ghost, dt):
-    return MaskedCNSolve(grid.active_mask(), grid.hole_mask(), grid.stencil(), ghost, dt,
-                         capacitance_nodes(_links(grid), ghost))
+    return MaskedCNSolve(SineModes(grid.active_mask(), grid.stencil()), grid.hole_mask(),
+                         ghost, dt, capacitance_nodes(_links(grid), ghost))
 
 
 def _planar_ghost(grid, theta):
@@ -139,11 +140,11 @@ def test_axisym_solve_matches_splu(radius):
     _check_against_splu(L, solver, 0.1)
 
 
-def _random_tridiagonal(rng, n, blocks):
+def _random_tridiagonal(rng, n):
     """Off-diagonals of one sign and diagonally dominant rows, so that the
-    symmetrised matrices are positive definite."""
+    symmetrised matrix is positive definite."""
     lo, up = -rng.uniform(0.1, 2.0, n), -rng.uniform(0.1, 2.0, n)
-    di = rng.uniform(1.0, 3.0, (blocks, n)) + np.abs(lo) + np.abs(up)
+    di = rng.uniform(1.0, 3.0, n) + np.abs(lo) + np.abs(up)
     return lo, di, up
 
 
@@ -158,20 +159,43 @@ def test_dst1_is_scipys_orthonormal_dst_and_its_own_inverse(n, columns):
     assert np.max(np.abs(dst1(got) - x)) <= tol
 
 
-@pytest.mark.parametrize("blocks", [1, 3])
-def test_symmetric_factor_solves_the_tridiagonal(blocks):
+@pytest.mark.parametrize("routine", ["dstevd", "dense_stevd"])
+@pytest.mark.parametrize("kind", ["planar", "axisym"])
+def test_box_eigenbasis_diagonalises_the_symmetrised_axis0_tridiagonal(monkeypatch, kind,
+                                                                       routine):
+    # the axisym rho stencil has the parity row and D != 1; dense_stevd is
+    # the routine of scipy releases whose _flapack binds no dstevd
+    monkeypatch.setattr(fastsolve, "dstevd", getattr(fastsolve, routine))
+    if kind == "planar":
+        grid = PlanarGrid(half_width=6.0, n=48, hole=RectHole(1.0, 1.0))
+    else:
+        grid = AxisymGrid(rho_max=6.0, z_half=7.0, n_rho=40, n_z=96, hole=BallHole(1.0))
+    lo0, up0, _, _ = grid.stencil()
+    space = SineModes(grid.active_mask(), grid.stencil())
+    lo, up = lo0[space.rows], up0[space.rows]
+    T0 = np.diag(-(lo + up)) + np.diag(lo[1:], -1) + np.diag(up[:-1], 1)
+    D = space.scale
+    sym = D[:, None] * T0 / D[None, :]
+    assert (kind == "axisym") == (np.ptp(D) > 0.0)
+    assert np.max(np.abs(sym - sym.T)) <= 1e-13 * np.max(np.abs(sym))
+    Q, mu = space.basis, space.mu
+    assert Q.shape == (space.shape[1],) * 2 and mu.shape == (space.shape[1],)
+    assert np.max(np.abs(Q.T @ Q - np.eye(Q.shape[0]))) <= 1e-13
+    assert np.max(np.abs((Q * mu) @ Q.T - sym)) <= 1e-13 * np.max(np.abs(sym))
+
+
+def test_symmetric_factor_solves_the_tridiagonal():
     rng = np.random.default_rng(7)
     n = 40
-    lo, di, up = _random_tridiagonal(rng, n, blocks)
-    scale, d, e = symmetric_factor(lo, di if blocks > 1 else di[0], up)
-    b = rng.standard_normal((blocks, n))
-    x, info = dpttrs(d, e, (scale * b).ravel())
+    lo, di, up = _random_tridiagonal(rng, n)
+    scale, d, e = symmetric_factor(lo, di, up)
+    b = rng.standard_normal(n)
+    x, info = dpttrs(d, e, scale * b)
     assert info == 0
-    x = x.reshape(blocks, n) / scale
-    for k in range(blocks):
-        A = np.diag(di[k]) + np.diag(lo[1:], -1) + np.diag(up[:-1], 1)
-        want = np.linalg.solve(A, b[k])
-        assert np.max(np.abs(x[k] - want)) <= TOL * np.max(np.abs(want))
+    x = x / scale
+    A = np.diag(di) + np.diag(lo[1:], -1) + np.diag(up[:-1], 1)
+    want = np.linalg.solve(A, b)
+    assert np.max(np.abs(x - want)) <= TOL * np.max(np.abs(want))
 
 
 @pytest.mark.filterwarnings("error")  # fails before a sqrt of a negative number
@@ -181,7 +205,7 @@ def test_symmetric_factor_solves_the_tridiagonal(blocks):
                                              ("inf", "coupling product"),
                                              ("indefinite", "positive definite")])
 def test_symmetric_factor_fails_loudly(defect, message):
-    lo, di, up = _random_tridiagonal(np.random.default_rng(8), 12, 1)
+    lo, di, up = _random_tridiagonal(np.random.default_rng(8), 12)
     if defect == "zero":
         lo[5] = 0.0
     elif defect == "sign":
@@ -191,7 +215,7 @@ def test_symmetric_factor_fails_loudly(defect, message):
     elif defect == "inf":
         up[4] = -np.inf
     else:
-        di[0, 6] = -1.0
+        di[6] = -1.0
     with pytest.raises(NumericalError, match=message):
         symmetric_factor(lo, di, up)
 
@@ -199,8 +223,9 @@ def test_symmetric_factor_fails_loudly(defect, message):
 @pytest.mark.parametrize("ghost", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("seed", [21, 22, 23])
 def test_axisym_solve_matches_splu_at_random_radii(seed, ghost):
-    # the rho stencil is not symmetric, so the stacked solve is scaled
-    # (D != 1); ghost != 0 adds the active capacitance nodes next to the hole
+    # the rho stencil is not symmetric, so the axis-0 eigenbasis is that of
+    # the scaled tridiagonal (D != 1); ghost != 0 adds the active
+    # capacitance nodes next to the hole
     rng = np.random.default_rng(seed)
     radius, dt = rng.uniform(0.4, 3.5), rng.uniform(0.02, 0.3)
     grid = AxisymGrid(rho_max=6.0, z_half=7.0, n_rho=40, n_z=96, hole=BallHole(radius))
@@ -218,7 +243,7 @@ def test_singular_capacitance_matrix_raises():
         hole[i, j], active[i, j] = True, False
     c = np.full(12, 4.0)  # h = 0.5
     with pytest.raises(NumericalError, match="capacitance"):
-        MaskedCNSolve(active, hole, (c, c, c, c), 1.25, 0.5,
+        MaskedCNSolve(SineModes(active, (c, c, c, c)), hole, 1.25, 0.5,
                       capacitance_nodes(hole_links(active, hole, (c, c, c, c)), 1.25))
     # the same links assembled sparsely: the row is exactly zero
     L, _ = masked_laplacian(active, hole, (c, c, c, c), 1.25)
@@ -452,27 +477,35 @@ def test_mode_march_matches_node_space_steps(kind):
     _check_march(grid, snaps, ledger, rows, want)
 
 
-def _box_values(solver, modes):
-    """u on every box node (hole nodes included): the unrestricted inverse DST."""
-    box = dst(modes.reshape(solver.shape), type=1, axis=0, norm="ortho").T
-    return box / solver.scale[:, None]
+def _box_modes(space, box):
+    """The mode vector of box values given on every box node, (n0, n1),
+    already scaled by D: scipy's DST along axis 1, then Q0^T along axis 0."""
+    return (dst(box.T, type=1, axis=0, norm="ortho") @ space.basis).ravel()
+
+
+def _box_values(space, modes):
+    """u on every box node (hole nodes included): Q0 undone along axis 0,
+    then the unrestricted inverse DST along axis 1."""
+    box = dst(modes.reshape(space.shape) @ space.basis.T, type=1, axis=0, norm="ortho").T
+    return box / space.scale[:, None]
 
 
 @pytest.mark.parametrize("kind", CASES)
 def test_solve_modes_ignores_the_hole_entries(kind):
     grid, ghost, _ = _masked_case(kind)
     solver = _solver(grid, ghost, 0.125)
+    space = solver.space
     assert solver.rank > 0
-    box_hole = grid.hole_mask()[solver.rows, 1:-1]
+    box_hole = grid.hole_mask()[space.rows, 1:-1]
     rng = np.random.default_rng(31)
     for _ in range(3):
-        modes = rng.standard_normal(solver.shape[0] * solver.shape[1])
-        bump = np.zeros(solver.shape)  # values on the hole nodes only
-        bump.T[box_hole] = 10.0 * rng.standard_normal(int(box_hole.sum()))
-        moved = modes + dst(bump, type=1, axis=0, norm="ortho").ravel()
+        modes = rng.standard_normal(space.shape[0] * space.shape[1])
+        bump = np.zeros(box_hole.shape)  # values on the hole nodes only
+        bump[box_hole] = 10.0 * rng.standard_normal(int(box_hole.sum()))
+        moved = modes + _box_modes(space, bump)
         assert np.max(np.abs(moved - modes)) > 0.1
-        want = solver.from_modes(solver.solve_modes(modes))
-        got = solver.from_modes(solver.solve_modes(moved))
+        want = space.from_modes(solver.solve_modes(modes))
+        got = space.from_modes(solver.solve_modes(moved))
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -485,7 +518,7 @@ def test_hole_entries_of_the_marched_modes_stay_at_round_off(kind):
     cap_nodes = capacitance_nodes(_links(grid), ghost)
 
     def factor(dt):
-        return MaskedCNSolve(active, hole, grid.stencil(), ghost, dt, cap_nodes).solve_modes
+        return MaskedCNSolve(modes, hole, ghost, dt, cap_nodes).solve_modes
 
     stops = TWO_CAP_STOPS + ((8.0, 0.125),)
     zero = np.zeros(modes.shape[0] * modes.shape[1])
@@ -503,9 +536,9 @@ def _counted_builds(monkeypatch):
     built = []
 
     class Counted(MaskedCNSolve):
-        def __init__(self, active, hole, stencil, ghost, dt, cap_nodes):
+        def __init__(self, space, hole, ghost, dt, cap_nodes):
             built.append(dt)
-            super().__init__(active, hole, stencil, ghost, dt, cap_nodes)
+            super().__init__(space, hole, ghost, dt, cap_nodes)
 
     monkeypatch.setattr(march_module, "MaskedCNSolve", Counted)
     return built
@@ -545,9 +578,9 @@ def test_masked_run_frees_each_solver_after_its_last_stop(monkeypatch):
     live, alive_at_build = weakref.WeakSet(), []
 
     class Counted(MaskedCNSolve):
-        def __init__(self, active, hole, stencil, ghost, dt, cap_nodes):
+        def __init__(self, space, hole, ghost, dt, cap_nodes):
             alive_at_build.append((dt, len(live)))
-            super().__init__(active, hole, stencil, ghost, dt, cap_nodes)
+            super().__init__(space, hole, ghost, dt, cap_nodes)
             live.add(self)
 
     monkeypatch.setattr(march_module, "MaskedCNSolve", Counted)
@@ -577,6 +610,24 @@ def test_masked_run_transforms_once_per_stop(monkeypatch, cap):
         stops = ((0.5, cap), (1.0, cap), (2.0, cap))
         march_masked(grid, Field(grid, u0), ghost, stops, kind, [t for t, _ in stops])
         assert len(calls) == 3 + len(stops)
+
+
+def test_masked_run_decomposes_the_box_once(monkeypatch):
+    # the axis-0 eigenbasis reads only the stencil: one dstevd per run,
+    # however many step sizes the run builds a solver for
+    grid, ghost, u0 = _masked_case("robin")
+    real = fastsolve.dstevd
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(fastsolve, "dstevd", counted)
+    built = _counted_builds(monkeypatch)
+    march_masked(grid, Field(grid, u0), ghost, TWO_CAP_STOPS, "robin", TWO_CAP_TIMES)
+    assert len(set(built)) == 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("kind, walks", [("dirichlet", 1), ("axisym", 1), ("robin", 1)])
