@@ -18,6 +18,14 @@ band (which holds every exact tie, so ties keep Python's round-half-even),
 non-finite values and nonzero |x| outside [1e-290, 1e290). ±0.0 prints
 from the tables. as_written parses a column printed by the same
 formatter, so a value and its CSV cell agree on one rounding rule.
+
+write_table streams each block of columns in bounded memory. Its array
+columns are sliced BLOCK_ROWS rows at a time into one (rows x k) table,
+whose words go into one word buffer reused for every slice, so a block's
+columns are never stacked whole. A scalar (0-d) column, such as a
+snapshot's time, is formatted once per block and its words repeat down
+the rows. The fallback values of a slice are printed with one join of
+their "%.12e" strings, read into the words by one frombuffer.
 """
 
 import csv
@@ -27,7 +35,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-BLOCK_ROWS = 4096  # rows formatted per string in write_table
+BLOCK_ROWS = 4096  # rows formatted per slice in write_table
 
 
 def format_value(v) -> str:
@@ -121,21 +129,29 @@ def _decimal(x):
     return m.astype(np.int64), e, fast
 
 
-def _format_block(table, sep) -> bytes:
-    """The bytes of a 2-d float64 table's rows, each value followed by sep."""
-    m, e, fast = _decimal(table)
+def _value_words(x):
+    """The five words of each value of a 2-d float64 table, shape x.shape + (5,).
+
+    Values off the fast path are printed by Python's "%.12e" with one join
+    and one frombuffer for the whole table.
+    """
+    m, e, fast = _decimal(x)
     lead, rest = np.divmod(m, 10 ** 12)
-    words = np.empty(table.shape + (6,), np.uint32)
-    words[..., 0] = _HEAD[100 * np.signbit(table) + 10 * lead + rest // 10 ** 11]
+    words = np.empty(x.shape + (5,), np.uint32)
+    words[..., 0] = _HEAD[100 * np.signbit(x) + 10 * lead + rest // 10 ** 11]
     words[..., 1] = _QUAD[rest // 10 ** 7 % 10000]
     words[..., 2] = _QUAD[rest // 1000 % 10000]
     words[..., 3] = _TRIPLE_E[rest % 1000]
     words[..., 4] = _EXP[e + _EXP_MAX]
-    words[..., 5] = sep
-    slots = words.reshape(-1, 6)
-    for i in np.flatnonzero(~fast):
-        text = ("%.12e" % table.flat[i]).encode().ljust(20, b"\0")
-        slots[i, :5] = np.frombuffer(text, np.uint32)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = "".join([("%.12e" % v).ljust(20, "\0") for v in x.ravel()[slow].tolist()])
+        words.reshape(-1, 5)[slow] = np.frombuffer(text.encode(), np.uint32).reshape(-1, 5)
+    return words
+
+
+def _text(words) -> bytes:
+    """The bytes of a word array, its NUL padding dropped."""
     raw = words.view(np.uint8).ravel()
     return raw[raw != 0].tobytes()
 
@@ -144,25 +160,45 @@ def write_table(path: str, header: Sequence[str], blocks: Iterable[Sequence]) ->
     """Write a table of floats, byte for byte as write_csv would.
 
     Each block is a sequence of columns: arrays of one length, or scalars
-    repeated down it. Rows are formatted BLOCK_ROWS at a time (see the
-    module docstring), so the whole table is never held as one string.
+    repeated down it (a block of scalars alone is one row). The array
+    columns are formatted BLOCK_ROWS rows at a time into one reused word
+    buffer and each scalar once per block (see the module docstring), so
+    the memory held does not grow with the length of a block.
     """
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     sep = np.frombuffer(b",\0\0\0" * (len(header) - 1) + b"\n\0\0\0", np.uint32)
+    words = np.empty((0, len(header), 6), np.uint32)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for columns in blocks:
-            table = np.column_stack(np.broadcast_arrays(
-                *(np.asarray(c, dtype=float) for c in columns)))
-            for start in range(0, len(table), BLOCK_ROWS):
-                fh.write(_format_block(table[start:start + BLOCK_ROWS], sep))
+            columns = [np.asarray(c, dtype=float) for c in columns]
+            shape = np.broadcast_shapes(*(c.shape for c in columns))
+            n = shape[0] if shape else 1
+            if len(words) < min(n, BLOCK_ROWS):
+                words = np.empty((min(n, BLOCK_ROWS), len(header), 6), np.uint32)
+                words[..., 5] = sep
+            scalar_cols = [j for j, c in enumerate(columns) if c.ndim == 0]
+            array_cols = [j for j, c in enumerate(columns) if c.ndim > 0]
+            if scalar_cols and n:
+                row = np.array([columns[j] for j in scalar_cols]).reshape(1, -1)
+                words[:n, scalar_cols, :5] = _value_words(row)
+            arrays = [np.broadcast_to(columns[j], shape) for j in array_cols]
+            for start in range(0, n, BLOCK_ROWS):
+                r = min(BLOCK_ROWS, n - start)
+                if arrays:
+                    x = np.stack([c[start:start + r] for c in arrays], axis=1)
+                    words[:r, array_cols, :5] = _value_words(x)
+                fh.write(_text(words[:r]))
     return path
 
 
 def as_written(values) -> np.ndarray:
     """The floats that a column of values reads back as from write_table."""
     column = np.asarray(values, dtype=float).reshape(-1, 1)
-    return np.array(_format_block(column, _NEWLINE).split(), dtype=float)
+    words = np.empty(column.shape + (6,), np.uint32)
+    words[..., :5] = _value_words(column)
+    words[..., 5] = _NEWLINE
+    return np.array(_text(words).split(), dtype=float)
 
 
 def read_csv(path: str):

@@ -175,6 +175,9 @@ def symmetric_factor(lo, di, up):
     return scale, d, e
 
 
+DST_COLUMNS = 32  # columns per real FFT in dst1
+
+
 def dst1(x):
     """The orthonormal DST-I of x along axis 0, its own inverse.
 
@@ -182,13 +185,23 @@ def dst1(x):
     off numpy's real FFT of the odd extension [0, x, 0, -x[::-1]] of length
     2 (n + 1): X = -Im(rfft)[1:n + 1] sqrt(1 / (2 (n + 1))). This is
     scipy.fft.dst(x, type=1, axis=0, norm="ortho") to round-off, without
-    loading scipy.fft.
+    loading scipy.fft. The columns go through the FFT DST_COLUMNS at a time,
+    so the temporaries are 2 (n + 1) x DST_COLUMNS, not the whole odd
+    extension and its complex transform; each column's FFT is independent
+    of the others, so dst1(x)[:, j] is bitwise dst1(x[:, j]).
     """
     n = x.shape[0]
-    odd = np.zeros((2 * (n + 1),) + x.shape[1:])
-    odd[1:n + 1] = x
-    odd[n + 2:] = -x[::-1]
-    return -rfft(odd, axis=0)[1:n + 1].imag * np.sqrt(1.0 / (2 * (n + 1)))
+    columns = x.reshape(n, -1)
+    out = np.empty(columns.shape)
+    odd = np.zeros((2 * (n + 1), min(DST_COLUMNS, columns.shape[1])))
+    for start in range(0, columns.shape[1], DST_COLUMNS):
+        chunk = columns[:, start:start + DST_COLUMNS]
+        width = chunk.shape[1]
+        odd[1:n + 1, :width] = chunk
+        np.negative(chunk[::-1], out=odd[n + 2:, :width])
+        out[:, start:start + width] = rfft(odd[:, :width], axis=0)[1:n + 1].imag
+    out *= -np.sqrt(1.0 / (2 * (n + 1)))
+    return out.reshape(x.shape)
 
 
 class SineModes:

@@ -96,6 +96,8 @@ def kernel_probe(domain: Optional[ExteriorDomain], y_dist: float,
         raise PreconditionError(f"the source distance must be finite, got {y_dist}")
     if not times or min(times) <= 0:
         raise PreconditionError("probe times must be positive")
+    if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
+        raise PreconditionError(f"probe times must strictly increase, got {list(times)}")
     if pad is None:
         pad = 4.0 * math.sqrt(4.0 * max(times))
 

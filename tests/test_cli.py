@@ -378,6 +378,18 @@ def test_malformed_flag_exit_code(tmp_path, capsys, argv):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("times", ["5,5", "10,5"])
+def test_kernel_times_out_of_order_name_the_times_given(tmp_path, capsys, times):
+    # the message lists the --t values, not the stops with the probe's
+    # warm-up stop before them
+    argv = ["kernel", "--t", times, "--grid", "96x192", "--out", str(tmp_path)]
+    assert _run(argv) == 3
+    given = [float(t) for t in times.split(",")]
+    assert capsys.readouterr().err == (
+        f"config error: probe times must strictly increase, got {given}\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_robin_row_failure_exit_code(tmp_path, capsys):
     # h = 1.5 is too coarse for a Robin hole of radius 1 at theta = 0.05:
     # the radial Robin row makes the operator grow, a numerical failure

@@ -1,18 +1,28 @@
-"""write_table's numpy formatter against Python's "%.12e", byte for byte."""
+"""write_table's numpy formatter against Python's "%.12e", byte for byte,
+across its row blocks and scalar columns, and in memory that does not grow
+with a block's length."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatext.csvio import _decimal, as_written, format_value, write_table
+from heatext.csvio import BLOCK_ROWS, _decimal, as_written, format_value, write_table
 
 
-def _assert_table_matches_format_value(path, columns):
-    header = [f"c{j}" for j in range(len(columns))]
-    write_table(str(path), header, [columns])
-    want = ",".join(header) + "\n" + "".join(
-        ",".join(format_value(float(v)) for v in row) + "\n" for row in zip(*columns))
+def _assert_table_matches_format_value(path, *blocks):
+    # each block a list of columns: arrays of one length, or scalars that
+    # repeat down the block's rows (a block of scalars alone is one row)
+    header = [f"c{j}" for j in range(len(blocks[0]))]
+    write_table(str(path), header, blocks)
+    want = ",".join(header) + "\n"
+    for columns in blocks:
+        rows = max((len(c) for c in columns if np.ndim(c)), default=1)
+        cells = [np.broadcast_to(np.asarray(c, dtype=float), (rows,)) for c in columns]
+        want += "".join(",".join(format_value(float(v)) for v in row) + "\n"
+                        for row in zip(*cells))
     with open(path, "rb") as fh:
         assert fh.read() == want.encode()
 
@@ -106,3 +116,52 @@ def test_as_written_is_each_value_read_back_through_format_value():
     assert np.array_equal(np.signbit(got), np.signbit(want))
     assert np.signbit(as_written([-0.0])[0]) and not np.signbit(as_written([0.0])[0])
     assert as_written(2.5).tolist() == [2.5] and as_written([]).size == 0
+
+
+# values that leave the fast path or sit at its edges: the exact ties,
+# non-finite values, the smallest subnormal and both 1e+-290 band edges
+EDGES = np.array(EXACT_TIES + [-v for v in EXACT_TIES] + [
+    np.inf, -np.inf, np.nan, 5e-324, -5e-324, 0.0, -0.0,
+    1e-290, np.nextafter(1e-290, 0.0), -1e-290, 1e290, np.nextafter(1e290, 0.0), -1e290])
+
+
+@pytest.mark.parametrize("rows", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                  2 * BLOCK_ROWS + 3])
+def test_write_table_block_lengths_with_a_scalar_column(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    x = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    y = rng.standard_normal(rows)
+    _assert_table_matches_format_value(
+        tmp_path / "blocks.csv", [0.25, x, y], [-1e-7, y, x], [3.0, 4.0, -5.0], [0.5, x, y])
+
+
+def test_write_table_edge_values_across_a_block_boundary_and_as_scalars(tmp_path):
+    rng = np.random.default_rng(27)
+    rows = 2 * BLOCK_ROWS + 3
+    x, y = rng.standard_normal(rows), rng.standard_normal(rows)
+    k = len(EDGES)
+    for at in (0, BLOCK_ROWS - k // 2, 2 * BLOCK_ROWS - k, rows - k):
+        x[at:at + k] = EDGES
+        y[at:at + k] = EDGES[::-1]
+    scalar_blocks = [[v, x[:3], y[:3]] for v in EDGES]
+    scalar_rows = [list(EDGES[i:i + 3]) for i in range(0, k - 2, 3)]
+    _assert_table_matches_format_value(tmp_path / "edges.csv", [EDGES[0], x, y],
+                                       *scalar_blocks, *scalar_rows)
+
+
+def test_write_table_memory_does_not_grow_with_the_block(tmp_path):
+    # the snapshot shape: a scalar time beside three node columns; rows are
+    # formatted BLOCK_ROWS at a time, so the traced peak of a block four
+    # times as long stays within 10%
+    def peak(rows):
+        rng = np.random.default_rng(rows)
+        x, y, u = (rng.standard_normal(rows) for _ in range(3))
+        tracemalloc.start()
+        try:
+            write_table(str(tmp_path / "t.csv"), ["t", "x", "y", "u"], [(1.0, x, y, u)])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    rows = 4 * BLOCK_ROWS
+    assert peak(4 * rows) <= 1.1 * peak(rows)

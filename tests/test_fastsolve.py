@@ -1,4 +1,5 @@
-"""The numpy DST-I against scipy's, the box eigenbasis against the
+"""The numpy DST-I against scipy's, column by column and in memory bounded
+by its output, the box eigenbasis against the
 symmetrised axis-0 tridiagonal, the eigenbasis + capacitance solver
 against sparse LU, the masked marches it drives against reference
 marches stepped by splu and B @ u and by the node-space solve, the
@@ -7,6 +8,7 @@ counts (solver builds, transforms, eigendecompositions and walks of the
 hole links), the symmetric tridiagonal factor of the radial march, and
 the SuperLU solve on the assembler's CSC arrays against scipy's spsolve."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -149,7 +151,7 @@ def _random_tridiagonal(rng, n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 95, 96, 191, 245])
-@pytest.mark.parametrize("columns", [None, 4])
+@pytest.mark.parametrize("columns", [None, 4, 33, 96, 245])
 def test_dst1_is_scipys_orthonormal_dst_and_its_own_inverse(n, columns):
     x = np.random.default_rng(n).standard_normal(n if columns is None else (n, columns))
     tol = 1e-14 * np.max(np.abs(x))
@@ -157,6 +159,25 @@ def test_dst1_is_scipys_orthonormal_dst_and_its_own_inverse(n, columns):
     assert got.shape == x.shape
     assert np.max(np.abs(got - dst(x, type=1, axis=0, norm="ortho"))) <= tol
     assert np.max(np.abs(dst1(got) - x)) <= tol
+    # columns go through the FFT in chunks of fastsolve.DST_COLUMNS: each
+    # column's transform is bitwise that of the column alone, whatever
+    # chunk it lands in, so snapshots do not depend on the chunk width
+    if columns is not None:
+        for j in range(columns):
+            assert np.array_equal(got[:, j], dst1(x[:, j]))
+
+
+def test_dst1_memory_is_bounded_by_its_output():
+    # the odd extension and its complex FFT are built DST_COLUMNS columns
+    # at a time, so the traced peak is at most about twice the output
+    x = np.random.default_rng(27).standard_normal((245, 245))
+    tracemalloc.start()
+    try:
+        got = dst1(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * got.nbytes
 
 
 @pytest.mark.parametrize("routine", ["dstevd", "dense_stevd"])

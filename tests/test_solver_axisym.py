@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -205,10 +206,12 @@ def test_under_resolved_probe_rejected():
 @pytest.mark.parametrize("times", [(5.0, 5.0), (10.0, 5.0)])
 def test_probe_times_must_strictly_increase(times):
     # a repeated time is not merged and an out-of-order list not sorted
-    # without a word, on either probe path
-    with pytest.raises(PreconditionError, match="strictly increase"):
+    # without a word, on either probe path; the message lists the times
+    # passed, not the stops with the warm-up before them
+    message = re.escape(f"probe times must strictly increase, got {list(times)}")
+    with pytest.raises(PreconditionError, match=message):
         kernel_probe(None, 0.0, 0.5, times, n_r=256)
-    with pytest.raises(PreconditionError, match="strictly increase"):
+    with pytest.raises(PreconditionError, match=message):
         kernel_probe(_domain(10.0), 3.0, 0.5, times, n_rho=64, n_z=128)
 
 
