@@ -152,8 +152,7 @@ def _value_words(x):
 
 def _text(words) -> bytes:
     """The bytes of a word array, its NUL padding dropped."""
-    raw = words.view(np.uint8).ravel()
-    return raw[raw != 0].tobytes()
+    return words.tobytes().translate(None, b"\0")
 
 
 def write_table(path: str, header: Sequence[str], blocks: Iterable[Sequence]) -> str:

@@ -19,14 +19,17 @@ the shared assembler `solver.grids.masked_laplacian`, on the quadrant
 x, y >= 0 only: the hole and the disc are centred, so phi_R is even in x
 and in y, and the folded problem (axis links doubled: the k = 0 parity
 row of `solver.grids.radial_links`) has exactly the restriction of the
-full solution as its solution; it is unfolded into the full field. The
-folded system is solved by SuperLU (`spsolve`, from `solver.fastsolve`:
-scipy's compiled gssv on the assembler's CSC arrays, without
-scipy.sparse). In dim 3 it solves the evolution's rows
-(`radial_operator`), on which 1/r is exactly discrete-harmonic, with the
-march's symmetric factor and LAPACK dpttrs; the boundary influence is
-proportional to 1/(R - q) with offset q = a^2 b / (1 + a b) (q = a for
-Dirichlet), which the two-point extrapolation uses.
+full solution as its solution; it is unfolded into the full field. When
+the quadrant's masks are also symmetric under x <-> y (a ball, a square
+rect), the quadrant folds once more onto the octant 0 <= y <= x, with
+about half the unknowns. The folded system is solved by SuperLU
+(`spsolve`, from `solver.fastsolve`: scipy's compiled gssv on the
+assembler's CSC arrays, without scipy.sparse). In dim 3 it solves the
+evolution's rows (`radial_operator`), on which 1/r is exactly
+discrete-harmonic, with the march's symmetric factor and LAPACK dpttrs;
+the boundary influence is proportional to 1/(R - q) with offset
+q = a^2 b / (1 + a b) (q = a for Dirichlet), which the two-point
+extrapolation uses.
 """
 
 import math
@@ -192,6 +195,9 @@ def _radial_truncated_solve(dim: int, a: float, theta: ThetaBoundary,
     return grid.nodes(), phi
 
 
+_MIN_HALF_NODES = 8  # m >= 8: PlanarGrid takes no fewer than 16 cells a side
+
+
 def _planar_lattice(hole: HoleSpec, R: float, h: float) -> PlanarGrid:
     """The grid of the truncated solve at radius R: the nodes i h, j h of
     the global lattice with |i|, |j| <= ceil(R / h) + 1."""
@@ -216,6 +222,16 @@ def _planar_truncated_solve(hole: HoleSpec, theta: ThetaBoundary, R: float,
     system; so the fold is exact, not an approximation. The quadrant masks
     use the quadrant's own coordinates i h, which makes the returned field
     mirror-symmetric by construction.
+
+    When the quadrant's active and hole masks equal their transposes, the
+    problem is symmetric under x <-> y as well (both axes take the same
+    links and the ghost factor is one number), and phi is too. The solve
+    then keeps the octant j <= i alone: a node above the diagonal shares
+    the unknown of its image (j, i), and a diagonal node's two links to
+    the far side of the diagonal land on one image, whose entries are
+    summed. The same argument makes this second fold exact, and the
+    unknown map unfolds the octant into the quadrant, so the field is
+    symmetric under x <-> y by construction.
     """
     grid = _planar_lattice(hole, R, h)
     m = grid.n // 2
@@ -229,13 +245,22 @@ def _planar_truncated_solve(hole: HoleSpec, theta: ThetaBoundary, R: float,
     # the parity row of the k = 0 radial links; the far nodes outside the
     # circle carry phi = 1, which moves to the right-hand side
     lo, up = radial_links(np.arange(m + 1.0), 1.0, 0)
-    L, far_coef = masked_laplacian(active, hole_mask, (lo, up, lo, up), hole_ghost(theta, h))
+    idx = None
+    if np.array_equal(active, active.T) and np.array_equal(hole_mask, hole_mask.T):
+        # the octant j <= i numbered; a node above the diagonal takes the
+        # unknown of its image
+        octant = active & np.tri(m + 1, dtype=bool)
+        idx = -np.ones(active.shape, dtype=np.int64)
+        idx[octant] = np.arange(int(octant.sum()))
+        idx = np.maximum(idx, idx.T)
+    L, far_coef = masked_laplacian(active, hole_mask, (lo, up, lo, up),
+                                   hole_ghost(theta, h), idx)
     phi_vec = spsolve(L, -far_coef)
     if not np.all(np.isfinite(phi_vec)):
         raise NumericalError("planar harmonic solve produced non-finite values")
     quad = np.ones((m + 1, m + 1))
     quad[hole_mask] = 0.0
-    quad[active] = phi_vec
+    quad[active] = phi_vec if idx is None else phi_vec[idx[active]]
     half = np.concatenate([quad[:0:-1], quad])
     return Field(grid, np.concatenate([half[:, :0:-1], half], axis=1), 0.0).lock()
 
@@ -247,9 +272,11 @@ def profile_elliptic(domain: ExteriorDomain, theta: ThetaBoundary,
     dim 3 (ball hole): radial second-order solves (RadialGrid rejects an h
     with < 64 cells below min(R), exit 3); the limit table is the
     two-point extrapolation in 1/(R - q) of the two largest radii.
-    dim 2: masked 5-point solves on a shared lattice; no extrapolation:
-    the limit is `profile_planar`'s constant, and the per-R fields
-    demonstrate the monotone decrease toward it.
+    dim 2: masked 5-point solves on a shared lattice of spacing h (0.25
+    by default; min(R) > 6 h, so that each grid has ceil(R / h) + 1 >= 8
+    nodes on a half axis, else PreconditionError before any solve); no
+    extrapolation: the limit is `profile_planar`'s constant, and the per-R
+    fields demonstrate the monotone decrease toward it.
     """
     radii = tuple(float(R) for R in R_list)
     if not all(math.isfinite(R) for R in radii):
@@ -296,6 +323,13 @@ def profile_elliptic(domain: ExteriorDomain, theta: ThetaBoundary,
     # peak then no longer depends on where those holes fell.
     if h is None:
         h = 0.25
+    if not (math.isfinite(h) and h > 0.0):
+        raise PreconditionError(f"the lattice spacing h must be positive and finite, got {h}")
+    if math.ceil(radii[0] / h) + 1 < _MIN_HALF_NODES:
+        raise PreconditionError(
+            f"min(R_list) = {radii[0]:g} is too small for the lattice spacing h = {h:g}: "
+            f"the planar solve needs ceil(R / h) + 1 >= {_MIN_HALF_NODES}, "
+            f"that is R > {(_MIN_HALF_NODES - 2) * h:g}")
     small = _planar_lattice(domain.hole, radii[0], h)
     per_fields = {}
     for R in reversed(radii):

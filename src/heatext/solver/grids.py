@@ -360,34 +360,48 @@ def hole_weights(grid, ghost: float, links) -> np.ndarray:
     return (ghost - 1.0) * grid.volume_weights()[active] * sums[active]
 
 
-def masked_laplacian(active, hole, stencil, hole_ghost):
-    """Stencil matrix over the active nodes of a masked 2d node array.
+def masked_laplacian(active, hole, stencil, hole_ghost, idx=None):
+    """Stencil matrix over the unknowns of a masked 2d node array.
 
     stencil is (lo0, up0, lo1, up1): node (i, j) links to (i - 1, j) and
     (i + 1, j) with coefficients lo0[i] and up0[i], and to (i, j - 1) and
     (i, j + 1) with lo1[j] and up1[j]; a link applies where its
-    coefficient is nonzero. An active neighbour gives an off-diagonal
-    entry. A hole neighbour stands for the ghost value hole_ghost * u: 0
-    for Dirichlet, the Robin face factor, 1 for Neumann (the link drops
-    out). Any other neighbour lies on the outer edge, whose value is zero
-    or moves to a right-hand side.
+    coefficient is nonzero. An active neighbour gives an entry in its
+    unknown's column. A hole neighbour stands for the ghost value
+    hole_ghost * u: 0 for Dirichlet, the Robin face factor, 1 for Neumann
+    (the link drops out). Any other neighbour lies on the outer edge,
+    whose value is zero or moves to a right-hand side.
 
-    Returns (L, edge_coef). L acts on the vector of active values, as the
+    idx maps each active node to its unknown, 0 .. n - 1 (its value off
+    the active nodes is not read); without it every active node is its
+    own unknown, numbered in row-major order. Nodes that share an unknown
+    are mirror images, whose rows agree: the first of them in row-major
+    order owns the unknown and gives its row, and the entries that its
+    links put in one column are summed.
+
+    Returns (L, edge_coef). L acts on the vector of unknowns, as the
     canonical CSC arrays (n, data, indices, indptr): row indices sorted
-    within each column, no duplicates, explicit zeros kept, indices and
-    indptr of C int; these are the arrays scipy.sparse.csr_matrix((data,
-    (rows, cols))).tocsc() gives. edge_coef sums each node's link
-    coefficients to the outer edge.
+    within each column, mirrored entries summed into one, explicit zeros
+    kept, indices and indptr of C int; these are the arrays
+    scipy.sparse.csr_matrix((data, (rows, cols))).tocsc() gives.
+    edge_coef sums each unknown's link coefficients to the outer edge.
     """
-    n = int(active.sum())
-    idx = -np.ones(active.shape, dtype=np.int64)
+    I, J = np.where(active)
+    if idx is None:
+        idx = -np.ones(active.shape, dtype=np.int64)
+        idx[I, J] = np.arange(I.size)
+    else:
+        idx = np.where(active, idx, -1)
+        unknowns, first = np.unique(idx[I, J], return_index=True)
+        if not np.array_equal(unknowns, np.arange(unknowns.size)):
+            raise PreconditionError("idx must number the unknowns 0 .. n - 1")
+        I, J = I[first], J[first]  # the owners, in the order of their unknowns
+    n = I.size
     me = np.arange(n)
-    idx[active] = me
     rows, cols, vals = [], [], []
     diag = np.zeros(n)
     edge_coef = np.zeros(n)
     lo0, up0, lo1, up1 = stencil
-    I, J = np.where(active)
     for c, di, dj in ((up0[I], 1, 0), (lo0[I], -1, 0), (up1[J], 0, 1), (lo1[J], 0, -1)):
         sel = c != 0.0
         c, nb_i, nb_j = c[sel], I[sel] + di, J[sel] + dj
@@ -401,10 +415,14 @@ def masked_laplacian(active, hole, stencil, hole_ghost):
         edge_coef[sel] += np.where(nb_active | nb_hole, 0.0, c)
     rows, cols = np.concatenate(rows + [me]), np.concatenate(cols + [me])
     order = np.lexsort((rows, cols))  # by column, then by row
+    rows, cols = rows[order], cols[order]
+    # one entry per (row, column): the first of each run of equal keys
+    start = np.flatnonzero(np.concatenate(([True], (rows[1:] != rows[:-1])
+                                           | (cols[1:] != cols[:-1]))))
+    data = np.add.reduceat(np.concatenate(vals + [diag])[order], start)
     indptr = np.zeros(n + 1, dtype=np.intc)
-    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
-    data = np.concatenate(vals + [diag])[order]
-    return (n, data, rows[order].astype(np.intc), indptr), edge_coef
+    np.cumsum(np.bincount(cols[start], minlength=n), out=indptr[1:])
+    return (n, data, rows[start].astype(np.intc), indptr), edge_coef
 
 
 @dataclass

@@ -390,6 +390,17 @@ def test_kernel_times_out_of_order_name_the_times_given(tmp_path, capsys, times)
     assert os.listdir(tmp_path) == []
 
 
+def test_planar_elliptic_radius_below_the_lattice_names_R_and_h(tmp_path, capsys):
+    # the message names the radius and the spacing, not the grid's cell count
+    argv = ["profile", "--dim", "2", "--method", "elliptic", "--hole", "rect:0.01x0.01",
+            "--R", "1,2", "--out", str(tmp_path)]
+    assert _run(argv) == 3
+    assert capsys.readouterr().err == (
+        "config error: min(R_list) = 1 is too small for the lattice spacing h = 0.25: "
+        "the planar solve needs ceil(R / h) + 1 >= 8, that is R > 1.5\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_robin_row_failure_exit_code(tmp_path, capsys):
     # h = 1.5 is too coarse for a Robin hole of radius 1 at theta = 0.05:
     # the radial Robin row makes the operator grow, a numerical failure

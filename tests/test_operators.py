@@ -14,7 +14,7 @@ import pytest
 import scipy.sparse as sp
 
 from heatext.domain import BallHole, RectHole, ThetaBoundary
-from heatext.errors import GeometryError
+from heatext.errors import GeometryError, PreconditionError
 from heatext.solver import AxisymGrid, PlanarGrid, RadialGrid
 from heatext.solver.grids import (
     MAX_NODES,
@@ -179,6 +179,53 @@ def test_masked_laplacian_arrays_are_scipys_canonical_csc(grid, theta):
     assert np.array_equal(data, want.data)
     assert indices.dtype == indptr.dtype == np.intc
     assert np.array_equal(edge_coef, edge)
+
+
+@pytest.mark.parametrize("hole", [BallHole(1.3), RectHole(1.0, 1.0)])
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+def test_folded_masked_laplacian_arrays_are_scipys_canonical_csc(hole, theta):
+    # the quadrant x, y >= 0 of a centred grid, with the axis links folded
+    # (the parity row), then folded across the diagonal onto j <= i: the
+    # arrays are scipy's restriction of the quadrant matrix to the owners'
+    # rows with the columns of mirror images summed
+    grid = PlanarGrid(half_width=4.0, n=32, hole=hole)
+    active, hole_mask = grid.active_mask()[16:, 16:], grid.hole_mask()[16:, 16:]
+    assert np.array_equal(active, active.T) and np.array_equal(hole_mask, hole_mask.T)
+    lo, up = radial_links(np.arange(17.0), 1.0, 0)
+    stencil, ghost = (lo, up, lo, up), hole_ghost(ThetaBoundary(theta), grid.h)
+    octant = np.tril(active)
+    idx = -np.ones(active.shape, dtype=np.int64)
+    idx[octant] = np.arange(int(octant.sum()))
+    idx = np.maximum(idx, idx.T)
+    (n, data, indices, indptr), edge_coef = masked_laplacian(active, hole_mask, stencil,
+                                                             ghost, idx)
+    (nq, qdata, qindices, qindptr), qedge = masked_laplacian(active, hole_mask, stencil, ghost)
+    quad = sp.csc_matrix((qdata, qindices, qindptr), shape=(nq, nq)).tocoo()
+    node = idx[active]  # each quadrant unknown's octant unknown
+    first = np.unique(node, return_index=True)[1]  # each owner, first in row-major order
+    owner = np.zeros(nq, dtype=bool)
+    owner[first] = True
+    keep = owner[quad.row]
+    want = sp.csr_matrix((quad.data[keep], (node[quad.row[keep]], node[quad.col[keep]])),
+                         shape=(n, n)).tocsc()
+    assert n == int(octant.sum()) < nq
+    assert indices.dtype == indptr.dtype == np.intc
+    for c in range(n):  # sorted rows, no duplicates
+        assert np.all(np.diff(indices[indptr[c]:indptr[c + 1]]) > 0)
+    assert np.array_equal(indptr, want.indptr) and np.array_equal(indices, want.indices)
+    assert np.array_equal(data, want.data)
+    assert np.array_equal(edge_coef, qedge[first])
+    # the diagonal nodes' two links across the diagonal were summed
+    assert data.size < int(keep.sum())
+
+
+def test_masked_laplacian_rejects_a_gap_in_the_unknowns():
+    active = np.ones((4, 4), dtype=bool)
+    idx = np.arange(16).reshape(4, 4)
+    idx[0, 0] = 16
+    c = np.ones(4)
+    with pytest.raises(PreconditionError, match="0 .. n - 1"):
+        masked_laplacian(active, ~active, (c, c, c, c), 0.0, idx)
 
 
 # ---------------------------------------------------- the one link source

@@ -26,6 +26,7 @@ from heatext.solver.grids import (
     PlanarGrid,
     RadialGrid,
     hole_ghost,
+    hole_nodes,
     masked_laplacian,
 )
 
@@ -221,6 +222,28 @@ def test_elliptic_rejects_bad_radius_list():
             profile_elliptic(dom, DIRICHLET, (8.0, bad))
 
 
+def test_planar_elliptic_names_R_and_h_when_the_lattice_is_too_small(monkeypatch):
+    # ceil(R / h) + 1 >= 8 nodes on a half axis, checked before any solve
+    import heatext.profiles as profiles
+    solved = []
+    monkeypatch.setattr(profiles, "_planar_truncated_solve",
+                        lambda *args: solved.append(args))
+    dom = ExteriorDomain(2, RectHole(0.01, 0.01), 40.0)
+    with pytest.raises(PreconditionError, match=r"min\(R_list\) = 1 is too small for the "
+                       r"lattice spacing h = 0\.25: .* that is R > 1\.5"):
+        profile_elliptic(dom, DIRICHLET, (1.0, 2.0))
+    with pytest.raises(PreconditionError, match="h = 0.5"):
+        profile_elliptic(dom, DIRICHLET, (3.0, 8.0), h=0.5)
+    for bad in (0.0, -0.25, math.nan, math.inf):
+        with pytest.raises(PreconditionError, match="spacing h must be positive and finite"):
+            profile_elliptic(dom, DIRICHLET, (8.0, 16.0), h=bad)
+    assert solved == []
+    # the smallest radius the lattice takes: ceil(R / h) = 7
+    monkeypatch.undo()
+    table = profile_elliptic(dom, DIRICHLET, (1.5001, 2.0))
+    assert table.planar_fields[1.5001].grid.n == 16
+
+
 # ------------------------------------------------------------ planar fold
 
 def _full_grid_solve(hole, theta, R, h):
@@ -247,7 +270,7 @@ def _full_grid_solve(hole, theta, R, h):
 
 @pytest.mark.parametrize("R", [8.0, 16.0])
 @pytest.mark.parametrize("theta", [0.0, 0.3, 1.0])
-@pytest.mark.parametrize("hole", [BallHole(1.0), RectHole(1.0, 0.5)])
+@pytest.mark.parametrize("hole", [BallHole(1.0), RectHole(1.0, 0.5), RectHole(1.0, 1.0)])
 def test_planar_quadrant_fold_matches_full_grid(hole, theta, R):
     tb = ThetaBoundary(theta)
     want, symmetric = _full_grid_solve(hole, tb, R, 0.25)
@@ -271,10 +294,40 @@ def test_planar_profile_is_mirror_symmetric():
     f = _planar_truncated_solve(BallHole(1.0), DIRICHLET, 64.0, 1.0 / 3.0)
     assert np.array_equal(f.values, f.values[::-1, :])
     assert np.array_equal(f.values, f.values[:, ::-1])
+    assert np.array_equal(f.values, f.values.T)  # the octant fold's image
+
+
+def _quadrant_active(hole, R, h):
+    """The active nodes of the truncated solve's quadrant x, y >= 0."""
+    m = int(math.ceil(R / h)) + 1
+    X, Y = np.meshgrid(np.arange(m + 1) * h, np.arange(m + 1) * h, indexing="ij")
+    return (X ** 2 + Y ** 2 < R ** 2 - 1e-12) & ~hole_nodes(hole, X, Y, 1e-12 * m * h)
+
+
+@pytest.mark.parametrize("hole, octant", [(BallHole(1.0), True), (RectHole(1.0, 1.0), True),
+                                          (RectHole(1.0, 0.5), False)])
+def test_planar_solve_folds_onto_the_octant_when_x_y_symmetric(monkeypatch, hole, octant):
+    # a hole symmetric under x <-> y is solved on the nodes j <= i of the
+    # quadrant; any other keeps one unknown per active quadrant node
+    import heatext.profiles as profiles
+    sizes = []
+    solve = profiles.spsolve
+
+    def recorded(L, b):
+        sizes.append(L[0])
+        return solve(L, b)
+
+    monkeypatch.setattr(profiles, "spsolve", recorded)
+    f = _planar_truncated_solve(hole, ROBIN_HALF, 16.0, 0.25)
+    active = _quadrant_active(hole, 16.0, 0.25)
+    want = np.tril(active).sum() if octant else active.sum()
+    assert sizes == [want]
+    assert np.array_equal(f.values, f.values.T) == octant
 
 
 @settings(max_examples=20, deadline=None)
-@given(ball=st.booleans(), size=st.floats(0.3, 2.0), aspect=st.floats(0.3, 1.0),
+@given(ball=st.booleans(), size=st.floats(0.3, 2.0),
+       aspect=st.one_of(st.just(1.0), st.floats(0.3, 1.0)),
        theta=st.floats(0.0, 1.0, allow_subnormal=False), h=st.sampled_from([0.25, 0.5]),
        R_extra=st.floats(0.5, 6.0))
 def test_planar_fold_property(ball, size, aspect, theta, h, R_extra):
