@@ -22,7 +22,7 @@ import numpy as np
 
 from . import asymptotics as asym
 from . import constructions as cons
-from .csvio import as_written, write_csv, write_table
+from .csvio import Indexed, as_written, write_csv, write_table
 from .domain import ExteriorDomain, ThetaBoundary, required_far_radius
 from .errors import (
     ConfigError,
@@ -79,6 +79,13 @@ def _floats(text: str, flag: str) -> tuple:
         raise ConfigError(f"{flag} takes comma-separated numbers, got '{text}'") from None
 
 
+def _lattice_columns(c0, c1, keep) -> list:
+    """The coordinate columns of a 2d lattice's nodes where keep holds, in
+    row-major order: c0[i] and c1[j] at node (i, j), the meshgrid's values,
+    as csvio.Indexed columns that write_table formats once per table."""
+    return [Indexed(c, index) for c, index in zip((c0, c1), np.nonzero(keep))]
+
+
 # ----------------------------------------------------------------- evolve
 
 def _run(cfg: RunConfig):
@@ -103,8 +110,8 @@ def _run(cfg: RunConfig):
         domain = ExteriorDomain(2, cfg.hole, grid.half_width)
         snaps, ledger = evolve_planar(domain, theta, u0, stepper)
         profile = profile_planar(cfg.hole, theta)
-        keep = ~grid.hole_mask()
-        columns, coords = ["t", "x", "y", "u"], [c[keep] for c in grid.meshgrid()]
+        keep, c = ~grid.hole_mask(), grid.coords()
+        columns, coords = ["t", "x", "y", "u"], _lattice_columns(c, c, keep)
     m = asymptotic_mass(u0, profile)
     rates = asym.RateSeries.from_snapshots(snaps, m, profile, ledger)
     # judged on the numbers rates.csv and ledger.csv hold, so that
@@ -256,10 +263,9 @@ def cmd_profile(args) -> list:
                           zip(table.r, table.per_radius[R]))
         elif table is not None:
             for R, f in table.planar_fields.items():
-                X, Y = f.grid.meshgrid()
-                keep = ~f.grid.hole_mask()
+                keep, c = ~f.grid.hole_mask(), f.grid.coords()
                 write_table(os.path.join(out_dir, f"profile_R{number_text(R)}.csv"),
-                            ["x", "y", "phi"], [(X[keep], Y[keep], f.values[keep])])
+                            ["x", "y", "phi"], [(*_lattice_columns(c, c, keep), f.values[keep])])
         if args.svg and closed is not None:
             line_plot_svg(os.path.join(out_dir, "profile.svg"),
                           [(closed.r, closed.values, "phi")],
@@ -371,12 +377,12 @@ def cmd_kernel(args) -> list:
 
     def write(out_dir):
         grid = probe.snapshots[0].grid
-        R, Z = grid.meshgrid()
         keep = ~grid.hole_mask()
+        rho, z = _lattice_columns(grid.rho_nodes(), grid.z_nodes(), keep)
         write_csv(os.path.join(out_dir, "gaps.csv"),
                   ["t", "gap", "bound", "profile_term", "hole_term"], rows)
         write_table(os.path.join(out_dir, "snapshots.csv"), ["t", "rho", "z", "u"],
-                    ((t, R[keep], Z[keep], probe.snapshot_at(t).values[keep]) for t in times))
+                    ((t, rho, z, probe.snapshot_at(t).values[keep]) for t in times))
 
     return [(os.path.join(_out_root(args), f"kernel-y{number_text(y)}"), lines, write)]
 

@@ -26,16 +26,34 @@ columns are never stacked whole. A scalar (0-d) column, such as a
 snapshot's time, is formatted once per block and its words repeat down
 the rows. The fallback values of a slice are printed with one join of
 their "%.12e" strings, read into the words by one frombuffer.
+
+An Indexed column, values[index], is a lattice coordinate: a few hundred
+distinct values repeated down tens of thousands of rows and again in every
+snapshot block. write_table formats its values once per table, however
+many blocks share the Indexed object, and gathers each slice's words by
+index[start:start + rows]. Its state is the five words of each distinct
+value, 20 bytes apiece; the words of a whole column are never held, so
+the memory stays bounded by the distinct values and BLOCK_ROWS. The same
+formatter sees the same floats, so the bytes equal those of the column
+values[index] materialised.
 """
 
 import csv
 import math
 import os
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 BLOCK_ROWS = 4096  # rows formatted per slice in write_table
+
+
+class Indexed(NamedTuple):
+    """A write_table column that means values[index]: distinct float values
+    and a 1-d integer index into them, one entry per row."""
+
+    values: np.ndarray
+    index: np.ndarray
 
 
 def format_value(v) -> str:
@@ -102,6 +120,7 @@ def _word_tables():
 
 _HEAD, _QUAD, _TRIPLE_E, _EXP = _word_tables()
 _NEWLINE = np.frombuffer(b"\n\0\0\0", np.uint32)
+_VALUE = np.dtype((np.void, 20))  # a value's five words as one item, gathered by one copy
 
 
 def _decimal(x):
@@ -158,26 +177,42 @@ def _text(words) -> bytes:
 def write_table(path: str, header: Sequence[str], blocks: Iterable[Sequence]) -> str:
     """Write a table of floats, byte for byte as write_csv would.
 
-    Each block is a sequence of columns: arrays of one length, or scalars
+    Each block is a sequence of columns: arrays of one length, Indexed
+    columns values[index] whose index has that length, or scalars
     repeated down it (a block of scalars alone is one row). The array
     columns are formatted BLOCK_ROWS rows at a time into one reused word
-    buffer and each scalar once per block (see the module docstring), so
-    the memory held does not grow with the length of a block.
+    buffer, each scalar once per block, and each Indexed column's values
+    once per table, its rows gathered from their words (see the module
+    docstring). The memory held grows with neither the length of a block
+    nor the number of blocks, only with the distinct values of the
+    Indexed columns, 20 bytes each.
     """
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     sep = np.frombuffer(b",\0\0\0" * (len(header) - 1) + b"\n\0\0\0", np.uint32)
     words = np.empty((0, len(header), 6), np.uint32)
+    formatted = {}  # id of an Indexed column -> (the column, its values' words)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for columns in blocks:
-            columns = [np.asarray(c, dtype=float) for c in columns]
-            shape = np.broadcast_shapes(*(c.shape for c in columns))
+        for block in blocks:
+            columns = [c if isinstance(c, Indexed) else np.asarray(c, dtype=float)
+                       for c in block]
+            shapes = [np.shape(c.index) if isinstance(c, Indexed) else c.shape
+                      for c in columns]
+            shape = np.broadcast_shapes(*shapes)
             n = shape[0] if shape else 1
             if len(words) < min(n, BLOCK_ROWS):
                 words = np.empty((min(n, BLOCK_ROWS), len(header), 6), np.uint32)
                 words[..., 5] = sep
-            scalar_cols = [j for j, c in enumerate(columns) if c.ndim == 0]
-            array_cols = [j for j, c in enumerate(columns) if c.ndim > 0]
+            floats = [(j, c) for j, c in enumerate(columns) if not isinstance(c, Indexed)]
+            scalar_cols = [j for j, c in floats if c.ndim == 0]
+            array_cols = [j for j, c in floats if c.ndim > 0]
+            gathered = []  # (column number, words of its values, its index)
+            for j, c in enumerate(columns):
+                if isinstance(c, Indexed):
+                    if id(c) not in formatted:
+                        values = np.asarray(c.values, dtype=float).reshape(-1, 1)
+                        formatted[id(c)] = c, _value_words(values).view(_VALUE).ravel()
+                    gathered.append((j, formatted[id(c)][1], np.broadcast_to(c.index, shape)))
             if scalar_cols and n:
                 row = np.array([columns[j] for j in scalar_cols]).reshape(1, -1)
                 words[:n, scalar_cols, :5] = _value_words(row)
@@ -187,6 +222,8 @@ def write_table(path: str, header: Sequence[str], blocks: Iterable[Sequence]) ->
                 if arrays:
                     x = np.stack([c[start:start + r] for c in arrays], axis=1)
                     words[:r, array_cols, :5] = _value_words(x)
+                for j, value_words, index in gathered:
+                    words[:r, j, :5].view(_VALUE)[:, 0] = value_words[index[start:start + r]]
                 fh.write(_text(words[:r]))
     return path
 

@@ -3,9 +3,13 @@
 Every grid owns its geometry through the same members: `dim`, the space
 dimension of the fields it carries; `hole`, its HoleSpec or None;
 `radii()`, each node's distance from the origin; `hole_mask()`, True on
-the nodes inside the hole; and `spacing`, the finest node spacing, which
-caps a run's steps. Code that judges a field against the profile
-(`asymptotics.error_norms`, `profiles.asymptotic_mass`) reads only these.
+the nodes inside the hole (on a masked grid, PlanarGrid or AxisymGrid,
+one read-only array built on the first call); and `spacing`, the finest
+node spacing, which caps a run's steps. Code that judges a field against
+the profile (`asymptotics.error_norms`, `profiles.asymptotic_mass`) reads
+only these. Every constructor checks the node budget MAX_NODES, and a
+masked grid's also the byte budget MAX_MASKED_BYTES of a run on it,
+before any array is made.
 
 Every grid's `stencil()`, (lo, up) or (lo0, up0, lo1, up1), is the one
 source of its link coefficients, and `radial_links` the one radial link
@@ -16,6 +20,7 @@ read the stencil; `hole_links` is the one walk of the links into the hole.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -30,13 +35,40 @@ from ..errors import GeometryError, PreconditionError
 # nodes); 10^7 nodes are 80 MB per float array.
 MAX_NODES = 10 ** 7
 
+# A run on a masked grid (PlanarGrid, AxisymGrid) holds about
+# MASKED_NODE_BYTES per node: its datum, masks, weights, mode vectors and a
+# snapshot (115 B measured on planar runs to r_out = 20 at h = 0.2 to 0.05),
+# and the n0 x n0 axis-0 eigenbasis of `fastsolve.SineModes`, 8 n0^2 bytes,
+# whose dense transforms cost O(n0^3) each. MAX_MASKED_BYTES caps that
+# estimate, so a grid under MAX_NODES that would still need gigabytes and
+# seconds per transform is a bad input too.
+MASKED_NODE_BYTES = 115
+MAX_MASKED_BYTES = 10 ** 9
 
-def _check_nodes(shape) -> None:
-    """Reject a grid whose node shape holds more than MAX_NODES nodes."""
+
+def _check_nodes(shape, masked: bool = False) -> None:
+    """Reject a grid whose node shape holds more than MAX_NODES nodes or, for
+    a masked grid, whose run needs more than MAX_MASKED_BYTES."""
     count = math.prod(shape)
     if count > MAX_NODES:
         raise GeometryError(f"a grid of about 10^{math.log10(count):.1f} nodes exceeds "
                             f"the budget of 10^{math.log10(MAX_NODES):g} nodes")
+    need = MASKED_NODE_BYTES * count + 8 * shape[0] ** 2 if masked else 0
+    if need > MAX_MASKED_BYTES:
+        raise GeometryError(f"a masked grid of {shape[0]} x {shape[1]} nodes needs about "
+                            f"{need / 1e9:.2f} GB, over the budget of "
+                            f"{MAX_MASKED_BYTES / 1e9:g} GB")
+
+
+def _hole_mask(hole, c0, c1, eps) -> np.ndarray:
+    """The read-only mask of the nodes (c0[i], c1[j]) inside or on the
+    boundary of a centred hole, all False for None."""
+    if hole is None:
+        mask = np.zeros((c0.size, c1.size), dtype=bool)
+    else:
+        mask = hole_nodes(hole, *np.meshgrid(c0, c1, indexing="ij"), eps)
+    mask.flags.writeable = False
+    return mask
 
 
 def radial_links(r, h: float, k: int) -> tuple:
@@ -157,7 +189,7 @@ class PlanarGrid:
             raise GeometryError("half_width must be positive")
         if self.n < 16:
             raise GeometryError(f"n must be at least 16, got {self.n}")
-        _check_nodes(self.shape)
+        _check_nodes(self.shape, masked=True)
         if self.hole is not None:
             if self.hole.circumscribed_radius >= self.half_width:
                 raise GeometryError("hole must lie strictly inside the grid square")
@@ -183,12 +215,14 @@ class PlanarGrid:
         c2 = self.coords() ** 2
         return np.sqrt(np.add.outer(c2, c2))
 
+    @cached_property
+    def _hole(self) -> np.ndarray:
+        return _hole_mask(self.hole, self.coords(), self.coords(), 1e-12 * self.half_width)
+
     def hole_mask(self) -> np.ndarray:
-        """True on nodes inside (or on) the hole boundary."""
-        X, Y = self.meshgrid()
-        if self.hole is None:
-            return np.zeros_like(X, dtype=bool)
-        return hole_nodes(self.hole, X, Y, 1e-12 * self.half_width)
+        """True on nodes inside (or on) the hole boundary: one read-only
+        array per grid, built on the first call."""
+        return self._hole
 
     def edge_mask(self) -> np.ndarray:
         m = np.zeros(self.shape, dtype=bool)
@@ -232,7 +266,7 @@ class AxisymGrid:
             raise GeometryError("rho_max and z_half must be positive")
         if self.n_rho < 16 or self.n_z < 16:
             raise GeometryError("n_rho and n_z must be at least 16")
-        _check_nodes(self.shape)
+        _check_nodes(self.shape, masked=True)
         if self.hole is not None:
             if not isinstance(self.hole, BallHole):
                 raise GeometryError(f"axisymmetric grids take a ball hole, got {self.hole!r}")
@@ -267,11 +301,14 @@ class AxisymGrid:
     def radii(self) -> np.ndarray:
         return np.sqrt(np.add.outer(self.rho_nodes() ** 2, self.z_nodes() ** 2))
 
+    @cached_property
+    def _hole(self) -> np.ndarray:
+        return _hole_mask(self.hole, self.rho_nodes(), self.z_nodes(), 1e-12)
+
     def hole_mask(self) -> np.ndarray:
-        R, Z = self.meshgrid()
-        if self.hole is None:
-            return np.zeros_like(R, dtype=bool)
-        return hole_nodes(self.hole, R, Z, 1e-12)
+        """True on nodes inside (or on) the hole boundary: one read-only
+        array per grid, built on the first call."""
+        return self._hole
 
     def edge_mask(self) -> np.ndarray:
         m = np.zeros(self.shape, dtype=bool)

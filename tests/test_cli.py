@@ -10,7 +10,7 @@ import pytest
 
 import heatext
 from heatext.cli import main
-from heatext.csvio import format_value, read_csv, write_csv, write_table
+from heatext.csvio import as_written, format_value, read_csv, write_csv, write_table
 from heatext.runconfig import (
     RunConfig,
     number_text,
@@ -401,6 +401,17 @@ def test_planar_elliptic_radius_below_the_lattice_names_R_and_h(tmp_path, capsys
     assert os.listdir(tmp_path) == []
 
 
+def test_planar_run_over_the_byte_budget_exits_3_before_any_array(tmp_path, capsys):
+    # 3079 x 3079 nodes lie under grids.MAX_NODES, but a run on them would
+    # hold about 1.17 GB: the grid's constructor rejects it
+    argv = ["evolve", "--dim", "2", "--r-out", "20", "--h", "0.013", "--out", str(tmp_path)]
+    assert _run(argv) == 3
+    assert capsys.readouterr().err == (
+        "config error: a masked grid of 3079 x 3079 nodes needs about 1.17 GB, "
+        "over the budget of 1 GB\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_robin_row_failure_exit_code(tmp_path, capsys):
     # h = 1.5 is too coarse for a Robin hole of radius 1 at theta = 0.05:
     # the radial Robin row makes the operator grow, a numerical failure
@@ -739,3 +750,73 @@ def test_a_failed_extension_load_falls_back_to_scipys_public_imports(tmp_path):
     written = _files(fast)
     assert sum(name.endswith(".csv") for name in written) >= 8
     assert _files(fail) == written
+
+
+# ------------------------------------------------------- lattice columns
+
+def _capture(monkeypatch, name):
+    """Record what the CLI's `name` returns (the first argument as well, for
+    evolve_planar, whose grid is the datum's)."""
+    import heatext.cli as cli
+
+    calls = []
+    real = getattr(cli, name)
+
+    def recording(*args, **kwargs):
+        calls.append((args, real(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cli, name, recording)
+    return calls
+
+
+def _assert_lattice_columns(path, header, c0, c1, keep):
+    """The two coordinate columns after t (if any) of each block of the
+    table hold the grid's nodes where keep holds, in row-major order, as
+    their CSV cells read back."""
+    got_header, rows = read_csv(path)
+    assert got_header == header
+    table = np.array(rows, dtype=float)
+    I, J = np.nonzero(keep)
+    want = np.column_stack([as_written(c0[I]), as_written(c1[J])])
+    first = 1 if header[0] == "t" else 0
+    blocks = table.reshape(-1, I.size, len(header))
+    assert len(blocks) >= 1
+    for block in blocks:
+        assert np.array_equal(block[:, first:first + 2], want)
+
+
+def test_planar_snapshot_coordinates_are_the_grid_nodes(tmp_path, monkeypatch):
+    calls = _capture(monkeypatch, "evolve_planar")
+    assert _run(["evolve", "--dim", "2", "--hole", "rect:1x1", "--study", "mass",
+                 "--t-max", "4", "--h", "0.5", "--r-out", "16", "--snapshots", "1,4",
+                 "--out", str(tmp_path)]) == 0
+    ((_, _, u0, _), _), = calls
+    grid = u0.grid
+    (run_dir,) = os.listdir(tmp_path)
+    c = grid.coords()
+    _assert_lattice_columns(os.path.join(tmp_path, run_dir, "snapshots.csv"),
+                            ["t", "x", "y", "u"], c, c, ~grid.hole_mask())
+
+
+def test_kernel_snapshot_coordinates_are_the_grid_nodes(tmp_path, monkeypatch):
+    calls = _capture(monkeypatch, "kernel_probe")
+    assert _run(["kernel", "--t", "2,3", "--grid", "48x96", "--out", str(tmp_path)]) == 0
+    (_, probe), = calls
+    grid = probe.snapshots[0].grid
+    (run_dir,) = os.listdir(tmp_path)
+    _assert_lattice_columns(os.path.join(tmp_path, run_dir, "snapshots.csv"),
+                            ["t", "rho", "z", "u"], grid.rho_nodes(), grid.z_nodes(),
+                            ~grid.hole_mask())
+
+
+def test_planar_profile_coordinates_are_the_grid_nodes(tmp_path, monkeypatch):
+    calls = _capture(monkeypatch, "profile_elliptic")
+    assert _run(["profile", "--dim", "2", "--method", "elliptic", "--hole", "rect:1x0.5",
+                 "--R", "8,16", "--out", str(tmp_path)]) == 0
+    (_, table), = calls
+    (run_dir,) = os.listdir(tmp_path)
+    for R, f in table.planar_fields.items():
+        c = f.grid.coords()
+        _assert_lattice_columns(os.path.join(tmp_path, run_dir, f"profile_R{R:g}.csv"),
+                                ["x", "y", "phi"], c, c, ~f.grid.hole_mask())

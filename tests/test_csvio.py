@@ -1,6 +1,6 @@
 """write_table's numpy formatter against Python's "%.12e", byte for byte,
-across its row blocks and scalar columns, and in memory that does not grow
-with a block's length."""
+across its row blocks, scalar columns and Indexed columns, and in memory
+that does not grow with a block's length."""
 
 import tracemalloc
 
@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatext.csvio import BLOCK_ROWS, _decimal, as_written, format_value, write_table
+from heatext import csvio
+from heatext.csvio import BLOCK_ROWS, Indexed, _decimal, as_written, format_value, write_table
 
 
 def _assert_table_matches_format_value(path, *blocks):
@@ -165,3 +166,62 @@ def test_write_table_memory_does_not_grow_with_the_block(tmp_path):
 
     rows = 4 * BLOCK_ROWS
     assert peak(4 * rows) <= 1.1 * peak(rows)
+
+
+# values off the fast path for the Indexed columns: the EDGES above and
+# magnitudes below 1e-290, which Python's "%.12e" prints
+OFF_FAST = list(EDGES) + [1e-300, -1e-295, 2.2250738585072014e-308, -5e-324]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                          st.sampled_from(OFF_FAST)), min_size=1, max_size=40),
+       st.lists(st.sampled_from([0, 1, 2, BLOCK_ROWS - 1, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]),
+                min_size=1, max_size=4),
+       st.integers(0, 2 ** 32 - 1))
+def test_indexed_columns_write_the_bytes_of_their_values_materialised(
+        table_path, values, lengths, seed):
+    # the snapshot shape: a scalar time, two coordinate columns and a value
+    # column. Blocks of one length share one Indexed object (as the CLI's
+    # snapshots share their lattice columns); each block also has an
+    # Indexed of its own, and the lengths cross BLOCK_ROWS or are empty
+    rng = np.random.default_rng(seed)
+    v = np.array(values)
+    shared = {n: Indexed(v, rng.integers(0, v.size, n)) for n in set(lengths)}
+    blocks, plain = [], []
+    for b, n in enumerate(lengths + lengths[:1]):  # one length repeats
+        own = Indexed(v[::-1].copy(), rng.integers(0, v.size, n))
+        u = rng.standard_normal(n)
+        blocks.append((0.5 * b, shared[n], own, u))
+        plain.append((0.5 * b, v[shared[n].index], own.values[own.index], u))
+    write_table(str(table_path), ["t", "x", "y", "u"], blocks)
+    with open(table_path, "rb") as fh:
+        got = fh.read()
+    write_table(str(table_path), ["t", "x", "y", "u"], plain)
+    with open(table_path, "rb") as fh:
+        assert got == fh.read()
+
+
+def test_an_indexed_column_is_formatted_once_per_table(tmp_path, monkeypatch):
+    # five snapshot blocks share two Indexed columns: their values reach
+    # the formatter once each, the time once per block and the value
+    # column row by row
+    seen = []
+    value_words = csvio._value_words
+
+    def counting(x):
+        seen.append(x.size)
+        return value_words(x)
+
+    monkeypatch.setattr(csvio, "_value_words", counting)
+    c = np.linspace(-3.0, 3.0, 7)
+    I, J = np.nonzero(np.add.outer(c ** 2, c ** 2) > 1.0)
+    x, y = Indexed(c, I), Indexed(c[::-1].copy(), J)
+    u = np.arange(I.size, dtype=float)
+    write_table(str(tmp_path / "t.csv"), ["t", "x", "y", "u"],
+                [(float(t), x, y, u) for t in range(5)])
+    assert sum(seen) == 2 * c.size + 5 * (1 + I.size)
+    want = "t,x,y,u\n" + "".join(
+        f"{format_value(float(t))},{format_value(c[i])},{format_value(c[::-1][j])},"
+        f"{format_value(w)}\n" for t in range(5) for i, j, w in zip(I, J, u))
+    assert (tmp_path / "t.csv").read_bytes() == want.encode()

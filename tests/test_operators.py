@@ -8,6 +8,7 @@ leakage.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +18,12 @@ from heatext.domain import BallHole, RectHole, ThetaBoundary
 from heatext.errors import GeometryError, PreconditionError
 from heatext.solver import AxisymGrid, PlanarGrid, RadialGrid
 from heatext.solver.grids import (
+    MASKED_NODE_BYTES,
+    MAX_MASKED_BYTES,
     MAX_NODES,
     hole_ghost,
     hole_links,
+    hole_nodes,
     hole_weights,
     masked_laplacian,
     radial_links,
@@ -246,14 +250,66 @@ def test_axisym_rho_links_are_the_dim2_radial_links():
 
 def test_grids_reject_more_nodes_than_the_budget():
     # the budget is checked in the constructor, before any array is made:
-    # a tiny spacing or a huge radius is a bad input, not a memory failure
+    # a tiny spacing or a huge radius is a bad input, not a memory failure.
+    # A masked grid just under the node budget is over the byte budget
+    # (test_masked_grids_reject_a_run_over_the_byte_budget)
     side = math.isqrt(MAX_NODES)
     RadialGrid(a=1.0, r_out=2.0, n_r=MAX_NODES - 1)
-    PlanarGrid(half_width=4.0, n=side - 1)
-    AxisymGrid(rho_max=4.0, z_half=4.0, n_rho=side - 1, n_z=side - 1)
     for make in (lambda: RadialGrid(a=1.0, r_out=2.0, n_r=MAX_NODES),
                  lambda: PlanarGrid(half_width=4.0, n=side),
                  lambda: AxisymGrid(rho_max=4.0, z_half=4.0, n_rho=side, n_z=side - 1),
                  lambda: PlanarGrid(half_width=4.0, n=10 ** 400)):
         with pytest.raises(GeometryError, match="budget"):
             make()
+
+
+def _masked_bytes(rows, cols):
+    return MASKED_NODE_BYTES * rows * cols + 8 * rows ** 2
+
+
+def test_masked_grids_reject_a_run_over_the_byte_budget():
+    # a masked run holds about MASKED_NODE_BYTES per node and the dense
+    # n0 x n0 eigenbasis; the largest grids under the byte budget are
+    # built, and one more node row is rejected, all without their arrays
+    side = rows = 2
+    while _masked_bytes(side + 1, side + 1) <= MAX_MASKED_BYTES:
+        side += 1
+    n_z = 2000
+    while _masked_bytes(rows + 1, n_z + 1) <= MAX_MASKED_BYTES:
+        rows += 1
+    assert side ** 2 < MAX_NODES and rows * (n_z + 1) < MAX_NODES
+    tracemalloc.start()
+    try:
+        PlanarGrid(half_width=40.0, n=side - 1, hole=RectHole(1.0, 1.0))
+        AxisymGrid(rho_max=40.0, z_half=40.0, n_rho=rows - 1, n_z=n_z, hole=BallHole(1.0))
+        assert tracemalloc.get_traced_memory()[1] < 10 ** 5
+        for make in (lambda: PlanarGrid(half_width=40.0, n=side, hole=RectHole(1.0, 1.0)),
+                     lambda: AxisymGrid(rho_max=40.0, z_half=40.0, n_rho=rows, n_z=n_z)):
+            with pytest.raises(GeometryError, match="over the budget of 1 GB"):
+                make()
+        assert tracemalloc.get_traced_memory()[1] < 10 ** 5
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("grid", [
+    PlanarGrid(half_width=6.0, n=48, hole=RectHole(2.1, 1.3)),
+    PlanarGrid(half_width=6.0, n=48),
+    AxisymGrid(rho_max=6.0, z_half=7.0, n_rho=40, n_z=96, hole=BallHole(1.0)),
+    AxisymGrid(rho_max=6.0, z_half=7.0, n_rho=40, n_z=96),
+])
+def test_hole_mask_is_one_read_only_array_per_grid(grid):
+    mask = grid.hole_mask()
+    assert grid.hole_mask() is mask
+    assert not mask.flags.writeable
+    with pytest.raises(ValueError):
+        mask[0, 0] = True
+    X, Y = grid.meshgrid()
+    eps = 1e-12 * grid.half_width if isinstance(grid, PlanarGrid) else 1e-12
+    want = (np.zeros(X.shape, dtype=bool) if grid.hole is None
+            else hole_nodes(grid.hole, X, Y, eps))
+    assert np.array_equal(mask, want)
+    # a grid equal to this one builds its own mask, of the same nodes
+    twin = type(grid)(**{k: getattr(grid, k) for k in grid.__dataclass_fields__})
+    assert twin == grid and twin.hole_mask() is not mask
+    assert np.array_equal(twin.hole_mask(), mask)
