@@ -18,6 +18,33 @@ a = 0 in dim 3, when node 1 has no link to it. The march runs in the
 scaled variable v = D u, so no step pays for the scaling: the ledger's
 mass and hole-flux weight vectors, built once before the first step,
 carry the 1 / D, and the snapshots read u = v / D.
+
+A run marches on a window of nodes [first, end) and holds v at exactly 0
+from end on. Each step solves the leading k = end - first coupled nodes
+with the leading slices d[:k], e[:k - 1] of its step size's factor, since
+the factor of a leading block is the leading part of the factor. The
+inverse of I - dt/2 L decays geometrically away from the datum (Demko,
+Moss & Smith, Math. Comp. 43 (1984) 491), and that gives an exact bound
+on what the window leaves out. Past the window the right-hand side is 0,
+so the forward sweep decays there by the multipliers |e| <= q < 1, and
+the untruncated solution has |x*(end)| <= q d[k - 1] |x(end - 1)| /
+(d_min (1 - q^2)), q and d_min taken over the nodes past the smallest
+window; the windowed solve is off by at most that at every node. When
+the bound is not below the floor FLOOR max|u0|, the window widens by
+WINDOW_LATTICE nodes and the step is solved again, so every committed
+solve is within the floor of the full one (in u = v / D too, as D >= 1).
+Without the window the solve's decaying tail runs through the subnormal
+range, which is many times slower than normal arithmetic on x86; the
+t = 200 truncation audit's snapshots hold no value in that range.
+Window ends lie on a lattice of WINDOW_LATTICE nodes. Runs at different
+theta then end their windows at the same nodes or the larger solution's
+further out; with free ends a wider window's tiny positive values face
+exact zeros and break the exact ordering in theta of uniform-step runs.
+The floor is the same for every theta, and small enough that the
+round-off its perturbation seeds in nodes that diffusion later fills
+stays out of the ledger's sums: at 1e-100 a Neumann run's M(50) moved
+by 2 ulp, at 1e-200 the CLI's ledgers and rates match the full solve's
+byte for byte.
 The time loop is the shared `march`, which writes a ledger row at t = 0
 and after every step and a snapshot only at the snapshot times (the
 ladder stops take none). The dim-3 elliptic profile solves these rows
@@ -46,6 +73,9 @@ from .config import StepperConfig
 from .fastsolve import dpttrs, symmetric_factor, tridiagonal_scale
 from .grids import Field, RadialGrid
 from .march import check_run, march
+
+FLOOR = 1e-200  # the error a windowed solve may commit, relative to max|u0|
+WINDOW_LATTICE = 256  # window ends are multiples of this many nodes (or n)
 
 
 def radial_operator(grid: RadialGrid, theta: ThetaBoundary):
@@ -89,8 +119,20 @@ def _crank_nicolson_run(grid, theta, u0_values, stops, snap_times):
     lo, di, up = radial_operator(grid, theta)
     n = grid.n_r  # unknowns: every node but the far one
     first = 0 if up[0] != 0.0 and lo[1] != 0.0 else 1  # first node of the coupled block
+    floor = FLOOR * float(np.max(np.abs(values)))
+    # the window [first, end): the first lattice end past the datum's support
+    support = np.flatnonzero(values[:n])
+    end = min(n, (support[-1] // WINDOW_LATTICE + 1 if support.size else 1) * WINDOW_LATTICE)
+
+    scale = np.ones(n)  # symmetric_factor's D, the same for every dt
+    scale[first:] = tridiagonal_scale(lo[first:n], up[first:n])
+    v0 = values[:n] * scale
+    # solve's output, never its argument; the march is done with v0 after
+    # the first step, and both arrays are 0 from end on
+    buffers = (v0, np.zeros(n))
 
     def factor(dt):
+        nonlocal end
         half = 0.5 * dt
         try:
             _, d, e = symmetric_factor(-half * lo[first:n], 1.0 - half * di[first:n],
@@ -103,18 +145,32 @@ def _crank_nicolson_run(grid, theta, u0_values, stops, snap_times):
                                  f"on this grid: h = {grid.h:g} is too coarse for the hole "
                                  f"(a = {grid.a:g}, theta = {theta.theta:g})") from exc
         a00, a01 = 1.0 - half * di[0], -half * up[0]  # row 0; D = 1 on nodes 0 and first
+        # every window end short of n is a lattice node, so it leaves at least
+        # WINDOW_LATTICE - first coupled nodes in the window: over the rest, q
+        # bounds |e| and d_min bounds d from below
+        q = float(np.max(np.abs(e[WINDOW_LATTICE - first - 1:]), initial=0.0))
+        d_min = float(np.min(d[WINDOW_LATTICE - first:], initial=np.inf))
+        if q >= 1.0:  # no decay to bound the tail by: solve on every node
+            end = n
+        bound = q / (d_min * (1.0 - q * q)) if q < 1.0 else 0.0
 
         def solve(v):
-            x = v.copy()
-            x[first:] = dpttrs(d, e, x[first:], overwrite_b=True)[0]  # no-op copy when in place
+            nonlocal end
+            x = buffers[v is buffers[0]]
+            while True:
+                k = end - first
+                x[first:end] = v[first:end]
+                x[first:end] = dpttrs(d[:k], e[:k - 1], x[first:end],
+                                      overwrite_b=True)[0]  # no-op copy when in place
+                if end == n or bound * d[k - 1] * abs(x[end - 1]) < floor:
+                    break
+                end = min(end + WINDOW_LATTICE, n)  # v is 0 from the old end on
             if first:
-                x[0] = (x[0] - a01 * x[1]) / a00
+                x[0] = (v[0] - a01 * x[1]) / a00
             return x
 
         return solve
 
-    scale = np.ones(n)  # symmetric_factor's D, the same for every dt
-    scale[first:] = tridiagonal_scale(lo[first:n], up[first:n])
     mass_w = grid.volume_weights()[:n] / scale
     # the hole flux omega a^(N-1) du/dn on u = v / D, du/dn = -du/dr
     flux_w = np.zeros(n)
@@ -130,7 +186,7 @@ def _crank_nicolson_run(grid, theta, u0_values, stops, snap_times):
         u[:n] = v / scale
         return Field(grid, u, t).lock()
 
-    return march(values[:n] * scale, stops, factor, mass_w, flux_w, to_field, "radial",
+    return march(v0, stops, factor, mass_w, flux_w, to_field, "radial",
                  snap_times)
 
 

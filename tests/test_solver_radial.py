@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,9 +21,13 @@ from heatext.solver import (
     StepperConfig,
     evolve_ball,
     evolve_radial,
+    kernel_probe,
     mass_balance_residual,
 )
+from heatext.presets import make_radial_datum
+from heatext.solver import radial as radial_module
 from heatext.solver.march import MAX_STEPS, step_count
+from heatext.solver.probes import mollifier_bump
 from heatext.solver.radial import _crank_nicolson_run, radial_operator, radial_stiffness
 
 DIRICHLET = ThetaBoundary(0.0)
@@ -527,3 +532,113 @@ def test_coarse_robin_grid_that_crank_nicolson_would_amplify_fails_loudly():
     with pytest.raises(NumericalError, match="too coarse for the hole"):
         evolve_radial(ExteriorDomain(3, BallHole(a), grid.r_out), tb, u0,
                       StepperConfig(dt=dt, snapshot_times=(1.0,)))
+
+
+# ------------------------------------------------------------ the march's window
+
+WINDOW_CASES = [pytest.param((dim, theta), id=f"dim{dim}-{kind}") for dim in (2, 3)
+                for theta, kind in ((0.0, "dirichlet"), (0.5, "robin"), (1.0, "neumann"))]
+WINDOW_CASES += [pytest.param(case, id=case) for case in ("ball", "probe")]
+
+
+def _window_run(case):
+    """(snapshot values, ledger, max|u0|) of one run whose datum ends far
+    inside its grid: dims 2 and 3 around a Dirichlet, Robin or Neumann hole,
+    the ball (a = 0) and the whole-space kernel probe (a = 0)."""
+    h, n, times = 1.0 / 16.0, 4096, (0.5, 2.0)
+    if case == "probe":
+        width = 0.25
+        probe = kernel_probe(None, 3.0, width, times, n_r=n // 2, pad=24.0)
+        grid = probe.snapshots[0].grid
+        bump = mollifier_bump(grid.nodes(), width)
+        peak = float(np.max(bump) / np.sum(grid.volume_weights() * bump))
+        return [s.values for s in probe.snapshots], probe.ledger, peak
+    cfg = StepperConfig(dt=h, snapshot_times=times)
+    if case == "ball":
+        grid = RadialGrid(a=0.0, r_out=n * h, n_r=n, dim=3)
+        u0 = Field(grid, np.exp(-grid.nodes() ** 2))
+        snaps, ledger = evolve_ball(grid.r_out, u0, cfg)
+    else:
+        dim, theta = case
+        grid = RadialGrid(a=1.0, r_out=1.0 + n * h, n_r=n, dim=dim)
+        tb = ThetaBoundary(theta)
+        u0 = make_radial_datum("gaussian-bump:3,0.5", grid, tb)
+        snaps, ledger = evolve_radial(ExteriorDomain(dim, BallHole(1.0), grid.r_out), tb, u0,
+                                      cfg)
+    return [s.values for s in snaps], ledger, float(np.max(np.abs(u0.values)))
+
+
+def _committed(sizes):
+    """The solve size of each step: a step re-solves on a wider window until
+    its bound holds, and the next step starts from the window it kept."""
+    return [size for size, after in zip(sizes, sizes[1:] + [0]) if after <= size]
+
+
+@pytest.mark.parametrize("case", WINDOW_CASES)
+def test_windowed_march_matches_the_full_solve(monkeypatch, case):
+    sizes = []
+    real = radial_module.dpttrs
+
+    def counted(d, e, b, overwrite_b=0):
+        sizes.append(d.size)
+        return real(d, e, b, overwrite_b=overwrite_b)
+
+    monkeypatch.setattr(radial_module, "dpttrs", counted)
+    snaps, ledger, peak = _window_run(case)
+    windowed = _committed(sizes)
+    monkeypatch.setattr(radial_module, "FLOOR", 0.0)  # every step solves on every node
+    sizes.clear()
+    full_snaps, full_ledger, _ = _window_run(case)
+    full = _committed(sizes)
+    assert len(windowed) == len(full) == len(ledger) - 1
+    assert set(full) == {max(sizes)}
+    assert min(windowed) < max(sizes) / 2  # the window did narrow the early steps
+    for got, want in zip(ledger.as_arrays()[1:], full_ledger.as_arrays()[1:]):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    for got, want in zip(snaps, full_snaps):
+        tol = radial_module.FLOOR * peak + 4.0 * np.finfo(float).eps * np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= tol
+
+
+def _recorded(monkeypatch):
+    """(steps, factors): every step's (dt, argument, result) of the radial
+    solves that the runs after this call commit, and their factor functions."""
+    steps, factors, real_march = [], [], radial_module.march
+
+    def recording(u, stops, factor, *args):
+        factors.append(factor)
+
+        def recorded(dt):
+            solve = factor(dt)
+
+            def step(v):
+                x = solve(v)
+                steps.append((dt, v.copy(), x.copy()))
+                return x
+            return step
+        return real_march(u, stops, recorded, *args)
+
+    monkeypatch.setattr(radial_module, "march", recording)
+    return steps, factors
+
+
+@pytest.mark.parametrize("case", WINDOW_CASES)
+def test_every_windowed_step_is_within_the_floor_of_the_full_solve(monkeypatch, case):
+    steps, factors = _recorded(monkeypatch)
+    floor = radial_module.FLOOR * _window_run(case)[2]
+    windowed = steps[:]
+    monkeypatch.setattr(radial_module, "FLOOR", 0.0)
+    _window_run(case)
+    full = factors[-1]  # its run widened the window to every node
+    solves = {dt: full(dt) for dt, _, _ in windowed}
+    for dt, v, x in windowed:
+        want = solves[dt](v)
+        assert np.all(np.abs(x - want) <= floor + 4.0 * np.finfo(float).eps * np.abs(want))
+
+
+def test_audit_snapshots_hold_no_subnormal_value(run_t200_audit):
+    # the window holds the far nodes at exactly 0 instead of letting the
+    # solve's decaying tail underflow through the subnormal range
+    for snap in run_t200_audit.snapshots:
+        size = np.abs(snap.values)
+        assert np.all((size == 0.0) | (size >= sys.float_info.min)), snap.time
