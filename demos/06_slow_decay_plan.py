@@ -48,8 +48,8 @@ print(f"  fitted exponent {slope:.4f} vs -pi^2 = {-BALL_EIGENVALUE:.4f}")
 
 s = np.linspace(0.0, 0.4, 400)
 rep = optimality_check_l1(plan, 2, s, np.exp(-BALL_EIGENVALUE * s))
-print(f"  component n=2: retained mass {rep.component_mass_min:.4f} >= "
-      f"{rep.component_mass_floor:.4f}, gaussian term {rep.gaussian_term_max:.2e} "
+print(f"  component n=2: {rep.component_mass_text()},\n  gaussian term "
+      f"{rep.gaussian_term_max:.2e} "
       f"<= {rep.gaussian_term_cap:.2e} -> lower bound {rep.lower_bound:.4f}")
 
 print("\nnear-hole supersolution (the machinery of the sup-norm proof):")

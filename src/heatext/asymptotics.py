@@ -29,6 +29,9 @@ from .solver.ledger import MassLedger
 from .solver.probes import ProbeResult
 
 P_NORMS = (1.0, 2.0, math.inf)  # the exponents every norm set holds
+# the L1 chain's component mass may fall this fraction below its floor
+# (3/4) 2^-n: room for the discretisation of the ball run's mass trace
+COMPONENT_MASS_SLACK = 1e-2
 
 
 @dataclass(frozen=True)
@@ -289,6 +292,15 @@ class OptimalityReport:
     g_floor: float
     passed: bool
 
+    def component_mass_text(self) -> str:
+        """The component mass against the threshold it is judged by, and its
+        margin over the floor (3/4) 2^-n itself."""
+        judged = self.component_mass_floor * (1.0 - COMPONENT_MASS_SLACK)
+        return (f"component mass {self.component_mass_min:.7f} >= {judged:.7f} "
+                f"({1.0 - COMPONENT_MASS_SLACK:.0%} of the floor "
+                f"{self.component_mass_floor:.7f}, margin "
+                f"{self.component_mass_min - self.component_mass_floor:.2e})")
+
 
 def optimality_check_l1(plan: OptimalDatumPlan, n: int,
                         ball_times, ball_masses) -> OptimalityReport:
@@ -333,7 +345,7 @@ def optimality_check_l1(plan: OptimalDatumPlan, n: int,
     lower = 2.0 ** (-(n + 1))
     g_floor = plan.g(row.t_n)  # g(t) <= g(t_n) = 2^-(n+2) <= lower on the window
     passed = (trace_err <= 1e-3
-              and comp_min >= floor * (1.0 - 1e-2)
+              and comp_min >= floor * (1.0 - COMPONENT_MASS_SLACK)
               and g_max <= g_cap
               and lower >= g_floor)
     return OptimalityReport(n, vals, trace_err, comp_min, floor, g_max, g_cap,

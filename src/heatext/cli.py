@@ -328,8 +328,7 @@ def cmd_optimal(args) -> list:
                        f"fitted {slope:.5f} vs {-lam:.5f}"))
     rep = asym.optimality_check_l1(plan, min(2, args.n), t_l, m_l)
     lines.append(_line(f"L1 lower-bound chain for n={rep.n}", rep.passed,
-                       f"component mass {rep.component_mass_min:.4f} >= "
-                       f"{rep.component_mass_floor:.4f}, gaussian term "
+                       f"{rep.component_mass_text()}, gaussian term "
                        f"{rep.gaussian_term_max:.3e} <= {rep.gaussian_term_cap:.3e}"))
 
     def write(out_dir):

@@ -20,11 +20,12 @@ A run therefore marches the mode vector V = (S x Q0^T)(D u) of the box
 (`SineModes`): the datum is scattered, scaled and transformed once, and
 the values are read back (`from_modes`) only where a snapshot is taken.
 Linear functionals a . u become dot products with the transform of
-a / D. A step (`MaskedCNSolve.solve_modes`) is an elementwise multiply
-plus a rank-r capacitance correction: no transform, no scatter and no
-gather. Every mode mixes every box node, so each value read back carries
-round-off of order 1e-16 max|u0|: far from the datum a snapshot holds
-values of that size, of either sign.
+a / D. A step (`MaskedCNSolve.solve2_modes`, twice the solve) is an
+elementwise multiply plus a rank-r capacitance correction, written into
+a buffer the run owns: no transform, no scatter, no gather and no new
+mode-sized array. Every mode mixes every box node, so each value read
+back carries round-off of order 1e-16 max|u0|: far from the datum a
+snapshot holds values of that size, of either sign.
 
 The hole enters by the capacitance matrix method (Buzbee, Dorr, George &
 Golub, SIAM J. Numer. Anal. 8 (1971) 722; Proskurowski & Widlund, Math.
@@ -36,13 +37,13 @@ coefficients) (a Woodbury correction). A source at node (i, j) has the
 mode vector S[:, j] Q0[i, :] (times D[i]), so the sources are found from
 the box solution sampled at their nodes through the columns of S and the
 rows of Q0 there, and their response is added in mode space. Per step
-size a build keeps only the diagonal inverse and the LU factor of the
-r x r capacitance matrix. Every active row of the box system touches only
-active nodes and capacitance hole nodes, where the solution is forced to
-zero, so the active values never depend on what the box holds at hole
-nodes. Those entries start at zero, since the datum vanishes on the hole,
-and then evolve by a stable Crank-Nicolson step with zero boundary
-values, so they stay at round-off.
+size a build keeps only twice the diagonal inverse, its one mode-sized
+array, and the LU factor of the r x r capacitance matrix. Every active
+row of the box system touches only active nodes and capacitance hole
+nodes, where the solution is forced to zero, so the active values never
+depend on what the box holds at hole nodes. Those entries start at zero,
+since the datum vanishes on the hole, and then evolve by a stable
+Crank-Nicolson step with zero boundary values, so they stay at round-off.
 
 The LAPACK routines (dstevd, or dsyevd where scipy binds no dstevd;
 dgetrf, dgetrs, dgecon; dpttrf and dpttrs for the radial march and the
@@ -267,17 +268,18 @@ class MaskedCNSolve:
     active or in the hole. The DST-I needs the axis-1 coefficients to be
     one constant, c1 = up1[0]. cap_nodes is `capacitance_nodes` of the
     grid's hole links, which a run computes once for all its builds. A
-    build keeps the box inverse 1 / (1 - dt/2 (lam_k + mu_j)) and the LU
-    factor of the capacitance matrix. `solve_modes` is the solve on mode
-    vectors, the one a march calls each step; calling the solver on
-    active-node values is from_modes(solve_modes(to_modes(b))). `rank` is
-    the size of the capacitance system.
+    build keeps twice the box inverse, 2 / (1 - dt/2 (lam_k + mu_j)), and
+    the LU factor of the capacitance matrix. `solve2_modes`, twice the
+    solve on mode vectors, is the march's kernel; `solve_modes` is its
+    output halved; calling the solver on active-node values is
+    from_modes(solve_modes(to_modes(b))). `rank` is the size of the
+    capacitance system.
     """
 
     def __init__(self, space, hole, ghost, dt, cap_nodes):
         self.space = space
         half = 0.5 * dt
-        self._inv = 1.0 / (1.0 - half * (space.lam[:, None] + space.mu))
+        self._inv2 = 2.0 / (1.0 - half * (space.lam[:, None] + space.mu))
 
         nodes, sums = cap_nodes
         on_hole = hole[nodes]
@@ -294,15 +296,16 @@ class MaskedCNSolve:
         self._phi = np.sqrt(2.0 / (n1 + 1)) * np.sin(
             np.pi * np.outer(np.arange(1, n1 + 1), j_src + 1) / (n1 + 1))
         self._q = space.basis[i_src]
+        self._qt = np.ascontiguousarray(self._q.T)  # BLAS reads a transposed view at half speed
         self._d = space.scale[i_src]
         # unscaled box solution at capacitance node a for a unit source at node b,
-        # one box row of nodes a at a time
+        # one box row of nodes a at a time; the doubled inverse gives it twice
         resp = np.empty((self.rank, self.rank))
         for row in set(i_src.tolist()):  # np.unique would load numpy.ma in a run
             at = i_src == row
-            resp[at] = self._phi[:, at].T @ (((self._inv * space.basis[row]) @ self._q.T)
+            resp[at] = self._phi[:, at].T @ (((self._inv2 * space.basis[row]) @ self._qt)
                                              * self._phi)
-        resp *= self._d[None, :] / self._d[:, None]
+        resp *= 0.5 * self._d[None, :] / self._d[:, None]
         # hole nodes: the solution z vanishes; active nodes: s + weight z = 0,
         # which adds their diagonal shift weight = -dt/2 ghost (hole links)
         cap = weight[:, None] * resp
@@ -316,6 +319,23 @@ class MaskedCNSolve:
         # off the scaled box solution
         self._weight = -weight / self._d
 
+    def solve2_modes(self, modes, out):
+        """out = 2 solve_modes(modes), out a flat array other than modes.
+
+        Every mode-sized product is taken in place in out, so a call
+        allocates nothing mode-sized. The doubled inverse doubles the
+        sources s too, and 0.5 s undoes that exactly.
+        """
+        w = out.reshape(self._inv2.shape)
+        np.multiply(self._inv2, modes.reshape(w.shape), out=w)
+        if self.rank:
+            y_src = np.einsum("ka,ka->a", self._phi, w @ self._qt)
+            s, _ = dgetrs(*self._cap, self._weight * y_src)
+            np.matmul(self._phi * ((0.5 * s) * self._d), self._q, out=w)
+            w += modes.reshape(w.shape)
+            w *= self._inv2
+        return out
+
     def solve_modes(self, modes):
         """to_modes((I - dt/2 L)^{-1} u) for modes = to_modes(u), to round-off.
 
@@ -323,12 +343,9 @@ class MaskedCNSolve:
         of modes, and the hole entries of the result are round-off; modes
         is not changed.
         """
-        w = self._inv * modes.reshape(self._inv.shape)
-        if self.rank:
-            y_src = np.einsum("ka,ka->a", self._phi, w @ self._q.T)
-            s, _ = dgetrs(*self._cap, self._weight * y_src)
-            w += ((self._phi * (s * self._d)) @ self._q) * self._inv
-        return w.ravel()
+        x = self.solve2_modes(modes, np.empty(modes.size))
+        x *= 0.5
+        return x
 
     def __call__(self, b):
         return self.space.from_modes(self.solve_modes(self.space.to_modes(b)))

@@ -5,7 +5,7 @@ before each stop in `step_count` equal steps and lands on its time
 exactly. It builds a snapshot Field only at the stops whose times are
 the run's snapshot times: an evolution's ladder stops and a kernel
 probe's warm-up end take none. A solver
-supplies factor(dt), returning solve(b) = (I - dt/2 L)^{-1} b for its
+supplies factor(dt), returning solve2(b) = 2 (I - dt/2 L)^{-1} b for its
 operator L (called once per distinct step size), the mass and hole-flux
 weight vectors of its ledger, fixed before the first step, and the map
 from the unknown vector to a snapshot Field. `march` owns everything
@@ -13,10 +13,11 @@ else: the step, the ledger rows (one at t = 0 and one after every step,
 each the dot products of the weight vectors with the unknown vector),
 the snapshots and the finiteness checks. With A = I - dt/2 L the
 right-hand side matrix is B = I + dt/2 L = 2I - A, so the step
-u+ = A^{-1} B u is u+ = 2 solve(u) - u and needs no matvec with L.
-solve may return a buffer that it reuses on a later call, but never its
-argument: the march forms 2 solve(u) - u in place in the returned array,
-which then becomes u, so a step allocates no vector of its own.
+u+ = A^{-1} B u is u+ = solve2(u) - u and needs no matvec with L; each
+solver folds the exact factor 2 into its own scaling. solve2 may return
+a buffer that it reuses on a later call, but never its argument: the
+march subtracts u in place in the returned array, which then becomes u,
+so a step allocates no vector of its own.
 
 The radial solver builds its own symmetric tridiagonal solve
 (`fastsolve.symmetric_factor`) and marches in a scaled variable. The
@@ -24,10 +25,10 @@ planar and axisymmetric solvers share `march_masked`, which does all of a
 masked-grid run from the grid's stencil: `check_run`, the hole-flux
 weights, the box operator's joint eigenbasis (`fastsolve.SineModes`,
 built once per run), the `fastsolve.MaskedCNSolve` builds (one per step
-size: a diagonal inverse and a capacitance LU) and the march, which runs
-on the eigenbasis's mode vectors: a step is an elementwise multiply plus
-a rank-r capacitance correction, with no transform, and the values are
-read back only at the snapshots.
+size: twice a diagonal inverse and a capacitance LU) and the march, which
+runs on the eigenbasis's mode vectors: a step is an elementwise multiply
+plus a rank-r capacitance correction, with no transform, and the values
+are read back only at the snapshots.
 
 `check_run` is the one run contract. Both grid-level runs,
 `radial._crank_nicolson_run` and `march_masked`, check it once before the
@@ -59,8 +60,8 @@ CHECK_EVERY = 200  # steps between finiteness checks of the march
 # rule asks for more, when the Robin hole row's b = cot(pi theta/2) is huge:
 # a radial run to t = 2 would take 2.6e7 steps at theta = 1e-12 and 2.8e16
 # at theta = 1e-30, with a ledger row per step. 10^6 steps on the sweep's
-# 4 207-node radial grid take about 36 s on a 2-core x86 VM (36 us a step,
-# timed over 2 * 10^5 steps of a theta = 1e-12 run to t = 2).
+# 4 207-node radial grid take about 40 s on a 2-core x86 VM (40-43 us a
+# step, timed over the first 2 * 10^5 steps of a theta = 1e-12 run to t = 2).
 MAX_STEPS = 10 ** 6
 
 
@@ -121,7 +122,6 @@ def march(u, stops, factor, mass_w, flux_w, to_field, what, snap_times):
             solvers[dt] = factor(dt)
         for j in range(1, n + 1):
             x = solvers[dt](u)
-            x *= 2.0
             x -= u
             u = x
             k += 1
@@ -150,7 +150,9 @@ def march_masked(grid, u0, ghost, stops, what, snap_times):
     vectors of `fastsolve.SineModes`, the box's eigenbasis, which the run
     computes once and every step size's `fastsolve.MaskedCNSolve` shares:
     both functionals are dot products with their mode vectors, and values
-    are read back only at the snapshots.
+    are read back only at the snapshots. Each step's `solve2_modes` writes
+    into whichever of the run's two mode buffers is not its argument; the
+    datum's mode vector is one of them.
     """
     active, hole = grid.active_mask(), grid.hole_mask()
     check_run(u0.values, hole, grid.edge_mask(), stops, grid.spacing)
@@ -162,13 +164,16 @@ def march_masked(grid, u0, ghost, stops, what, snap_times):
     cap_nodes = capacitance_nodes(links, ghost)
     del links  # the march holds the capacitance nodes' indices, not full-grid arrays
 
+    v0 = modes.to_modes(u0.values[active])
+    buffers = (v0, np.empty(v0.size))
+
     def factor(dt):
-        return MaskedCNSolve(modes, hole, ghost, dt, cap_nodes).solve_modes
+        solver = MaskedCNSolve(modes, hole, ghost, dt, cap_nodes)
+        return lambda v: solver.solve2_modes(v, buffers[v is buffers[0]])
 
     def to_field(u_modes, t):
         full = np.zeros(active.shape)
         full[active] = modes.from_modes(u_modes)
         return Field(grid, full, t).lock()
 
-    return march(modes.to_modes(u0.values[active]), stops, factor, mass_w, flux_w,
-                 to_field, what, snap_times)
+    return march(v0, stops, factor, mass_w, flux_w, to_field, what, snap_times)

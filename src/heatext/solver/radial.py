@@ -33,6 +33,10 @@ window; the windowed solve is off by at most that at every node. When
 the bound is not below the floor FLOOR max|u0|, the window widens by
 WINDOW_LATTICE nodes and the step is solved again, so every committed
 solve is within the floor of the full one (in u = v / D too, as D >= 1).
+The march takes twice the solve: dpttrs runs on d / 2 (q, d_min and the
+bound come from d), which doubles its result exactly outside the
+subnormal range, and node 0 is back-substituted from 2 v[0]. The window
+check's halved d[k - 1] times the doubled x is the plain solve's product.
 Without the window the solve's decaying tail runs through the subnormal
 range, which is many times slower than normal arithmetic on x86; the
 t = 200 truncation audit's snapshots hold no value in that range.
@@ -127,7 +131,7 @@ def _crank_nicolson_run(grid, theta, u0_values, stops, snap_times):
     scale = np.ones(n)  # symmetric_factor's D, the same for every dt
     scale[first:] = tridiagonal_scale(lo[first:n], up[first:n])
     v0 = values[:n] * scale
-    # solve's output, never its argument; the march is done with v0 after
+    # solve2's output, never its argument; the march is done with v0 after
     # the first step, and both arrays are 0 from end on
     buffers = (v0, np.zeros(n))
 
@@ -153,8 +157,9 @@ def _crank_nicolson_run(grid, theta, u0_values, stops, snap_times):
         if q >= 1.0:  # no decay to bound the tail by: solve on every node
             end = n
         bound = q / (d_min * (1.0 - q * q)) if q < 1.0 else 0.0
+        d = 0.5 * d  # dpttrs on the halved d returns twice the solve, exactly
 
-        def solve(v):
+        def solve2(v):
             nonlocal end
             x = buffers[v is buffers[0]]
             while True:
@@ -162,14 +167,15 @@ def _crank_nicolson_run(grid, theta, u0_values, stops, snap_times):
                 x[first:end] = v[first:end]
                 x[first:end] = dpttrs(d[:k], e[:k - 1], x[first:end],
                                       overwrite_b=True)[0]  # no-op copy when in place
+                # the halved d times the doubled x: the bound on the plain solve
                 if end == n or bound * d[k - 1] * abs(x[end - 1]) < floor:
                     break
                 end = min(end + WINDOW_LATTICE, n)  # v is 0 from the old end on
             if first:
-                x[0] = (v[0] - a01 * x[1]) / a00
+                x[0] = (2.0 * v[0] - a01 * x[1]) / a00
             return x
 
-        return solve
+        return solve2
 
     mass_w = grid.volume_weights()[:n] / scale
     # the hole flux omega a^(N-1) du/dn on u = v / D, du/dn = -du/dr

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -539,13 +540,22 @@ def test_herraiz_rejects_early_time(tmp_path):
     assert _run(["herraiz", "--t", "5", "--out", str(tmp_path)]) == 3
 
 
-def test_optimal_cmd(tmp_path):
+def test_optimal_cmd(tmp_path, capsys):
     rc = _run(["optimal", "--g", "recip:4", "--n", "3", "--out", str(tmp_path)])
     assert rc == 0
     run_dir = os.path.join(str(tmp_path), os.listdir(str(tmp_path))[0])
     header, rows = read_csv(os.path.join(run_dir, "plan.csv"))
     assert header == ["n", "t_n", "R_n", "x_n", "weight"]
     assert float(rows[0][1]) == pytest.approx(4.0, abs=1e-6)
+    # the L1 chain's line shows the threshold it judged, 99% of the floor,
+    # and the margin over the floor itself (2.29e-5), which four digits hid
+    (line,) = [ln for ln in capsys.readouterr().out.splitlines() if "L1 lower-bound" in ln]
+    shown = re.search(r"component mass (\S+) >= (\S+) \(99% of the floor (\S+), "
+                      r"margin (\S+)\)", line)
+    mass, judged, floor, margin = map(float, shown.groups())
+    assert line.startswith("[PASS]") and floor == 0.1875
+    assert judged == pytest.approx(0.99 * floor, abs=1e-7)
+    assert margin == pytest.approx(mass - floor, abs=1e-7) and 0.0 < margin < 1e-4
 
 
 def test_sweep_monotone(tmp_path):

@@ -511,6 +511,57 @@ def _box_values(space, modes):
     return box / space.scale[:, None]
 
 
+@pytest.mark.parametrize("dt", [0.125, 0.125 / 16])
+@pytest.mark.parametrize("kind", CASES)
+def test_march_kernel_is_twice_the_splu_solve(kind, dt):
+    # the kernel writes over whatever out holds and leaves its argument as
+    # it was; solve_modes is its output halved, exactly
+    grid, ghost, _ = _masked_case(kind)
+    solver = _solver(grid, ghost, dt)
+    space = solver.space
+    A, _ = _cn_matrices(_operator(grid, ghost)[0], dt)
+    lu = splu(A)
+    rng = np.random.default_rng(5)
+    for b in (rng.random(A.shape[0]), rng.standard_normal(A.shape[0])):
+        modes = space.to_modes(b)
+        arg = modes.copy()
+        out = np.full(modes.size, np.nan)
+        assert solver.solve2_modes(modes, out) is out
+        assert np.array_equal(modes, arg)
+        assert np.array_equal(solver.solve_modes(modes), 0.5 * out)
+        want = lu.solve(b)
+        got = space.from_modes(0.5 * out)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_masked_steps_allocate_no_mode_vector(monkeypatch):
+    # the kernel writes into the run's buffers: over steps 2-21
+    # the traced peak grows by less than one mode vector. On the planar-hole
+    # benchmark's grid a mode vector is 480 kB and the kernel's (n1 x rank)
+    # temporaries 71 kB each; on the 47 x 47 box of the cases above, rank 68
+    # makes those as large as a mode vector
+    grid = PlanarGrid(half_width=61.5, n=246, hole=RectHole(1.0, 1.0))
+    ghost = _planar_ghost(grid, 0.5)
+    u0 = make_planar_datum("gaussian-bump:2.5,0.5,1", grid).values
+    marks = []
+
+    class Traced(MaskedCNSolve):
+        def solve2_modes(self, modes, out):
+            if len(marks) == 1:  # tracing starts as step 2 does
+                tracemalloc.start()
+            marks.append(tracemalloc.get_traced_memory())
+            return super().solve2_modes(modes, out)
+
+    monkeypatch.setattr(march_module, "MaskedCNSolve", Traced)
+    try:
+        march_masked(grid, Field(grid, u0), ghost, ((3.0, 0.125),), "robin", (3.0,))
+    finally:
+        tracemalloc.stop()
+    assert len(marks) == 24 and marks[1] == (0, 0)
+    size = np.prod(SineModes(grid.active_mask(), grid.stencil()).shape)
+    assert marks[21][1] < 8 * size  # the peak as step 22 starts
+
+
 @pytest.mark.parametrize("kind", CASES)
 def test_solve_modes_ignores_the_hole_entries(kind):
     grid, ghost, _ = _masked_case(kind)
@@ -539,7 +590,8 @@ def test_hole_entries_of_the_marched_modes_stay_at_round_off(kind):
     cap_nodes = capacitance_nodes(_links(grid), ghost)
 
     def factor(dt):
-        return MaskedCNSolve(modes, hole, ghost, dt, cap_nodes).solve_modes
+        solver = MaskedCNSolve(modes, hole, ghost, dt, cap_nodes)
+        return lambda v: solver.solve2_modes(v, np.empty(v.size))
 
     stops = TWO_CAP_STOPS + ((8.0, 0.125),)
     zero = np.zeros(modes.shape[0] * modes.shape[1])
