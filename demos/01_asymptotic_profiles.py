@@ -16,7 +16,6 @@ import numpy as np
 
 from heatext import (
     BallHole,
-    ExteriorDomain,
     ThetaBoundary,
     profile_decay_check,
     profile_elliptic,
@@ -39,8 +38,7 @@ line_plot_svg(os.path.join(OUT, "profiles.svg"), series, xlabel="r",
 
 # elliptic route: solve on Omega intersect B(0, R), boundary value 1 at R,
 # and extrapolate the known 1/(R - q) boundary influence away
-domain = ExteriorDomain(3, BallHole(1.0), 64.0)
-elliptic = profile_elliptic(domain, ThetaBoundary(0.0), (8.0, 16.0, 32.0))
+elliptic = profile_elliptic(3, BallHole(1.0), ThetaBoundary(0.0), (8.0, 16.0, 32.0))
 closed = profile_radial_closed_form(3, 1.0, ThetaBoundary(0.0))
 agree = np.max(np.abs(closed.evaluate(elliptic.r) - elliptic.values))
 print(f"\nelliptic limit vs closed form: sup difference {agree:.2e}")
@@ -55,8 +53,7 @@ for order in (0, 1, 2):
           f"(target <= {rep.target:+.2f})")
 
 # dim 2: the truncated solves keep sinking; the limit is zero
-domain2 = ExteriorDomain(2, BallHole(1.0), 40.0)
-table2 = profile_elliptic(domain2, ThetaBoundary(0.0), (8.0, 16.0, 32.0), h=0.25)
+table2 = profile_elliptic(2, BallHole(1.0), ThetaBoundary(0.0), (8.0, 16.0, 32.0), h=0.25)
 g = table2.planar_fields[8.0].grid
 i, j = round((4.0 + g.half_width) / g.h), round(g.half_width / g.h)
 print("\ndim 2, Dirichlet disk hole: phi_R at the point (4, 0):")

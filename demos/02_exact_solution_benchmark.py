@@ -14,8 +14,6 @@ import math
 import numpy as np
 
 from heatext import (
-    BallHole,
-    ExteriorDomain,
     Field,
     RadialGrid,
     StepperConfig,
@@ -33,14 +31,13 @@ a = 1.0
 r_req = a + 6.0 * math.sqrt(4.0 * T_MAX)
 n = int(math.ceil((r_req - a) / H))
 grid = RadialGrid(a=a, r_out=a + n * H, n_r=n, dim=3)
-domain = ExteriorDomain(3, BallHole(a), grid.r_out)
 
 vals = explicit_solution(grid.nodes(), 0.0)
 vals[-1] = 0.0
 u0 = Field(grid, vals, 0.0)
 
 cfg = StepperConfig(dt=1.0 / 128.0, snapshot_times=(1.0, 5.0, 20.0))
-snaps, ledger = evolve_radial(domain, ThetaBoundary(0.0), u0, cfg)
+snaps, ledger = evolve_radial(ThetaBoundary(0.0), u0, cfg)
 
 r = grid.nodes()
 win = r <= 21.0

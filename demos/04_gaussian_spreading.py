@@ -14,8 +14,6 @@ import math
 import os
 
 from heatext import (
-    BallHole,
-    ExteriorDomain,
     Field,
     RadialGrid,
     RateSeries,
@@ -37,14 +35,13 @@ H = 1.0 / 32.0
 a = 1.0
 n = int(math.ceil(6.0 * math.sqrt(4.0 * T_MAX) / H))
 grid = RadialGrid(a=a, r_out=a + n * H, n_r=n, dim=3)
-domain = ExteriorDomain(3, BallHole(a), grid.r_out)
 vals = explicit_solution(grid.nodes(), 0.0)
 vals[-1] = 0.0
 u0 = Field(grid, vals, 0.0)
 
 times = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
 cfg = StepperConfig(dt=1.0 / 64.0, snapshot_times=times)
-snaps, ledger = evolve_radial(domain, ThetaBoundary(0.0), u0, cfg)
+snaps, ledger = evolve_radial(ThetaBoundary(0.0), u0, cfg)
 
 profile = profile_radial_closed_form(3, a, ThetaBoundary(0.0))
 m = asymptotic_mass(u0, profile)

@@ -9,10 +9,10 @@ Dirichlet/Robin/Neumann boundary conditions.
 from .domain import (
     BallHole,
     DIRICHLET,
-    ExteriorDomain,
     NEUMANN,
     RectHole,
     ThetaBoundary,
+    check_exterior,
     outward_normal_sign_at_hole,
     required_far_radius,
     robin_coefficient,

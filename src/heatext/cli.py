@@ -23,7 +23,7 @@ import numpy as np
 from . import asymptotics as asym
 from . import constructions as cons
 from .csvio import Indexed, as_written, write_csv, write_table
-from .domain import ExteriorDomain, ThetaBoundary, required_far_radius
+from .domain import ThetaBoundary, check_exterior
 from .errors import (
     ConfigError,
     GeometryError,
@@ -99,7 +99,7 @@ def _run(cfg: RunConfig):
         n_r = int(math.ceil((cfg.r_out - a) / cfg.h - 1e-9))
         grid = RadialGrid(a=a, r_out=a + n_r * cfg.h, n_r=n_r, dim=cfg.dim)
         u0 = make_radial_datum(cfg.preset, grid, theta)
-        snaps, ledger = evolve_radial(ExteriorDomain(3, cfg.hole, grid.r_out), theta, u0, stepper)
+        snaps, ledger = evolve_radial(theta, u0, stepper)
         profile = profile_radial_closed_form(cfg.dim, a, theta)
         columns, coords, keep = ["t", "r", "u"], [grid.nodes()], slice(None)
     else:
@@ -107,8 +107,7 @@ def _run(cfg: RunConfig):
         n += n % 2
         grid = PlanarGrid(half_width=n * cfg.h / 2.0, n=n, hole=cfg.hole)
         u0 = make_planar_datum(cfg.preset, grid)
-        domain = ExteriorDomain(2, cfg.hole, grid.half_width)
-        snaps, ledger = evolve_planar(domain, theta, u0, stepper)
+        snaps, ledger = evolve_planar(theta, u0, stepper)
         profile = profile_planar(cfg.hole, theta)
         keep, c = ~grid.hole_mask(), grid.coords()
         columns, coords = ["t", "x", "y", "u"], _lattice_columns(c, c, keep)
@@ -225,8 +224,10 @@ def cmd_profile(args) -> list:
     radii = _floats(args.radii, "--R")
     if args.compare and (args.method != "both" or args.dim == 2):
         raise ConfigError("--compare needs --method both and dim >= 3")
-    far = max(2.0 * max(radii), 4.0 * hole.circumscribed_radius + 1.0)
-    domain = ExteriorDomain(args.dim, hole, far)  # a dim-3 hole is a ball
+    if not all(math.isfinite(2.0 * R) for R in radii):
+        # each radius's disc, of diameter 2 R, must be finite
+        raise ConfigError(f"--R takes finite radii, got '{args.radii}'")
+    check_exterior(args.dim, hole)  # a dim-3 hole is a ball
     lines = []
     closed = table = None
     if args.method in ("closed-form", "both"):
@@ -241,7 +242,7 @@ def cmd_profile(args) -> list:
                 lines.append(_line(f"decay exponent (order {order}) <= {rep.target:g}",
                                    rep.passed, f"fitted {rep.exponent:.4f}"))
     if args.method in ("elliptic", "both"):
-        table = profile_elliptic(domain, theta, radii)
+        table = profile_elliptic(args.dim, hole, theta, radii)
         viol = table.elliptic_monotone_violations(tol=1e-12)
         lines.append(_line("phi_R pointwise nonincreasing in R", viol == 0,
                            f"{viol} violations"))
@@ -354,9 +355,8 @@ def cmd_kernel(args) -> list:
     if shape is None:
         raise ConfigError(f"--grid takes NxM with positive integers, got '{args.grid}'")
     n_rho, n_z = (int(n) for n in shape.groups())
-    hole = parse_hole(args.hole)  # ExteriorDomain takes only a ball hole in dim 3
-    domain = ExteriorDomain(3, hole, required_far_radius(hole, max(times)))
-    probe = kernel_probe(domain, y, args.width, times, n_rho=n_rho, n_z=n_z)
+    hole = parse_hole(args.hole)  # the probe takes only a ball hole
+    probe = kernel_probe(hole, y, args.width, times, n_rho=n_rho, n_z=n_z)
     profile0 = profile_radial_closed_form(3, hole.radius, ThetaBoundary(0.0))
     lines, rows = [], []
     for t in times:
@@ -367,7 +367,7 @@ def cmd_kernel(args) -> list:
     if args.audit_smearing:
         # halving the width must not move the gap by more than 10% of the
         # bound, the decision scale of the gap <= bound verdict
-        half_probe = kernel_probe(domain, y, 0.5 * args.width, (times[-1],),
+        half_probe = kernel_probe(hole, y, 0.5 * args.width, (times[-1],),
                                   n_rho=n_rho, n_z=n_z)
         rep_half = asym.kernel_l1_gap(half_probe, times[-1], profile0)
         change = abs(rep.gap - rep_half.gap) / rep.bound  # rep: the gap at times[-1]

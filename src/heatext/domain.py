@@ -1,7 +1,8 @@
 """Exterior-domain geometry and boundary-condition conventions.
 
 The domain is the complement of a compact hole containing the origin,
-truncated computationally at a far radius.  Boundary conditions are
+truncated computationally at a far radius: a run's grid is that
+truncation, which `check_exterior` checks. Boundary conditions are
 parametrised by theta in [0, 1]:
 
     theta = 0   Dirichlet   (u = 0 on the hole)
@@ -14,7 +15,7 @@ points into the hole, so for radial fields du/dn = -du/dr at r = a.
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 from .errors import GeometryError
 
@@ -126,32 +127,26 @@ def sphere_surface_area(dim: int) -> float:
     raise GeometryError(f"dim must be 2 or 3, got {dim}")
 
 
-@dataclass(frozen=True)
-class ExteriorDomain:
-    """Truncated exterior domain: hole, dimension, and far radius."""
-
-    dim: int
-    hole: HoleSpec
-    far_radius: float
-
-    def __post_init__(self):
-        if self.dim not in (2, 3):
-            raise GeometryError(f"dim must be 2 or 3, got {self.dim}")
-        if isinstance(self.hole, RectHole) and self.dim != 2:
-            raise GeometryError("rectangle holes are only supported in dim 2")
-        rc = self.hole.circumscribed_radius
-        if not self.far_radius > rc:
-            raise GeometryError(
-                f"hole (circumscribed radius {rc}) must lie strictly inside "
-                f"the far ball (radius {self.far_radius})"
-            )
-        if self.far_radius == math.inf:
-            raise GeometryError("far_radius must be finite")
-        if self.far_radius < 4.0 * rc:
-            raise GeometryError(
-                f"far_radius must be at least 4x the hole circumscribed radius "
-                f"({4.0 * rc}), got {self.far_radius}"
-            )
+def check_exterior(dim: int, hole: HoleSpec, far_radius: Optional[float] = None) -> None:
+    """GeometryError unless dim is 2 or 3, the hole a ball or (in dim 2) a
+    rect, and far_radius finite and at least 4x the hole's circumscribed
+    radius. The evolutions pass their grid's far radius; None checks the
+    dimension and the hole alone, for the kernel probe and the elliptic
+    profile, which size their own grids."""
+    if dim not in (2, 3):
+        raise GeometryError(f"dim must be 2 or 3, got {dim}")
+    if not isinstance(hole, (BallHole, RectHole)):
+        raise GeometryError(f"an exterior domain needs a ball or rect hole, got {hole!r}")
+    if isinstance(hole, RectHole) and dim != 2:
+        raise GeometryError("rectangle holes are only supported in dim 2")
+    if far_radius is None:
+        return
+    rc = hole.circumscribed_radius
+    if not 4.0 * rc <= far_radius < math.inf:
+        raise GeometryError(
+            f"the far radius must be finite and at least 4x the hole circumscribed "
+            f"radius ({4.0 * rc}), got {far_radius}"
+        )
 
 
 def required_far_radius(hole: HoleSpec, t_max: float) -> float:

@@ -38,12 +38,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .domain import (
-    BallHole,
-    ExteriorDomain,
-    HoleSpec,
-    ThetaBoundary,
-)
+from .domain import BallHole, HoleSpec, ThetaBoundary, check_exterior
 from .errors import GeometryError, NumericalError, PreconditionError
 from .solver.fastsolve import dpttrs, spsolve, symmetric_factor
 from .solver.grids import (
@@ -265,9 +260,11 @@ def _planar_truncated_solve(hole: HoleSpec, theta: ThetaBoundary, R: float,
     return Field(grid, np.concatenate([half[:, :0:-1], half], axis=1), 0.0).lock()
 
 
-def profile_elliptic(domain: ExteriorDomain, theta: ThetaBoundary,
+def profile_elliptic(dim: int, hole: HoleSpec, theta: ThetaBoundary,
                      R_list, h: Optional[float] = None) -> ProfileTable:
-    """Profile by truncated harmonic solves at each R in R_list.
+    """Profile by truncated harmonic solves on B(0, R) minus the hole at each
+    R in R_list. The dimension and the hole meet `domain.check_exterior`;
+    the radii only need min(R) > 2x the hole's circumscribed radius.
 
     dim 3 (ball hole): radial second-order solves (RadialGrid rejects an h
     with < 64 cells below min(R), exit 3); the limit table is the
@@ -278,21 +275,20 @@ def profile_elliptic(domain: ExteriorDomain, theta: ThetaBoundary,
     extrapolation: the limit is `profile_planar`'s constant, and the per-R
     fields demonstrate the monotone decrease toward it.
     """
+    check_exterior(dim, hole)
     radii = tuple(float(R) for R in R_list)
     if not all(math.isfinite(R) for R in radii):
         raise PreconditionError(f"R_list must hold finite radii, got {radii}")
     if len(radii) < 2 or list(radii) != sorted(set(radii)):
         raise PreconditionError("R_list must contain >= 2 strictly increasing radii")
-    rc = domain.hole.circumscribed_radius
+    rc = hole.circumscribed_radius
     if radii[0] <= 2.0 * rc:
         raise PreconditionError(
             f"min(R_list) must exceed twice the hole circumscribed radius ({2.0 * rc})"
         )
 
-    if domain.dim == 3:
-        if not isinstance(domain.hole, BallHole):
-            raise GeometryError("dim-3 elliptic profiles require a ball hole")
-        a = domain.hole.radius
+    if dim == 3:
+        a = hole.radius  # a dim-3 hole is a ball
         if h is None:
             h = a / 256.0
         if theta.is_neumann:
@@ -304,7 +300,7 @@ def profile_elliptic(domain: ExteriorDomain, theta: ThetaBoundary,
             q = a * a * b / (1.0 + a * b)
         solves = {}
         for R in radii:
-            r_R, phi_R = _radial_truncated_solve(domain.dim, a, theta, R, h)
+            r_R, phi_R = _radial_truncated_solve(dim, a, theta, R, h)
             solves[R] = (r_R, phi_R)
         n_common = min(v[0].size for v in solves.values())
         r_common = solves[radii[0]][0][:n_common]
@@ -313,7 +309,7 @@ def profile_elliptic(domain: ExteriorDomain, theta: ThetaBoundary,
         y1, y2 = 1.0 / (R1 - q), 1.0 / (R2 - q)
         extrap = (y1 * per_radius[R2] - y2 * per_radius[R1]) / (y1 - y2)
         extrap = np.clip(extrap, 0.0, 1.0)
-        return ProfileTable(domain.dim, domain.hole, theta, r_common, extrap,
+        return ProfileTable(dim, hole, theta, r_common, extrap,
                             per_radius=per_radius)
 
     # dim 2: masked planar solves on one nested lattice, each restricted to
@@ -330,15 +326,15 @@ def profile_elliptic(domain: ExteriorDomain, theta: ThetaBoundary,
             f"min(R_list) = {radii[0]:g} is too small for the lattice spacing h = {h:g}: "
             f"the planar solve needs ceil(R / h) + 1 >= {_MIN_HALF_NODES}, "
             f"that is R > {(_MIN_HALF_NODES - 2) * h:g}")
-    small = _planar_lattice(domain.hole, radii[0], h)
+    small = _planar_lattice(hole, radii[0], h)
     per_fields = {}
     for R in reversed(radii):
-        f = _planar_truncated_solve(domain.hole, theta, R, h)
+        f = _planar_truncated_solve(hole, theta, R, h)
         off = round((f.grid.half_width - small.half_width) / h)
         keep = slice(off, off + small.n + 1)
         per_fields[R] = Field(small, f.values[keep, keep].copy(), 0.0).lock()
         del f
-    return replace(profile_planar(domain.hole, theta),
+    return replace(profile_planar(hole, theta),
                    planar_fields={R: per_fields[R] for R in radii})
 
 

@@ -12,10 +12,10 @@ from typing import Optional, Tuple
 
 from .domain import (
     BallHole,
-    ExteriorDomain,
     HoleSpec,
     RectHole,
     ThetaBoundary,
+    check_exterior,
     required_far_radius,
 )
 from .errors import ConfigError, GeometryError
@@ -80,7 +80,7 @@ class RunConfig:
             ThetaBoundary(self.theta)
             r_out = self.r_out if self.r_out is not None else required_far_radius(
                 self.hole, self.t_max)
-            ExteriorDomain(self.dim, self.hole, r_out)
+            check_exterior(self.dim, self.hole, r_out)
         except GeometryError as exc:
             raise ConfigError(str(exc)) from exc
         if not math.isfinite(2.0 * r_out / h):

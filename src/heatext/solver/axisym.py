@@ -19,16 +19,15 @@ hole and outer-edge nodes pinned and the accuracy guard on every step
 cap, with h = min(h_rho, h_z).
 """
 
-from ..domain import ExteriorDomain, ThetaBoundary
-from ..errors import GeometryError, PreconditionError, UnsupportedFeatureError
+from ..domain import ThetaBoundary, check_exterior
+from ..errors import PreconditionError, UnsupportedFeatureError
 from .config import StepperConfig
 from .grids import AxisymGrid, Field, stiffness
 from .march import march_masked
 
 
-def evolve_axisym(domain: ExteriorDomain, theta: ThetaBoundary, u0: Field,
-                  cfg: StepperConfig):
-    """Evolve an axisymmetric datum around a ball hole (Dirichlet only).
+def evolve_axisym(theta: ThetaBoundary, u0: Field, cfg: StepperConfig):
+    """Evolve an axisymmetric datum around the grid's ball hole (Dirichlet only).
 
     Mass is 2 pi * double integral of u rho drho dz (trapezoid); the ledger
     flux sums the discrete mass rate through hole faces.
@@ -40,14 +39,11 @@ def evolve_axisym(domain: ExteriorDomain, theta: ThetaBoundary, u0: Field,
     grid = u0.grid
     if not isinstance(grid, AxisymGrid):
         raise PreconditionError("evolve_axisym requires a Field on an AxisymGrid")
-    if domain.dim != 3:
-        raise GeometryError("evolve_axisym requires a dim-3 domain")
-    if grid.hole != domain.hole:
-        raise GeometryError("grid hole does not match the domain hole")
+    check_exterior(3, grid.hole)
     return _axisym_run(grid, u0, cfg.stops(stiffness(grid), grid.spacing), cfg.snapshot_times)
 
 
 def _axisym_run(grid: AxisymGrid, u0: Field, stops, snap_times):
-    """The Dirichlet run on the grid's own hole, without the domain checks;
+    """The Dirichlet run on the grid's own hole, without the hole check;
     the exterior kernel probe calls it directly, on the grid it builds."""
     return march_masked(grid, u0, 0.0, stops, "axisymmetric", snap_times)

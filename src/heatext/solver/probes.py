@@ -5,7 +5,7 @@ unit discrete mass at the source point y. Evolving it approximates the
 heat kernel k(., y, t) up to mollifier smearing, which is estimated by
 halving the width and comparing. Two code paths:
 
-  - whole space (domain None): the problem is radial about y, solved on
+  - whole space (hole None): the problem is radial about y, solved on
     a 1d grid in s = |x - y| with the smooth-origin parity row;
   - exterior domain (Dirichlet ball hole): the source sits on the z-axis
     at distance y from the origin and the evolution is axisymmetric.
@@ -35,7 +35,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..domain import BallHole, ExteriorDomain, ThetaBoundary
+from ..domain import BallHole, ThetaBoundary, check_exterior
 from ..errors import PreconditionError
 from .axisym import _axisym_run
 from .config import warmup_steps
@@ -75,48 +75,49 @@ class ProbeResult:
         return float(np.max(self.snapshot_at(t).values))
 
 
-def kernel_probe(domain: Optional[ExteriorDomain], y_dist: float,
+def kernel_probe(hole: Optional[BallHole], y_dist: float,
                  mollifier_width: float, times: Tuple[float, ...], *,
                  n_rho: int = 256, n_z: int = 512, n_r: int = 2048,
                  pad: Optional[float] = None) -> ProbeResult:
     """Evolve a unit-mass mollifier at distance y_dist from the origin.
 
-    domain None runs the whole-space radial path (the hole disabled);
-    otherwise the domain must have a ball hole, which the probe treats as
+    hole None runs the whole-space radial path; otherwise the hole must be
+    a ball (`domain.check_exterior` in dim 3), which the probe treats as
     Dirichlet, and the source must satisfy dist(y, hole) > 2 * mollifier_width.
     The grid spacing (h, or max(h_rho, h_z) on the axisymmetric grid) must
     not exceed mollifier_width, or the datum falls between the nodes; the
-    width and y_dist must be finite, the times positive and strictly
-    increasing.
+    width, y_dist and the pad must be finite, the times positive, finite
+    and strictly increasing.
     """
     if not 0 < mollifier_width < math.inf:
         raise PreconditionError(
             f"mollifier_width must be positive and finite, got {mollifier_width}")
     if not math.isfinite(y_dist):
         raise PreconditionError(f"the source distance must be finite, got {y_dist}")
-    if not times or min(times) <= 0:
-        raise PreconditionError("probe times must be positive")
+    if not times or not all(0 < t < math.inf for t in times):
+        raise PreconditionError(f"probe times must be positive and finite, got {list(times)}")
     if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
         raise PreconditionError(f"probe times must strictly increase, got {list(times)}")
     if pad is None:
         pad = 4.0 * math.sqrt(4.0 * max(times))
+    if not 0 < pad < math.inf:
+        raise PreconditionError(f"the pad must be positive and finite, got {pad}")
 
-    if domain is None:
+    if hole is None:
         # radial about the source; y_dist only shifts labels, not the solve
         grid = RadialGrid(a=0.0, r_out=mollifier_width + pad, n_r=n_r, dim=3)
         u0 = mollifier_bump(grid.nodes(), mollifier_width)
         h = grid.h
     else:
-        if not isinstance(domain.hole, BallHole) or domain.dim != 3:
-            raise PreconditionError("kernel probes need a dim-3 ball-hole domain")
-        a = domain.hole.radius
+        check_exterior(3, hole)  # a dim-3 hole is a ball
+        a = hole.radius
         if y_dist - a <= 2.0 * mollifier_width:
             raise PreconditionError(
                 f"source too close to the hole: dist = {y_dist - a}, "
                 f"need > {2.0 * mollifier_width}"
             )
         grid = AxisymGrid(rho_max=pad, z_half=y_dist + pad, n_rho=n_rho, n_z=n_z,
-                          hole=domain.hole)
+                          hole=hole)
         R, Z = grid.meshgrid()
         u0 = mollifier_bump(np.sqrt(R ** 2 + (Z - y_dist) ** 2), mollifier_width)
         h = max(grid.h_rho, grid.h_z)
@@ -131,14 +132,14 @@ def kernel_probe(domain: Optional[ExteriorDomain], y_dist: float,
     dt_cap = min(0.05, grid.spacing)
     warmup = (t0, min(t0 / warmup_steps(stiffness(grid), t0), dt_cap))
     stops = (warmup,) + tuple((t, dt_cap) for t in times)
-    if domain is None:
+    if hole is None:
         snaps, ledger = _crank_nicolson_run(grid, ThetaBoundary(1.0), u0, stops, times)
     else:
         snaps, ledger = _axisym_run(grid, Field(grid, u0), stops, times)
-    return ProbeResult(snaps, ledger, y_dist, domain is None, warmup)
+    return ProbeResult(snaps, ledger, y_dist, hole is None, warmup)
 
 
-def probe_smearing_estimate(domain: Optional[ExteriorDomain], y_dist: float,
+def probe_smearing_estimate(hole: Optional[BallHole], y_dist: float,
                             mollifier_width: float, times: Tuple[float, ...],
                             **kwargs) -> dict:
     """L1 distance between the probes at width w and w/2, per time.
@@ -147,8 +148,8 @@ def probe_smearing_estimate(domain: Optional[ExteriorDomain], y_dist: float,
     relative smearing scale; a small value certifies that the probe is
     close to the ideal kernel column at the probed times.
     """
-    full = kernel_probe(domain, y_dist, mollifier_width, times, **kwargs)
-    half = kernel_probe(domain, y_dist, 0.5 * mollifier_width, times, **kwargs)
+    full = kernel_probe(hole, y_dist, mollifier_width, times, **kwargs)
+    half = kernel_probe(hole, y_dist, 0.5 * mollifier_width, times, **kwargs)
     out = {}
     for t in times:
         s_full = full.snapshot_at(t)

@@ -67,11 +67,7 @@ import math
 
 import numpy as np
 
-from ..domain import (
-    ExteriorDomain,
-    ThetaBoundary,
-    sphere_surface_area,
-)
+from ..domain import ThetaBoundary, check_exterior, sphere_surface_area
 from ..errors import GeometryError, NumericalError, PreconditionError
 from .config import StepperConfig
 from .fastsolve import dpttrs, symmetric_factor, tridiagonal_scale
@@ -196,9 +192,10 @@ def _crank_nicolson_run(grid, theta, u0_values, stops, snap_times):
                  snap_times)
 
 
-def evolve_radial(domain: ExteriorDomain, theta: ThetaBoundary, u0: Field,
-                  cfg: StepperConfig):
-    """Evolve a radial datum on the truncated exterior domain.
+def evolve_radial(theta: ThetaBoundary, u0: Field, cfg: StepperConfig):
+    """Evolve a radial datum on the truncated exterior domain, which is its
+    grid: [a, r_out] with the ball hole of radius a > 0, r_out >= 4 a
+    (`domain.check_exterior`).
 
     Returns (snapshots, ledger). Snapshots are immutable Fields at
     exactly cfg.snapshot_times, on the stops of `StepperConfig.stops`; the
@@ -207,12 +204,7 @@ def evolve_radial(domain: ExteriorDomain, theta: ThetaBoundary, u0: Field,
     grid = u0.grid
     if not isinstance(grid, RadialGrid):
         raise PreconditionError("evolve_radial requires a Field on a RadialGrid")
-    if grid.hole != domain.hole:
-        raise GeometryError("grid hole does not match the domain hole")
-    if abs(grid.r_out - domain.far_radius) > 1e-9 * domain.far_radius:
-        raise GeometryError("grid outer radius does not match domain.far_radius")
-    if grid.dim != domain.dim:
-        raise GeometryError("grid dimension does not match the domain")
+    check_exterior(grid.dim, grid.hole, grid.r_out)
     stops = cfg.stops(radial_stiffness(grid, theta), grid.spacing)
     return _crank_nicolson_run(grid, theta, u0.values, stops, cfg.snapshot_times)
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import pytest
 
 from heatext.constructions import explicit_solution
-from heatext.domain import BallHole, ExteriorDomain, RectHole, ThetaBoundary
+from heatext.domain import BallHole, RectHole, ThetaBoundary
 from heatext.presets import make_planar_datum
 from heatext.profiles import asymptotic_mass, profile_radial_closed_form
 from heatext.solver import (
@@ -48,13 +48,12 @@ def radial_explicit_run(t_max, snapshot_times, theta=ThetaBoundary(0.0),
     r_req = (a + 6.0 * math.sqrt(4.0 * t_max)) * r_out_scale
     n = int(math.ceil((r_req - a) / h))
     grid = RadialGrid(a=a, r_out=a + n * h, n_r=n, dim=3)
-    domain = ExteriorDomain(3, BallHole(a), grid.r_out)
     vals = explicit_solution(grid.nodes(), 0.0)
     vals[-1] = 0.0
     u0 = Field(grid, vals, 0.0)
     cfg = StepperConfig(dt=dt, snapshot_times=tuple(snapshot_times))
     t0 = time.perf_counter()
-    snaps, ledger = evolve_radial(domain, theta, u0, cfg)
+    snaps, ledger = evolve_radial(theta, u0, cfg)
     elapsed = time.perf_counter() - t0
     profile = profile_radial_closed_form(3, a, theta)
     m = asymptotic_mass(u0, profile)
@@ -100,11 +99,10 @@ def planar_masloss_run():
     r_req = hole.circumscribed_radius + 6.0 * math.sqrt(4.0 * t_max)
     n = 2 * int(math.ceil(r_req / h))
     grid = PlanarGrid(half_width=n * h / 2.0, n=n, hole=hole)
-    domain = ExteriorDomain(2, hole, grid.half_width)
     u0 = make_planar_datum("gaussian-bump:3,0,1.5", grid)
     cfg = StepperConfig(dt=0.25, snapshot_times=(1.0, 10.0, 100.0))
     t0 = time.perf_counter()
-    snaps, ledger = evolve_planar(domain, ThetaBoundary(0.0), u0, cfg)
+    snaps, ledger = evolve_planar(ThetaBoundary(0.0), u0, cfg)
     elapsed = time.perf_counter() - t0
     return grid, u0, snaps, ledger, elapsed
 
@@ -114,10 +112,9 @@ def kernel_probe_matrix():
     """Probes at |y| in {3, 6}, each with snapshots at t in {5, 10}."""
     a = 1.0
     t_max = 10.0
-    domain = ExteriorDomain(3, BallHole(a), a + 6.0 * math.sqrt(4.0 * t_max))
     out = {}
     t0 = time.perf_counter()
     for y in (3.0, 6.0):
-        out[y] = kernel_probe(domain, y, 0.5, (5.0, 10.0), n_rho=256, n_z=512)
+        out[y] = kernel_probe(BallHole(a), y, 0.5, (5.0, 10.0), n_rho=256, n_z=512)
     elapsed = time.perf_counter() - t0
     return out, elapsed

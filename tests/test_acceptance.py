@@ -25,7 +25,7 @@ from heatext.constructions import (
     plan_condition_values,
     supersolution_report,
 )
-from heatext.domain import BallHole, ExteriorDomain, ThetaBoundary
+from heatext.domain import BallHole, ThetaBoundary
 from heatext.gaussian import (
     GaussianParams,
     gaussian_l1_time_shift_bound,
@@ -195,14 +195,13 @@ def test_c09_dim2_mass_loss(planar_masloss_run):
 
 
 def test_c10_profile_suite():
-    dom3 = ExteriorDomain(3, BallHole(1.0), 64.0)
     msgs, ok = [], True
 
     closed = profile_radial_closed_form(3, 1.0, DIRICHLET)
     h = 1.0 / 256.0
     for theta in (DIRICHLET, ThetaBoundary(0.5)):
         cf = profile_radial_closed_form(3, 1.0, theta)
-        el = profile_elliptic(dom3, theta, (8.0, 16.0, 32.0), h=h)
+        el = profile_elliptic(3, BallHole(1.0), theta, (8.0, 16.0, 32.0), h=h)
         agree = float(np.max(np.abs(cf.evaluate(el.r) - el.values)))
         ok &= agree <= 1e-4
         msgs.append(f"theta={theta.theta:g} agreement {agree:.2e}")
@@ -210,8 +209,7 @@ def test_c10_profile_suite():
         ok &= abs(el.boundary_residual()) <= 50.0 * h ** 2
     ok &= abs(closed.boundary_residual()) <= 1e-10
 
-    dom2 = ExteriorDomain(2, BallHole(1.0), 80.0)
-    el2 = profile_elliptic(dom2, DIRICHLET, (8.0, 16.0, 32.0, 64.0), h=0.25)
+    el2 = profile_elliptic(2, BallHole(1.0), DIRICHLET, (8.0, 16.0, 32.0, 64.0), h=0.25)
     viol = el2.elliptic_monotone_violations(tol=1e-12)
     ok &= viol == 0
     msgs.append(f"dim-2 monotone violations {viol}")

@@ -24,7 +24,7 @@ from heatext.constructions import (
     optimal_datum_plan,
     parse_g_spec,
 )
-from heatext.domain import BallHole, ExteriorDomain, RectHole, ThetaBoundary
+from heatext.domain import BallHole, RectHole, ThetaBoundary
 from heatext.errors import PreconditionError
 from heatext.gaussian import (
     GaussianParams,
@@ -39,6 +39,7 @@ from heatext.solver import (
     RadialGrid,
     StepperConfig,
     evolve_radial,
+    kernel_probe,
 )
 
 DIRICHLET = ThetaBoundary(0.0)
@@ -135,12 +136,11 @@ def test_neumann_l1_error_bounded_by_time_shift():
     r_req = 1.0 + 6.0 * math.sqrt(4.0 * t_end)
     n = int(math.ceil((r_req - 1.0) / h))
     grid = RadialGrid(a=1.0, r_out=1.0 + n * h, n_r=n, dim=3)
-    domain = ExteriorDomain(3, BallHole(1.0), grid.r_out)
     r = grid.nodes()
     u0 = Field(grid, gaussian_value(r, GaussianParams(3, 1.0)), 0.0)
     m = u0.integral()  # Neumann profile is 1
     cfg = StepperConfig(dt=1.0 / 32.0, snapshot_times=(t_end,))
-    snaps, _ = evolve_radial(domain, ThetaBoundary(1.0), u0, cfg)
+    snaps, _ = evolve_radial(ThetaBoundary(1.0), u0, cfg)
     norms = error_norms(snaps[-1], m, profile_radial_closed_form(3, 1.0, ThetaBoundary(1.0)))
     bound = gaussian_l1_time_shift_bound(t_end, 1.0, 3)
     # margin: the datum mass near the hole that the reflection rearranges
@@ -324,3 +324,21 @@ def test_kernel_gap_bound_values():
     phi6 = _profile().evaluate(6.0)
     bound6 = 2.0 * (1.0 - phi6) + gaussian_ball_integral(6.0, 1.0, 10.0)
     assert bound6 == pytest.approx(0.335, abs=2e-3)
+
+
+def test_kernel_gap_bound_terms_match_independent_oracles():
+    # the report's terms on a small probe, recomputed: 2 (1 - Phi0(y)) from
+    # Phi0(y) = 1 - a / y, and the Gaussian mass in the ball by a 1-d
+    # trapezoid in r of the closed-form angular integral
+    # 2 pi (4 pi t)^(-3/2) int_0^a r^2 (2 t / (r y)) (e^-(r-y)^2/4t - e^-(r+y)^2/4t) dr
+    a, y, t = 1.0, 3.0, 1.0
+    probe = kernel_probe(BallHole(a), y, 0.5, (t,), n_rho=32, n_z=64)
+    rep = kernel_l1_gap(probe, t, _profile())
+    assert rep.profile_term == pytest.approx(2.0 * (a / y), rel=0, abs=1e-12)
+    r = np.linspace(0.0, a, 200001)
+    # r^2 (2 t / (r y)) = 2 t r / y, which is 0 at r = 0
+    integrand = (2.0 * t * r / y) * (np.exp(-(r - y) ** 2 / (4.0 * t))
+                                     - np.exp(-(r + y) ** 2 / (4.0 * t)))
+    hole_mass = 2.0 * math.pi * (4.0 * math.pi * t) ** -1.5 * np.trapezoid(integrand, r)
+    assert rep.hole_term == pytest.approx(hole_mass, rel=1e-6)
+    assert rep.bound == rep.profile_term + rep.hole_term

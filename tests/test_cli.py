@@ -19,6 +19,7 @@ from heatext.runconfig import (
     parse_hole,
     runconfig_from_mapping,
 )
+from heatext.domain import RectHole
 from heatext.errors import ConfigError
 
 
@@ -152,6 +153,12 @@ def test_config_validates_geometry():
         RunConfig(theta=2.0, t_max=1.0).resolved()
     with pytest.raises(ConfigError):
         RunConfig(t_max=-1.0).resolved()
+    # the far radius of a run's grid must be at least 4x the hole's
+    # circumscribed radius, a rect hole lies in dim 2 only
+    with pytest.raises(ConfigError, match="at least 4x"):
+        RunConfig(r_out=3.9).resolved()
+    with pytest.raises(ConfigError, match="only supported in dim 2"):
+        RunConfig(hole=RectHole(1.0, 1.0)).resolved()
 
 
 # ------------------------------------------------------------- subcommands
@@ -339,6 +346,12 @@ def test_theta_whose_robin_row_overflows_exit_code(tmp_path, capsys):
     ["kernel", "--width", "nan", "--grid", "32x64"],
     ["kernel", "--y", "inf", "--grid", "32x64"],
     ["kernel", "--t", "inf", "--grid", "32x64"],
+    ["kernel", "--t", "1e308", "--grid", "32x64"],
+    ["kernel", "--hole", "rect:1x1", "--grid", "32x64"],
+    ["profile", "--R", "8,inf"],
+    ["evolve", "--r-out", "3", "--study", "mass", "--t-max", "2"],
+    ["evolve", "--dim", "2", "--hole", "rect:1x1", "--r-out", "5", "--study", "mass",
+     "--t-max", "2"],
     ["evolve", "--r-out", "inf", "--study", "mass", "--t-max", "2"],
     ["evolve", "--h", "1e-300", "--study", "mass", "--t-max", "2"],
     ["evolve", "--dim", "2", "--h", "1e-300", "--study", "mass", "--t-max", "2"],
@@ -369,7 +382,9 @@ def test_malformed_flag_exit_code(tmp_path, capsys, argv):
     # the first file too: a theta this close to 1 leaves the closed-form
     # profile no decay to fit. herraiz needs a finite t whose curves do not
     # overflow, the elliptic profile finite radii, the kernel probe a finite
-    # mollifier width and source distance, and a domain a finite far radius.
+    # mollifier width, source distance and pad, and an evolution a finite far
+    # radius at least 4x the hole's (rect:1x1 is a dim-2 hole, for the probe
+    # and the profile alike, whatever the method).
     # A grid may hold at most grids.MAX_NODES nodes, checked before any array
     # is made (a tiny h, a huge elliptic R or kernel grid), h must be
     # positive and finite with a node count that does not overflow, and a
@@ -534,6 +549,27 @@ def test_herraiz_cmd(tmp_path):
     header, rows = read_csv(os.path.join(run_dir, "herraiz.csv"))
     assert header == ["r", "exact", "theorem_pred", "herraiz_pred"]
     assert len(rows) > 1000
+
+
+def test_herraiz_phi_off_drops_the_profile_factor(tmp_path):
+    # --phi off changes the two predictions only: r and the exact curve stay
+    tables = {}
+    for phi in ("on", "off"):
+        assert _run(["herraiz", "--phi", phi, "--out", str(tmp_path / phi)]) == 0
+        (run_dir,) = os.listdir(tmp_path / phi)
+        header, rows = read_csv(os.path.join(tmp_path / phi, run_dir, "herraiz.csv"))
+        assert header == ["r", "exact", "theorem_pred", "herraiz_pred"]
+        tables[phi] = np.array(rows, dtype=float)
+    on, off = tables["on"], tables["off"]
+    assert np.array_equal(on[:, :2], off[:, :2])
+    for col in (2, 3):
+        assert not np.array_equal(on[:, col], off[:, col])
+
+
+def test_herraiz_phi_takes_on_or_off(tmp_path, capsys):
+    assert _run(["herraiz", "--phi", "maybe", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert os.listdir(tmp_path) == []
 
 
 def test_herraiz_rejects_early_time(tmp_path):
@@ -801,7 +837,7 @@ def test_planar_snapshot_coordinates_are_the_grid_nodes(tmp_path, monkeypatch):
     assert _run(["evolve", "--dim", "2", "--hole", "rect:1x1", "--study", "mass",
                  "--t-max", "4", "--h", "0.5", "--r-out", "16", "--snapshots", "1,4",
                  "--out", str(tmp_path)]) == 0
-    ((_, _, u0, _), _), = calls
+    ((_, u0, _), _), = calls
     grid = u0.grid
     (run_dir,) = os.listdir(tmp_path)
     c = grid.coords()

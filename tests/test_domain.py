@@ -5,9 +5,9 @@ import pytest
 
 from heatext.domain import (
     BallHole,
-    ExteriorDomain,
     RectHole,
     ThetaBoundary,
+    check_exterior,
     outward_normal_sign_at_hole,
     required_far_radius,
     robin_coefficient,
@@ -82,17 +82,24 @@ def test_sphere_surface_area_radial_integration():
     assert val == pytest.approx(8.0 * math.pi, rel=1e-9)
 
 
-def test_exterior_domain_validation():
-    ExteriorDomain(3, BallHole(1.0), 10.0)
-    with pytest.raises(GeometryError):
-        ExteriorDomain(3, BallHole(1.0), 3.0)   # under the 4x rule
-    with pytest.raises(GeometryError):
-        ExteriorDomain(3, RectHole(1.0, 1.0), 10.0)  # rect is dim-2 only
-    with pytest.raises(GeometryError):
-        ExteriorDomain(4, BallHole(1.0), 10.0)
-    with pytest.raises(GeometryError):
-        ExteriorDomain(3, BallHole(1.0), float("inf"))
-    ExteriorDomain(2, RectHole(1.0, 2.0), 12.0)
+def test_check_exterior_rules():
+    check_exterior(3, BallHole(1.0), 10.0)
+    check_exterior(3, BallHole(1.0), 4.0)
+    check_exterior(2, RectHole(1.0, 2.0), 12.0)
+    check_exterior(3, BallHole(1.0))  # no far radius: the dimension and hole alone
+    with pytest.raises(GeometryError, match="at least 4x"):
+        check_exterior(3, BallHole(1.0), 3.0)
+    with pytest.raises(GeometryError, match="at least 4x"):
+        check_exterior(2, RectHole(1.0, 2.0), 8.9)  # 4 sqrt(5) = 8.94
+    for far in (math.inf, math.nan):
+        with pytest.raises(GeometryError, match="finite"):
+            check_exterior(3, BallHole(1.0), far)
+    with pytest.raises(GeometryError, match="only supported in dim 2"):
+        check_exterior(3, RectHole(1.0, 1.0))
+    with pytest.raises(GeometryError, match="dim must be 2 or 3"):
+        check_exterior(4, BallHole(1.0), 10.0)
+    with pytest.raises(GeometryError, match="needs a ball or rect hole"):
+        check_exterior(3, None, 10.0)
 
 
 @pytest.mark.parametrize("make", [

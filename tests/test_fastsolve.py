@@ -18,7 +18,7 @@ from scipy.fft import dst
 from scipy.linalg.lapack import dpttrs
 from scipy.sparse.linalg import splu, spsolve
 
-from heatext.domain import BallHole, ExteriorDomain, RectHole, ThetaBoundary
+from heatext.domain import BallHole, RectHole, ThetaBoundary
 from heatext.errors import NumericalError, PreconditionError
 from heatext.presets import make_planar_datum
 from heatext.solver import (
@@ -351,7 +351,7 @@ def test_planar_march_matches_splu_reference(theta, hole):
     tb = ThetaBoundary(theta)
     u0 = make_planar_datum("gaussian-bump:2.5,0.5,1", grid)
     cfg = StepperConfig(dt=0.125, snapshot_times=(0.5, 2.0))
-    snaps, ledger = evolve_planar(ExteriorDomain(2, hole, 6.0), tb, u0, cfg)
+    snaps, ledger = evolve_planar(tb, u0, cfg)
     L, hole_w = _operator(grid, hole_ghost(tb, grid.h))
     active = grid.active_mask()
     rows, want = _reference_march(u0.values[active], hole_w, grid.volume_weights()[active],
@@ -365,8 +365,7 @@ def test_axisym_march_matches_splu_reference():
     u0 = mollifier_bump(np.sqrt(R ** 2 + (Z - 2.5) ** 2), 1.0)
     u0[grid.hole_mask() | grid.edge_mask()] = 0.0
     cfg = StepperConfig(dt=0.1, snapshot_times=(0.5, 2.0))
-    snaps, ledger = evolve_axisym(ExteriorDomain(3, BallHole(1.0), 6.0),
-                                  ThetaBoundary(0.0), Field(grid, u0), cfg)
+    snaps, ledger = evolve_axisym(ThetaBoundary(0.0), Field(grid, u0), cfg)
     L, hole_w = _operator(grid, 0.0)
     active = grid.active_mask()
     rows, want = _reference_march(u0[active], hole_w, grid.volume_weights()[active],
@@ -385,20 +384,17 @@ def _run_path(kind):
     exterior kernel-probe runs."""
     if kind == "planar":
         grid = PlanarGrid(half_width=6.0, n=48, hole=RectHole(1.0, 1.0))
-        domain = ExteriorDomain(2, grid.hole, 6.0)
-        run = lambda u0, cfg: evolve_planar(domain, ThetaBoundary(0.5), u0, cfg)
+        run = lambda u0, cfg: evolve_planar(ThetaBoundary(0.5), u0, cfg)
     elif kind in ("axisym", "exterior probe"):
         grid = AxisymGrid(rho_max=6.0, z_half=7.0, n_rho=40, n_z=96, hole=BallHole(1.0))
-        domain = ExteriorDomain(3, BallHole(1.0), 6.0)
-        run = lambda u0, cfg: evolve_axisym(domain, ThetaBoundary(0.0), u0, cfg)
+        run = lambda u0, cfg: evolve_axisym(ThetaBoundary(0.0), u0, cfg)
         if kind == "exterior probe":
             run = lambda u0, cfg: _axisym_run(grid, u0, _probe_stops(cfg), cfg.snapshot_times)
     if kind in ("planar", "axisym", "exterior probe"):
         return grid, np.where(grid.active_mask(), 1.0, 0.0), grid.hole_mask(), run
     if kind == "radial":
         grid = RadialGrid(a=1.0, r_out=9.0, n_r=64, dim=3)
-        domain = ExteriorDomain(3, BallHole(1.0), 9.0)
-        run = lambda u0, cfg: evolve_radial(domain, ThetaBoundary(0.0), u0, cfg)
+        run = lambda u0, cfg: evolve_radial(ThetaBoundary(0.0), u0, cfg)
     else:
         grid = RadialGrid(a=0.0, r_out=8.0, n_r=64, dim=3)
         run = lambda u0, cfg: evolve_ball(8.0, u0, cfg)
@@ -624,8 +620,7 @@ def test_masked_run_builds_no_solver_for_steps_never_taken(monkeypatch, times, b
     grid, ghost, u0 = _masked_case("robin")
     built = _counted_builds(monkeypatch)
     cfg = StepperConfig(dt=0.125, snapshot_times=times)
-    snaps, ledger = evolve_planar(ExteriorDomain(2, grid.hole, 6.0), ThetaBoundary(0.5),
-                                  Field(grid, u0), cfg)
+    snaps, ledger = evolve_planar(ThetaBoundary(0.5), Field(grid, u0), cfg)
     assert built == builds
     assert [s.time for s in snaps] == list(dict.fromkeys(times))
     assert np.max(np.abs(snaps[0].values - u0)) <= 1e-14 * np.max(np.abs(u0))
@@ -658,7 +653,7 @@ def test_masked_run_frees_each_solver_after_its_last_stop(monkeypatch):
 
     monkeypatch.setattr(march_module, "MaskedCNSolve", Counted)
     cfg = StepperConfig(dt=0.125, snapshot_times=(0.0, 60.0))
-    evolve_planar(ExteriorDomain(2, grid.hole, 6.0), ThetaBoundary(0.5), Field(grid, u0), cfg)
+    evolve_planar(ThetaBoundary(0.5), Field(grid, u0), cfg)
     steps = [dt for dt, _ in alive_at_build]
     assert len(steps) >= 4 and len(set(steps)) == len(steps)
     assert [n for _, n in alive_at_build] == [0] * len(steps)

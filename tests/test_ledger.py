@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from heatext.constructions import ball_eigenfunction
-from heatext.domain import BallHole, ExteriorDomain, RectHole, ThetaBoundary, sphere_surface_area
+from heatext.domain import BallHole, RectHole, ThetaBoundary, sphere_surface_area
 from heatext.presets import make_planar_datum, make_radial_datum
 from heatext.solver import (
     AxisymGrid,
@@ -49,7 +49,7 @@ def _run(kind):
         theta = ThetaBoundary(float(kind.split()[-1]))
         grid = RadialGrid(a=1.0, r_out=9.0, n_r=128, dim=3)
         u0 = make_radial_datum("gaussian-bump:4,1", grid, theta)
-        snaps, ledger = evolve_radial(ExteriorDomain(3, BallHole(1.0), 9.0), theta, u0, CFG)
+        snaps, ledger = evolve_radial(theta, u0, CFG)
         return snaps, ledger, CFG.stops(radial_stiffness(grid, theta), grid.spacing), theta
     if kind == "ball":
         grid = RadialGrid(a=0.0, r_out=1.0, n_r=64, dim=3)
@@ -61,23 +61,20 @@ def _run(kind):
     if kind == "planar":
         grid = PlanarGrid(half_width=6.0, n=48, hole=RectHole(1.0, 1.0))
         u0 = make_planar_datum("gaussian-bump:2.5,0.5,1", grid)
-        snaps, ledger = evolve_planar(ExteriorDomain(2, grid.hole, 6.0), ThetaBoundary(0.5),
-                                      u0, CFG)
+        snaps, ledger = evolve_planar(ThetaBoundary(0.5), u0, CFG)
         return snaps, ledger, CFG.stops(stiffness(grid), grid.spacing), None
     if kind == "axisym":
         grid = AxisymGrid(rho_max=6.0, z_half=7.0, n_rho=40, n_z=96, hole=BallHole(1.0))
         R, Z = grid.meshgrid()
         u0 = mollifier_bump(np.sqrt(R ** 2 + (Z - 2.5) ** 2), 1.0)
         u0[grid.hole_mask() | grid.edge_mask()] = 0.0
-        snaps, ledger = evolve_axisym(ExteriorDomain(3, BallHole(1.0), 6.0),
-                                      ThetaBoundary(0.0), Field(grid, u0), CFG)
+        snaps, ledger = evolve_axisym(ThetaBoundary(0.0), Field(grid, u0), CFG)
         return snaps, ledger, CFG.stops(stiffness(grid), grid.spacing), None
     times = (0.5, 1.0)
     if kind == "whole-space probe":
         probe = kernel_probe(None, 0.0, 0.5, times, n_r=256)
     else:
-        probe = kernel_probe(ExteriorDomain(3, BallHole(1.0), 20.0), 3.0, 0.5, times,
-                             n_rho=32, n_z=64)
+        probe = kernel_probe(BallHole(1.0), 3.0, 0.5, times, n_rho=32, n_z=64)
     cap = min(0.05, probe.snapshots[0].grid.spacing)
     return probe.snapshots, probe.ledger, (probe.warmup,) + tuple((t, cap) for t in times), None
 

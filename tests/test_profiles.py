@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from heatext.domain import BallHole, ExteriorDomain, RectHole, ThetaBoundary
+from heatext.domain import BallHole, RectHole, ThetaBoundary
 from heatext.errors import GeometryError, PreconditionError
 from heatext.profiles import (
     _planar_truncated_solve,
@@ -102,8 +102,7 @@ def test_dim2_degenerate_profiles():
 # ------------------------------------------------------------ elliptic
 
 def test_elliptic_radial_dirichlet_matches_closed_form():
-    dom = ExteriorDomain(3, BallHole(1.0), 64.0)
-    table = profile_elliptic(dom, DIRICHLET, (8.0, 16.0, 32.0))
+    table = profile_elliptic(3, BallHole(1.0), DIRICHLET, (8.0, 16.0, 32.0))
     # oracle: the closed form 1 - 1/r
     exact = 1.0 - 1.0 / table.r
     assert float(np.max(np.abs(table.values - exact))) <= 1e-4
@@ -111,8 +110,7 @@ def test_elliptic_radial_dirichlet_matches_closed_form():
 
 
 def test_elliptic_radial_robin_matches_closed_form():
-    dom = ExteriorDomain(3, BallHole(1.0), 64.0)
-    table = profile_elliptic(dom, ROBIN_HALF, (8.0, 16.0, 32.0))
+    table = profile_elliptic(3, BallHole(1.0), ROBIN_HALF, (8.0, 16.0, 32.0))
     exact = 1.0 - 0.5 / table.r
     assert float(np.max(np.abs(table.values - exact))) <= 1e-4
 
@@ -121,8 +119,7 @@ def test_elliptic_table_continues_harmonically_past_its_end():
     # the table ends at min(R) = 8; beyond it evaluate continues with
     # 1 - C/r, C matched to the last sample, which tracks the closed form
     # 1 - c/r with the last sample's error times r[-1]/r
-    dom = ExteriorDomain(3, BallHole(1.0), 64.0)
-    table = profile_elliptic(dom, ROBIN_HALF, (8.0, 16.0, 32.0))
+    table = profile_elliptic(3, BallHole(1.0), ROBIN_HALF, (8.0, 16.0, 32.0))
     closed = profile_radial_closed_form(3, 1.0, ROBIN_HALF)
     end = table.r[-1]
     assert end == 8.0
@@ -138,8 +135,7 @@ def test_elliptic_table_continues_harmonically_past_its_end():
 
 
 def test_elliptic_radial_neumann_is_exactly_one():
-    dom = ExteriorDomain(3, BallHole(1.0), 64.0)
-    table = profile_elliptic(dom, NEUMANN, (8.0, 16.0))
+    table = profile_elliptic(3, BallHole(1.0), NEUMANN, (8.0, 16.0))
     for vals in table.per_radius.values():
         assert np.allclose(vals, 1.0, rtol=0.0, atol=1e-12)
 
@@ -158,8 +154,7 @@ def test_truncated_dirichlet_solve_is_discrete_harmonic_exact(a, cells, ratio):
 
 
 def test_elliptic_monotone_in_truncation_radius():
-    dom = ExteriorDomain(3, BallHole(1.0), 64.0)
-    table = profile_elliptic(dom, DIRICHLET, (8.0, 16.0, 32.0))
+    table = profile_elliptic(3, BallHole(1.0), DIRICHLET, (8.0, 16.0, 32.0))
     assert table.elliptic_monotone_violations(tol=1e-13) == 0
     # every table stays inside [0, 1]; the extrapolated limit sits below
     # every truncated solve
@@ -170,8 +165,7 @@ def test_elliptic_monotone_in_truncation_radius():
 
 
 def test_elliptic_planar_dim2_monotone_decrease():
-    dom = ExteriorDomain(2, BallHole(1.0), 40.0)
-    table = profile_elliptic(dom, DIRICHLET, (8.0, 16.0, 32.0), h=0.25)
+    table = profile_elliptic(2, BallHole(1.0), DIRICHLET, (8.0, 16.0, 32.0), h=0.25)
     assert table.elliptic_monotone_violations(tol=1e-12) == 0
     assert table.coefficient == 1.0
     assert np.all(table.evaluate(np.array([1.0, 4.0, 1e6])) == 0.0)
@@ -195,8 +189,7 @@ def test_elliptic_planar_solves_the_largest_radius_first(monkeypatch):
         return _planar_truncated_solve(hole, theta, R, h)
 
     monkeypatch.setattr(profiles, "_planar_truncated_solve", recorded)
-    dom = ExteriorDomain(2, BallHole(1.0), 40.0)
-    table = profile_elliptic(dom, DIRICHLET, (6.0, 9.0, 12.0), h=0.5)
+    table = profile_elliptic(2, BallHole(1.0), DIRICHLET, (6.0, 9.0, 12.0), h=0.5)
     assert order == [12.0, 9.0, 6.0]
     assert list(table.planar_fields) == [6.0, 9.0, 12.0]
     small = _planar_truncated_solve(BallHole(1.0), DIRICHLET, 6.0, 0.5)
@@ -205,21 +198,19 @@ def test_elliptic_planar_solves_the_largest_radius_first(monkeypatch):
 
 
 def test_elliptic_bc_residual_second_order():
-    dom = ExteriorDomain(3, BallHole(1.0), 64.0)
     h = 1.0 / 256.0
-    table = profile_elliptic(dom, ROBIN_HALF, (8.0, 16.0, 32.0), h=h)
+    table = profile_elliptic(3, BallHole(1.0), ROBIN_HALF, (8.0, 16.0, 32.0), h=h)
     assert abs(table.boundary_residual()) <= 50.0 * h ** 2
 
 
 def test_elliptic_rejects_bad_radius_list():
-    dom = ExteriorDomain(3, BallHole(1.0), 64.0)
     with pytest.raises(PreconditionError):
-        profile_elliptic(dom, DIRICHLET, (8.0,))
+        profile_elliptic(3, BallHole(1.0), DIRICHLET, (8.0,))
     with pytest.raises(PreconditionError):
-        profile_elliptic(dom, DIRICHLET, (1.5, 8.0))
+        profile_elliptic(3, BallHole(1.0), DIRICHLET, (1.5, 8.0))
     for bad in (math.inf, math.nan):
         with pytest.raises(PreconditionError, match="finite"):
-            profile_elliptic(dom, DIRICHLET, (8.0, bad))
+            profile_elliptic(3, BallHole(1.0), DIRICHLET, (8.0, bad))
 
 
 def test_planar_elliptic_names_R_and_h_when_the_lattice_is_too_small(monkeypatch):
@@ -228,19 +219,18 @@ def test_planar_elliptic_names_R_and_h_when_the_lattice_is_too_small(monkeypatch
     solved = []
     monkeypatch.setattr(profiles, "_planar_truncated_solve",
                         lambda *args: solved.append(args))
-    dom = ExteriorDomain(2, RectHole(0.01, 0.01), 40.0)
     with pytest.raises(PreconditionError, match=r"min\(R_list\) = 1 is too small for the "
                        r"lattice spacing h = 0\.25: .* that is R > 1\.5"):
-        profile_elliptic(dom, DIRICHLET, (1.0, 2.0))
+        profile_elliptic(2, RectHole(0.01, 0.01), DIRICHLET, (1.0, 2.0))
     with pytest.raises(PreconditionError, match="h = 0.5"):
-        profile_elliptic(dom, DIRICHLET, (3.0, 8.0), h=0.5)
+        profile_elliptic(2, RectHole(0.01, 0.01), DIRICHLET, (3.0, 8.0), h=0.5)
     for bad in (0.0, -0.25, math.nan, math.inf):
         with pytest.raises(PreconditionError, match="spacing h must be positive and finite"):
-            profile_elliptic(dom, DIRICHLET, (8.0, 16.0), h=bad)
+            profile_elliptic(2, RectHole(0.01, 0.01), DIRICHLET, (8.0, 16.0), h=bad)
     assert solved == []
     # the smallest radius the lattice takes: ceil(R / h) = 7
     monkeypatch.undo()
-    table = profile_elliptic(dom, DIRICHLET, (1.5001, 2.0))
+    table = profile_elliptic(2, RectHole(0.01, 0.01), DIRICHLET, (1.5001, 2.0))
     assert table.planar_fields[1.5001].grid.n == 16
 
 
@@ -283,8 +273,7 @@ def test_planar_quadrant_fold_matches_full_grid(hole, theta, R):
 @pytest.mark.parametrize("theta", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize("hole", [BallHole(1.0), RectHole(1.0, 0.5)])
 def test_planar_fold_keeps_monotone_in_radius(hole, theta):
-    dom = ExteriorDomain(2, hole, 40.0)
-    table = profile_elliptic(dom, ThetaBoundary(theta), (8.0, 16.0), h=0.25)
+    table = profile_elliptic(2, hole, ThetaBoundary(theta), (8.0, 16.0), h=0.25)
     assert table.elliptic_monotone_violations(tol=1e-12) == 0
 
 
@@ -433,8 +422,7 @@ def test_decay_check_neumann_skipped():
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_decay_check_elliptic_neumann_skipped(order):
     # the sampled Neumann table is exactly 1, so 1 - Phi vanishes on the ladder
-    dom = ExteriorDomain(3, BallHole(1.0), 128.0)
-    table = profile_elliptic(dom, NEUMANN, (32.0, 64.0))
+    table = profile_elliptic(3, BallHole(1.0), NEUMANN, (32.0, 64.0))
     assert table.coefficient is None and np.all(table.values == 1.0)
     rep = profile_decay_check(table, order)
     assert rep.skipped and rep.passed

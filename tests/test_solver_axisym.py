@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from heatext.domain import BallHole, ExteriorDomain, ThetaBoundary
+from heatext.domain import BallHole, ThetaBoundary
 from heatext.errors import PreconditionError, UnsupportedFeatureError
 from heatext.gaussian import GaussianParams, gaussian_value
 from heatext.solver import (
@@ -55,9 +55,7 @@ def test_warmup_steps_damp_the_stiff_modes():
             assert _mode_factor(lam, 1.0, n) <= WARMUP_DAMPING * (1.0 + 1e-12)
 
 
-def _domain(t_max=5.0):
-    return ExteriorDomain(3, BallHole(1.0),
-                          1.0 + 6.0 * math.sqrt(4.0 * t_max))
+HOLE = BallHole(1.0)
 
 
 def test_whole_space_probe_matches_kernel_peak():
@@ -78,7 +76,7 @@ def test_probe_warmup_matches_the_fine_warmup():
     # (the regular cap 0.05 binds) and lands within 1e-4 in L1 of a run
     # whose warm-up takes 512 steps of w^2 / 64
     w, y, times = 0.5, 3.0, (5.0, 10.0)
-    probe = kernel_probe(_domain(10.0), y, w, times, n_rho=96, n_z=192)
+    probe = kernel_probe(HOLE, y, w, times, n_rho=96, n_z=192)
     grid = probe.snapshots[0].grid
     assert _warmup_contract(_axisym_lam_bar(grid), probe.warmup) == 40
     R, Z = grid.meshgrid()
@@ -99,7 +97,7 @@ def test_c11_probe_warmup_steps(kernel_probe_matrix):
 
 
 def test_probe_unit_mass_and_mass_loss():
-    probe = kernel_probe(_domain(), 3.0, 0.5, (5.0,), n_rho=128, n_z=256)
+    probe = kernel_probe(HOLE, 3.0, 0.5, (5.0,), n_rho=128, n_z=256)
     t, m, _ = probe.ledger.as_arrays()
     assert m[0] == pytest.approx(1.0, abs=1e-12)
     assert m[-1] < 1.0  # Dirichlet absorption
@@ -108,7 +106,7 @@ def test_probe_unit_mass_and_mass_loss():
 def test_probe_dominated_by_free_space_kernel():
     # the exterior solution sits below the free-space kernel up to the
     # staircase/scheme error band at this resolution (O(h^2), h ~ 0.15)
-    probe = kernel_probe(_domain(), 3.0, 0.5, (5.0,), n_rho=128, n_z=256)
+    probe = kernel_probe(HOLE, 3.0, 0.5, (5.0,), n_rho=128, n_z=256)
     s = probe.snapshot_at(5.0)
     grid = s.grid
     R, Z = grid.meshgrid()
@@ -148,7 +146,7 @@ def test_probe_reflected_source():
 def test_probe_answers_at_the_requested_times():
     # 0.73 is not a whole number of main-phase steps after the warm-up;
     # the probe still stops there, and its ledger has a row at that time
-    probe = kernel_probe(_domain(10.0), 3.0, 0.5, (0.73, 10.0), n_rho=64, n_z=128)
+    probe = kernel_probe(HOLE, 3.0, 0.5, (0.73, 10.0), n_rho=64, n_z=128)
     assert probe.snapshot_at(0.73).time == 0.73
     assert [s.time for s in probe.snapshots] == [0.73, 10.0]
     assert 0.73 in probe.ledger.times and probe.ledger.times[-1] == 10.0
@@ -160,11 +158,11 @@ def test_probe_smearing_audit():
     # L1 distance between width-w and width-w/2 probes; at this coarse
     # resolution the estimate is representation-limited but still small
     # against the order-one L1 scale of the probes
-    est = probe_smearing_estimate(_domain(2.0), 3.0, 0.5, (2.0,),
+    est = probe_smearing_estimate(HOLE, 3.0, 0.5, (2.0,),
                                   n_rho=128, n_z=256)
     assert est[2.0] < 0.25
     # a wider, well-resolved pair gives a tighter estimate
-    est_wide = probe_smearing_estimate(_domain(2.0), 3.0, 0.8, (2.0,),
+    est_wide = probe_smearing_estimate(HOLE, 3.0, 0.8, (2.0,),
                                        n_rho=128, n_z=256)
     assert est_wide[2.0] < 0.15
 
@@ -174,8 +172,7 @@ def test_gap_at_early_time_is_smearing_scale():
     # approximate the same point mass: the gap reduces to smearing
     from heatext.asymptotics import kernel_l1_gap
     from heatext.profiles import profile_radial_closed_form
-    probe = kernel_probe(_domain(2.0), 6.0, 0.4, (0.5,), n_rho=192, n_z=384,
-                         pad=8.0)
+    probe = kernel_probe(HOLE, 6.0, 0.4, (0.5,), n_rho=192, n_z=384, pad=8.0)
     prof = profile_radial_closed_form(3, 1.0, DIRICHLET)
     rep = kernel_l1_gap(probe, 0.5, prof)
     assert rep.gap <= 0.1  # far below the ~0.33 bound at this source
@@ -185,20 +182,19 @@ def test_non_dirichlet_rejected():
     grid = AxisymGrid(rho_max=8.0, z_half=8.0, n_rho=32, n_z=64, hole=BallHole(1.0))
     u0 = Field(grid, np.zeros((33, 65)))
     with pytest.raises(UnsupportedFeatureError):
-        evolve_axisym(ExteriorDomain(3, BallHole(1.0), 8.0), ThetaBoundary(1.0),
-                      u0, StepperConfig(dt=0.05, snapshot_times=(0.5,)))
+        evolve_axisym(ThetaBoundary(1.0), u0, StepperConfig(dt=0.05, snapshot_times=(0.5,)))
 
 
 def test_source_too_close_rejected():
     with pytest.raises(PreconditionError):
-        kernel_probe(_domain(), 1.5, 0.5, (1.0,))
+        kernel_probe(HOLE, 1.5, 0.5, (1.0,))
 
 
 def test_under_resolved_probe_rejected():
     # the grid spacing must not exceed the mollifier width: a far source
     # stretches the axisymmetric z-spacing, a coarse whole-space grid its h
     with pytest.raises(PreconditionError, match="exceeds the mollifier width"):
-        kernel_probe(_domain(2.0), 100.0, 0.5, (2.0,), n_rho=96, n_z=192)
+        kernel_probe(HOLE, 100.0, 0.5, (2.0,), n_rho=96, n_z=192)
     with pytest.raises(PreconditionError, match="exceeds the mollifier width"):
         kernel_probe(None, 0.0, 0.09, (1.0,), n_r=64, pad=8.0)
 
@@ -212,26 +208,20 @@ def test_probe_times_must_strictly_increase(times):
     with pytest.raises(PreconditionError, match=message):
         kernel_probe(None, 0.0, 0.5, times, n_r=256)
     with pytest.raises(PreconditionError, match=message):
-        kernel_probe(_domain(10.0), 3.0, 0.5, times, n_rho=64, n_z=128)
+        kernel_probe(HOLE, 3.0, 0.5, times, n_rho=64, n_z=128)
 
 
 def test_evolve_axisym_mass_decreases():
-    dom = _domain(2.0)
     grid = AxisymGrid(rho_max=10.0, z_half=10.0, n_rho=128, n_z=256,
                       hole=BallHole(1.0))
     R, Z = grid.meshgrid()
     u0 = mollifier_bump(np.sqrt(R ** 2 + (Z - 3.0) ** 2), 0.8)
     cfg = StepperConfig(dt=0.05, snapshot_times=(2.0,))
-    snaps, ledger = evolve_axisym(dom_for_grid(grid), DIRICHLET,
-                                  Field(grid, u0), cfg)
+    snaps, ledger = evolve_axisym(DIRICHLET, Field(grid, u0), cfg)
     t, m, f = ledger.as_arrays()
     assert m[-1] < m[0]
     assert np.all(f <= 1e-15)
     assert float(np.min(snaps[-1].values)) >= -1e-12
-
-
-def dom_for_grid(grid):
-    return ExteriorDomain(3, grid.hole, max(grid.rho_max, 4.0 * grid.hole.radius))
 
 
 @pytest.mark.parametrize("cap, ok", [(0.125, True), (0.2, False)])
@@ -241,7 +231,7 @@ def test_axisym_step_cap_must_not_exceed_the_finer_spacing(cap, ok):
     u0 = Field(grid, np.zeros(grid.shape))
     cfg = StepperConfig(dt=cap, snapshot_times=(cap,))
     if ok:
-        evolve_axisym(dom_for_grid(grid), DIRICHLET, u0, cfg)
+        evolve_axisym(DIRICHLET, u0, cfg)
     else:
         with pytest.raises(PreconditionError, match="accuracy guard"):
-            evolve_axisym(dom_for_grid(grid), DIRICHLET, u0, cfg)
+            evolve_axisym(DIRICHLET, u0, cfg)

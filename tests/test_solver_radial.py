@@ -13,7 +13,7 @@ from heatext.constructions import (
     explicit_solution,
     explicit_solution_mass,
 )
-from heatext.domain import BallHole, ExteriorDomain, ThetaBoundary
+from heatext.domain import ThetaBoundary
 from heatext.errors import GeometryError, NumericalError, PreconditionError
 from heatext.solver import (
     Field,
@@ -38,9 +38,7 @@ NEUMANN = ThetaBoundary(1.0)
 def _setup(t_max, h=1.0 / 32.0, dim=3, a=1.0):
     r_out_req = a + 6.0 * math.sqrt(4.0 * t_max)
     n = int(math.ceil((r_out_req - a) / h))
-    grid = RadialGrid(a=a, r_out=a + n * h, n_r=n, dim=dim)
-    domain = ExteriorDomain(dim, BallHole(a), grid.r_out)
-    return grid, domain
+    return RadialGrid(a=a, r_out=a + n * h, n_r=n, dim=dim)
 
 
 def _explicit_datum(grid):
@@ -51,9 +49,9 @@ def _explicit_datum(grid):
 
 @pytest.fixture(scope="module")
 def explicit_run():
-    grid, domain = _setup(10.0, h=1.0 / 32.0)
+    grid = _setup(10.0, h=1.0 / 32.0)
     cfg = StepperConfig(dt=1.0 / 64.0, snapshot_times=(1.0, 10.0))
-    snaps, ledger = evolve_radial(domain, DIRICHLET, _explicit_datum(grid), cfg)
+    snaps, ledger = evolve_radial(DIRICHLET, _explicit_datum(grid), cfg)
     return grid, snaps, ledger
 
 
@@ -103,27 +101,27 @@ class TestExplicitSolutionRegression:
 
 
 def test_neumann_mass_conserved():
-    grid, domain = _setup(10.0)
+    grid = _setup(10.0)
     cfg = StepperConfig(dt=1.0 / 64.0, snapshot_times=(10.0,))
-    _, ledger = evolve_radial(domain, NEUMANN, _explicit_datum(grid), cfg)
+    _, ledger = evolve_radial(NEUMANN, _explicit_datum(grid), cfg)
     t, m, f = ledger.as_arrays()
     assert np.max(np.abs(m - m[0])) / m[0] <= 1e-4
     assert np.all(f == 0.0)  # flux from the boundary identity du/dn = -b u
 
 
 def test_neumann_balance_residual_is_drift():
-    grid, domain = _setup(5.0)
+    grid = _setup(5.0)
     cfg = StepperConfig(dt=1.0 / 64.0, snapshot_times=(5.0,))
-    _, ledger = evolve_radial(domain, NEUMANN, _explicit_datum(grid), cfg)
+    _, ledger = evolve_radial(NEUMANN, _explicit_datum(grid), cfg)
     assert mass_balance_residual(ledger) <= 1e-4
 
 
 def test_robin_flux_identity():
     # dM/dt = -omega a^2 b u(a): cross-check the ledger flux against the
     # mass derivative measured from the ledger itself
-    grid, domain = _setup(2.0)
+    grid = _setup(2.0)
     cfg = StepperConfig(dt=1.0 / 64.0, snapshot_times=(2.0,))
-    _, ledger = evolve_radial(domain, ThetaBoundary(0.5), _explicit_datum(grid), cfg)
+    _, ledger = evolve_radial(ThetaBoundary(0.5), _explicit_datum(grid), cfg)
     assert mass_balance_residual(ledger) <= 2e-3
     t, m, f = ledger.as_arrays()
     mid = len(t) // 2
@@ -164,8 +162,7 @@ def _bump_run(cfg, h=0.25):
     grid = RadialGrid(a=1.0, r_out=1.0 + 64 * h, n_r=64, dim=3)
     r = grid.nodes()
     vals = np.where(np.abs(r - 4.0) < 2.0, (1.0 - ((r - 4.0) / 2.0) ** 2) ** 2, 0.0)
-    domain = ExteriorDomain(3, BallHole(1.0), grid.r_out)
-    return evolve_radial(domain, DIRICHLET, Field(grid, vals), cfg)
+    return evolve_radial(DIRICHLET, Field(grid, vals), cfg)
 
 
 def test_snapshot_time_off_the_step_grid_is_reached_exactly():
@@ -196,10 +193,10 @@ def test_march_stops_at_every_requested_time(cap, spans):
 
 
 def test_zero_datum_short_circuits():
-    grid, domain = _setup(1.0)
+    grid = _setup(1.0)
     cfg = StepperConfig(dt=1.0 / 32.0, snapshot_times=(0.5, 1.0))
     u0 = Field(grid, np.zeros(grid.n_r + 1), 0.0)
-    snaps, ledger = evolve_radial(domain, DIRICHLET, u0, cfg)
+    snaps, ledger = evolve_radial(DIRICHLET, u0, cfg)
     for s in snaps:
         assert np.all(s.values == 0.0)
     t, m, f = ledger.as_arrays()
@@ -207,71 +204,75 @@ def test_zero_datum_short_circuits():
 
 
 def test_theta_ordering_pointwise():
-    grid, domain = _setup(2.0)
+    grid = _setup(2.0)
     cfg = StepperConfig(dt=1.0 / 64.0, snapshot_times=(0.5, 2.0))
     u0 = _explicit_datum(grid)
     runs = {}
     for theta in (0.0, 0.5, 1.0):
-        runs[theta], _ = evolve_radial(domain, ThetaBoundary(theta), u0, cfg)
+        runs[theta], _ = evolve_radial(ThetaBoundary(theta), u0, cfg)
     for s0, s5, s1 in zip(runs[0.0], runs[0.5], runs[1.0]):
         assert float(np.max(s0.values - s5.values)) <= 1e-8
         assert float(np.max(s5.values - s1.values)) <= 1e-8
 
 
 def test_snapshots_are_locked():
-    grid, domain = _setup(1.0)
+    grid = _setup(1.0)
     cfg = StepperConfig(dt=1.0 / 32.0, snapshot_times=(1.0,))
-    snaps, _ = evolve_radial(domain, DIRICHLET, _explicit_datum(grid), cfg)
+    snaps, _ = evolve_radial(DIRICHLET, _explicit_datum(grid), cfg)
     with pytest.raises(ValueError):
         snaps[0].values[0] = 1.0
 
 
 def test_dirichlet_datum_precondition():
-    grid, domain = _setup(1.0)
+    grid = _setup(1.0)
     cfg = StepperConfig(dt=1.0 / 32.0, snapshot_times=(1.0,))
     values = np.ones(grid.n_r + 1)
     values[-1] = 0.0  # the far node is pinned under every theta
     bad = Field(grid, values, 0.0)
     with pytest.raises(PreconditionError):
-        evolve_radial(domain, DIRICHLET, bad, cfg)
+        evolve_radial(DIRICHLET, bad, cfg)
     # the same datum is fine under Neumann
-    evolve_radial(domain, NEUMANN, bad, cfg)
+    evolve_radial(NEUMANN, bad, cfg)
     # a nonzero far node is not dropped without a word
     with pytest.raises(PreconditionError, match="far-edge"):
-        evolve_radial(domain, NEUMANN, Field(grid, np.ones(grid.n_r + 1), 0.0), cfg)
+        evolve_radial(NEUMANN, Field(grid, np.ones(grid.n_r + 1), 0.0), cfg)
 
 
 def test_accuracy_guard_dt_le_h():
-    grid, domain = _setup(1.0, h=1.0 / 32.0)
+    grid = _setup(1.0, h=1.0 / 32.0)
     cfg = StepperConfig(dt=1.0 / 16.0, snapshot_times=(1.0,))
     with pytest.raises(PreconditionError):
-        evolve_radial(domain, DIRICHLET, _explicit_datum(grid), cfg)
+        evolve_radial(DIRICHLET, _explicit_datum(grid), cfg)
 
 
-def test_grid_domain_mismatch():
-    grid, _ = _setup(1.0)
-    domain = ExteriorDomain(3, BallHole(2.0), grid.r_out + 10.0)
-    cfg = StepperConfig(dt=1.0 / 32.0, snapshot_times=(1.0,))
-    with pytest.raises(GeometryError):
-        evolve_radial(domain, DIRICHLET, _explicit_datum(grid), cfg)
+@pytest.mark.parametrize("r_out, ok", [(3.5, False), (4.0 - 1e-12, False), (4.0, True)])
+def test_grid_is_the_truncated_domain(r_out, ok):
+    # the grid's r_out is the far radius, which must be at least 4 a
+    grid = RadialGrid(a=1.0, r_out=r_out, n_r=96, dim=3)
+    u0 = Field(grid, np.zeros(grid.shape))
+    cfg = StepperConfig(dt=1.0 / 64.0, snapshot_times=(0.125,))
+    if ok:
+        evolve_radial(DIRICHLET, u0, cfg)
+    else:
+        with pytest.raises(GeometryError, match="at least 4x"):
+            evolve_radial(DIRICHLET, u0, cfg)
 
 
-def test_grid_hole_must_equal_the_domain_hole_exactly():
-    # the hole is matched exactly, as on the planar and axisymmetric grids
-    grid, _ = _setup(1.0, a=1.0 + 1e-13)
-    domain = ExteriorDomain(3, BallHole(1.0), grid.r_out)
-    cfg = StepperConfig(dt=1.0 / 32.0, snapshot_times=(1.0,))
-    with pytest.raises(GeometryError, match="hole"):
-        evolve_radial(domain, DIRICHLET, _explicit_datum(grid), cfg)
+def test_a_grid_without_a_hole_is_not_an_exterior_domain():
+    # a = 0 is the ball or the whole space: evolve_ball and the probes run it
+    grid = RadialGrid(a=0.0, r_out=8.0, n_r=64, dim=3)
+    cfg = StepperConfig(dt=1.0 / 16.0, snapshot_times=(0.125,))
+    with pytest.raises(GeometryError, match="needs a ball or rect hole"):
+        evolve_radial(DIRICHLET, Field(grid, np.zeros(grid.shape)), cfg)
 
 
 def test_nonfinite_datum_rejected():
-    grid, domain = _setup(1.0)
+    grid = _setup(1.0)
     cfg = StepperConfig(dt=1.0 / 32.0, snapshot_times=(1.0,))
     vals = np.zeros(grid.n_r + 1)
     vals[5] = np.nan
     with pytest.raises(PreconditionError):
-        evolve_radial(domain, DIRICHLET, Field(grid, vals), cfg)
+        evolve_radial(DIRICHLET, Field(grid, vals), cfg)
 
 
 @pytest.mark.parametrize("size", [70, 61, 65])
@@ -291,10 +292,10 @@ def test_ball_datum_is_checked(size):
 def long_coarse_run():
     # asymptotic-regime fits need late windows: the closed form's
     # (r-1)/r factor keeps early-window slopes above the limit rate
-    grid, domain = _setup(400.5, h=1.0 / 16.0)
+    grid = _setup(400.5, h=1.0 / 16.0)
     times = (50.0, 50.5, 100.0, 100.5, 200.0, 200.5, 400.0, 400.5)
     cfg = StepperConfig(dt=1.0 / 32.0, snapshot_times=times)
-    snaps, _ = evolve_radial(domain, DIRICHLET, _explicit_datum(grid), cfg)
+    snaps, _ = evolve_radial(DIRICHLET, _explicit_datum(grid), cfg)
     return grid, snaps
 
 
@@ -328,10 +329,10 @@ def test_whole_space_domination():
     # Dirichlet solution is bounded by the free-space evolution of the
     # same datum; free-space oracle computed by dense quadrature of the
     # kernel representation at one late time
-    grid, domain = _setup(5.0, h=1.0 / 32.0)
+    grid = _setup(5.0, h=1.0 / 32.0)
     cfg = StepperConfig(dt=1.0 / 64.0, snapshot_times=(5.0,))
     u0 = _explicit_datum(grid)
-    snaps, _ = evolve_radial(domain, DIRICHLET, u0, cfg)
+    snaps, _ = evolve_radial(DIRICHLET, u0, cfg)
     s = snaps[0]
     r = grid.nodes()
     t = s.time
@@ -369,12 +370,12 @@ def test_domain_monotonicity_ball_inside_exterior():
     # compare the ball run (radius 1.5 around r0 = 4) with the exterior run
     # restricted along the radial line through the ball centre
     a, r0, R = 1.0, 4.0, 1.5
-    grid, domain = _setup(0.5, h=1.0 / 64.0)
+    grid = _setup(0.5, h=1.0 / 64.0)
     r = grid.nodes()
     width = 0.75
     bump = np.where(np.abs(r - r0) < width, (1.0 - ((r - r0) / width) ** 2) ** 2, 0.0)
     cfg = StepperConfig(dt=1.0 / 128.0, snapshot_times=(0.5,))
-    snaps, _ = evolve_radial(domain, DIRICHLET, Field(grid, bump), cfg)
+    snaps, _ = evolve_radial(DIRICHLET, Field(grid, bump), cfg)
     # ball solution about r0 with the same (radial about r0) datum; its
     # radial coordinate is s = |x - r0 e|, valid on the segment through r0
     ball_grid = RadialGrid(a=0.0, r_out=R, n_r=192, dim=3)
@@ -434,12 +435,12 @@ def _check_banded(grid, theta, values, stops, snaps, ledger):
 
 @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
 def test_factored_step_matches_banded_reference(theta):
-    grid, domain = _setup(2.0, h=1.0 / 16.0)
+    grid = _setup(2.0, h=1.0 / 16.0)
     r = grid.nodes()
     vals = np.where(np.abs(r - 3.0) < 1.0, (1.0 - (r - 3.0) ** 2) ** 2, 0.0)
     cfg = StepperConfig(dt=1.0 / 32.0, snapshot_times=(0.5, 2.0))
     tb = ThetaBoundary(theta)
-    snaps, ledger = evolve_radial(domain, tb, Field(grid, vals), cfg)
+    snaps, ledger = evolve_radial(tb, Field(grid, vals), cfg)
     stops = cfg.stops(radial_stiffness(grid, tb), grid.spacing)
     _check_banded(grid, tb, vals, stops, snaps, ledger)
 
@@ -479,12 +480,11 @@ def test_symmetric_step_matches_banded_reference(dim, a, theta, n_r, h, dt_over_
         values[0] = 0.0
     dt = dt_over_h * h
     cfg = StepperConfig(dt=dt, snapshot_times=(dt,))
-    domain = ExteriorDomain(dim, BallHole(a), grid.r_out) if a > 0.0 else None
 
     def run():
-        if domain is None:
+        if a == 0.0:
             return evolve_ball(grid.r_out, Field(grid, values), cfg)
-        return evolve_radial(domain, tb, Field(grid, values), cfg)
+        return evolve_radial(tb, Field(grid, values), cfg)
 
     try:
         radial_operator(grid, tb)
@@ -512,7 +512,7 @@ def test_symmetric_step_matches_banded_reference(dim, a, theta, n_r, h, dt_over_
 
 def test_robin_row_overflow_is_a_geometry_error():
     # b = cot(pi theta/2) = 6.4e307 is finite, the Robin row is not
-    grid, _ = _setup(1.0)
+    grid = _setup(1.0)
     with pytest.raises(GeometryError, match="theta = 1e-308"):
         radial_operator(grid, ThetaBoundary(1e-308))
     lo, di, up = radial_operator(grid, ThetaBoundary(1e-300))
@@ -531,8 +531,7 @@ def test_coarse_robin_grid_that_crank_nicolson_would_amplify_fails_loudly():
     r = grid.nodes()
     u0 = Field(grid, np.where(np.abs(r - 3.0) < 1.0, 1.0 - (r - 3.0) ** 2, 0.0))
     with pytest.raises(NumericalError, match="too coarse for the hole"):
-        evolve_radial(ExteriorDomain(3, BallHole(a), grid.r_out), tb, u0,
-                      StepperConfig(dt=dt, snapshot_times=(1.0,)))
+        evolve_radial(tb, u0, StepperConfig(dt=dt, snapshot_times=(1.0,)))
 
 
 # ------------------------------------------------------------ the march's window
@@ -564,8 +563,7 @@ def _window_run(case):
         grid = RadialGrid(a=1.0, r_out=1.0 + n * h, n_r=n, dim=dim)
         tb = ThetaBoundary(theta)
         u0 = make_radial_datum("gaussian-bump:3,0.5", grid, tb)
-        snaps, ledger = evolve_radial(ExteriorDomain(dim, BallHole(1.0), grid.r_out), tb, u0,
-                                      cfg)
+        snaps, ledger = evolve_radial(tb, u0, cfg)
     return [s.values for s in snaps], ledger, float(np.max(np.abs(u0.values)))
 
 
@@ -711,8 +709,7 @@ def test_every_committed_solve2_is_twice_the_plain_windowed_solve(monkeypatch, p
         assert first == 1 and lo[1] == 0.0
         evolve_ball(grid.r_out, Field(grid, np.exp(-grid.nodes() ** 2)), cfg)
     else:
-        evolve_radial(ExteriorDomain(3, BallHole(1.0), grid.r_out), tb,
-                      make_radial_datum(preset, grid, tb), cfg)
+        evolve_radial(tb, make_radial_datum(preset, grid, tb), cfg)
     assert len(checked) > 100
     assert min(k for k, _ in checked) < n - first  # the window did narrow
     assert sum(moved for _, moved in checked) <= 0.02 * len(checked)
