@@ -17,9 +17,9 @@ import numpy as np
 from heatext import (
     BallHole,
     ThetaBoundary,
+    profile_closed_form,
     profile_decay_check,
     profile_elliptic,
-    profile_radial_closed_form,
 )
 from heatext.svgplot import line_plot_svg
 
@@ -29,7 +29,7 @@ os.makedirs(OUT, exist_ok=True)
 # closed forms for a few boundary conditions
 series = []
 for theta in (0.0, 0.25, 0.5, 1.0):
-    table = profile_radial_closed_form(3, 1.0, ThetaBoundary(theta))
+    table = profile_closed_form(3, BallHole(1.0), ThetaBoundary(theta))
     c = table.coefficient
     print(f"theta = {theta:4.2f}: Phi(r) = 1 - {c:.4f} / r, Phi(2) = {table.evaluate(2.0):.4f}")
     series.append((table.r, table.values, f"theta={theta:g}"))
@@ -39,7 +39,7 @@ line_plot_svg(os.path.join(OUT, "profiles.svg"), series, xlabel="r",
 # elliptic route: solve on Omega intersect B(0, R), boundary value 1 at R,
 # and extrapolate the known 1/(R - q) boundary influence away
 elliptic = profile_elliptic(3, BallHole(1.0), ThetaBoundary(0.0), (8.0, 16.0, 32.0))
-closed = profile_radial_closed_form(3, 1.0, ThetaBoundary(0.0))
+closed = profile_closed_form(3, BallHole(1.0), ThetaBoundary(0.0))
 agree = np.max(np.abs(closed.evaluate(elliptic.r) - elliptic.values))
 print(f"\nelliptic limit vs closed form: sup difference {agree:.2e}")
 for R, vals in sorted(elliptic.per_radius.items()):

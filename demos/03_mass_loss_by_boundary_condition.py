@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from heatext import (
+    BallHole,
     Field,
     PlanarGrid,
     RadialGrid,
@@ -24,7 +25,7 @@ from heatext import (
     evolve_planar,
     evolve_radial,
     explicit_solution,
-    profile_radial_closed_form,
+    profile_closed_form,
 )
 from heatext.presets import make_planar_datum
 
@@ -45,7 +46,7 @@ finals = {}
 for theta in (0.0, 0.5, 1.0):
     tb = ThetaBoundary(theta)
     snaps, ledger = evolve_radial(tb, u0, cfg)
-    m_pred = asymptotic_mass(u0, profile_radial_closed_form(3, a, tb))
+    m_pred = asymptotic_mass(u0, profile_closed_form(3, BallHole(a), tb))
     finals[theta] = snaps[-1].values
     print(f" {theta:4.2f}  {ledger.masses[0]:8.4f}  {ledger.mass_at(T_MAX):8.4f}"
           f"   {m_pred:8.4f}")

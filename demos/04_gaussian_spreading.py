@@ -14,6 +14,7 @@ import math
 import os
 
 from heatext import (
+    BallHole,
     Field,
     RadialGrid,
     RateSeries,
@@ -22,7 +23,7 @@ from heatext import (
     asymptotic_mass,
     evolve_radial,
     explicit_solution,
-    profile_radial_closed_form,
+    profile_closed_form,
     rate_fit,
 )
 from heatext.svgplot import line_plot_svg
@@ -43,7 +44,7 @@ times = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
 cfg = StepperConfig(dt=1.0 / 64.0, snapshot_times=times)
 snaps, ledger = evolve_radial(ThetaBoundary(0.0), u0, cfg)
 
-profile = profile_radial_closed_form(3, a, ThetaBoundary(0.0))
+profile = profile_closed_form(3, BallHole(a), ThetaBoundary(0.0))
 m = asymptotic_mass(u0, profile)
 print(f"retained mass m = {m:.6f} (closed form 2 pi^1.5 = {2 * math.pi ** 1.5:.6f})\n")
 

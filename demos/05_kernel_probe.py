@@ -13,15 +13,12 @@ distances and compares gap against bound.
 from heatext import (
     BallHole,
     GaussianParams,
-    ThetaBoundary,
     gaussian_value,
     kernel_l1_gap,
     kernel_probe,
-    profile_radial_closed_form,
 )
 
 T = 5.0
-profile0 = profile_radial_closed_form(3, 1.0, ThetaBoundary(0.0))
 
 print("whole-space sanity: probe with the hole disabled")
 free = kernel_probe(None, 0.0, 0.09, (1.0,), n_r=4096, pad=8.0)
@@ -34,7 +31,7 @@ print(f"exterior domain, absorbing unit-ball hole, t = {T:g}:")
 print("  |y|   L1 gap    bound   retained probe mass")
 for y in (3.0, 6.0):
     probe = kernel_probe(BallHole(1.0), y, 0.5, (T,), n_rho=160, n_z=320)
-    rep = kernel_l1_gap(probe, T, profile0)
+    rep = kernel_l1_gap(probe, T)
     t, m, _ = probe.ledger.as_arrays()
     print(f"  {y:3g}   {rep.gap:.4f}   {rep.bound:.4f}   {m[-1]:.4f}")
 print("\nthe gap shrinks as the source moves away: the hole becomes invisible")

@@ -15,6 +15,7 @@ import numpy as np
 
 from heatext import (
     BALL_EIGENVALUE,
+    BallHole,
     Field,
     RadialGrid,
     StepperConfig,
@@ -24,7 +25,7 @@ from heatext import (
     evolve_ball,
     optimal_datum_plan,
     optimality_check_l1,
-    profile_radial_closed_form,
+    profile_closed_form,
     supersolution_report,
 )
 from heatext.constructions import parse_g_spec
@@ -41,7 +42,7 @@ print("\nunit-ball eigen-decay check (mass must follow exp(-pi^2 t)):")
 grid = RadialGrid(a=0.0, r_out=1.0, n_r=512, dim=3)
 u0 = Field(grid, ball_eigenfunction(grid.nodes()))
 cfg = StepperConfig(dt=1.0 / 2048.0, snapshot_times=(0.35,))
-_, ledger = evolve_ball(1.0, u0, cfg)
+_, ledger = evolve_ball(u0, cfg)
 t, m, _ = ledger.as_arrays()
 slope = float(np.polyfit(t[t > 0], np.log(m[t > 0]), 1)[0])
 print(f"  fitted exponent {slope:.4f} vs -pi^2 = {-BALL_EIGENVALUE:.4f}")
@@ -54,5 +55,5 @@ print(f"  component n=2: {rep.component_mass_text()},\n  gaussian term "
 
 print("\nnear-hole supersolution (the machinery of the sup-norm proof):")
 z_rep = supersolution_report(SubSuperParams(gamma=0.25, kappa=1.0),
-                             profile_radial_closed_form(3, 1.0, ThetaBoundary(0.0)))
+                             profile_closed_form(3, BallHole(1.0), ThetaBoundary(0.0)))
 print(z_rep.text())

@@ -13,7 +13,6 @@ from .domain import (
     RectHole,
     ThetaBoundary,
     check_exterior,
-    outward_normal_sign_at_hole,
     required_far_radius,
     robin_coefficient,
     sphere_surface_area,
@@ -29,10 +28,9 @@ from .profiles import (
     ProfileTable,
     PsiTable,
     asymptotic_mass,
+    profile_closed_form,
     profile_decay_check,
     profile_elliptic,
-    profile_planar,
-    profile_radial_closed_form,
     psi_from_profile,
 )
 from .solver import (

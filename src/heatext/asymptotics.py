@@ -21,9 +21,10 @@ from .constructions import (
     explicit_solution_mass,
     plan_condition_values,
 )
+from .domain import DIRICHLET
 from .errors import PreconditionError
 from .gaussian import GaussianParams, gaussian_ball_integral, gaussian_value
-from .profiles import ProfileTable
+from .profiles import ProfileTable, profile_closed_form
 from .solver.grids import Field
 from .solver.ledger import MassLedger
 from .solver.probes import ProbeResult
@@ -194,18 +195,17 @@ class KernelGapReport:
     passed: bool
 
 
-def kernel_l1_gap(probe: ProbeResult, t: float, profile0: ProfileTable) -> KernelGapReport:
+def kernel_l1_gap(probe: ProbeResult, t: float) -> KernelGapReport:
     """L1 distance of the probe from the free-space kernel, against its bound.
 
     gap = integral |probe(x, t) - G(x - y, t)| dx over the domain;
-    bound = 2 (1 - Phi0(y)) + integral of G(. - y) over the hole. The
+    bound = 2 (1 - Phi0(y)) + integral of G(. - y) over the hole, with
+    Phi0 the Dirichlet closed-form profile of the probe's own hole. The
     check passes when gap <= bound + 0.05, a tolerance that absorbs
     mollifier smearing and staircase discretisation.
     """
-    if probe.whole_space:
+    if probe.hole is None:
         raise PreconditionError("the kernel gap compares an exterior-domain probe")
-    if not profile0.theta.is_dirichlet:
-        raise PreconditionError("the gap bound uses the Dirichlet profile")
     _, masses, _ = probe.ledger.as_arrays()
     if abs(masses[0] - 1.0) > 0.01:
         raise PreconditionError(
@@ -219,9 +219,8 @@ def kernel_l1_gap(probe: ProbeResult, t: float, profile0: ProfileTable) -> Kerne
     w = grid.volume_weights()
     keep = ~grid.hole_mask()
     gap = float(np.sum((w * np.abs(snap.values - g))[keep]))
-    a = profile0.hole.circumscribed_radius
-    phi_y = float(profile0.evaluate(probe.y_dist))
-    hole_term = gaussian_ball_integral(probe.y_dist, a, t, dim=3)
+    phi_y = float(profile_closed_form(3, probe.hole, DIRICHLET).evaluate(probe.y_dist))
+    hole_term = gaussian_ball_integral(probe.y_dist, probe.hole.radius, t, dim=3)
     bound = 2.0 * (1.0 - phi_y) + hole_term
     return KernelGapReport(gap, bound, 2.0 * (1.0 - phi_y), hole_term,
                            passed=bool(gap <= bound + 0.05))

@@ -23,7 +23,7 @@ import numpy as np
 from . import asymptotics as asym
 from . import constructions as cons
 from .csvio import Indexed, as_written, write_csv, write_table
-from .domain import ThetaBoundary, check_exterior
+from .domain import ThetaBoundary
 from .errors import (
     ConfigError,
     GeometryError,
@@ -34,10 +34,9 @@ from .errors import (
 from .presets import make_planar_datum, make_radial_datum
 from .profiles import (
     asymptotic_mass,
+    profile_closed_form,
     profile_decay_check,
     profile_elliptic,
-    profile_planar,
-    profile_radial_closed_form,
 )
 from .runconfig import (
     STUDIES,
@@ -100,7 +99,6 @@ def _run(cfg: RunConfig):
         grid = RadialGrid(a=a, r_out=a + n_r * cfg.h, n_r=n_r, dim=cfg.dim)
         u0 = make_radial_datum(cfg.preset, grid, theta)
         snaps, ledger = evolve_radial(theta, u0, stepper)
-        profile = profile_radial_closed_form(cfg.dim, a, theta)
         columns, coords, keep = ["t", "r", "u"], [grid.nodes()], slice(None)
     else:
         n = int(math.ceil(2.0 * cfg.r_out / cfg.h - 1e-9))
@@ -108,9 +106,9 @@ def _run(cfg: RunConfig):
         grid = PlanarGrid(half_width=n * cfg.h / 2.0, n=n, hole=cfg.hole)
         u0 = make_planar_datum(cfg.preset, grid)
         snaps, ledger = evolve_planar(theta, u0, stepper)
-        profile = profile_planar(cfg.hole, theta)
         keep, c = ~grid.hole_mask(), grid.coords()
         columns, coords = ["t", "x", "y", "u"], _lattice_columns(c, c, keep)
+    profile = profile_closed_form(cfg.dim, cfg.hole, theta)
     m = asymptotic_mass(u0, profile)
     rates = asym.RateSeries.from_snapshots(snaps, m, profile, ledger)
     # judged on the numbers rates.csv and ledger.csv hold, so that
@@ -227,12 +225,10 @@ def cmd_profile(args) -> list:
     if not all(math.isfinite(2.0 * R) for R in radii):
         # each radius's disc, of diameter 2 R, must be finite
         raise ConfigError(f"--R takes finite radii, got '{args.radii}'")
-    check_exterior(args.dim, hole)  # a dim-3 hole is a ball
     lines = []
     closed = table = None
     if args.method in ("closed-form", "both"):
-        closed = (profile_planar(hole, theta) if args.dim == 2 else
-                  profile_radial_closed_form(args.dim, hole.radius, theta))
+        closed = profile_closed_form(args.dim, hole, theta)
         resid = abs(closed.boundary_residual())
         lines.append(_line("closed-form boundary residual <= 1e-10",
                            resid <= 1e-10, f"residual {resid:.3e}"))
@@ -307,7 +303,7 @@ def _unit_ball_eigen_run():
     grid = RadialGrid(a=0.0, r_out=1.0, n_r=256, dim=3)
     vals = cons.ball_eigenfunction(grid.nodes())
     cfg = StepperConfig(dt=1.0 / 2048.0, snapshot_times=(0.35,))
-    snaps, ledger = evolve_ball(1.0, Field(grid, vals), cfg)
+    snaps, ledger = evolve_ball(Field(grid, vals), cfg)
     return snaps, ledger
 
 
@@ -357,10 +353,9 @@ def cmd_kernel(args) -> list:
     n_rho, n_z = (int(n) for n in shape.groups())
     hole = parse_hole(args.hole)  # the probe takes only a ball hole
     probe = kernel_probe(hole, y, args.width, times, n_rho=n_rho, n_z=n_z)
-    profile0 = profile_radial_closed_form(3, hole.radius, ThetaBoundary(0.0))
     lines, rows = [], []
     for t in times:
-        rep = asym.kernel_l1_gap(probe, t, profile0)
+        rep = asym.kernel_l1_gap(probe, t)
         rows.append((t, rep.gap, rep.bound, rep.profile_term, rep.hole_term))
         lines.append(_line(f"kernel L1 gap <= bound at t={t:g}", rep.passed,
                            f"gap {rep.gap:.4f} vs bound {rep.bound:.4f}"))
@@ -369,7 +364,7 @@ def cmd_kernel(args) -> list:
         # bound, the decision scale of the gap <= bound verdict
         half_probe = kernel_probe(hole, y, 0.5 * args.width, (times[-1],),
                                   n_rho=n_rho, n_z=n_z)
-        rep_half = asym.kernel_l1_gap(half_probe, times[-1], profile0)
+        rep_half = asym.kernel_l1_gap(half_probe, times[-1])
         change = abs(rep.gap - rep_half.gap) / rep.bound  # rep: the gap at times[-1]
         lines.append(_line("mollifier smearing audit: gap change < 10% of bound",
                            change < 0.10, f"gap moved {change:.4f} of the bound"))

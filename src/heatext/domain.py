@@ -105,15 +105,6 @@ DIRICHLET = ThetaBoundary(0.0)
 NEUMANN = ThetaBoundary(1.0)
 
 
-def outward_normal_sign_at_hole() -> int:
-    """Sign relating the outward normal to the radial direction at the hole.
-
-    Returns -1: on the hole boundary the outward normal of the exterior
-    domain points toward the hole interior, hence du/dn = -du/dr there.
-    """
-    return -1
-
-
 def sphere_surface_area(dim: int) -> float:
     """Surface area of the unit sphere: 2 pi (dim 2), 4 pi (dim 3).
 

@@ -38,7 +38,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .domain import BallHole, HoleSpec, ThetaBoundary, check_exterior
+from .domain import HoleSpec, ThetaBoundary, check_exterior
 from .errors import GeometryError, NumericalError, PreconditionError
 from .solver.fastsolve import dpttrs, spsolve, symmetric_factor
 from .solver.grids import (
@@ -145,24 +145,16 @@ class ProfileTable:
         return count
 
 
-def _closed_form(dim: int, hole: HoleSpec, theta: ThetaBoundary) -> ProfileTable:
-    """The closed-form table at 512 radii on [a, 64 a], a the hole's
-    circumscribed radius."""
+def profile_closed_form(dim: int, hole: HoleSpec, theta: ThetaBoundary) -> ProfileTable:
+    """The closed-form profile of the hole (dim 2 or 3), tabled at 512 radii
+    on [a, 64 a], a the hole's circumscribed radius. In dim 2 it is the
+    constant 1 under Neumann and the constant 0 otherwise, for any hole. The
+    dimension and the hole meet `domain.check_exterior`."""
+    check_exterior(dim, hole)
     a = hole.circumscribed_radius
     c = profile_coefficient(dim, a, theta)
     r = np.linspace(a, 64.0 * a, 512)
     return ProfileTable(dim, hole, theta, r, 1.0 - c * (a / r) ** (dim - 2), c)
-
-
-def profile_radial_closed_form(dim: int, a: float, theta: ThetaBoundary) -> ProfileTable:
-    """Closed-form profile around a ball hole of radius a (dim 2 or 3)."""
-    return _closed_form(dim, BallHole(a), theta)
-
-
-def profile_planar(hole: HoleSpec, theta: ThetaBoundary) -> ProfileTable:
-    """The dim-2 profile of any hole: the closed form with N = 2, which is
-    the constant 1 under Neumann and the constant 0 otherwise."""
-    return _closed_form(2, hole, theta)
 
 
 def _radial_truncated_solve(dim: int, a: float, theta: ThetaBoundary,
@@ -272,7 +264,7 @@ def profile_elliptic(dim: int, hole: HoleSpec, theta: ThetaBoundary,
     dim 2: masked 5-point solves on a shared lattice of spacing h (0.25
     by default; min(R) > 6 h, so that each grid has ceil(R / h) + 1 >= 8
     nodes on a half axis, else PreconditionError before any solve); no
-    extrapolation: the limit is `profile_planar`'s constant, and the per-R
+    extrapolation: the limit is `profile_closed_form`'s constant, and the per-R
     fields demonstrate the monotone decrease toward it.
     """
     check_exterior(dim, hole)
@@ -334,7 +326,7 @@ def profile_elliptic(dim: int, hole: HoleSpec, theta: ThetaBoundary,
         keep = slice(off, off + small.n + 1)
         per_fields[R] = Field(small, f.values[keep, keep].copy(), 0.0).lock()
         del f
-    return replace(profile_planar(hole, theta),
+    return replace(profile_closed_form(2, hole, theta),
                    planar_fields={R: per_fields[R] for R in radii})
 
 

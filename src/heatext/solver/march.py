@@ -4,20 +4,19 @@ A run is a list of stops (time, step cap). The march covers the interval
 before each stop in `step_count` equal steps and lands on its time
 exactly. It builds a snapshot Field only at the stops whose times are
 the run's snapshot times: an evolution's ladder stops and a kernel
-probe's warm-up end take none. A solver
-supplies factor(dt), returning solve2(b) = 2 (I - dt/2 L)^{-1} b for its
-operator L (called once per distinct step size), the mass and hole-flux
-weight vectors of its ledger, fixed before the first step, and the map
-from the unknown vector to a snapshot Field. `march` owns everything
+probe's warm-up end take none. A solver supplies factor(dt), called
+once per distinct step size and returning solve2(b, out), which writes
+2 (I - dt/2 L)^{-1} b into out for its operator L; the mass and
+hole-flux weight vectors of its ledger, fixed before the first step; and
+the map from the unknown vector to a snapshot Field. `march` owns everything
 else: the step, the ledger rows (one at t = 0 and one after every step,
 each the dot products of the weight vectors with the unknown vector),
 the snapshots and the finiteness checks. With A = I - dt/2 L the
 right-hand side matrix is B = I + dt/2 L = 2I - A, so the step
 u+ = A^{-1} B u is u+ = solve2(u) - u and needs no matvec with L; each
-solver folds the exact factor 2 into its own scaling. solve2 may return
-a buffer that it reuses on a later call, but never its argument: the
-march subtracts u in place in the returned array, which then becomes u,
-so a step allocates no vector of its own.
+solver folds the exact factor 2 into its own scaling. The march owns the
+two step buffers: out is never b, and the march subtracts u in place in
+out and swaps the two, so a step allocates no vector of its own.
 
 The radial solver builds its own symmetric tridiagonal solve
 (`fastsolve.symmetric_factor`) and marches in a scaled variable. The
@@ -117,13 +116,16 @@ def march(u, stops, factor, mass_w, flux_w, to_field, what, snap_times):
     ledger = MassLedger()
     ledger.append(0.0, mass_w @ u, flux_w @ u)
     snaps, k = [], 0
+    # the second step buffer starts at 0: the radial solve2 writes only its
+    # window, and both buffers hold exactly 0 from the window's end on
+    out = np.zeros(u.shape)
     for i, (t_prev, t_stop, n, dt) in enumerate(plan):
         if n and dt not in solvers:
             solvers[dt] = factor(dt)
         for j in range(1, n + 1):
-            x = solvers[dt](u)
-            x -= u
-            u = x
+            solvers[dt](u, out)
+            out -= u
+            u, out = out, u
             k += 1
             if k % CHECK_EVERY == 0 and not np.all(np.isfinite(u)):
                 raise NumericalError(f"non-finite values in {what} evolution", step=k)
@@ -150,9 +152,8 @@ def march_masked(grid, u0, ghost, stops, what, snap_times):
     vectors of `fastsolve.SineModes`, the box's eigenbasis, which the run
     computes once and every step size's `fastsolve.MaskedCNSolve` shares:
     both functionals are dot products with their mode vectors, and values
-    are read back only at the snapshots. Each step's `solve2_modes` writes
-    into whichever of the run's two mode buffers is not its argument; the
-    datum's mode vector is one of them.
+    are read back only at the snapshots. `solve2_modes` is the march's
+    solve2, writing into the march's step buffer.
     """
     active, hole = grid.active_mask(), grid.hole_mask()
     check_run(u0.values, hole, grid.edge_mask(), stops, grid.spacing)
@@ -164,16 +165,13 @@ def march_masked(grid, u0, ghost, stops, what, snap_times):
     cap_nodes = capacitance_nodes(links, ghost)
     del links  # the march holds the capacitance nodes' indices, not full-grid arrays
 
-    v0 = modes.to_modes(u0.values[active])
-    buffers = (v0, np.empty(v0.size))
-
     def factor(dt):
-        solver = MaskedCNSolve(modes, hole, ghost, dt, cap_nodes)
-        return lambda v: solver.solve2_modes(v, buffers[v is buffers[0]])
+        return MaskedCNSolve(modes, hole, ghost, dt, cap_nodes).solve2_modes
 
     def to_field(u_modes, t):
         full = np.zeros(active.shape)
         full[active] = modes.from_modes(u_modes)
         return Field(grid, full, t).lock()
 
+    v0 = modes.to_modes(u0.values[active])
     return march(v0, stops, factor, mass_w, flux_w, to_field, what, snap_times)

@@ -10,6 +10,10 @@ halving the width and comparing. Two code paths:
   - exterior domain (Dirichlet ball hole): the source sits on the z-axis
     at distance y from the origin and the evolution is axisymmetric.
 
+The result carries the hole it ran around (None for the whole space), and
+`asymptotics.kernel_l1_gap` reads the bound's Dirichlet profile from it,
+so a gap is never judged against another hole's bound.
+
 A probe is one uniform `march` run. Its first stop is the warm-up end
 t0 = min(8 w^2, t_min / 2), which takes no snapshot; the requested times
 follow at the regular cap, each with its snapshot. The warm-up damps the
@@ -61,7 +65,7 @@ class ProbeResult:
     snapshots: List[Field]
     ledger: MassLedger
     y_dist: float
-    whole_space: bool
+    hole: Optional[BallHole]  # the probe's Dirichlet hole, None for the whole space
     warmup: Tuple[float, float]  # the warm-up stop (t0, step cap) of the march
 
     def snapshot_at(self, t: float) -> Field:
@@ -136,7 +140,7 @@ def kernel_probe(hole: Optional[BallHole], y_dist: float,
         snaps, ledger = _crank_nicolson_run(grid, ThetaBoundary(1.0), u0, stops, times)
     else:
         snaps, ledger = _axisym_run(grid, Field(grid, u0), stops, times)
-    return ProbeResult(snaps, ledger, y_dist, hole is None, warmup)
+    return ProbeResult(snaps, ledger, y_dist, hole, warmup)
 
 
 def probe_smearing_estimate(hole: Optional[BallHole], y_dist: float,

@@ -1,10 +1,11 @@
 """Crank-Nicolson evolution of radial fields: u_t = u_rr + (N-1)/r u_r.
 
 The links are `RadialGrid.stencil()`, with the smooth-origin parity row
-at r = 0 (a = 0: ball domains, whole-space probes). `radial_operator`
-folds in the far row (homogeneous Dirichlet) and the hole row at r = a by
-ghost node: Dirichlet pins u(a) = 0; Robin and Neumann fold u_r(a) = b u(a)
-into it at second order (b = cot(pi theta/2), du/dn = -du/dr at the hole).
+at r = 0 (a = 0: the ball B(0, r_out) of `evolve_ball`, whole-space
+probes). `radial_operator` folds in the far row (homogeneous Dirichlet)
+and the hole row at r = a by ghost node: Dirichlet pins u(a) = 0; Robin
+and Neumann fold u_r(a) = b u(a) into it at second order
+(b = cot(pi theta/2), du/dn = -du/dr at the hole).
 
 The stencil is symmetric with respect to the volume weights, so a
 diagonal D makes I - dt/2 L symmetric positive definite; D depends on
@@ -20,9 +21,11 @@ mass and hole-flux weight vectors, built once before the first step,
 carry the 1 / D, and the snapshots read u = v / D.
 
 A run marches on a window of nodes [first, end) and holds v at exactly 0
-from end on. Each step solves the leading k = end - first coupled nodes
-with the leading slices d[:k], e[:k - 1] of its step size's factor, since
-the factor of a leading block is the leading part of the factor. The
+from end on: solve2(v, x) writes only x's window (and node 0), and the
+march zeroes its second step buffer before the first step. Each step
+solves the leading k = end - first coupled nodes with the leading slices
+d[:k], e[:k - 1] of its step size's factor, since the factor of a
+leading block is the leading part of the factor. The
 inverse of I - dt/2 L decays geometrically away from the datum (Demko,
 Moss & Smith, Math. Comp. 43 (1984) 491), and that gives an exact bound
 on what the window leaves out. Past the window the right-hand side is 0,
@@ -126,10 +129,7 @@ def _crank_nicolson_run(grid, theta, u0_values, stops, snap_times):
 
     scale = np.ones(n)  # symmetric_factor's D, the same for every dt
     scale[first:] = tridiagonal_scale(lo[first:n], up[first:n])
-    v0 = values[:n] * scale
-    # solve2's output, never its argument; the march is done with v0 after
-    # the first step, and both arrays are 0 from end on
-    buffers = (v0, np.zeros(n))
+    v0 = values[:n] * scale  # 0 from end on, as march's zeroed step buffer is
 
     def factor(dt):
         nonlocal end
@@ -155,9 +155,8 @@ def _crank_nicolson_run(grid, theta, u0_values, stops, snap_times):
         bound = q / (d_min * (1.0 - q * q)) if q < 1.0 else 0.0
         d = 0.5 * d  # dpttrs on the halved d returns twice the solve, exactly
 
-        def solve2(v):
+        def solve2(v, x):
             nonlocal end
-            x = buffers[v is buffers[0]]
             while True:
                 k = end - first
                 x[first:end] = v[first:end]
@@ -169,7 +168,6 @@ def _crank_nicolson_run(grid, theta, u0_values, stops, snap_times):
                 end = min(end + WINDOW_LATTICE, n)  # v is 0 from the old end on
             if first:
                 x[0] = (2.0 * v[0] - a01 * x[1]) / a00
-            return x
 
         return solve2
 
@@ -209,18 +207,15 @@ def evolve_radial(theta: ThetaBoundary, u0: Field, cfg: StepperConfig):
     return _crank_nicolson_run(grid, theta, u0.values, stops, cfg.snapshot_times)
 
 
-def evolve_ball(radius: float, u0: Field, cfg: StepperConfig):
-    """Evolve inside the ball B(0, radius) with Dirichlet boundary (dim 3).
-
-    The grid must be a RadialGrid with a = 0 and r_out = radius; the
-    origin uses the parity row, the ball boundary absorbs. Used for the
-    eigen-decay checks of the optimal-datum construction.
+def evolve_ball(u0: Field, cfg: StepperConfig):
+    """Evolve inside the ball B(0, r_out) of u0's grid with Dirichlet
+    boundary: the grid is a RadialGrid with a = 0, whose origin uses the
+    parity row and whose far node absorbs. Used for the eigen-decay checks
+    of the optimal-datum construction.
     """
     grid = u0.grid
     if not isinstance(grid, RadialGrid) or grid.a != 0.0:
         raise PreconditionError("evolve_ball requires a RadialGrid with a = 0")
-    if abs(grid.r_out - radius) > 1e-12 * max(1.0, radius):
-        raise PreconditionError("grid outer radius must equal the ball radius")
     theta = ThetaBoundary(1.0)
     stops = cfg.stops(radial_stiffness(grid, theta), grid.spacing)
     return _crank_nicolson_run(grid, theta, u0.values, stops, cfg.snapshot_times)

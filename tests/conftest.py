@@ -10,7 +10,7 @@ import pytest
 from heatext.constructions import explicit_solution
 from heatext.domain import BallHole, RectHole, ThetaBoundary
 from heatext.presets import make_planar_datum
-from heatext.profiles import asymptotic_mass, profile_radial_closed_form
+from heatext.profiles import asymptotic_mass, profile_closed_form
 from heatext.solver import (
     Field,
     PlanarGrid,
@@ -55,7 +55,7 @@ def radial_explicit_run(t_max, snapshot_times, theta=ThetaBoundary(0.0),
     t0 = time.perf_counter()
     snaps, ledger = evolve_radial(theta, u0, cfg)
     elapsed = time.perf_counter() - t0
-    profile = profile_radial_closed_form(3, a, theta)
+    profile = profile_closed_form(3, BallHole(a), theta)
     m = asymptotic_mass(u0, profile)
     return RadialRun(grid, theta, u0, snaps, ledger, m, elapsed)
 

@@ -33,11 +33,7 @@ from heatext.gaussian import (
     gaussian_mass_quadrature,
     gaussian_value,
 )
-from heatext.profiles import (
-    profile_decay_check,
-    profile_elliptic,
-    profile_radial_closed_form,
-)
+from heatext.profiles import profile_closed_form, profile_decay_check, profile_elliptic
 from heatext.solver import Field, RadialGrid, StepperConfig, evolve_ball
 from heatext.svgplot import line_plot_svg
 
@@ -78,14 +74,14 @@ def _c3_values(run):
 
 
 def _c4_values(run):
-    prof = profile_radial_closed_form(3, 1.0, DIRICHLET)
+    prof = profile_closed_form(3, BallHole(1.0), DIRICHLET)
     s10 = asym.error_norms(run.snapshot_at(10.0), M_ASYM, prof)[math.inf][1]
     s100 = asym.error_norms(run.snapshot_at(100.0), M_ASYM, prof)[math.inf][1]
     return s10, s100
 
 
 def _c5_values(run):
-    prof = profile_radial_closed_form(3, 1.0, DIRICHLET)
+    prof = profile_closed_form(3, BallHole(1.0), DIRICHLET)
     r20 = asym.error_norms(run.snapshot_at(20.0), M_ASYM, prof)[1.0][0]
     r200 = asym.error_norms(run.snapshot_at(200.0), M_ASYM, prof)[1.0][0]
     return r20, r200
@@ -143,7 +139,7 @@ def test_c04_sup_norm_convergence(run_t200):
 
 def test_c05_l1_convergence(run_t200):
     r20, r200 = _c5_values(run_t200)
-    prof = profile_radial_closed_form(3, 1.0, DIRICHLET)
+    prof = profile_closed_form(3, BallHole(1.0), DIRICHLET)
     ladder = [asym.error_norms(run_t200.snapshot_at(t), M_ASYM, prof)[1.0][0]
               for t in (10.0, 20.0, 100.0, 200.0)]
     decreasing = all(a > b for a, b in zip(ladder, ladder[1:]))
@@ -154,7 +150,7 @@ def test_c05_l1_convergence(run_t200):
 
 
 def test_c06_interpolation(run_t200):
-    prof = profile_radial_closed_form(3, 1.0, DIRICHLET)
+    prof = profile_closed_form(3, BallHole(1.0), DIRICHLET)
     worst = -math.inf
     for t in (10.0, 100.0):
         norms = asym.error_norms(run_t200.snapshot_at(t), M_ASYM, prof)
@@ -197,10 +193,10 @@ def test_c09_dim2_mass_loss(planar_masloss_run):
 def test_c10_profile_suite():
     msgs, ok = [], True
 
-    closed = profile_radial_closed_form(3, 1.0, DIRICHLET)
+    closed = profile_closed_form(3, BallHole(1.0), DIRICHLET)
     h = 1.0 / 256.0
     for theta in (DIRICHLET, ThetaBoundary(0.5)):
-        cf = profile_radial_closed_form(3, 1.0, theta)
+        cf = profile_closed_form(3, BallHole(1.0), theta)
         el = profile_elliptic(3, BallHole(1.0), theta, (8.0, 16.0, 32.0), h=h)
         agree = float(np.max(np.abs(cf.evaluate(el.r) - el.values)))
         ok &= agree <= 1e-4
@@ -223,13 +219,12 @@ def test_c10_profile_suite():
 
 def test_c11_kernel_gap_matrix(kernel_probe_matrix):
     probes, elapsed = kernel_probe_matrix
-    prof = profile_radial_closed_form(3, 1.0, DIRICHLET)
     ok = elapsed < 300.0
     msgs = [f"runtime {elapsed:.0f}s (target < 300s)"]
     gaps = {}
     for y in (3.0, 6.0):
         for t in (5.0, 10.0):
-            rep = asym.kernel_l1_gap(probes[y], t, prof)
+            rep = asym.kernel_l1_gap(probes[y], t)
             gaps[(y, t)] = rep.gap
             ok &= rep.passed
             msgs.append(f"y={y:g},t={t:g}: gap {rep.gap:.3f} <= bound {rep.bound:.3f}")
@@ -296,7 +291,7 @@ def test_c14_optimality_constructions():
     grid = RadialGrid(a=0.0, r_out=1.0, n_r=512, dim=3)
     u0 = Field(grid, ball_eigenfunction(grid.nodes()))
     cfg = StepperConfig(dt=1.0 / 2048.0, snapshot_times=(0.35,))
-    _, ledger = evolve_ball(1.0, u0, cfg)
+    _, ledger = evolve_ball(u0, cfg)
     t, m, _ = ledger.as_arrays()
     sel = t > 0
     slope = float(np.polyfit(t[sel], np.log(m[sel]), 1)[0])
@@ -305,7 +300,7 @@ def test_c14_optimality_constructions():
     msgs.append(f"eigen-decay exponent {slope:.4f} vs -pi^2 = {-lam:.4f} (1%)")
 
     rep = supersolution_report(SubSuperParams(gamma=0.25, kappa=1.0),
-                               profile_radial_closed_form(3, 1.0, DIRICHLET))
+                               profile_closed_form(3, BallHole(1.0), DIRICHLET))
     ok &= rep.all_passed
     ok &= all(rep.fitted[k] > 0 for k in ("c", "delta", "m", "C2"))
     msgs.append("supersolution report items (i)-(iv) pass, fitted constants positive")

@@ -28,10 +28,11 @@ from heatext.domain import BallHole, RectHole, ThetaBoundary
 from heatext.errors import PreconditionError
 from heatext.gaussian import (
     GaussianParams,
+    gaussian_ball_integral,
     gaussian_l1_time_shift_bound,
     gaussian_value,
 )
-from heatext.profiles import profile_planar, profile_radial_closed_form
+from heatext.profiles import profile_closed_form
 from heatext.solver import (
     Field,
     MassLedger,
@@ -53,7 +54,7 @@ def _field_from_closed_form(t, h=1.0 / 128.0, r_out=101.0):
 
 
 def _profile():
-    return profile_radial_closed_form(3, 1.0, DIRICHLET)
+    return profile_closed_form(3, BallHole(1.0), DIRICHLET)
 
 
 # --------------------------------------------------------------- norms
@@ -111,7 +112,7 @@ def test_region_requires_valid_side():
 def test_error_norms_reject_a_profile_of_another_dimension():
     grid = PlanarGrid(half_width=8.0, n=32, hole=BallHole(1.0))
     f = Field(grid, np.zeros(grid.shape), 1.0)
-    error_norms(f, 0.0, profile_radial_closed_form(2, 1.0, DIRICHLET))
+    error_norms(f, 0.0, profile_closed_form(2, BallHole(1.0), DIRICHLET))
     with pytest.raises(PreconditionError, match="dimension"):
         error_norms(f, 0.0, _profile())
 
@@ -121,9 +122,9 @@ def test_error_norms_reject_a_profile_of_another_hole():
     hole = RectHole(1.0, 1.0)
     grid = PlanarGrid(half_width=8.0, n=32, hole=hole)
     f = Field(grid, np.zeros(grid.shape), 1.0)
-    error_norms(f, 0.0, profile_planar(hole, DIRICHLET))
+    error_norms(f, 0.0, profile_closed_form(2, hole, DIRICHLET))
     with pytest.raises(PreconditionError, match="hole"):
-        error_norms(f, 0.0, profile_radial_closed_form(2, hole.circumscribed_radius,
+        error_norms(f, 0.0, profile_closed_form(2, BallHole(hole.circumscribed_radius),
                                                        DIRICHLET))
 
 
@@ -141,7 +142,7 @@ def test_neumann_l1_error_bounded_by_time_shift():
     m = u0.integral()  # Neumann profile is 1
     cfg = StepperConfig(dt=1.0 / 32.0, snapshot_times=(t_end,))
     snaps, _ = evolve_radial(ThetaBoundary(1.0), u0, cfg)
-    norms = error_norms(snaps[-1], m, profile_radial_closed_form(3, 1.0, ThetaBoundary(1.0)))
+    norms = error_norms(snaps[-1], m, profile_closed_form(3, BallHole(1.0), ThetaBoundary(1.0)))
     bound = gaussian_l1_time_shift_bound(t_end, 1.0, 3)
     # margin: the datum mass near the hole that the reflection rearranges
     assert norms[1.0][0] <= bound + 0.05
@@ -310,14 +311,22 @@ def test_kernel_gap_requires_unit_mass():
     from heatext.solver.probes import ProbeResult
     ledger = MassLedger()
     ledger.append(0.0, 0.5, 0.0)
-    probe = ProbeResult([], ledger, 3.0, False, (2.0, 0.05))
+    probe = ProbeResult([], ledger, 3.0, BallHole(1.0), (2.0, 0.05))
     with pytest.raises(PreconditionError):
-        kernel_l1_gap(probe, 1.0, _profile())
+        kernel_l1_gap(probe, 1.0)
+
+
+def test_kernel_gap_rejects_a_probe_without_a_hole():
+    from heatext.solver.probes import ProbeResult
+    ledger = MassLedger()
+    ledger.append(0.0, 1.0, 0.0)
+    probe = ProbeResult([], ledger, 3.0, None, (2.0, 0.05))
+    with pytest.raises(PreconditionError, match="exterior-domain probe"):
+        kernel_l1_gap(probe, 1.0)
 
 
 def test_kernel_gap_bound_values():
     # closed-form bound at |y| = 3, t = 10: 2/3 plus a ~3e-3 hole term
-    from heatext.gaussian import gaussian_ball_integral
     phi = _profile().evaluate(3.0)
     bound = 2.0 * (1.0 - phi) + gaussian_ball_integral(3.0, 1.0, 10.0)
     assert bound == pytest.approx(0.669, abs=2e-3)
@@ -333,7 +342,7 @@ def test_kernel_gap_bound_terms_match_independent_oracles():
     # 2 pi (4 pi t)^(-3/2) int_0^a r^2 (2 t / (r y)) (e^-(r-y)^2/4t - e^-(r+y)^2/4t) dr
     a, y, t = 1.0, 3.0, 1.0
     probe = kernel_probe(BallHole(a), y, 0.5, (t,), n_rho=32, n_z=64)
-    rep = kernel_l1_gap(probe, t, _profile())
+    rep = kernel_l1_gap(probe, t)
     assert rep.profile_term == pytest.approx(2.0 * (a / y), rel=0, abs=1e-12)
     r = np.linspace(0.0, a, 200001)
     # r^2 (2 t / (r y)) = 2 t r / y, which is 0 at r = 0
@@ -342,3 +351,14 @@ def test_kernel_gap_bound_terms_match_independent_oracles():
     hole_mass = 2.0 * math.pi * (4.0 * math.pi * t) ** -1.5 * np.trapezoid(integrand, r)
     assert rep.hole_term == pytest.approx(hole_mass, rel=1e-6)
     assert rep.bound == rep.profile_term + rep.hole_term
+
+
+def test_kernel_gap_reads_its_bound_from_the_probes_hole():
+    # both terms belong to the hole the probe ran around, here not the unit
+    # ball: 2 (1 - Phi0(4)) = 2 a / y with a = 1.5, and the Gaussian mass in
+    # the ball of radius 1.5
+    t = 1.0
+    probe = kernel_probe(BallHole(1.5), 4.0, 0.5, (t,), n_rho=32, n_z=64)
+    rep = kernel_l1_gap(probe, t)
+    assert rep.profile_term == 2.0 * 1.5 / 4.0
+    assert rep.hole_term == gaussian_ball_integral(4.0, 1.5, t)

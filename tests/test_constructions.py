@@ -18,9 +18,9 @@ from heatext.constructions import (
     supersolution_Z,
     supersolution_report,
 )
-from heatext.domain import ThetaBoundary
+from heatext.domain import BallHole, ThetaBoundary
 from heatext.errors import GeometryError, PreconditionError
-from heatext.profiles import profile_radial_closed_form
+from heatext.profiles import profile_closed_form
 
 
 # ---------------------------------------------------------- explicit solution
@@ -125,7 +125,7 @@ def test_radial_z_domain_errors():
 # ---------------------------------------------------------- supersolution
 
 def _dirichlet_profile():
-    return profile_radial_closed_form(3, 1.0, ThetaBoundary(0.0))
+    return profile_closed_form(3, BallHole(1.0), ThetaBoundary(0.0))
 
 
 def test_supersolution_value_and_normal_derivative():
@@ -152,7 +152,7 @@ def test_supersolution_report_passes():
 
 def test_supersolution_requires_dirichlet_profile():
     params = SubSuperParams(gamma=0.25, kappa=1.0)
-    neumann = profile_radial_closed_form(3, 1.0, ThetaBoundary(1.0))
+    neumann = profile_closed_form(3, BallHole(1.0), ThetaBoundary(1.0))
     with pytest.raises(PreconditionError):
         supersolution_report(params, neumann)
 

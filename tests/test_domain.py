@@ -8,7 +8,6 @@ from heatext.domain import (
     RectHole,
     ThetaBoundary,
     check_exterior,
-    outward_normal_sign_at_hole,
     required_far_radius,
     robin_coefficient,
     sphere_surface_area,
@@ -58,14 +57,6 @@ def test_theta_boundary_rejects_a_theta_whose_robin_b_overflows():
         with pytest.raises(GeometryError, match="not finite"):
             ThetaBoundary(theta)
     assert math.isfinite(ThetaBoundary(1e-300).robin_b)
-
-
-def test_outward_normal_sign():
-    assert outward_normal_sign_at_hole() == -1
-    # Dirichlet profile in dim 3: Phi = 1 - 1/r, so dPhi/dn = -Phi'(1) = -1
-    # at the unit-ball hole (differentiate the closed form)
-    dphi_dr = 1.0  # Phi'(r) = 1/r^2 at r = 1
-    assert outward_normal_sign_at_hole() * dphi_dr == -1.0
 
 
 def test_sphere_surface_area():

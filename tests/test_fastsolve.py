@@ -45,7 +45,7 @@ from heatext.solver.fastsolve import (
     symmetric_factor,
 )
 from heatext.solver.grids import hole_ghost, hole_links, hole_weights, masked_laplacian, stiffness
-from heatext.solver.march import march, march_masked, step_count
+from heatext.solver.march import CHECK_EVERY, march, march_masked, step_count
 from heatext.solver.radial import _crank_nicolson_run, radial_stiffness
 
 TOL = 1e-12
@@ -397,7 +397,7 @@ def _run_path(kind):
         run = lambda u0, cfg: evolve_radial(ThetaBoundary(0.0), u0, cfg)
     else:
         grid = RadialGrid(a=0.0, r_out=8.0, n_r=64, dim=3)
-        run = lambda u0, cfg: evolve_ball(8.0, u0, cfg)
+        run = evolve_ball
         if kind == "whole-space probe":
             run = lambda u0, cfg: _crank_nicolson_run(grid, ThetaBoundary(1.0), u0.values,
                                                       _probe_stops(cfg), cfg.snapshot_times)
@@ -586,8 +586,7 @@ def test_hole_entries_of_the_marched_modes_stay_at_round_off(kind):
     cap_nodes = capacitance_nodes(_links(grid), ghost)
 
     def factor(dt):
-        solver = MaskedCNSolve(modes, hole, ghost, dt, cap_nodes)
-        return lambda v: solver.solve2_modes(v, np.empty(v.size))
+        return MaskedCNSolve(modes, hole, ghost, dt, cap_nodes).solve2_modes
 
     stops = TWO_CAP_STOPS + ((8.0, 0.125),)
     zero = np.zeros(modes.shape[0] * modes.shape[1])
@@ -598,6 +597,23 @@ def test_hole_entries_of_the_marched_modes_stay_at_round_off(kind):
     for state in states:
         box = _box_values(modes, state)
         assert np.max(np.abs(box[box_hole])) <= 1e-12 * np.max(np.abs(u0))
+
+
+@pytest.mark.parametrize("steps, step", [(CHECK_EVERY + 50, CHECK_EVERY), (5, 5)])
+def test_march_stops_a_run_whose_values_turn_non_finite(steps, step):
+    # a run longer than CHECK_EVERY steps stops at the first check, a
+    # shorter one at the check after its last step; the error names the
+    # evolution and the step
+    def factor(dt):
+        def solve2(b, out):
+            out[:] = np.nan
+        return solve2
+
+    zero = np.zeros(4)
+    with pytest.raises(NumericalError,
+                       match=rf"^non-finite values in probe evolution \(step {step}\)$"):
+        march(np.ones(4), ((0.5 * steps, 0.5),), factor, zero, zero,
+              lambda u, t: u.copy(), "probe", ())
 
 
 def _counted_builds(monkeypatch):

@@ -55,7 +55,7 @@ def _run(kind):
         grid = RadialGrid(a=0.0, r_out=1.0, n_r=64, dim=3)
         u0 = Field(grid, ball_eigenfunction(grid.nodes()))
         cfg = StepperConfig(dt=1.0 / 256.0, snapshot_times=(0.05, 0.2))
-        snaps, ledger = evolve_ball(1.0, u0, cfg)
+        snaps, ledger = evolve_ball(u0, cfg)
         return snaps, ledger, cfg.stops(radial_stiffness(grid, ThetaBoundary(1.0)),
                                         grid.spacing), None
     if kind == "planar":

@@ -8,6 +8,7 @@ leakage.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -261,6 +262,40 @@ def test_grids_reject_more_nodes_than_the_budget():
                  lambda: PlanarGrid(half_width=4.0, n=10 ** 400)):
         with pytest.raises(GeometryError, match="budget"):
             make()
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(a=-1.0), "hole radius must be >= 0, got -1.0"),
+    (dict(r_out=1.0), "r_out must exceed the hole radius"),
+    (dict(n_r=63), "n_r must be at least 64, got 63"),
+    (dict(dim=4), "dim must be 2 or 3, got 4"),
+], ids=["negative-a", "r_out-at-a", "n_r-63", "dim-4"])
+def test_radial_grid_rejects_its_bad_inputs(kwargs, message):
+    with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+        RadialGrid(**{**dict(a=1.0, r_out=8.0, n_r=64, dim=3), **kwargs})
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(half_width=0.0), "half_width must be positive"),
+    (dict(n=15), "n must be at least 16, got 15"),
+    (dict(hole=BallHole(4.0)), "hole must lie strictly inside the grid square"),
+], ids=["half_width-0", "n-15", "hole-outside"])
+def test_planar_grid_rejects_its_bad_inputs(kwargs, message):
+    with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+        PlanarGrid(**{**dict(half_width=4.0, n=16, hole=RectHole(1.0, 1.0)), **kwargs})
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(rho_max=0.0), "rho_max and z_half must be positive"),
+    (dict(n_rho=15), "n_rho and n_z must be at least 16"),
+    (dict(hole=RectHole(1.0, 1.0)),
+     "axisymmetric grids take a ball hole, got RectHole(half_width_x=1.0, half_width_y=1.0)"),
+    (dict(hole=BallHole(4.0)), "hole must lie strictly inside the grid"),
+], ids=["rho_max-0", "n_rho-15", "rect-hole", "hole-outside"])
+def test_axisym_grid_rejects_its_bad_inputs(kwargs, message):
+    with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+        AxisymGrid(**{**dict(rho_max=4.0, z_half=8.0, n_rho=16, n_z=16, hole=BallHole(1.0)),
+                      **kwargs})
 
 
 def _masked_bytes(rows, cols):

@@ -13,11 +13,10 @@ from heatext.profiles import (
     _planar_truncated_solve,
     _radial_truncated_solve,
     asymptotic_mass,
+    profile_closed_form,
     profile_coefficient,
     profile_decay_check,
     profile_elliptic,
-    profile_planar,
-    profile_radial_closed_form,
     psi_from_profile,
 )
 from heatext.solver.grids import (
@@ -38,14 +37,14 @@ ROBIN_HALF = ThetaBoundary(0.5)  # b = 1
 # ------------------------------------------------------------ closed form
 
 def test_dirichlet_closed_form():
-    p = profile_radial_closed_form(3, 1.0, DIRICHLET)
+    p = profile_closed_form(3, BallHole(1.0), DIRICHLET)
     assert p.evaluate(1.0) == pytest.approx(0.0, abs=1e-15)
     assert p.evaluate(2.0) == pytest.approx(0.5, rel=1e-14)
     assert p.evaluate(1e6) == pytest.approx(1.0, abs=1e-5)
 
 
 def test_neumann_profile_is_one():
-    p = profile_radial_closed_form(3, 1.0, NEUMANN)
+    p = profile_closed_form(3, BallHole(1.0), NEUMANN)
     r = np.linspace(1.0, 50.0, 100)
     assert np.allclose(p.evaluate(r), 1.0)
     assert p.coefficient == 0.0
@@ -54,7 +53,7 @@ def test_neumann_profile_is_one():
 def test_robin_coefficient_solves_the_boundary_condition():
     # oracle: solve -Phi'(a) + b Phi(a) = 0 for Phi = 1 - c (a/r)^(N-2)
     # by hand: c = a b / (a b + N - 2); for a = 1, b = 1, N = 3: c = 1/2
-    p = profile_radial_closed_form(3, 1.0, ROBIN_HALF)
+    p = profile_closed_form(3, BallHole(1.0), ROBIN_HALF)
     assert p.coefficient == pytest.approx(0.5, rel=1e-14)
     assert p.evaluate(1.0) == pytest.approx(0.5, rel=1e-14)
     assert abs(p.boundary_residual()) < 1e-12
@@ -62,7 +61,7 @@ def test_robin_coefficient_solves_the_boundary_condition():
 
 def test_closed_form_bc_residual_all_thetas():
     for theta in (0.0, 0.2, 0.5, 0.8, 1.0):
-        p = profile_radial_closed_form(3, 1.5, ThetaBoundary(theta))
+        p = profile_closed_form(3, BallHole(1.5), ThetaBoundary(theta))
         assert abs(p.boundary_residual()) < 1e-10
 
 
@@ -70,7 +69,7 @@ def test_profile_bounds_and_theta_monotonicity():
     r = np.linspace(1.0, 100.0, 500)
     prev_c = math.inf
     for theta in (0.0, 0.25, 0.5, 0.75, 1.0):
-        p = profile_radial_closed_form(3, 1.0, ThetaBoundary(theta))
+        p = profile_closed_form(3, BallHole(1.0), ThetaBoundary(theta))
         vals = p.evaluate(r)
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
         c = p.coefficient
@@ -92,8 +91,8 @@ def test_dim2_degenerate_profiles():
     # the closed form with N = 2 is the constant 1 - c, exactly, for any hole
     r = np.array([0.5, 1.0, 1.5, 5.0, 1e6, math.inf])
     for theta, c in ((DIRICHLET, 1.0), (ROBIN_HALF, 1.0), (NEUMANN, 0.0)):
-        for p in (profile_radial_closed_form(2, 1.0, theta),
-                  profile_planar(RectHole(1.0, 0.5), theta)):
+        for p in (profile_closed_form(2, BallHole(1.0), theta),
+                  profile_closed_form(2, RectHole(1.0, 0.5), theta)):
             assert p.coefficient == c
             assert np.all(p.values == 1.0 - c) and np.all(p.evaluate(r) == 1.0 - c)
             assert abs(p.boundary_residual()) < 1e-16
@@ -120,7 +119,7 @@ def test_elliptic_table_continues_harmonically_past_its_end():
     # 1 - C/r, C matched to the last sample, which tracks the closed form
     # 1 - c/r with the last sample's error times r[-1]/r
     table = profile_elliptic(3, BallHole(1.0), ROBIN_HALF, (8.0, 16.0, 32.0))
-    closed = profile_radial_closed_form(3, 1.0, ROBIN_HALF)
+    closed = profile_closed_form(3, BallHole(1.0), ROBIN_HALF)
     end = table.r[-1]
     assert end == 8.0
     r = np.geomspace(end, 1e4, 50)[1:]
@@ -347,13 +346,13 @@ def test_asymptotic_mass_explicit_datum():
     oracle = math.pi * float(np.trapezoid(s ** 2 * np.exp(-s ** 2 / 4.0), s))
     assert oracle == pytest.approx(2.0 * math.pi ** 1.5, rel=1e-10)
     u0 = _explicit_datum_grid()
-    profile = profile_radial_closed_form(3, 1.0, DIRICHLET)
+    profile = profile_closed_form(3, BallHole(1.0), DIRICHLET)
     assert asymptotic_mass(u0, profile) == pytest.approx(oracle, abs=2e-6)
 
 
 def test_asymptotic_mass_neumann_conserves():
     u0 = _explicit_datum_grid()
-    profile = profile_radial_closed_form(3, 1.0, NEUMANN)
+    profile = profile_closed_form(3, BallHole(1.0), NEUMANN)
     assert asymptotic_mass(u0, profile) == u0.integral()
 
 
@@ -365,13 +364,13 @@ def test_asymptotic_mass_planar_is_exact(theta):
     X, Y = grid.meshgrid()
     u0 = Field(grid, np.where(grid.hole_mask(), 0.0, np.exp(-(X - 3.0) ** 2 - Y ** 2)))
     assert u0.integral() > 0.0
-    m = asymptotic_mass(u0, profile_planar(hole, ThetaBoundary(theta)))
+    m = asymptotic_mass(u0, profile_closed_form(2, hole, ThetaBoundary(theta)))
     assert m == (u0.integral() if theta == 1.0 else 0.0)
 
 
 def test_asymptotic_mass_shrinking_shell_vanishes():
     # datum concentrated on a shell hugging the hole, where Phi -> 0
-    profile = profile_radial_closed_form(3, 1.0, DIRICHLET)
+    profile = profile_closed_form(3, BallHole(1.0), DIRICHLET)
     masses = []
     for eps in (0.5, 0.25, 0.125, 0.0625):
         grid = RadialGrid(a=1.0, r_out=5.0, n_r=4096, dim=3)
@@ -386,7 +385,7 @@ def test_asymptotic_mass_shrinking_shell_vanishes():
 
 def test_asymptotic_mass_grid_mismatch():
     u0 = _explicit_datum_grid()
-    profile = profile_radial_closed_form(3, 2.0, DIRICHLET)  # wrong hole
+    profile = profile_closed_form(3, BallHole(2.0), DIRICHLET)  # wrong hole
     with pytest.raises(PreconditionError):
         asymptotic_mass(u0, profile)
 
@@ -395,16 +394,16 @@ def test_asymptotic_mass_axisym_hole_mismatch():
     grid = AxisymGrid(rho_max=8.0, z_half=8.0, n_rho=32, n_z=64, hole=BallHole(1.0))
     R, Z = grid.meshgrid()
     u0 = Field(grid, np.where(grid.hole_mask(), 0.0, np.exp(-R ** 2 - (Z - 3.0) ** 2)))
-    m = asymptotic_mass(u0, profile_radial_closed_form(3, 1.0, DIRICHLET))
+    m = asymptotic_mass(u0, profile_closed_form(3, BallHole(1.0), DIRICHLET))
     assert 0.0 < m < u0.integral()
     with pytest.raises(PreconditionError, match="hole"):
-        asymptotic_mass(u0, profile_radial_closed_form(3, 2.0, DIRICHLET))  # wrong hole
+        asymptotic_mass(u0, profile_closed_form(3, BallHole(2.0), DIRICHLET))  # wrong hole
 
 
 # ------------------------------------------------------------ decay fits
 
 def test_decay_exponents_closed_form():
-    p = profile_radial_closed_form(3, 1.0, DIRICHLET)
+    p = profile_closed_form(3, BallHole(1.0), DIRICHLET)
     rep0 = profile_decay_check(p, 0)
     assert rep0.passed and rep0.exponent == pytest.approx(-1.0, abs=1e-6)
     rep1 = profile_decay_check(p, 1)
@@ -414,7 +413,7 @@ def test_decay_exponents_closed_form():
 
 
 def test_decay_check_neumann_skipped():
-    p = profile_radial_closed_form(3, 1.0, NEUMANN)
+    p = profile_closed_form(3, BallHole(1.0), NEUMANN)
     rep = profile_decay_check(p, 0)
     assert rep.skipped and rep.passed
 
@@ -431,11 +430,11 @@ def test_decay_check_elliptic_neumann_skipped(order):
 # ------------------------------------------------------------ psi
 
 def test_psi_complement_and_amplitude():
-    p = profile_radial_closed_form(3, 1.0, DIRICHLET)
+    p = profile_closed_form(3, BallHole(1.0), DIRICHLET)
     psi = psi_from_profile(p)
     r = np.linspace(1.0, 50.0, 200)
     assert np.allclose(psi.evaluate(r), 1.0 / r, atol=1e-10)
     assert psi.amplitude == pytest.approx(1.0, rel=1e-6)
     assert np.all(psi.evaluate(r) <= psi.amplitude / r + 1e-12)
     with pytest.raises(PreconditionError):
-        psi_from_profile(profile_radial_closed_form(3, 1.0, NEUMANN))
+        psi_from_profile(profile_closed_form(3, BallHole(1.0), NEUMANN))

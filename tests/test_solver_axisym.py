@@ -58,7 +58,7 @@ def test_warmup_steps_damp_the_stiff_modes():
 HOLE = BallHole(1.0)
 
 
-def test_whole_space_probe_matches_kernel_peak():
+def test_free_space_probe_matches_kernel_peak():
     # hole disabled: the probe must reproduce the free-space kernel at the
     # peak to 1e-3 relative (exact kernel is the oracle)
     probe = kernel_probe(None, 0.0, 0.09, (1.0,), n_r=4096, pad=8.0)
@@ -171,10 +171,8 @@ def test_gap_at_early_time_is_smearing_scale():
     # with the mollifier far from the hole and t small, both kernels
     # approximate the same point mass: the gap reduces to smearing
     from heatext.asymptotics import kernel_l1_gap
-    from heatext.profiles import profile_radial_closed_form
     probe = kernel_probe(HOLE, 6.0, 0.4, (0.5,), n_rho=192, n_z=384, pad=8.0)
-    prof = profile_radial_closed_form(3, 1.0, DIRICHLET)
-    rep = kernel_l1_gap(probe, 0.5, prof)
+    rep = kernel_l1_gap(probe, 0.5)
     assert rep.gap <= 0.1  # far below the ~0.33 bound at this source
 
 
