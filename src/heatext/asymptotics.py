@@ -7,7 +7,6 @@ near-hole zone |x|^2 <= delta t from the far field.
 """
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -25,6 +24,7 @@ from .domain import DIRICHLET
 from .errors import PreconditionError
 from .gaussian import GaussianParams, gaussian_ball_integral, gaussian_value
 from .profiles import ProfileTable, profile_closed_form
+from .records import record
 from .solver.grids import Field
 from .solver.ledger import MassLedger
 from .solver.probes import ProbeResult
@@ -35,7 +35,7 @@ P_NORMS = (1.0, 2.0, math.inf)  # the exponents every norm set holds
 COMPONENT_MASS_SLACK = 1e-2
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RegionSpec:
     """Split radius: near region |x|^2 <= delta t, far region |x|^2 >= delta t."""
 
@@ -92,7 +92,7 @@ def error_norms(snapshot: Field, m: float, profile: ProfileTable,
     return out
 
 
-@dataclass
+@record
 class RateSeries:
     """Time-indexed error norms, masses, and mass gaps for rate fitting."""
 
@@ -131,7 +131,7 @@ class RateSeries:
         return out
 
 
-@dataclass
+@record
 class RateFit:
     exponent: float
     intercept: float
@@ -163,7 +163,7 @@ def rate_fit(times, values, window: Tuple[float, float]) -> RateFit:
     return RateFit(float(slope), float(intercept), resid, int(np.sum(usable)), n_excluded)
 
 
-@dataclass
+@record
 class MassConvergenceReport:
     times: np.ndarray
     gaps: np.ndarray
@@ -186,7 +186,7 @@ def mass_convergence(ledger: MassLedger, m: float,
                                  bool(max_inc <= tol * scale), max_inc)
 
 
-@dataclass
+@record
 class KernelGapReport:
     gap: float
     bound: float
@@ -226,7 +226,7 @@ def kernel_l1_gap(probe: ProbeResult, t: float) -> KernelGapReport:
                            passed=bool(gap <= bound + 0.05))
 
 
-@dataclass
+@record
 class HerraizComparison:
     """Exact solution against the two closed-form late-time predictions.
 
@@ -278,7 +278,7 @@ def herraiz_compare(t: float, use_profile: bool = True) -> HerraizComparison:
                              float(np.max(herraiz) / peak))
 
 
-@dataclass
+@record
 class OptimalityReport:
     n: int
     conditions: Dict[str, float]
@@ -351,7 +351,7 @@ def optimality_check_l1(plan: OptimalDatumPlan, n: int,
                             lower, g_floor, passed)
 
 
-@dataclass
+@record
 class LinfOptimalityReport:
     t: float
     witness_dist: float

@@ -16,7 +16,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import fields, replace
 
 import numpy as np
 
@@ -38,6 +37,7 @@ from .profiles import (
     profile_decay_check,
     profile_elliptic,
 )
+from .records import fields, replace
 from .runconfig import (
     STUDIES,
     RunConfig,
@@ -361,13 +361,15 @@ def cmd_kernel(args) -> list:
                            f"gap {rep.gap:.4f} vs bound {rep.bound:.4f}"))
     if args.audit_smearing:
         # halving the width must not move the gap by more than 10% of the
-        # bound, the decision scale of the gap <= bound verdict
-        half_probe = kernel_probe(hole, y, 0.5 * args.width, (times[-1],),
-                                  n_rho=n_rho, n_z=n_z)
-        rep_half = asym.kernel_l1_gap(half_probe, times[-1])
-        change = abs(rep.gap - rep_half.gap) / rep.bound  # rep: the gap at times[-1]
+        # bound, the decision scale of the gap <= bound verdict, at any
+        # requested time; the largest change is judged and named
+        half_probe = kernel_probe(hole, y, 0.5 * args.width, times, n_rho=n_rho, n_z=n_z)
+        change, t_worst = max(
+            (abs(gap - asym.kernel_l1_gap(half_probe, t).gap) / bound, t)
+            for t, gap, bound, _, _ in rows)
         lines.append(_line("mollifier smearing audit: gap change < 10% of bound",
-                           change < 0.10, f"gap moved {change:.4f} of the bound"))
+                           change < 0.10,
+                           f"gap moved {change:.4f} of the bound at t={t_worst:g}"))
 
     def write(out_dir):
         grid = probe.snapshots[0].grid

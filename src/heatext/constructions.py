@@ -8,13 +8,13 @@ counterexample datum (rescaled eigenfunctions in far-apart balls).
 """
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
 from .errors import GeometryError, PreconditionError
 from .profiles import ProfileTable, psi_from_profile
+from .records import record
 
 # first Dirichlet eigenpair of the unit ball in dim 3:
 # eigenfunction sin(pi r)/r, eigenvalue pi^2; L1-normalised below
@@ -87,7 +87,7 @@ def radial_z(x_norm: float, gamma: float) -> Tuple[float, float]:
     return value, residual
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SubSuperParams:
     """Parameters of the decaying supersolution Z = t^(-(N+gamma)/2) (z + kappa Psi)."""
 
@@ -115,14 +115,14 @@ def supersolution_Z(params: SubSuperParams, profile0: ProfileTable, x_norm, t):
     return out if out.ndim else float(out)
 
 
-@dataclass
+@record
 class ZReportItem:
     name: str
     passed: bool
     witness: str
 
 
-@dataclass
+@record
 class ZReport:
     items: List[ZReportItem]
     fitted: Dict[str, float]
@@ -224,7 +224,7 @@ def supersolution_report(params: SubSuperParams, profile0: ProfileTable) -> ZRep
     return ZReport(items, fitted)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PlanRow:
     n: int
     t_n: float
@@ -234,7 +234,7 @@ class PlanRow:
     weight: float
 
 
-@dataclass
+@record
 class OptimalDatumPlan:
     """Sequence (t_n, R_n, |x_n|, 2^-n) realising a prescribed decay floor g,
     in dim 3 outside the unit ball."""

@@ -38,7 +38,6 @@ formatter sees the same floats, so the bytes equal those of the column
 values[index] materialised.
 """
 
-import csv
 import math
 import os
 from typing import Iterable, NamedTuple, Sequence
@@ -239,6 +238,8 @@ def as_written(values) -> np.ndarray:
 
 def read_csv(path: str):
     """Read back a CSV written by write_csv: (header, rows of strings)."""
+    import csv  # here, not at the top: a CLI run reads no CSV
+
     with open(path, "r", newline="") as fh:
         lines = [row for row in csv.reader(fh) if row]
     return lines[0], lines[1:]

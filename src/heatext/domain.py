@@ -14,13 +14,13 @@ points into the hole, so for radial fields du/dn = -du/dr at r = a.
 """
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import GeometryError
+from .records import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BallHole:
     """Ball of given radius centred at the origin (dim 2 or 3)."""
 
@@ -35,7 +35,7 @@ class BallHole:
         return self.radius
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RectHole:
     """Axis-aligned rectangle |x| <= wx, |y| <= wy centred at the origin (dim 2 only)."""
 
@@ -71,7 +71,7 @@ def robin_coefficient(theta: float) -> float:
     return math.cos(half) / math.sin(half)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ThetaBoundary:
     """Boundary condition selector, constant on the (single) hole boundary."""
 

@@ -7,15 +7,15 @@ G(x, t) = lam^N G(lam x, lam^2 t).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import sphere_surface_area
 from .errors import GeometryError, NumericalError
+from .records import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GaussianParams:
     dim: int
     time: float

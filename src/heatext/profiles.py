@@ -33,13 +33,13 @@ extrapolation uses.
 """
 
 import math
-from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .domain import HoleSpec, ThetaBoundary, check_exterior
 from .errors import GeometryError, NumericalError, PreconditionError
+from .records import record, replace
 from .solver.fastsolve import dpttrs, spsolve, symmetric_factor
 from .solver.grids import (
     Field,
@@ -69,7 +69,7 @@ def profile_coefficient(dim: int, a: float, theta: ThetaBoundary) -> float:
     return ab / (ab + dim - 2)
 
 
-@dataclass
+@record
 class ProfileTable:
     """Asymptotic profile sampled on the radii r in [a, r_max].
 
@@ -336,7 +336,7 @@ def asymptotic_mass(u0: Field, profile: ProfileTable) -> float:
     return float(np.sum(u0.grid.volume_weights() * phi * u0.values))
 
 
-@dataclass
+@record
 class DecayFitReport:
     """Log-log fit of a profile derivative against radius."""
 
@@ -388,7 +388,7 @@ def profile_decay_check(profile: ProfileTable, order: int) -> DecayFitReport:
                           passed=bool(slope <= target))
 
 
-@dataclass
+@record
 class PsiTable:
     """Complement Psi = 1 - Phi(Dirichlet), with its fitted decay amplitude."""
 

@@ -1,4 +1,4 @@
-"""Run configuration: dataclass, flat key = value config files, validation.
+"""Run configuration: the RunConfig record, flat key = value config files, validation.
 
 Config files are diff-able plain text: optional [section] headers, one
 key = value per line, '#' comments, each value read exactly. Command-line
@@ -7,7 +7,6 @@ checks what the library's checks, met before a CLI run's first file, leave out.
 """
 
 import math
-from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Tuple
 
 from .domain import (
@@ -20,6 +19,7 @@ from .domain import (
 )
 from .errors import ConfigError, GeometryError
 from .presets import parse_preset
+from .records import field, fields, record, replace
 
 STUDIES = ("l1", "linf", "lp", "mass", "balance")
 
@@ -50,7 +50,7 @@ def hole_to_spec(hole: HoleSpec) -> str:
     return f"rect:{number_text(hole.half_width_x)}x{number_text(hole.half_width_y)}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RunConfig:
     dim: int = 3
     hole: HoleSpec = field(default_factory=lambda: BallHole(1.0))

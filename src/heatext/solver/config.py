@@ -8,10 +8,10 @@ local error then stays second order in the growth GROWTH.
 """
 
 import math
-from dataclasses import dataclass
 from typing import Tuple
 
 from ..errors import PreconditionError
+from ..records import record
 
 GROWTH = 0.005        # a step cap after the start-up: max(dt, GROWTH * t_prev)
 LADDER_RATIO = 1.25   # consecutive ladder stops
@@ -65,7 +65,7 @@ def graded_stops(times, dt: float, growth: float, lam_bar: float):
     return tuple(stops)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StepperConfig:
     """Step cap and snapshot times for one evolution.
 

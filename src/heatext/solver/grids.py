@@ -19,7 +19,6 @@ read the stencil; `hole_links` is the one walk of the links into the hole.
 """
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -27,6 +26,7 @@ import numpy as np
 
 from ..domain import BallHole, HoleSpec, RectHole, sphere_surface_area
 from ..errors import GeometryError, PreconditionError
+from ..records import record
 
 # The most nodes one grid may hold, checked before any of its arrays is
 # made: a tiny spacing or a huge radius exits as a bad input instead of
@@ -84,7 +84,7 @@ def radial_links(r, h: float, k: int) -> tuple:
     return lo, up
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RadialGrid:
     """Uniform radial grid on [a, r_out]; a = 0 switches to ball/whole-space mode.
 
@@ -171,7 +171,7 @@ def hole_nodes(hole: HoleSpec, X, Y, eps: float) -> np.ndarray:
     raise GeometryError(f"unsupported hole {hole!r}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PlanarGrid:
     """Uniform node-centred grid on the square [-half_width, half_width]^2.
 
@@ -243,7 +243,7 @@ class PlanarGrid:
         return c, c, c, c
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AxisymGrid:
     """Cylindrical (rho, z) grid for axisymmetric 3d fields about the z-axis.
 
@@ -465,7 +465,7 @@ def masked_laplacian(active, hole, stencil, hole_ghost, idx=None):
     return (n, data, rows[start].astype(np.intc), indptr), edge_coef
 
 
-@dataclass
+@record
 class Field:
     """A discrete field u(., t): values on a grid's nodes plus its time stamp."""
 

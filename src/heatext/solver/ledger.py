@@ -1,15 +1,15 @@
 """Mass ledger: time series of total mass and hole-boundary flux, with
 rows at the exact times of a march's steps and stops."""
 
-from dataclasses import dataclass, field
 from typing import List
 
 import numpy as np
 
 from ..errors import PreconditionError
+from ..records import field, record
 
 
-@dataclass
+@record
 class MassLedger:
     """Rows (t, M(t), F(t)) with F the flux through the hole boundary.
 

@@ -34,13 +34,13 @@ is an error, never merged or sorted.
 """
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..domain import BallHole, ThetaBoundary, check_exterior
 from ..errors import PreconditionError
+from ..records import record
 from .axisym import _axisym_run
 from .config import warmup_steps
 from .grids import AxisymGrid, Field, RadialGrid, stiffness
@@ -58,7 +58,7 @@ def mollifier_bump(dist, width: float):
     return out if out.ndim else float(out)
 
 
-@dataclass
+@record
 class ProbeResult:
     """Snapshots of a kernel probe plus bookkeeping for gap checks."""
 

@@ -19,8 +19,10 @@ from heatext.runconfig import (
     parse_hole,
     runconfig_from_mapping,
 )
-from heatext.domain import RectHole
+from heatext.asymptotics import kernel_l1_gap
+from heatext.domain import BallHole, RectHole
 from heatext.errors import ConfigError
+from heatext.solver import kernel_probe
 
 
 def _run(argv):
@@ -659,6 +661,24 @@ def test_kernel_smearing_audit(tmp_path, capsys):
     assert "[PASS] mollifier smearing audit" in capsys.readouterr().out
 
 
+def test_kernel_smearing_audit_judges_every_requested_time(tmp_path, capsys):
+    # widths 0.5 and 0.25 at y = 3: their gaps move 10 times more, in
+    # units of the bound, at t = 1 than at the last time t = 4, and the
+    # audit judges and names the larger
+    assert _run(["kernel", "--grid", "128x256", "--t", "1,4", "--audit-smearing",
+                 "--out", str(tmp_path)]) == 0
+    (line,) = [s for s in capsys.readouterr().out.splitlines() if "smearing audit" in s]
+    wide, narrow = (kernel_probe(BallHole(1.0), 3.0, w, (1.0, 4.0), n_rho=128, n_z=256)
+                    for w in (0.5, 0.25))
+    change = {}
+    for t in (1.0, 4.0):
+        rep = kernel_l1_gap(wide, t)
+        change[t] = abs(rep.gap - kernel_l1_gap(narrow, t).gap) / rep.bound
+    assert change[1.0] > 5.0 * change[4.0]
+    assert line == ("[PASS] mollifier smearing audit: gap change < 10% of bound: "
+                    f"gap moved {change[1.0]:.4f} of the bound at t=1")
+
+
 def test_evolve_audit_flag(tmp_path):
     rc = _run(["evolve", "--study", "balance", "--t-max", "2",
                "--h", "0.0625", "--dt", "0.03125", "--snapshots", "1,2",
@@ -740,6 +760,36 @@ def test_cli_runs_load_no_library_module_inside_main(lean_run):
     # which numpy loads lazily, included)
     _, _, in_main = lean_run
     assert in_main == [[]] * len(LEAN_ARGVS)
+
+
+# a fresh interpreter imports numpy, then heatext.cli, wrapping
+# dataclasses._process_class first when its argument is "wrap"; prints, as
+# JSON, the classes made dataclasses and which of dataclasses, copy and
+# csv the heatext import loaded beyond numpy's own imports
+IMPORT_CLI = """
+import json, sys
+import numpy
+after_numpy = set(sys.modules)
+built = []
+if sys.argv[1] == "wrap":
+    import dataclasses
+    process = dataclasses._process_class
+    def recording(cls, *args, **kwargs):
+        built.append(cls.__qualname__)
+        return process(cls, *args, **kwargs)
+    dataclasses._process_class = recording
+import heatext.cli
+print(json.dumps([built, sorted({"dataclasses", "copy", "csv"} - after_numpy & set(sys.modules))]))
+"""
+
+
+def test_importing_the_cli_builds_no_dataclass_and_loads_no_dataclasses_copy_or_csv():
+    # heatext's value types are records, whose methods every class shares,
+    # so the import execs no generated code; and a CLI run reads no CSV
+    built, _ = json.loads(_fresh_python(IMPORT_CLI, "wrap").splitlines()[-1])
+    assert built == []
+    _, loaded = json.loads(_fresh_python(IMPORT_CLI, "bare").splitlines()[-1])
+    assert loaded == []
 
 
 # a fresh interpreter: heatext alone loads no scipy package, and a later

@@ -17,6 +17,7 @@ import scipy.sparse as sp
 
 from heatext.domain import BallHole, RectHole, ThetaBoundary
 from heatext.errors import GeometryError, PreconditionError
+from heatext.records import fields
 from heatext.solver import AxisymGrid, PlanarGrid, RadialGrid
 from heatext.solver.grids import (
     MASKED_NODE_BYTES,
@@ -345,6 +346,6 @@ def test_hole_mask_is_one_read_only_array_per_grid(grid):
             else hole_nodes(grid.hole, X, Y, eps))
     assert np.array_equal(mask, want)
     # a grid equal to this one builds its own mask, of the same nodes
-    twin = type(grid)(**{k: getattr(grid, k) for k in grid.__dataclass_fields__})
+    twin = type(grid)(**{f.name: getattr(grid, f.name) for f in fields(grid)})
     assert twin == grid and twin.hole_mask() is not mask
     assert np.array_equal(twin.hole_mask(), mask)
